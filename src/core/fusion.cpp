@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "avr/grouping.hpp"
@@ -352,149 +353,76 @@ Disassembly FusedDisassembler::fuse_window(const sim::Trace& pview,
   return fuse(pview, eview, p, e);
 }
 
-Disassembly FusedDisassembler::classify_scored(const sim::Trace& paired) const {
+std::vector<Disassembly> FusedDisassembler::classify_paired(
+    std::span<const sim::Trace> traces, bool scored) const {
   if (power_ == nullptr) throw std::runtime_error("FusedDisassembler: empty");
-  if (em_ == nullptr || degenerate_to(sim::Channel::kPower)) {
-    return power_->classify_scored(sim::channel_view(paired, sim::Channel::kPower));
+  // Route every window: power-only weights, a missing EM model or a missing
+  // EM window serve the power channel's own result (the last one flagged, so
+  // the operator sees the blind spot); EM-only weights the EM channel's;
+  // everything else fuses both channels' posteriors.
+  const bool power_only = em_ == nullptr || degenerate_to(sim::Channel::kPower);
+  const bool em_only = !power_only && degenerate_to(sim::Channel::kEm);
+  std::vector<std::size_t> power_idx, em_idx, fused_idx;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    if (power_only || !traces[i].has_em()) {
+      power_idx.push_back(i);
+    } else {
+      (em_only ? em_idx : fused_idx).push_back(i);
+    }
   }
-  if (!paired.has_em()) {
-    // The modality this deployment calibrated for is missing: serve the
-    // power-only result, flagged so the operator sees the blind spot.
-    Disassembly out =
-        power_->classify_scored(sim::channel_view(paired, sim::Channel::kPower));
-    out.verdict = std::max(out.verdict, Verdict::kDegraded);
+  const auto views = [&](const std::vector<std::size_t>& idx, sim::Channel channel) {
+    sim::TraceSet out;
+    out.reserve(idx.size());
+    for (const std::size_t i : idx) out.push_back(sim::channel_view(traces[i], channel));
     return out;
+  };
+
+  std::vector<Disassembly> out(traces.size());
+  const auto serve = [&](const HierarchicalDisassembler& model, sim::Channel channel,
+                         const std::vector<std::size_t>& idx) {
+    if (idx.empty()) return;
+    const sim::TraceSet v = views(idx, channel);
+    std::vector<Disassembly> sub =
+        scored ? model.classify_batch_scored(v) : model.classify_batch(v);
+    for (std::size_t k = 0; k < idx.size(); ++k) out[idx[k]] = std::move(sub[k]);
+  };
+  serve(*power_, sim::Channel::kPower, power_idx);
+  if (!power_only) {
+    for (const std::size_t i : power_idx) {
+      out[i].verdict = std::max(out[i].verdict, Verdict::kDegraded);
+    }
   }
-  if (degenerate_to(sim::Channel::kEm)) {
-    return em_->classify_scored(sim::channel_view(paired, sim::Channel::kEm));
+  if (em_only) serve(*em_, sim::Channel::kEm, em_idx);
+  if (fused_idx.empty()) return out;
+
+  // Non-degenerate fusion is defined on the channel posteriors, so the plain
+  // and scored paths are the same computation (the posterior rides along).
+  const sim::TraceSet pviews = views(fused_idx, sim::Channel::kPower);
+  const sim::TraceSet eviews = views(fused_idx, sim::Channel::kEm);
+  const std::vector<Disassembly> p = power_->classify_batch_scored(pviews);
+  const std::vector<Disassembly> e = em_->classify_batch_scored(eviews);
+  for (std::size_t k = 0; k < fused_idx.size(); ++k) {
+    out[fused_idx[k]] = fuse_window(pviews[k], eviews[k], p[k], e[k]);
   }
-  const sim::Trace pview = sim::channel_view(paired, sim::Channel::kPower);
-  const sim::Trace eview = sim::channel_view(paired, sim::Channel::kEm);
-  return fuse_window(pview, eview, power_->classify_scored(pview),
-                     em_->classify_scored(eview));
+  return out;
 }
 
 Disassembly FusedDisassembler::classify(const sim::Trace& paired) const {
-  if (power_ == nullptr) throw std::runtime_error("FusedDisassembler: empty");
-  if (em_ == nullptr || degenerate_to(sim::Channel::kPower)) {
-    return power_->classify(sim::channel_view(paired, sim::Channel::kPower));
-  }
-  if (!paired.has_em()) {
-    Disassembly out =
-        power_->classify(sim::channel_view(paired, sim::Channel::kPower));
-    out.verdict = std::max(out.verdict, Verdict::kDegraded);
-    return out;
-  }
-  if (degenerate_to(sim::Channel::kEm)) {
-    return em_->classify(sim::channel_view(paired, sim::Channel::kEm));
-  }
-  // Non-degenerate fusion is defined on the channel posteriors, so the plain
-  // and scored paths are the same computation (the posterior rides along).
-  return classify_scored(paired);
+  return std::move(classify_paired({&paired, 1}, /*scored=*/false).front());
 }
 
-namespace {
-
-/// Index partition of a batch by EM-window presence.
-struct EmPartition {
-  std::vector<std::size_t> with_em;
-  std::vector<std::size_t> without_em;
-};
-
-EmPartition partition_by_em(const sim::TraceSet& traces) {
-  EmPartition part;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    (traces[i].has_em() ? part.with_em : part.without_em).push_back(i);
-  }
-  return part;
+Disassembly FusedDisassembler::classify_scored(const sim::Trace& paired) const {
+  return std::move(classify_paired({&paired, 1}, /*scored=*/true).front());
 }
-
-sim::TraceSet gather_views(const sim::TraceSet& traces,
-                           const std::vector<std::size_t>& idx,
-                           sim::Channel channel) {
-  sim::TraceSet out;
-  out.reserve(idx.size());
-  for (std::size_t i : idx) out.push_back(sim::channel_view(traces[i], channel));
-  return out;
-}
-
-}  // namespace
 
 std::vector<Disassembly> FusedDisassembler::classify_batch(
     const sim::TraceSet& traces) const {
-  if (power_ == nullptr) throw std::runtime_error("FusedDisassembler: empty");
-  if (em_ == nullptr || degenerate_to(sim::Channel::kPower)) {
-    return power_->classify_batch(sim::channel_views(traces, sim::Channel::kPower));
-  }
-  std::vector<Disassembly> out(traces.size());
-  const EmPartition part = partition_by_em(traces);
-  if (!part.without_em.empty()) {
-    const std::vector<Disassembly> sub = power_->classify_batch(
-        gather_views(traces, part.without_em, sim::Channel::kPower));
-    for (std::size_t k = 0; k < part.without_em.size(); ++k) {
-      out[part.without_em[k]] = sub[k];
-      out[part.without_em[k]].verdict =
-          std::max(out[part.without_em[k]].verdict, Verdict::kDegraded);
-    }
-  }
-  if (part.with_em.empty()) return out;
-  if (degenerate_to(sim::Channel::kEm)) {
-    const std::vector<Disassembly> sub = em_->classify_batch(
-        gather_views(traces, part.with_em, sim::Channel::kEm));
-    for (std::size_t k = 0; k < part.with_em.size(); ++k) {
-      out[part.with_em[k]] = sub[k];
-    }
-    return out;
-  }
-  const sim::TraceSet pviews =
-      gather_views(traces, part.with_em, sim::Channel::kPower);
-  const sim::TraceSet eviews =
-      gather_views(traces, part.with_em, sim::Channel::kEm);
-  const std::vector<Disassembly> p = power_->classify_batch_scored(pviews);
-  const std::vector<Disassembly> e = em_->classify_batch_scored(eviews);
-  for (std::size_t k = 0; k < part.with_em.size(); ++k) {
-    out[part.with_em[k]] = fuse_window(pviews[k], eviews[k], p[k], e[k]);
-  }
-  return out;
+  return classify_paired(traces, /*scored=*/false);
 }
 
 std::vector<Disassembly> FusedDisassembler::classify_batch_scored(
     const sim::TraceSet& traces) const {
-  if (power_ == nullptr) throw std::runtime_error("FusedDisassembler: empty");
-  if (em_ == nullptr || degenerate_to(sim::Channel::kPower)) {
-    return power_->classify_batch_scored(
-        sim::channel_views(traces, sim::Channel::kPower));
-  }
-  std::vector<Disassembly> out(traces.size());
-  const EmPartition part = partition_by_em(traces);
-  if (!part.without_em.empty()) {
-    const std::vector<Disassembly> sub = power_->classify_batch_scored(
-        gather_views(traces, part.without_em, sim::Channel::kPower));
-    for (std::size_t k = 0; k < part.without_em.size(); ++k) {
-      out[part.without_em[k]] = sub[k];
-      out[part.without_em[k]].verdict =
-          std::max(out[part.without_em[k]].verdict, Verdict::kDegraded);
-    }
-  }
-  if (part.with_em.empty()) return out;
-  if (degenerate_to(sim::Channel::kEm)) {
-    const std::vector<Disassembly> sub = em_->classify_batch_scored(
-        gather_views(traces, part.with_em, sim::Channel::kEm));
-    for (std::size_t k = 0; k < part.with_em.size(); ++k) {
-      out[part.with_em[k]] = sub[k];
-    }
-    return out;
-  }
-  const sim::TraceSet pviews =
-      gather_views(traces, part.with_em, sim::Channel::kPower);
-  const sim::TraceSet eviews =
-      gather_views(traces, part.with_em, sim::Channel::kEm);
-  const std::vector<Disassembly> p = power_->classify_batch_scored(pviews);
-  const std::vector<Disassembly> e = em_->classify_batch_scored(eviews);
-  for (std::size_t k = 0; k < part.with_em.size(); ++k) {
-    out[part.with_em[k]] = fuse_window(pviews[k], eviews[k], p[k], e[k]);
-  }
-  return out;
+  return classify_paired(traces, /*scored=*/true);
 }
 
 double FusedDisassembler::calibrate_fusion(const sim::TraceSet& heldout,

@@ -32,6 +32,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,11 +107,12 @@ class FusedDisassembler {
   /// carry the posterior there.
   Disassembly classify_scored(const sim::Trace& paired) const;
 
-  /// Batched fusion, bit-identical to the scalar calls per window: the
-  /// channel models run their lane-vectorized classify_batch_scored over the
-  /// channel views and the per-window fusion math is shared with the scalar
-  /// path.  Degenerate single-channel weights delegate to that channel's
-  /// classify_batch (preserving the plain-path bit-identity guarantee).
+  /// Batched fusion, bit-identical to the scalar calls per window (the
+  /// scalar calls are a batch of one): the channel models run their
+  /// lane-vectorized classify_batch_scored over the channel views, and the
+  /// per-window fusion math is fuse_window.  Degenerate single-channel
+  /// weights delegate to that channel's classify_batch (preserving the
+  /// plain-path bit-identity guarantee).
   std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const;
   std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const;
 
@@ -155,6 +157,10 @@ class FusedDisassembler {
   };
 
   void rebuild_support();
+  /// The one classify body behind classify(), classify_scored() and their
+  /// batch forms: out[i] is the fused recovery of paired window traces[i].
+  std::vector<Disassembly> classify_paired(std::span<const sim::Trace> traces,
+                                           bool scored) const;
   /// Joint feature vector of one paired window at one level (power part
   /// first).  `group` < 0 addresses the group level.
   linalg::Vector joint_features(int group, const sim::Trace& pview,

@@ -1,6 +1,7 @@
 #include "core/hierarchical.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 
@@ -27,6 +28,62 @@ double low_quantile(std::vector<double> v, double q) {
   const auto idx = static_cast<std::size_t>(
       q * static_cast<double>(v.size() - 1));
   return v[idx];
+}
+
+/// Folds one level's calibrated gate into the window's verdict and
+/// headrooms.  `fatal` gates (group/instruction) reject the window; register
+/// gates only degrade it -- the opcode is still trusted, the operand is not.
+void fold_gate(Disassembly& out, const HierarchicalDisassembler::LevelGate& gate,
+               const ml::ScoredPrediction& p, bool fatal) {
+  if (!gate.active) return;
+  const double margin_headroom = p.margin - gate.margin_floor;
+  const double score_headroom = p.top_score - gate.score_floor;
+  out.margin_headroom = std::min(out.margin_headroom, margin_headroom);
+  out.score_headroom = std::min(out.score_headroom, score_headroom);
+  if (margin_headroom < 0.0 || score_headroom < 0.0) {
+    out.verdict = fatal ? Verdict::kRejected : std::max(out.verdict, Verdict::kDegraded);
+  }
+}
+
+/// A class corpus as level-1/level-2 inputs: every non-empty class under its
+/// own label and under its group's, plus per group its classes.
+struct ClassInputs {
+  features::LabeledTraces by_class;
+  features::LabeledTraces by_group;
+  std::map<int, features::LabeledTraces> per_group;
+};
+
+ClassInputs class_inputs(const std::map<std::size_t, sim::TraceSet>& classes) {
+  ClassInputs in;
+  for (const auto& [class_idx, traces] : classes) {
+    if (traces.empty()) continue;
+    const int group = avr::group_of_class(class_idx);
+    in.by_class.labels.push_back(static_cast<int>(class_idx));
+    in.by_class.sets.push_back(&traces);
+    in.by_group.labels.push_back(group);
+    in.by_group.sets.push_back(&traces);
+    in.per_group[group].labels.push_back(static_cast<int>(class_idx));
+    in.per_group[group].sets.push_back(&traces);
+  }
+  return in;
+}
+
+/// A register corpus (register value -> traces) as one level-3 input.
+features::LabeledTraces register_input(
+    const std::map<std::uint8_t, sim::TraceSet>& sets) {
+  features::LabeledTraces input;
+  for (const auto& [reg, traces] : sets) {
+    input.labels.push_back(static_cast<int>(reg));
+    input.sets.push_back(&traces);
+  }
+  return input;
+}
+
+std::vector<const features::FeaturePipeline::ClassData*> pointers(
+    const std::vector<features::FeaturePipeline::ClassData>& data) {
+  std::vector<const features::FeaturePipeline::ClassData*> out;
+  for (const auto& cd : data) out.push_back(&cd);
+  return out;
 }
 
 }  // namespace
@@ -75,23 +132,6 @@ avr::Instruction Disassembly::to_instruction() const {
 
 std::string Disassembly::text() const { return avr::to_string(to_instruction()); }
 
-HierarchicalDisassembler::Level HierarchicalDisassembler::train_level(
-    const features::LabeledTraces& input, const HierarchicalConfig& config,
-    std::size_t components) {
-  Level level;
-  level.components = components;
-  if (single_label(input.labels)) {
-    level.trivial = true;
-    level.only_label = input.labels.front();
-    return level;
-  }
-  level.pipeline = features::FeaturePipeline::fit(input, config.pipeline);
-  const ml::Dataset train = level.pipeline.transform(input, components);
-  level.classifier = ml::make_classifier(config.classifier, config.factory);
-  level.classifier->fit(train);
-  return level;
-}
-
 HierarchicalDisassembler::Level HierarchicalDisassembler::train_level_precomputed(
     const std::vector<const features::FeaturePipeline::ClassData*>& data,
     const features::LabeledTraces& input, const HierarchicalConfig& config,
@@ -130,31 +170,6 @@ ml::ScoredPrediction HierarchicalDisassembler::predict_level_scored(
   return level.classifier->predict_scored(level.pipeline.transform(trace, k));
 }
 
-/// One window being classified through several levels: the per-trace
-/// normalization is computed at most once and shared by every level that
-/// wants it (all levels of one model share the per_trace_normalization
-/// setting, but the lazy split keeps mixed configurations correct too).
-struct HierarchicalDisassembler::PreparedWindow {
-  const sim::Trace* trace = nullptr;
-  std::optional<std::vector<double>> normalized;
-
-  const std::vector<double>& prepared_for(const features::FeaturePipeline& pipeline) {
-    if (!pipeline.config().per_trace_normalization) return trace->samples;
-    if (!normalized) {
-      normalized = features::FeaturePipeline::preprocess_window(*trace, true);
-    }
-    return *normalized;
-  }
-};
-
-ml::ScoredPrediction HierarchicalDisassembler::predict_level_prepared(
-    const Level& level, PreparedWindow& window, dsp::CwtWorkspace& ws) {
-  if (level.trivial) return {level.only_label, kInf, kInf};
-  if (level.classifier == nullptr) throw std::runtime_error("level not trained");
-  return level.classifier->predict_scored(level.pipeline.transform_prepared(
-      window.prepared_for(level.pipeline), level.components, ws));
-}
-
 void HierarchicalDisassembler::calibrate_level(Level& level,
                                                const features::LabeledTraces& input,
                                                const RejectConfig& config) {
@@ -187,34 +202,18 @@ void HierarchicalDisassembler::calibrate_reject(const ProfilingData& clean,
 void HierarchicalDisassembler::calibrate_reject(const ProfilingData& clean,
                                                 const RejectConfig& config) {
   reject_point_ = RejectOperatingPoint::kCustom;
-  features::LabeledTraces group_input;
-  std::map<int, features::LabeledTraces> per_group;
-  for (const auto& [class_idx, traces] : clean.classes) {
-    const int group = avr::group_of_class(class_idx);
-    group_input.labels.push_back(group);
-    group_input.sets.push_back(&traces);
-    per_group[group].labels.push_back(static_cast<int>(class_idx));
-    per_group[group].sets.push_back(&traces);
-  }
-  if (!group_input.sets.empty()) {
-    calibrate_level(group_level_, group_input, config);
-  }
+  const ClassInputs in = class_inputs(clean.classes);
+  if (!in.by_group.sets.empty()) calibrate_level(group_level_, in.by_group, config);
   for (auto& [group, level] : instruction_levels_) {
-    const auto it = per_group.find(group);
-    if (it != per_group.end()) calibrate_level(level, it->second, config);
+    const auto it = in.per_group.find(group);
+    if (it != in.per_group.end()) calibrate_level(level, it->second, config);
   }
-  const auto calibrate_registers = [&](Level* level,
-                                       const std::map<std::uint8_t, sim::TraceSet>& sets) {
-    if (level == nullptr || sets.empty()) return;
-    features::LabeledTraces input;
-    for (const auto& [reg, traces] : sets) {
-      input.labels.push_back(static_cast<int>(reg));
-      input.sets.push_back(&traces);
-    }
-    calibrate_level(*level, input, config);
-  };
-  calibrate_registers(rd_level_.get(), clean.rd_classes);
-  calibrate_registers(rr_level_.get(), clean.rr_classes);
+  if (rd_level_ != nullptr && !clean.rd_classes.empty()) {
+    calibrate_level(*rd_level_, register_input(clean.rd_classes), config);
+  }
+  if (rr_level_ != nullptr && !clean.rr_classes.empty()) {
+    calibrate_level(*rr_level_, register_input(clean.rr_classes), config);
+  }
 }
 
 void HierarchicalDisassembler::recalibrate(const sim::TraceSet& recal, bool rescale) {
@@ -242,33 +241,14 @@ void HierarchicalDisassembler::refit_classifiers(const ProfilingData& data) {
     level.classifier = std::move(classifier);
   };
 
-  features::LabeledTraces group_input;
-  std::map<int, features::LabeledTraces> per_group;
-  for (const auto& [class_idx, traces] : data.classes) {
-    if (traces.empty()) continue;
-    const int group = avr::group_of_class(class_idx);
-    group_input.labels.push_back(group);
-    group_input.sets.push_back(&traces);
-    per_group[group].labels.push_back(static_cast<int>(class_idx));
-    per_group[group].sets.push_back(&traces);
-  }
-  refit(group_level_, group_input);
+  const ClassInputs in = class_inputs(data.classes);
+  refit(group_level_, in.by_group);
   for (auto& [group, level] : instruction_levels_) {
-    const auto it = per_group.find(group);
-    if (it != per_group.end()) refit(level, it->second);
+    const auto it = in.per_group.find(group);
+    if (it != in.per_group.end()) refit(level, it->second);
   }
-  const auto refit_registers = [&](Level* level,
-                                   const std::map<std::uint8_t, sim::TraceSet>& sets) {
-    if (level == nullptr || sets.empty()) return;
-    features::LabeledTraces input;
-    for (const auto& [reg, traces] : sets) {
-      input.labels.push_back(static_cast<int>(reg));
-      input.sets.push_back(&traces);
-    }
-    refit(*level, input);
-  };
-  refit_registers(rd_level_.get(), data.rd_classes);
-  refit_registers(rr_level_.get(), data.rr_classes);
+  if (rd_level_ != nullptr) refit(*rd_level_, register_input(data.rd_classes));
+  if (rr_level_ != nullptr) refit(*rr_level_, register_input(data.rr_classes));
 }
 
 HierarchicalDisassembler HierarchicalDisassembler::train(const ProfilingData& data,
@@ -279,26 +259,21 @@ HierarchicalDisassembler HierarchicalDisassembler::train(const ProfilingData& da
   HierarchicalDisassembler d;
   d.config_ = config;
 
-  // Levels 1 and 2 see the same traces (level 1 with group labels, level 2
-  // with class labels), so the expensive per-class CWT moment/mask pass is
-  // computed once and shared.
-  features::LabeledTraces class_input;
-  features::LabeledTraces group_input;
-  std::map<int, features::LabeledTraces> per_group;
+  // Posterior support: exactly the profiled classes (data.classes is an
+  // ordered map, so the support comes out ascending).
   for (const auto& [class_idx, traces] : data.classes) {
     if (traces.empty()) {
       throw std::invalid_argument("HierarchicalDisassembler::train: empty class corpus");
     }
-    const int group = avr::group_of_class(class_idx);
-    class_input.labels.push_back(static_cast<int>(class_idx));
-    class_input.sets.push_back(&traces);
-    group_input.labels.push_back(group);
-    group_input.sets.push_back(&traces);
-    per_group[group].labels.push_back(static_cast<int>(class_idx));
-    per_group[group].sets.push_back(&traces);
+    d.posterior_classes_.push_back(class_idx);
   }
+
+  // Levels 1 and 2 see the same traces (level 1 with group labels, level 2
+  // with class labels), so the expensive per-class CWT moment/mask pass is
+  // computed once and shared.
+  const ClassInputs in = class_inputs(data.classes);
   const std::vector<features::FeaturePipeline::ClassData> precomputed =
-      features::FeaturePipeline::precompute(class_input, config.pipeline);
+      features::FeaturePipeline::precompute(in.by_class, config.pipeline);
   std::map<std::size_t, const features::FeaturePipeline::ClassData*> by_class;
   for (const auto& cd : precomputed) {
     by_class[static_cast<std::size_t>(cd.label)] = &cd;
@@ -307,15 +282,11 @@ HierarchicalDisassembler HierarchicalDisassembler::train(const ProfilingData& da
   // Level 1: group classification over all profiled classes.  The pipeline
   // fit only consumes moments/masks/traces, so class-level precompute data
   // serves directly; the classifier pools samples by the group labels.
-  {
-    std::vector<const features::FeaturePipeline::ClassData*> all;
-    for (const auto& cd : precomputed) all.push_back(&cd);
-    d.group_level_ =
-        train_level_precomputed(all, group_input, config, config.group_components);
-  }
+  d.group_level_ = train_level_precomputed(pointers(precomputed), in.by_group, config,
+                                           config.group_components);
 
   // Level 2: one model per group with at least 2 profiled classes.
-  for (const auto& [group, input] : per_group) {
+  for (const auto& [group, input] : in.per_group) {
     std::vector<const features::FeaturePipeline::ClassData*> subset;
     for (int label : input.labels) {
       subset.push_back(by_class.at(static_cast<std::size_t>(label)));
@@ -328,23 +299,14 @@ HierarchicalDisassembler HierarchicalDisassembler::train(const ProfilingData& da
   const auto train_registers = [&](const std::map<std::uint8_t, sim::TraceSet>& sets)
       -> std::unique_ptr<Level> {
     if (sets.size() < 2) return nullptr;
-    features::LabeledTraces input;
-    for (const auto& [reg, traces] : sets) {
-      input.labels.push_back(static_cast<int>(reg));
-      input.sets.push_back(&traces);
-    }
-    return std::make_unique<Level>(
-        train_level(input, config, config.register_components));
+    const features::LabeledTraces input = register_input(sets);
+    const std::vector<features::FeaturePipeline::ClassData> registers =
+        features::FeaturePipeline::precompute(input, config.pipeline);
+    return std::make_unique<Level>(train_level_precomputed(
+        pointers(registers), input, config, config.register_components));
   };
   d.rd_level_ = train_registers(data.rd_classes);
   d.rr_level_ = train_registers(data.rr_classes);
-
-  // Posterior support: exactly the profiled classes (data.classes is an
-  // ordered map, so the support comes out ascending).
-  for (const auto& [class_idx, traces] : data.classes) {
-    (void)traces;
-    d.posterior_classes_.push_back(class_idx);
-  }
 
   // Training moments for drift monitoring: pool every training trace through
   // the monitor level's pipeline and keep per-feature mean/variance.  The
@@ -353,7 +315,7 @@ HierarchicalDisassembler HierarchicalDisassembler::train(const ProfilingData& da
   // PipelineConfig::workers setting.
   if (const Level* watch = d.monitor_level(); watch != nullptr) {
     const ml::Dataset projected =
-        watch->pipeline.transform(class_input, watch->components);
+        watch->pipeline.transform(in.by_class, watch->components);
     if (projected.size() > 0) {
       const std::size_t dim = projected.dim();
       const double n = static_cast<double>(projected.size());
@@ -420,216 +382,6 @@ std::uint8_t HierarchicalDisassembler::classify_rr(const sim::Trace& trace,
   return static_cast<std::uint8_t>(predict_level(*rr_level_, trace, components));
 }
 
-Disassembly HierarchicalDisassembler::classify_prepared(PreparedWindow& window,
-                                                        dsp::CwtWorkspace& ws) const {
-  Disassembly out;
-
-  // Walks every level through the scored path and folds each calibrated
-  // gate's headroom into the verdict.  `fatal` gates (group/instruction)
-  // reject the window; register gates only degrade it -- the opcode is still
-  // trusted, the operand is not.
-  const auto gate = [&out](const Level& level, const ml::ScoredPrediction& p,
-                           bool fatal) {
-    if (!level.gate.active) return;
-    const double margin_headroom = p.margin - level.gate.margin_floor;
-    const double score_headroom = p.top_score - level.gate.score_floor;
-    out.margin_headroom = std::min(out.margin_headroom, margin_headroom);
-    out.score_headroom = std::min(out.score_headroom, score_headroom);
-    if (margin_headroom < 0.0 || score_headroom < 0.0) {
-      out.verdict = fatal ? Verdict::kRejected
-                          : std::max(out.verdict, Verdict::kDegraded);
-    }
-  };
-
-  const ml::ScoredPrediction g = predict_level_prepared(group_level_, window, ws);
-  out.group = g.label;
-  gate(group_level_, g, /*fatal=*/true);
-
-  const auto it = instruction_levels_.find(out.group);
-  if (it == instruction_levels_.end()) {
-    throw std::invalid_argument("classify_within_group: group not trained");
-  }
-  const ml::ScoredPrediction c = predict_level_prepared(it->second, window, ws);
-  out.class_idx = static_cast<std::size_t>(c.label);
-  gate(it->second, c, /*fatal=*/true);
-
-  if (avr::class_uses_rd(out.class_idx) && rd_level_ != nullptr) {
-    const ml::ScoredPrediction p = predict_level_prepared(*rd_level_, window, ws);
-    out.rd = static_cast<std::uint8_t>(p.label);
-    gate(*rd_level_, p, /*fatal=*/false);
-  }
-  if (avr::class_uses_rr(out.class_idx) && rr_level_ != nullptr) {
-    const ml::ScoredPrediction p = predict_level_prepared(*rr_level_, window, ws);
-    out.rr = static_cast<std::uint8_t>(p.label);
-    gate(*rr_level_, p, /*fatal=*/false);
-  }
-  return out;
-}
-
-Disassembly HierarchicalDisassembler::classify(const sim::Trace& trace) const {
-  dsp::CwtWorkspace ws;
-  PreparedWindow window{&trace, std::nullopt};
-  return classify_prepared(window, ws);
-}
-
-std::vector<Disassembly> HierarchicalDisassembler::classify_batch(
-    const sim::TraceSet& traces) const {
-  std::vector<Disassembly> out(traces.size());
-  if (traces.empty()) return out;
-
-  // The SoA batch primitives want equal-length lanes, so windows bucket by
-  // trace length first (one CWT/FFT geometry per bucket).  Singleton and
-  // degenerate buckets take the scalar path -- a one-lane SoA pass would be
-  // pure marshalling overhead.  Every multi-lane bucket then flows through
-  // the lane-vectorized pipeline: batch CWT + fused feature transform +
-  // blocked QDA scoring, all of which keep the scalar per-window accumulation
-  // order, so each Disassembly (label, headrooms, verdict) is bit-identical
-  // to classify() on that window.
-  std::map<std::size_t, std::vector<std::size_t>> by_length;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    by_length[traces[i].samples.size()].push_back(i);
-  }
-
-  dsp::CwtWorkspace scalar_ws;   // grow-once scratch for scalar fallbacks
-  dsp::CwtBatchWorkspace batch_ws;  // grow-once scratch for every bucket
-
-  // The exact gate fold of classify_prepared, applied per window.
-  const auto gate = [](Disassembly& o, const Level& level,
-                       const ml::ScoredPrediction& p, bool fatal) {
-    if (!level.gate.active) return;
-    const double margin_headroom = p.margin - level.gate.margin_floor;
-    const double score_headroom = p.top_score - level.gate.score_floor;
-    o.margin_headroom = std::min(o.margin_headroom, margin_headroom);
-    o.score_headroom = std::min(o.score_headroom, score_headroom);
-    if (margin_headroom < 0.0 || score_headroom < 0.0) {
-      o.verdict = fatal ? Verdict::kRejected
-                        : std::max(o.verdict, Verdict::kDegraded);
-    }
-  };
-
-  for (const auto& [length, idx] : by_length) {
-    if (idx.size() < 2 || length == 0) {
-      for (const std::size_t i : idx) {
-        PreparedWindow window{&traces[i], std::nullopt};
-        out[i] = classify_prepared(window, scalar_ws);
-      }
-      continue;
-    }
-
-    const std::size_t n = idx.size();
-
-    // Per-window preprocessing, computed once per bucket and shared by every
-    // level that wants it -- the batch counterpart of PreparedWindow's lazy
-    // normalization split (all levels of one model share the
-    // per_trace_normalization flag, but the lazy form keeps mixed
-    // configurations correct too).  The whole bucket marshals into ONE
-    // struct-of-arrays block per view kind; the up-to-four level pipelines
-    // read it in place, and sub-bucket levels gather just their lanes from
-    // it (row-contiguous copies) instead of re-marshalling from the
-    // scattered per-window vectors.
-    std::vector<double> soa_raw, soa_norm;  // full-bucket SoA, lazy per kind
-    std::vector<double> soa_subset;         // per-call lane gather, grow-once
-    const auto bucket_soa = [&](bool normalize) -> const std::vector<double>& {
-      std::vector<double>& soa = normalize ? soa_norm : soa_raw;
-      if (soa.empty()) {
-        std::vector<const std::vector<double>*> ptrs(n);
-        std::vector<std::vector<double>> normalized;
-        if (normalize) {
-          normalized.resize(n);
-          for (std::size_t p = 0; p < n; ++p) {
-            normalized[p] =
-                features::FeaturePipeline::preprocess_window(traces[idx[p]], true);
-            ptrs[p] = &normalized[p];
-          }
-        } else {
-          for (std::size_t p = 0; p < n; ++p) ptrs[p] = &traces[idx[p]].samples;
-        }
-        dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa);
-      }
-      return soa;
-    };
-
-    // predict_level_prepared over a subset of the bucket, lane-vectorized.
-    const auto predict_batch = [&](const Level& level,
-                                   std::span<const std::size_t> subset) {
-      if (level.trivial) {
-        return std::vector<ml::ScoredPrediction>(
-            subset.size(), ml::ScoredPrediction{level.only_label, kInf, kInf});
-      }
-      if (level.classifier == nullptr) throw std::runtime_error("level not trained");
-      const std::vector<double>& full =
-          bucket_soa(level.pipeline.config().per_trace_normalization);
-      const std::size_t m = subset.size();
-      std::span<const double> soa(full);
-      if (m != n) {
-        soa_subset.resize(length * m);
-        for (std::size_t t = 0; t < length; ++t) {
-          const double* __restrict src = full.data() + t * n;
-          double* __restrict dst = soa_subset.data() + t * m;
-          for (std::size_t i = 0; i < m; ++i) dst[i] = src[subset[i]];
-        }
-        soa = soa_subset;
-      }
-      const linalg::Matrix feats = level.pipeline.transform_soa_batch(
-          soa, length, m, level.components, batch_ws);
-      return level.classifier->predict_scored_batch(feats);
-    };
-
-    std::vector<std::size_t> all(n);
-    for (std::size_t p = 0; p < n; ++p) all[p] = p;
-
-    // Level 1: one batch over the whole bucket.
-    const std::vector<ml::ScoredPrediction> g = predict_batch(group_level_, all);
-    for (std::size_t p = 0; p < n; ++p) {
-      Disassembly& o = out[idx[p]];
-      o.group = g[p].label;
-      gate(o, group_level_, g[p], /*fatal=*/true);
-    }
-
-    // Level 2: partition the bucket by predicted group, one batch per group.
-    std::map<int, std::vector<std::size_t>> by_group;
-    for (std::size_t p = 0; p < n; ++p) by_group[out[idx[p]].group].push_back(p);
-    for (const auto& [group, subset] : by_group) {
-      const auto it = instruction_levels_.find(group);
-      if (it == instruction_levels_.end()) {
-        throw std::invalid_argument("classify_within_group: group not trained");
-      }
-      const std::vector<ml::ScoredPrediction> c = predict_batch(it->second, subset);
-      for (std::size_t i = 0; i < subset.size(); ++i) {
-        Disassembly& o = out[idx[subset[i]]];
-        o.class_idx = static_cast<std::size_t>(c[i].label);
-        gate(o, it->second, c[i], /*fatal=*/true);
-      }
-    }
-
-    // Level 3: operand recovery over the windows whose class uses each one.
-    const auto predict_registers = [&](const Level* level, bool rd) {
-      if (level == nullptr) return;
-      std::vector<std::size_t> subset;
-      for (std::size_t p = 0; p < n; ++p) {
-        const std::size_t class_idx = out[idx[p]].class_idx;
-        if (rd ? avr::class_uses_rd(class_idx) : avr::class_uses_rr(class_idx)) {
-          subset.push_back(p);
-        }
-      }
-      if (subset.empty()) return;
-      const std::vector<ml::ScoredPrediction> r = predict_batch(*level, subset);
-      for (std::size_t i = 0; i < subset.size(); ++i) {
-        Disassembly& o = out[idx[subset[i]]];
-        if (rd) {
-          o.rd = static_cast<std::uint8_t>(r[i].label);
-        } else {
-          o.rr = static_cast<std::uint8_t>(r[i].label);
-        }
-        gate(o, *level, r[i], /*fatal=*/false);
-      }
-    };
-    predict_registers(rd_level_.get(), /*rd=*/true);
-    predict_registers(rr_level_.get(), /*rd=*/false);
-  }
-  return out;
-}
-
 void HierarchicalDisassembler::finalize_posterior_support() {
   posterior_classes_.clear();
   for (const auto& [group, level] : instruction_levels_) {
@@ -649,354 +401,268 @@ void HierarchicalDisassembler::finalize_posterior_support() {
       posterior_classes_.end());
 }
 
-Disassembly HierarchicalDisassembler::classify_prepared_scored(
-    PreparedWindow& window, dsp::CwtWorkspace& ws) const {
-  Disassembly out;
+struct HierarchicalDisassembler::Bucket {
+  std::span<const sim::Trace> traces;
+  std::span<const std::size_t> windows;  ///< lane -> index into traces
+  std::size_t length = 0;                ///< samples per window
+  dsp::CwtWorkspace& ws;                 ///< scalar-kernel scratch
+  dsp::CwtBatchWorkspace& batch_ws;      ///< SoA-kernel scratch
+  std::vector<std::vector<double>> normalized{};  ///< per lane, lazy
+  std::vector<double> soa_raw{}, soa_norm{};       ///< whole bucket, lazy per kind
+  std::vector<double> soa_subset{};                ///< lane gather, grow-once
 
-  // The exact gate fold of classify_prepared: the scored path feeds the
-  // gates the same level scores, so verdicts and headrooms stay
-  // bit-identical to classify().
-  const auto gate = [&out](const Level& level, const ml::ScoredPrediction& p,
-                           bool fatal) {
-    if (!level.gate.active) return;
-    const double margin_headroom = p.margin - level.gate.margin_floor;
-    const double score_headroom = p.top_score - level.gate.score_floor;
-    out.margin_headroom = std::min(out.margin_headroom, margin_headroom);
-    out.score_headroom = std::min(out.score_headroom, score_headroom);
-    if (margin_headroom < 0.0 || score_headroom < 0.0) {
-      out.verdict = fatal ? Verdict::kRejected
-                          : std::max(out.verdict, Verdict::kDegraded);
-    }
-  };
-
-  const auto level_scores = [&](const Level& level) {
-    return level.classifier->class_scores(level.pipeline.transform_prepared(
-        window.prepared_for(level.pipeline), level.components, ws));
-  };
-
-  // Level 1: log P(group | x), one entry per group label the classifier can
-  // emit.  A hard-decision group classifier (no score surface) degrades to a
-  // one-hot factor at its prediction.
-  std::vector<int> group_labels;
-  linalg::Vector group_logp;
-  if (group_level_.trivial) {
-    out.group = group_level_.only_label;
-    group_labels = {group_level_.only_label};
-    group_logp = linalg::Vector{0.0};
-  } else {
-    const linalg::Vector s = level_scores(group_level_);
-    ml::ScoredPrediction g;
-    if (s.empty()) {
-      g = predict_level_prepared(group_level_, window, ws);
-      group_labels = {g.label};
-      group_logp = linalg::Vector{0.0};
-    } else {
-      group_labels = group_level_.classifier->score_labels();
-      g = ml::scored_from_scores(s, group_labels);
-      group_logp = log_softmax(s);
-    }
-    out.group = g.label;
-    gate(group_level_, g, /*fatal=*/true);
-  }
-  if (instruction_levels_.find(out.group) == instruction_levels_.end()) {
-    throw std::invalid_argument("classify_within_group: group not trained");
-  }
-  const auto group_log = [&](int group) {
-    for (std::size_t i = 0; i < group_labels.size(); ++i) {
-      if (group_labels[i] == group) return group_logp[i];
-    }
-    return -kInf;
-  };
-
-  out.log_posterior.assign(posterior_classes_.size(), -kInf);
-  const auto post_at = [&](std::size_t cls) -> double& {
-    const auto it = std::lower_bound(posterior_classes_.begin(),
-                                     posterior_classes_.end(), cls);
-    if (it == posterior_classes_.end() || *it != cls) {
-      throw std::logic_error("classify_scored: class outside posterior support");
-    }
-    return out.log_posterior[static_cast<std::size_t>(
-        it - posterior_classes_.begin())];
-  };
-
-  // Level 2: every trained group runs, so the posterior keeps honest mass
-  // outside the predicted group; only the predicted group's prediction
-  // drives the verdict, exactly as in classify_prepared.
-  for (const auto& [group, level] : instruction_levels_) {
-    const double g_lp = group_log(group);
-    if (level.trivial) {
-      const auto cls = static_cast<std::size_t>(level.only_label);
-      if (group == out.group) out.class_idx = cls;
-      post_at(cls) = g_lp;  // + log 1
-      continue;
-    }
-    const linalg::Vector s = level_scores(level);
-    if (s.empty()) {
-      const ml::ScoredPrediction c = predict_level_prepared(level, window, ws);
-      if (group == out.group) {
-        out.class_idx = static_cast<std::size_t>(c.label);
-        gate(level, c, /*fatal=*/true);
+  /// A lane's window as a level pipeline reads it.  All levels of one model
+  /// share the per_trace_normalization setting, but the lazy split keeps
+  /// mixed configurations correct too.
+  const std::vector<double>& prepared(std::size_t lane, bool normalize) {
+    if (!normalize) return traces[windows[lane]].samples;
+    if (normalized.empty()) {
+      normalized.reserve(windows.size());
+      for (const std::size_t w : windows) {
+        normalized.push_back(
+            features::FeaturePipeline::preprocess_window(traces[w], true));
       }
-      post_at(static_cast<std::size_t>(c.label)) = g_lp;
-      continue;
     }
-    const std::vector<int>& labels = level.classifier->score_labels();
-    if (group == out.group) {
-      const ml::ScoredPrediction c = ml::scored_from_scores(s, labels);
-      out.class_idx = static_cast<std::size_t>(c.label);
-      gate(level, c, /*fatal=*/true);
-    }
-    const linalg::Vector lp = log_softmax(s);
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      post_at(static_cast<std::size_t>(labels[i])) = g_lp + lp[i];
-    }
+    return normalized[lane];
   }
 
-  if (avr::class_uses_rd(out.class_idx) && rd_level_ != nullptr) {
-    const ml::ScoredPrediction p = predict_level_prepared(*rd_level_, window, ws);
-    out.rd = static_cast<std::uint8_t>(p.label);
-    gate(*rd_level_, p, /*fatal=*/false);
+  /// `lanes` as one struct-of-arrays block.  The whole bucket marshals once
+  /// per view kind; a sub-batch gathers its lanes from that block
+  /// (row-contiguous copies) instead of re-marshalling from the scattered
+  /// per-window vectors.
+  std::span<const double> soa(std::span<const std::size_t> lanes, bool normalize) {
+    const std::size_t n = windows.size();
+    std::vector<double>& full = normalize ? soa_norm : soa_raw;
+    if (full.empty()) {
+      std::vector<const std::vector<double>*> ptrs(n);
+      for (std::size_t p = 0; p < n; ++p) ptrs[p] = &prepared(p, normalize);
+      dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, full);
+    }
+    const std::size_t m = lanes.size();
+    if (m == n) return full;
+    soa_subset.resize(length * m);
+    for (std::size_t t = 0; t < length; ++t) {
+      const double* __restrict src = full.data() + t * n;
+      double* __restrict dst = soa_subset.data() + t * m;
+      for (std::size_t i = 0; i < m; ++i) dst[i] = src[lanes[i]];
+    }
+    return soa_subset;
   }
-  if (avr::class_uses_rr(out.class_idx) && rr_level_ != nullptr) {
-    const ml::ScoredPrediction p = predict_level_prepared(*rr_level_, window, ws);
-    out.rr = static_cast<std::uint8_t>(p.label);
-    gate(*rr_level_, p, /*fatal=*/false);
+};
+
+template <class Fold>
+void HierarchicalDisassembler::score_level(const Level& level, Bucket& bucket,
+                                           std::span<const std::size_t> lanes,
+                                           bool surface, Fold&& fold) {
+  const linalg::Vector none;
+  if (level.trivial) {
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      fold(i, ml::ScoredPrediction{level.only_label, kInf, kInf}, none);
+    }
+    return;
   }
-  return out;
+  if (lanes.empty()) return;
+  if (level.classifier == nullptr) throw std::runtime_error("level not trained");
+  const ml::Classifier& classifier = *level.classifier;
+  const std::vector<int>& labels = classifier.score_labels();
+  // Hard-decision classifiers (SVM votes, kNN) have no score surface; the
+  // walk folds a one-hot factor at their prediction instead.
+  surface = surface && !labels.empty();
+  const bool normalize = level.pipeline.config().per_trace_normalization;
+
+  // A one-lane SoA pass is pure marshalling overhead (single windows forced
+  // through it ran at 0.31x the scalar kernels), so one lane -- and a
+  // degenerate zero-length bucket -- runs the scalar kernels.  Both kernel families keep the scalar per-window
+  // accumulation order, so the choice never changes a bit of the result.
+  if (lanes.size() == 1 || bucket.length == 0) {
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const linalg::Vector x = level.pipeline.transform_prepared(
+          bucket.prepared(lanes[i], normalize), level.components, bucket.ws);
+      if (!surface) {
+        fold(i, classifier.predict_scored(x), none);
+        continue;
+      }
+      const linalg::Vector s = classifier.class_scores(x);
+      fold(i, ml::scored_from_scores(s, labels), log_softmax(s));
+    }
+    return;
+  }
+  const linalg::Matrix x = level.pipeline.transform_soa_batch(
+      bucket.soa(lanes, normalize), bucket.length, lanes.size(), level.components,
+      bucket.batch_ws);
+  if (!surface) {
+    const std::vector<ml::ScoredPrediction> p = classifier.predict_scored_batch(x);
+    for (std::size_t i = 0; i < lanes.size(); ++i) fold(i, p[i], none);
+    return;
+  }
+  const linalg::Matrix s = classifier.class_scores_batch(x);
+  linalg::Vector col(s.rows());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    for (std::size_t c = 0; c < s.rows(); ++c) col[c] = s(c, i);
+    fold(i, ml::scored_from_scores(col, labels), log_softmax(col));
+  }
 }
 
-Disassembly HierarchicalDisassembler::classify_scored(const sim::Trace& trace) const {
-  dsp::CwtWorkspace ws;
-  PreparedWindow window{&trace, std::nullopt};
-  return classify_prepared_scored(window, ws);
-}
+void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
+                                             std::span<Disassembly> out,
+                                             bool scored) const {
+  // The SoA kernels want equal-length lanes, so windows bucket by trace
+  // length first (one CWT/FFT geometry per bucket).  Within a bucket, level 1
+  // scores every lane, level 2 the lanes of each predicted group (every lane
+  // under every trained group when scored), level 3 the lanes whose class
+  // uses the operand.
+  //
+  // Every classify() call is a one-window walk, so the index bookkeeping is
+  // one allocation: the length-sorted window order, then the identity lane
+  // list each bucket's level 1 scores.
+  std::vector<std::size_t> index(2 * traces.size());
+  const std::span<std::size_t> order(index.data(), traces.size());
+  const std::span<std::size_t> all(index.data() + traces.size(), traces.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return traces[a].samples.size() < traces[b].samples.size();
+  });
+  std::vector<std::size_t> subset;
+  dsp::CwtWorkspace ws;             // grow-once scratch, shared by buckets
+  dsp::CwtBatchWorkspace batch_ws;  // grow-once scratch, shared by buckets
+  // Scored walk: log P(group | x) of every lane under every trained group
+  // (lane-major, instruction_levels_ order).
+  std::vector<double> group_lp;
+  const std::size_t groups = instruction_levels_.size();
 
-std::vector<Disassembly> HierarchicalDisassembler::classify_batch_scored(
-    const sim::TraceSet& traces) const {
-  std::vector<Disassembly> out(traces.size());
-  if (traces.empty()) return out;
-
-  // The lane-vectorized path needs a score surface at the group level and in
-  // every non-trivial level-2 model; hard-decision classifiers fall back to
-  // the scalar scored path window by window.
-  const auto has_scores = [](const Level& level) {
-    return level.trivial || (level.classifier != nullptr &&
-                             !level.classifier->score_labels().empty());
-  };
-  bool all_scored = has_scores(group_level_);
-  for (const auto& [group, level] : instruction_levels_) {
-    (void)group;
-    all_scored = all_scored && has_scores(level);
-  }
-  if (!all_scored) {
-    dsp::CwtWorkspace ws;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      PreparedWindow window{&traces[i], std::nullopt};
-      out[i] = classify_prepared_scored(window, ws);
-    }
-    return out;
-  }
-
-  std::map<std::size_t, std::vector<std::size_t>> by_length;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    by_length[traces[i].samples.size()].push_back(i);
-  }
-
-  dsp::CwtWorkspace scalar_ws;
-  dsp::CwtBatchWorkspace batch_ws;
-
-  const auto gate = [](Disassembly& o, const Level& level,
-                       const ml::ScoredPrediction& p, bool fatal) {
-    if (!level.gate.active) return;
-    const double margin_headroom = p.margin - level.gate.margin_floor;
-    const double score_headroom = p.top_score - level.gate.score_floor;
-    o.margin_headroom = std::min(o.margin_headroom, margin_headroom);
-    o.score_headroom = std::min(o.score_headroom, score_headroom);
-    if (margin_headroom < 0.0 || score_headroom < 0.0) {
-      o.verdict = fatal ? Verdict::kRejected
-                        : std::max(o.verdict, Verdict::kDegraded);
-    }
-  };
-
-  const auto post_index = [&](std::size_t cls) {
-    const auto it = std::lower_bound(posterior_classes_.begin(),
-                                     posterior_classes_.end(), cls);
+  const auto posterior_index = [&](int label) {
+    const auto cls = static_cast<std::size_t>(label);
+    const auto it =
+        std::lower_bound(posterior_classes_.begin(), posterior_classes_.end(), cls);
     if (it == posterior_classes_.end() || *it != cls) {
       throw std::logic_error("classify_scored: class outside posterior support");
     }
     return static_cast<std::size_t>(it - posterior_classes_.begin());
   };
 
-  for (const auto& [length, idx] : by_length) {
-    if (idx.size() < 2 || length == 0) {
-      for (const std::size_t i : idx) {
-        PreparedWindow window{&traces[i], std::nullopt};
-        out[i] = classify_prepared_scored(window, scalar_ws);
-      }
-      continue;
-    }
+  for (std::size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    const std::size_t length = traces[order[begin]].samples.size();
+    while (end < order.size() && traces[order[end]].samples.size() == length) ++end;
+    const std::span<const std::size_t> windows(order.data() + begin, end - begin);
+    const std::span<const std::size_t> lanes(all.data(), windows.size());
+    Bucket bucket{traces, windows, length, ws, batch_ws};
+    const auto at = [&](std::size_t lane) -> Disassembly& { return out[windows[lane]]; };
 
-    const std::size_t n = idx.size();
-    for (const std::size_t i : idx) {
-      out[i].log_posterior.assign(posterior_classes_.size(), -kInf);
-    }
-
-    // Full-bucket SoA marshal shared across levels -- identical to
-    // classify_batch (see the comment there).
-    std::vector<double> soa_raw, soa_norm;
-    std::vector<double> soa_subset;
-    const auto bucket_soa = [&](bool normalize) -> const std::vector<double>& {
-      std::vector<double>& soa = normalize ? soa_norm : soa_raw;
-      if (soa.empty()) {
-        std::vector<const std::vector<double>*> ptrs(n);
-        std::vector<std::vector<double>> normalized;
-        if (normalize) {
-          normalized.resize(n);
-          for (std::size_t p = 0; p < n; ++p) {
-            normalized[p] =
-                features::FeaturePipeline::preprocess_window(traces[idx[p]], true);
-            ptrs[p] = &normalized[p];
-          }
+    // Level 1.  The scored walk keeps each group's log-softmax entry, or a
+    // one-hot factor when the level has no score surface.
+    if (scored) group_lp.assign(lanes.size() * groups, -kInf);
+    score_level(group_level_, bucket, lanes, scored,
+                [&](std::size_t i, const ml::ScoredPrediction& p,
+                    const linalg::Vector& lp) {
+      Disassembly& o = at(lanes[i]);
+      o.group = p.label;
+      fold_gate(o, group_level_.gate, p, /*fatal=*/true);
+      if (!scored) return;
+      double* row = group_lp.data() + lanes[i] * groups;
+      for (const auto& [group, level] : instruction_levels_) {
+        (void)level;
+        if (lp.empty()) {
+          if (group == p.label) *row = 0.0;
         } else {
-          for (std::size_t p = 0; p < n; ++p) ptrs[p] = &traces[idx[p]].samples;
+          const std::vector<int>& labels = group_level_.classifier->score_labels();
+          const auto it = std::find(labels.begin(), labels.end(), group);
+          if (it != labels.end()) {
+            *row = lp[static_cast<std::size_t>(it - labels.begin())];
+          }
         }
-        dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa);
+        ++row;
       }
-      return soa;
-    };
-
-    const auto level_feats = [&](const Level& level,
-                                 std::span<const std::size_t> subset) {
-      const std::vector<double>& full =
-          bucket_soa(level.pipeline.config().per_trace_normalization);
-      const std::size_t m = subset.size();
-      std::span<const double> soa(full);
-      if (m != n) {
-        soa_subset.resize(length * m);
-        for (std::size_t t = 0; t < length; ++t) {
-          const double* __restrict src = full.data() + t * n;
-          double* __restrict dst = soa_subset.data() + t * m;
-          for (std::size_t i = 0; i < m; ++i) dst[i] = src[subset[i]];
-        }
-        soa = soa_subset;
-      }
-      return level.pipeline.transform_soa_batch(soa, length, m,
-                                                level.components, batch_ws);
-    };
-
-    std::vector<std::size_t> all(n);
-    for (std::size_t p = 0; p < n; ++p) all[p] = p;
-
-    // Level 1 over the whole bucket, score surfaces kept.  Each lane's
-    // column replays the exact scalar scored path: scored_from_scores for
-    // the gate, log_softmax for the posterior factor.
-    std::vector<int> group_labels;
-    linalg::Matrix group_logp;  // (#group labels x lanes)
-    if (group_level_.trivial) {
-      group_labels = {group_level_.only_label};
-      group_logp = linalg::Matrix(1, n, 0.0);
-      for (std::size_t p = 0; p < n; ++p) out[idx[p]].group = group_level_.only_label;
-    } else {
-      const linalg::Matrix s =
-          group_level_.classifier->class_scores_batch(level_feats(group_level_, all));
-      group_labels = group_level_.classifier->score_labels();
-      group_logp = linalg::Matrix(s.rows(), n);
-      linalg::Vector col(s.rows());
-      for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t c = 0; c < s.rows(); ++c) col[c] = s(c, p);
-        Disassembly& o = out[idx[p]];
-        const ml::ScoredPrediction g = ml::scored_from_scores(col, group_labels);
-        o.group = g.label;
-        gate(o, group_level_, g, /*fatal=*/true);
-        const linalg::Vector lp = log_softmax(col);
-        for (std::size_t c = 0; c < s.rows(); ++c) group_logp(c, p) = lp[c];
-      }
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-      if (instruction_levels_.find(out[idx[p]].group) == instruction_levels_.end()) {
+    });
+    for (const std::size_t lane : lanes) {
+      if (instruction_levels_.find(at(lane).group) == instruction_levels_.end()) {
         throw std::invalid_argument("classify_within_group: group not trained");
       }
+      if (scored) at(lane).log_posterior.assign(posterior_classes_.size(), -kInf);
     }
-    const auto group_row = [&](int group) -> std::ptrdiff_t {
-      for (std::size_t i = 0; i < group_labels.size(); ++i) {
-        if (group_labels[i] == group) return static_cast<std::ptrdiff_t>(i);
-      }
-      return -1;
-    };
 
-    // Level 2: every trained level over the whole bucket (matching the
-    // scalar scored path); the predicted group's column drives the verdict.
+    // Level 2.  Scored, every trained group runs on every lane, so the
+    // posterior keeps honest mass outside the predicted group; only the
+    // predicted group's prediction sets the class and drives the verdict.
+    std::size_t group_index = 0;
     for (const auto& [group, level] : instruction_levels_) {
-      const std::ptrdiff_t grow = group_row(group);
-      if (level.trivial) {
-        const auto cls = static_cast<std::size_t>(level.only_label);
-        const std::size_t pi = post_index(cls);
-        for (std::size_t p = 0; p < n; ++p) {
-          Disassembly& o = out[idx[p]];
-          o.log_posterior[pi] = grow < 0 ? -kInf : group_logp(grow, p);
-          if (o.group == group) o.class_idx = cls;
+      const std::size_t gi = group_index++;
+      std::span<const std::size_t> sub = lanes;
+      if (!scored) {
+        subset.clear();
+        for (const std::size_t lane : lanes) {
+          if (at(lane).group == group) subset.push_back(lane);
         }
-        continue;
+        sub = subset;
       }
-      const linalg::Matrix s =
-          level.classifier->class_scores_batch(level_feats(level, all));
-      const std::vector<int>& labels = level.classifier->score_labels();
-      std::vector<std::size_t> post_idx(labels.size());
-      for (std::size_t i = 0; i < labels.size(); ++i) {
-        post_idx[i] = post_index(static_cast<std::size_t>(labels[i]));
-      }
-      linalg::Vector col(s.rows());
-      for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t c = 0; c < s.rows(); ++c) col[c] = s(c, p);
-        Disassembly& o = out[idx[p]];
+      score_level(level, bucket, sub, scored,
+                  [&](std::size_t i, const ml::ScoredPrediction& p,
+                      const linalg::Vector& lp) {
+        Disassembly& o = at(sub[i]);
         if (o.group == group) {
-          const ml::ScoredPrediction c = ml::scored_from_scores(col, labels);
-          o.class_idx = static_cast<std::size_t>(c.label);
-          gate(o, level, c, /*fatal=*/true);
+          o.class_idx = static_cast<std::size_t>(p.label);
+          fold_gate(o, level.gate, p, /*fatal=*/true);
         }
-        const double g_lp = grow < 0 ? -kInf : group_logp(grow, p);
-        const linalg::Vector lp = log_softmax(col);
-        for (std::size_t i = 0; i < labels.size(); ++i) {
-          o.log_posterior[post_idx[i]] = g_lp + lp[i];
+        if (!scored) return;
+        // log P(class | x) = log P(group | x) + log P(class | group, x).
+        const double g_lp = group_lp[sub[i] * groups + gi];
+        if (lp.empty()) {
+          o.log_posterior[posterior_index(p.label)] = g_lp;
+          return;
         }
-      }
+        const std::vector<int>& labels = level.classifier->score_labels();
+        for (std::size_t k = 0; k < labels.size(); ++k) {
+          o.log_posterior[posterior_index(labels[k])] = g_lp + lp[k];
+        }
+      });
     }
 
-    // Level 3: identical to classify_batch -- operand posteriors are out of
-    // scope, so the plain scored-prediction batch suffices.
-    const auto predict_batch = [&](const Level& level,
-                                   std::span<const std::size_t> subset) {
-      if (level.trivial) {
-        return std::vector<ml::ScoredPrediction>(
-            subset.size(), ml::ScoredPrediction{level.only_label, kInf, kInf});
-      }
-      if (level.classifier == nullptr) throw std::runtime_error("level not trained");
-      return level.classifier->predict_scored_batch(level_feats(level, subset));
-    };
-    const auto predict_registers = [&](const Level* level, bool rd) {
-      if (level == nullptr) return;
-      std::vector<std::size_t> subset;
-      for (std::size_t p = 0; p < n; ++p) {
-        const std::size_t class_idx = out[idx[p]].class_idx;
+    // Level 3: operand recovery on the windows whose class uses each one
+    // (operand posteriors are out of scope, so no score surface).
+    for (const bool rd : {true, false}) {
+      const Level* level = rd ? rd_level_.get() : rr_level_.get();
+      if (level == nullptr) continue;
+      subset.clear();
+      for (const std::size_t lane : lanes) {
+        const std::size_t class_idx = at(lane).class_idx;
         if (rd ? avr::class_uses_rd(class_idx) : avr::class_uses_rr(class_idx)) {
-          subset.push_back(p);
+          subset.push_back(lane);
         }
       }
-      if (subset.empty()) return;
-      const std::vector<ml::ScoredPrediction> r = predict_batch(*level, subset);
-      for (std::size_t i = 0; i < subset.size(); ++i) {
-        Disassembly& o = out[idx[subset[i]]];
-        if (rd) {
-          o.rd = static_cast<std::uint8_t>(r[i].label);
-        } else {
-          o.rr = static_cast<std::uint8_t>(r[i].label);
-        }
-        gate(o, *level, r[i], /*fatal=*/false);
-      }
-    };
-    predict_registers(rd_level_.get(), /*rd=*/true);
-    predict_registers(rr_level_.get(), /*rd=*/false);
+      score_level(*level, bucket, subset, /*surface=*/false,
+                  [&](std::size_t i, const ml::ScoredPrediction& p,
+                      const linalg::Vector&) {
+        Disassembly& o = at(subset[i]);
+        (rd ? o.rd : o.rr) = static_cast<std::uint8_t>(p.label);
+        fold_gate(o, level->gate, p, /*fatal=*/false);
+      });
+    }
   }
+}
+
+Disassembly HierarchicalDisassembler::classify(const sim::Trace& trace) const {
+  Disassembly out;
+  classify_walk({&trace, 1}, {&out, 1}, /*scored=*/false);
+  return out;
+}
+
+Disassembly HierarchicalDisassembler::classify_scored(const sim::Trace& trace) const {
+  Disassembly out;
+  classify_walk({&trace, 1}, {&out, 1}, /*scored=*/true);
+  return out;
+}
+
+std::vector<Disassembly> HierarchicalDisassembler::classify_batch(
+    const sim::TraceSet& traces) const {
+  std::vector<Disassembly> out(traces.size());
+  classify_walk(traces, out, /*scored=*/false);
+  return out;
+}
+
+std::vector<Disassembly> HierarchicalDisassembler::classify_batch_scored(
+    const sim::TraceSet& traces) const {
+  std::vector<Disassembly> out(traces.size());
+  classify_walk(traces, out, /*scored=*/true);
   return out;
 }
 

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "avr/grouping.hpp"
@@ -183,9 +184,11 @@ class HierarchicalDisassembler {
   /// window dimension innermost so every inner loop vectorizes across the
   /// batch while each window keeps the scalar accumulation order.  Level 2
   /// re-batches by predicted group and level 3 by operand usage, so every
-  /// classifier invocation stays a dense sub-batch.  Singleton buckets take
-  /// the scalar path.  This is the engine-room of the fleet runtime's
-  /// submit_batch path.  Thread-safe like classify().
+  /// classifier invocation stays a dense sub-batch.  One-lane sub-batches
+  /// take the scalar kernels (a one-lane SoA pass is pure marshalling
+  /// overhead).  classify() is this walk on a batch of one.  This is the
+  /// engine-room of the fleet runtime's submit_batch path.  Thread-safe like
+  /// classify().
   std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const;
 
   /// classify() plus the full per-class log-posterior (see
@@ -202,9 +205,8 @@ class HierarchicalDisassembler {
   /// Batched scored classification: classify_batch's lane-vectorized hot
   /// path (SoA marshal, fused feature transform, blocked QDA scoring) with
   /// the score surfaces kept, so out[i] is bit-identical to
-  /// classify_scored(traces[i]) including the posterior.  Falls back to the
-  /// scalar scored path per window when any class-level classifier lacks a
-  /// score surface.  Thread-safe like classify().
+  /// classify_scored(traces[i]) including the posterior.  Thread-safe like
+  /// classify().
   std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const;
 
   /// Ascending class indices spanned by Disassembly::log_posterior -- the
@@ -321,8 +323,6 @@ class HierarchicalDisassembler {
     LevelGate gate;           ///< reject thresholds (inactive until calibrated)
   };
 
-  static Level train_level(const features::LabeledTraces& input,
-                           const HierarchicalConfig& config, std::size_t components);
   static Level train_level_precomputed(
       const std::vector<const features::FeaturePipeline::ClassData*>& data,
       const features::LabeledTraces& input, const HierarchicalConfig& config,
@@ -332,19 +332,23 @@ class HierarchicalDisassembler {
   static ml::ScoredPrediction predict_level_scored(const Level& level,
                                                    const sim::Trace& trace,
                                                    std::size_t components);
-  /// One window mid-batch: the raw trace plus its lazily computed per-trace
-  /// normalization, shared across the levels that need it.
-  struct PreparedWindow;
-  static ml::ScoredPrediction predict_level_prepared(const Level& level,
-                                                     PreparedWindow& window,
-                                                     dsp::CwtWorkspace& ws);
-  /// classify() on a prepared window with caller-owned scratch -- the shared
-  /// implementation of classify() and classify_batch().
-  Disassembly classify_prepared(PreparedWindow& window, dsp::CwtWorkspace& ws) const;
-  /// classify_scored() on a prepared window -- the scalar scored path shared
-  /// by classify_scored() and classify_batch_scored()'s fallbacks.
-  Disassembly classify_prepared_scored(PreparedWindow& window,
-                                       dsp::CwtWorkspace& ws) const;
+  /// The windows of one trace length, with the per-window normalization and
+  /// struct-of-arrays blocks built lazily and shared by every level.
+  struct Bucket;
+  /// Scores `level` on `lanes` (positions in `bucket`) and calls
+  /// fold(i, prediction, log_posterior) for each lanes[i].  The log-posterior
+  /// is the log-softmax over score_labels() when `surface` is set and the
+  /// classifier has a score surface, else empty.  One lane runs the scalar
+  /// kernels, wider sub-batches the SoA ones.
+  template <class Fold>
+  static void score_level(const Level& level, Bucket& bucket,
+                          std::span<const std::size_t> lanes, bool surface,
+                          Fold&& fold);
+  /// The one classify walk behind classify(), classify_scored() and their
+  /// batch forms: out[i] is traces[i]'s recovery; `scored` composes the
+  /// per-class log-posterior.
+  void classify_walk(std::span<const sim::Trace> traces, std::span<Disassembly> out,
+                     bool scored) const;
   /// Rebuilds posterior_classes_ from the trained levels (load path; train()
   /// takes the support straight from the profiling corpus).
   void finalize_posterior_support();

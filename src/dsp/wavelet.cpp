@@ -498,6 +498,9 @@ linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa_block,
     const auto t = static_cast<std::ptrdiff_t>(ks[i]);
     const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(-radius, -t);
     const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(radius, nn - 1 - t);
+    // A point past the end of a short window has no taps; its row stays 0,
+    // as Cwt::coefficient returns.
+    if (hi < lo) continue;
     const std::size_t taps = static_cast<std::size_t>(hi - lo + 1);
     const double* kern_lo = kern.data() + (lo + radius);
     const double* soa_lo = soa + static_cast<std::size_t>(t + lo) * lanes;

@@ -235,7 +235,9 @@ linalg::Vector FeaturePipeline::transform_prepared(const std::vector<double>& pr
                                                    std::size_t components,
                                                    dsp::CwtWorkspace& ws) const {
   if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
-  linalg::Vector v = extract_features(cwt_, prepared, points_, ws);
+  // The cached point split (as the batch path uses) instead of
+  // extract_features, which rebuilds it per call.
+  linalg::Vector v = cwt_.coefficients(prepared, point_js_, point_ks_, ws);
   if (config_.column_standardization) v = scaler_.transform(v);
   return pca_.transform(v, components);
 }

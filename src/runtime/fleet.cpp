@@ -79,9 +79,7 @@ StreamingDisassembler::StageRef FleetFrontend::stage_for(const ResolvedModel& re
   // streams of the same artifact, never with plain ones -- emissions must be
   // all-or-nothing per batch).
   auto stage =
-      scored
-          ? StreamingDisassembler::make_scored_stage(resolved.model, resolved.checksum)
-          : StreamingDisassembler::make_stage(resolved.model, resolved.checksum);
+      StreamingDisassembler::make_stage(resolved.model, resolved.checksum, scored);
   stage_cache_.emplace(key, stage);
   return stage;
 }
@@ -89,7 +87,8 @@ StreamingDisassembler::StageRef FleetFrontend::stage_for(const ResolvedModel& re
 StreamingDisassembler::StageRef FleetFrontend::default_scored_stage() {
   std::lock_guard lock(stage_cache_mutex_);
   if (default_scored_stage_ == nullptr) {
-    default_scored_stage_ = StreamingDisassembler::make_scored_stage(default_model_, 0);
+    default_scored_stage_ =
+        StreamingDisassembler::make_stage(default_model_, 0, /*scored=*/true);
   }
   return default_scored_stage_;
 }

@@ -16,70 +16,51 @@ std::uint64_t elapsed_nanos(Clock::time_point from, Clock::time_point to) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
 
-}  // namespace
-
-StreamingDisassembler::StageRef StreamingDisassembler::make_stage(
-    std::shared_ptr<const core::HierarchicalDisassembler> model,
-    std::uint64_t stamp) {
+/// One stage over either model type: both expose the same four classify
+/// entry points.  The closures co-own the model, so a stage outlives every
+/// job pinned to it.
+template <class Model>
+StreamingDisassembler::StageRef model_stage(std::shared_ptr<const Model> model,
+                                            std::uint64_t stamp, bool scored) {
   if (model == nullptr) {
     throw std::invalid_argument("StreamingDisassembler::make_stage: null model");
   }
-  // Both closures co-own the model: a stage outlives every job pinned to it.
+  using Stage = StreamingDisassembler::Stage;
   return std::make_shared<const Stage>(Stage{
-      [model](const sim::Trace& t) { return model->classify(t); },
-      [model](const sim::TraceSet& ts) { return model->classify_batch(ts); },
+      [model, scored](const sim::Trace& t) {
+        return scored ? model->classify_scored(t) : model->classify(t);
+      },
+      [model, scored](const sim::TraceSet& ts) {
+        return scored ? model->classify_batch_scored(ts) : model->classify_batch(ts);
+      },
       stamp});
 }
 
-StreamingDisassembler::StageRef StreamingDisassembler::make_scored_stage(
-    std::shared_ptr<const core::HierarchicalDisassembler> model,
-    std::uint64_t stamp) {
-  if (model == nullptr) {
-    throw std::invalid_argument(
-        "StreamingDisassembler::make_scored_stage: null model");
-  }
-  return std::make_shared<const Stage>(Stage{
-      [model](const sim::Trace& t) { return model->classify_scored(t); },
-      [model](const sim::TraceSet& ts) { return model->classify_batch_scored(ts); },
-      stamp});
+/// Non-owning handle for the reference-taking entry points, whose callers
+/// keep the model alive for the engine's lifetime.
+std::shared_ptr<const core::HierarchicalDisassembler> unowned(
+    const core::HierarchicalDisassembler& model) {
+  return {std::shared_ptr<const void>(), &model};
 }
 
-StreamingDisassembler::StageRef StreamingDisassembler::make_fused_stage(
-    std::shared_ptr<const core::FusedDisassembler> model, std::uint64_t stamp) {
-  if (model == nullptr) {
-    throw std::invalid_argument(
-        "StreamingDisassembler::make_fused_stage: null model");
-  }
-  return std::make_shared<const Stage>(Stage{
-      [model](const sim::Trace& t) { return model->classify(t); },
-      [model](const sim::TraceSet& ts) { return model->classify_batch(ts); },
-      stamp});
+}  // namespace
+
+StreamingDisassembler::StageRef StreamingDisassembler::make_stage(
+    std::shared_ptr<const core::HierarchicalDisassembler> model, std::uint64_t stamp,
+    bool scored) {
+  return model_stage(std::move(model), stamp, scored);
 }
 
-StreamingDisassembler::StageRef StreamingDisassembler::make_fused_scored_stage(
-    std::shared_ptr<const core::FusedDisassembler> model, std::uint64_t stamp) {
-  if (model == nullptr) {
-    throw std::invalid_argument(
-        "StreamingDisassembler::make_fused_scored_stage: null model");
-  }
-  return std::make_shared<const Stage>(Stage{
-      [model](const sim::Trace& t) { return model->classify_scored(t); },
-      [model](const sim::TraceSet& ts) { return model->classify_batch_scored(ts); },
-      stamp});
+StreamingDisassembler::StageRef StreamingDisassembler::make_stage(
+    std::shared_ptr<const core::FusedDisassembler> model, std::uint64_t stamp,
+    bool scored) {
+  return model_stage(std::move(model), stamp, scored);
 }
 
 StreamingDisassembler::StreamingDisassembler(
     const core::HierarchicalDisassembler& model, StreamingConfig config,
     std::stop_token stop)
-    : StreamingDisassembler(
-          [&model](const sim::Trace& t) { return model.classify(t); }, config,
-          std::move(stop)) {
-  // Upgrade the delegate-installed stage with the model's batched entry
-  // point; no job can have pinned the plain stage yet (nothing submitted).
-  classify_ = std::make_shared<const Stage>(Stage{
-      [&model](const sim::Trace& t) { return model.classify(t); },
-      [&model](const sim::TraceSet& ts) { return model.classify_batch(ts); }, 0});
-}
+    : StreamingDisassembler(make_stage(unowned(model)), config, std::move(stop)) {}
 
 StreamingDisassembler::StreamingDisassembler(ClassifyFn classify,
                                              StreamingConfig config,
@@ -402,14 +383,7 @@ void StreamingDisassembler::swap_classifier(ClassifyFn classify, std::uint64_t s
 
 void StreamingDisassembler::swap_model(const core::HierarchicalDisassembler& model,
                                        std::uint64_t stamp) {
-  auto stage = std::make_shared<const Stage>(Stage{
-      [&model](const sim::Trace& t) { return model.classify(t); },
-      [&model](const sim::TraceSet& ts) { return model.classify_batch(ts); }, stamp});
-  {
-    std::lock_guard lock(mutex_);
-    classify_ = std::move(stage);
-    ++model_swaps_;
-  }
+  swap_model(unowned(model), stamp);
 }
 
 void StreamingDisassembler::swap_model(

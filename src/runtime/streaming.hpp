@@ -116,31 +116,21 @@ class StreamingDisassembler {
   /// the engine, and every in-flight job.
   using StageRef = std::shared_ptr<const Stage>;
 
-  /// Builds a model-backed stage (classify + classify_batch closures).  The
+  /// Builds a model-backed stage (classify + classify_batch closures, or
+  /// classify_scored + classify_batch_scored when `scored`, so every result
+  /// carries the per-class log-posterior a SequenceDecoder needs).  The
   /// shared_ptr keeps the model alive as long as any job can still run it.
   static StageRef make_stage(
       std::shared_ptr<const core::HierarchicalDisassembler> model,
-      std::uint64_t stamp = 0);
-
-  /// Posterior-scoring stage: classify_scored / classify_batch_scored, so
-  /// every result carries the per-class log-posterior a SequenceDecoder
-  /// needs.  Drop-in for make_stage everywhere a StageRef is accepted.
-  static StageRef make_scored_stage(
-      std::shared_ptr<const core::HierarchicalDisassembler> model,
-      std::uint64_t stamp = 0);
+      std::uint64_t stamp = 0, bool scored = false);
 
   /// Multimodal stage backed by a core::FusedDisassembler: each submitted
   /// trace is treated as a paired power+EM window (Trace::em_samples); a
   /// window without an EM half degrades to the power channel per the fusion
-  /// contract.  Drop-in for make_stage -- the engine, FleetFrontend shards,
-  /// and swap paths are modality-agnostic.
-  static StageRef make_fused_stage(
-      std::shared_ptr<const core::FusedDisassembler> model,
-      std::uint64_t stamp = 0);
-  /// Scored variant (fused per-class log-posterior kept on every result).
-  static StageRef make_fused_scored_stage(
-      std::shared_ptr<const core::FusedDisassembler> model,
-      std::uint64_t stamp = 0);
+  /// contract.  The engine, FleetFrontend shards, and swap paths are
+  /// modality-agnostic.
+  static StageRef make_stage(std::shared_ptr<const core::FusedDisassembler> model,
+                             std::uint64_t stamp = 0, bool scored = false);
 
   /// The model must outlive the engine and is shared read-only by all
   /// workers.  An already-stopped `stop` token starts the engine stopped.
@@ -148,7 +138,7 @@ class StreamingDisassembler {
                         StreamingConfig config = {}, std::stop_token stop = {});
   StreamingDisassembler(ClassifyFn classify, StreamingConfig config = {},
                         std::stop_token stop = {});
-  /// Stage-backed engine (make_stage / make_scored_stage result).  Throws
+  /// Stage-backed engine (make_stage result).  Throws
   /// std::invalid_argument on a null stage or one without a scalar entry.
   StreamingDisassembler(StageRef stage, StreamingConfig config = {},
                         std::stop_token stop = {});

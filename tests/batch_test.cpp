@@ -8,8 +8,11 @@
 // worker counts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/csa.hpp"
@@ -338,33 +341,44 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
 class BatchModelFixture : public ::testing::Test {
  protected:
   static const core::HierarchicalDisassembler& model() {
-    static const core::HierarchicalDisassembler m = [] {
-      sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
-                                        sim::SessionContext::make(0)};
-      std::mt19937_64 rng{31};
-      core::ProfilingData data;
-      for (avr::Mnemonic mn : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi,
-                               avr::Mnemonic::kCom, avr::Mnemonic::kRjmp}) {
-        data.classes[*avr::class_index(mn)] =
-            campaign.capture_class(*avr::class_index(mn), 50, 5, rng);
-      }
-      for (std::uint8_t r : {4, 20}) {
-        data.rd_classes[r] = campaign.capture_register(true, r, 120, 5, rng);
-        data.rr_classes[r] = campaign.capture_register(false, r, 120, 5, rng);
-      }
-      core::HierarchicalConfig cfg;
-      cfg.pipeline = core::csa_config();
-      cfg.pipeline.pca_components = 10;
-      cfg.group_components = 8;
-      cfg.instruction_components = 8;
-      cfg.register_components = 10;
-      cfg.factory.discriminant.shrinkage = 0.15;
-      auto model = core::HierarchicalDisassembler::train(data, cfg);
-      // Armed gates make verdict/headroom equality a real statement.
-      model.calibrate_reject(data, core::RejectOperatingPoint::kBalanced);
-      return model;
-    }();
+    static const core::HierarchicalDisassembler m = train(ml::ClassifierKind::kQda);
     return m;
+  }
+
+  /// Hard-decision twin: kNN exposes no score surface, so every class level
+  /// of the scored path folds a one-hot posterior factor.
+  static const core::HierarchicalDisassembler& knn_model() {
+    static const core::HierarchicalDisassembler m = train(ml::ClassifierKind::kKnn);
+    return m;
+  }
+
+  static core::HierarchicalDisassembler train(ml::ClassifierKind kind) {
+    sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                      sim::SessionContext::make(0)};
+    std::mt19937_64 rng{31};
+    core::ProfilingData data;
+    for (avr::Mnemonic mn : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi,
+                             avr::Mnemonic::kCom, avr::Mnemonic::kRjmp}) {
+      data.classes[*avr::class_index(mn)] =
+          campaign.capture_class(*avr::class_index(mn), 50, 5, rng);
+    }
+    for (std::uint8_t r : {4, 20}) {
+      data.rd_classes[r] = campaign.capture_register(true, r, 120, 5, rng);
+      data.rr_classes[r] = campaign.capture_register(false, r, 120, 5, rng);
+    }
+    core::HierarchicalConfig cfg;
+    cfg.pipeline = core::csa_config();
+    cfg.pipeline.pca_components = 10;
+    cfg.group_components = 8;
+    cfg.instruction_components = 8;
+    cfg.register_components = 10;
+    cfg.factory.discriminant.shrinkage = 0.15;
+    cfg.factory.knn_k = 3;
+    cfg.classifier = kind;
+    auto model = core::HierarchicalDisassembler::train(data, cfg);
+    // Armed gates make verdict/headroom equality a real statement.
+    model.calibrate_reject(data, core::RejectOperatingPoint::kBalanced);
+    return model;
   }
 
   /// Mixed-content eval pool: several classes, several programs, plus
@@ -401,6 +415,48 @@ class BatchModelFixture : public ::testing::Test {
     EXPECT_EQ(batch.margin_headroom, single.margin_headroom) << "window " << window;
     EXPECT_EQ(batch.score_headroom, single.score_headroom) << "window " << window;
   }
+
+  /// expect_identical plus the log-posterior, compared bit for bit.
+  static void expect_identical_scored(const core::Disassembly& batch,
+                                      const core::Disassembly& single,
+                                      std::size_t window) {
+    expect_identical(batch, single, window);
+    ASSERT_EQ(batch.log_posterior.size(), single.log_posterior.size())
+        << "window " << window;
+    for (std::size_t c = 0; c < single.log_posterior.size(); ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch.log_posterior[c]),
+                std::bit_cast<std::uint64_t>(single.log_posterior[c]))
+          << "window " << window << " class " << c;
+    }
+  }
+
+  /// classify_batch and classify_batch_scored over prefixes of `pool` at
+  /// every batch size, against the per-window scalar calls.  The scored
+  /// results must also keep the plain path's labels, verdicts and headrooms.
+  static void expect_batches_match(const core::HierarchicalDisassembler& m,
+                                   const sim::TraceSet& pool) {
+    std::vector<core::Disassembly> plain, scored;
+    for (const sim::Trace& t : pool) {
+      plain.push_back(m.classify(t));
+      scored.push_back(m.classify_scored(t));
+      ASSERT_FALSE(scored.back().log_posterior.empty());
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                std::size_t{16}, std::size_t{64}}) {
+      const sim::TraceSet windows(pool.begin(), pool.begin() + static_cast<long>(k));
+      const std::vector<core::Disassembly> batch = m.classify_batch(windows);
+      const std::vector<core::Disassembly> batch_scored =
+          m.classify_batch_scored(windows);
+      ASSERT_EQ(batch.size(), k);
+      ASSERT_EQ(batch_scored.size(), k);
+      for (std::size_t i = 0; i < k; ++i) {
+        SCOPED_TRACE("batch size " + std::to_string(k));
+        expect_identical(batch[i], plain[i], i);
+        expect_identical_scored(batch_scored[i], scored[i], i);
+        expect_identical(batch_scored[i], plain[i], i);
+      }
+    }
+  }
 };
 
 TEST_F(BatchModelFixture, BitIdenticalAcrossBatchSizes) {
@@ -416,27 +472,30 @@ TEST_F(BatchModelFixture, BitIdenticalAcrossBatchSizes) {
   }
   EXPECT_GT(with_rd, 0u) << "eval pool never reached the register level";
 
-  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                              std::size_t{16}, std::size_t{64}}) {
-    const sim::TraceSet windows(pool.begin(), pool.begin() + static_cast<long>(k));
-    const std::vector<core::Disassembly> batch = model().classify_batch(windows);
-    ASSERT_EQ(batch.size(), k);
-    for (std::size_t i = 0; i < k; ++i) expect_identical(batch[i], reference[i], i);
-  }
+  expect_batches_match(model(), pool);
+}
+
+TEST_F(BatchModelFixture, KnnModelBitIdenticalAcrossBatchSizes) {
+  expect_batches_match(knn_model(), mixed_windows(64));
 }
 
 TEST_F(BatchModelFixture, BitIdenticalWithMixedTraceLengths) {
   sim::TraceSet pool = mixed_windows(12);
   // Three length buckets: the native window length (>= 2 windows), a
-  // truncated length (>= 2 windows), and a singleton that must take the
-  // scalar path.
+  // truncated length (>= 2 windows), and a short length (2 windows) below
+  // the support of some feature points, whose coefficients must read 0 in
+  // the batch CWT exactly as in the scalar one.
   for (std::size_t i = 0; i < 5; ++i) pool[i].samples.resize(250);
   pool[5].samples.resize(120);
+  pool[6].samples.resize(120);
 
   const std::vector<core::Disassembly> batch = model().classify_batch(pool);
+  const std::vector<core::Disassembly> batch_scored = model().classify_batch_scored(pool);
   ASSERT_EQ(batch.size(), pool.size());
+  ASSERT_EQ(batch_scored.size(), pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     expect_identical(batch[i], model().classify(pool[i]), i);
+    expect_identical_scored(batch_scored[i], model().classify_scored(pool[i]), i);
   }
 }
 

@@ -650,8 +650,8 @@ TEST(DecodeEquivalence, StreamingEngineIsWorkerCountInvariant) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     StreamingConfig sc;
     sc.workers = workers;
-    StreamingDisassembler engine(StreamingDisassembler::make_scored_stage(f.model),
-                                 sc);
+    StreamingDisassembler engine(
+        StreamingDisassembler::make_stage(f.model, 0, /*scored=*/true), sc);
     engine.enable_sequence_decoding(f.model->posterior_classes(), f.prior, cfg);
     for (const sim::Trace& t : f.stream) {
       ASSERT_TRUE(engine.submit(t).has_value());
@@ -719,8 +719,8 @@ TEST(DecodeEquivalence, EngineRejectsLateDecoderInstall) {
   const DecodeFixture& f = fixture();
   StreamingConfig sc;
   sc.workers = 1;
-  StreamingDisassembler engine(StreamingDisassembler::make_scored_stage(f.model),
-                               sc);
+  StreamingDisassembler engine(
+      StreamingDisassembler::make_stage(f.model, 0, /*scored=*/true), sc);
   ASSERT_TRUE(engine.submit(f.stream.front()).has_value());
   EXPECT_THROW(
       engine.enable_sequence_decoding(f.model->posterior_classes(), f.prior),
