@@ -155,6 +155,15 @@ std::optional<Mnemonic> mnemonic_from_name(std::string_view text) {
 
 namespace {
 
+/// prefix followed by the decimal `value`, built with append: the shorter
+/// `"r" + std::to_string(r)` inlines a memcpy that GCC 12 flags with a false
+/// -Wrestrict (GCC bug 105651), which breaks -Werror Release builds.
+std::string prefixed(const char* prefix, long long value) {
+  std::string out = prefix;
+  out.append(std::to_string(value));
+  return out;
+}
+
 std::string mem_operand(const Instruction& in) {
   switch (in.mode) {
     case AddrMode::kAbs: return "0x" + [&] {
@@ -168,18 +177,18 @@ std::string mem_operand(const Instruction& in) {
     case AddrMode::kY: return "Y";
     case AddrMode::kYPostInc: return "Y+";
     case AddrMode::kYPreDec: return "-Y";
-    case AddrMode::kYDisp: return "Y+" + std::to_string(in.q);
+    case AddrMode::kYDisp: return prefixed("Y+", in.q);
     case AddrMode::kZ: return "Z";
     case AddrMode::kZPostInc: return "Z+";
     case AddrMode::kZPreDec: return "-Z";
-    case AddrMode::kZDisp: return "Z+" + std::to_string(in.q);
+    case AddrMode::kZDisp: return prefixed("Z+", in.q);
     case AddrMode::kR0: return "";  // implicit-R0 LPM has no operands
     case AddrMode::kNone: break;
   }
   return "?";
 }
 
-std::string reg(std::uint8_t r) { return "r" + std::to_string(r); }
+std::string reg(std::uint8_t r) { return prefixed("r", r); }
 
 }  // namespace
 
@@ -205,7 +214,7 @@ std::string to_string(const Instruction& in) {
       append(reg(in.rd));
       break;
     case OS::kRelK:
-      append("." + std::to_string(in.rel * 2));  // byte offset, GNU style
+      append(prefixed(".", in.rel * 2));  // byte offset, GNU style
       break;
     case OS::kAbsK:
       append("0x" + [&] {
@@ -236,7 +245,7 @@ std::string to_string(const Instruction& in) {
       break;
     case OS::kSflagRel:
       append(std::to_string(in.sflag));
-      append("." + std::to_string(in.rel * 2));
+      append(prefixed(".", in.rel * 2));
       break;
     case OS::kSflag:
       append(std::to_string(in.sflag));

@@ -29,15 +29,19 @@ BigramPrior::BigramPrior(std::size_t num_classes, double smoothing)
 }
 
 void BigramPrior::add_program(const avr::Program& program) {
-  std::optional<std::size_t> prev;
+  // An index plus a flag rather than std::optional<std::size_t>: GCC 12
+  // reports a false -Wmaybe-uninitialized on the optional's payload here.
+  bool chained = false;
+  std::size_t prev = 0;
   for (const avr::Instruction& in : program) {
     const auto cls = avr::class_of(in);
     if (!cls || *cls >= num_classes()) {
-      prev.reset();  // unprofiled instruction breaks the chain
+      chained = false;  // unprofiled instruction breaks the chain
       continue;
     }
-    if (prev) add_transition(*prev, *cls);
-    prev = cls;
+    if (chained) add_transition(prev, *cls);
+    prev = *cls;
+    chained = true;
   }
 }
 

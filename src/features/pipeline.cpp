@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "dsp/signal.hpp"
 #include "linalg/lanes.hpp"
@@ -68,6 +69,9 @@ std::vector<FeaturePipeline::ClassData> FeaturePipeline::precompute(
   const dsp::Cwt cwt(config.cwt);
   std::vector<ClassData> out;
   out.reserve(input.sets.size());
+  // Moments class by class: each pass is already trace-parallel, and
+  // running classes side by side would keep one class's scalograms alive
+  // per lane.
   for (std::size_t c = 0; c < input.sets.size(); ++c) {
     const sim::TraceSet* s = input.sets[c];
     if (s == nullptr || s->empty()) {
@@ -78,6 +82,11 @@ std::vector<FeaturePipeline::ClassData> FeaturePipeline::precompute(
     d.traces = s;
     d.preprocessed = preprocess(*s, config.per_trace_normalization);
     d.moments = compute_class_moments(cwt, d.preprocessed, 1e-12, config.workers);
+    out.push_back(std::move(d));
+  }
+  // NVP masks, one class per lane; each writes only its own slot.
+  runtime::parallel_for(out.size(), config.workers, [&](std::size_t c) {
+    ClassData& d = out[c];
     if (d.moments.per_program.size() >= 2) {
       double threshold = config.kl_threshold;
       if (config.adaptive_threshold) {
@@ -89,8 +98,7 @@ std::vector<FeaturePipeline::ClassData> FeaturePipeline::precompute(
       // treat every point as not-varying (the paper's initial experiment).
       d.mask.assign(d.moments.pooled.mean.data().size(), 1);
     }
-    out.push_back(std::move(d));
-  }
+  });
   return out;
 }
 
@@ -112,20 +120,22 @@ FeaturePipeline FeaturePipeline::fit(const std::vector<const ClassData*>& classe
   p.cwt_ = dsp::Cwt(config.cwt);
   p.grid_size_ = classes.front()->moments.pooled.mean.data().size();
 
-  // Per-pair DNVP extraction, then unification (Sec. 3.1).
-  std::vector<std::vector<stats::GridPoint>> per_pair;
+  // Per-pair DNVP extraction, fanned across the pool into slots laid out in
+  // (a, b) lexicographic order, then unification (Sec. 3.1).
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t a = 0; a < classes.size(); ++a) {
-    for (std::size_t b = a + 1; b < classes.size(); ++b) {
-      const linalg::Matrix between =
-          between_class_kl_map(classes[a]->moments, classes[b]->moments);
-      std::vector<stats::GridPoint> pts =
-          dnvp(between, classes[a]->mask, classes[b]->mask, config.points_per_pair);
-      if (pts.empty() && config.allow_fallback_points) {
-        pts = stats::top_k(stats::local_maxima_2d(between), config.points_per_pair);
-      }
-      per_pair.push_back(std::move(pts));
-    }
+    for (std::size_t b = a + 1; b < classes.size(); ++b) pairs.emplace_back(a, b);
   }
+  std::vector<std::vector<stats::GridPoint>> per_pair(pairs.size());
+  runtime::parallel_for(pairs.size(), config.workers, [&](std::size_t i) {
+    const ClassData& a = *classes[pairs[i].first];
+    const ClassData& b = *classes[pairs[i].second];
+    const linalg::Matrix between = between_class_kl_map(a.moments, b.moments);
+    per_pair[i] = dnvp(between, a.mask, b.mask, config.points_per_pair);
+    if (per_pair[i].empty() && config.allow_fallback_points) {
+      per_pair[i] = stats::top_k(stats::local_maxima_2d(between), config.points_per_pair);
+    }
+  });
   p.points_ = unify_points(per_pair);
   if (p.points_.empty()) {
     throw std::runtime_error("FeaturePipeline::fit: no feature points survived selection");

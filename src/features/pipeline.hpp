@@ -50,9 +50,10 @@ struct PipelineConfig {
   /// the pipeline stays usable; the CSA benches turn this off to show the
   /// failure mode honestly.
   bool allow_fallback_points = true;
-  /// Threads for the trace-parallel stages (moment pass, pass-2 feature
-  /// extraction, batched transform): 0 = all hardware threads, 1 =
-  /// sequential.  Every stage reduces in trace order, so the fitted model
+  /// Threads for the parallel stages (moment pass, per-class NVP masks,
+  /// class-pair DNVP selection, pass-2 feature extraction, batched
+  /// transform): 0 = all hardware threads, 1 = sequential.  Every stage
+  /// writes per-index slots and reduces in trace order, so the fitted model
   /// and transformed datasets are bit-identical for any setting.
   std::size_t workers = 0;
 };

@@ -233,8 +233,8 @@ TEST_P(CodecRoundTrip, RandomInstancesSurviveEncodeDecode) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllClasses, CodecRoundTrip, ::testing::Range<std::size_t>(0, 112),
-    [](const ::testing::TestParamInfo<std::size_t>& info) {
-      std::string n = instruction_classes()[info.param].name;
+    [](const ::testing::TestParamInfo<std::size_t>& param_info) {
+      std::string n = instruction_classes()[param_info.param].name;
       for (char& c : n) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

@@ -26,7 +26,9 @@ TEST(CodecFuzz, DecoderIsTotalOverTheOpcodeSpace) {
     const auto re = encode(d->instr);
     ASSERT_EQ(re.size(), d->words) << "word " << w;
     EXPECT_EQ(re[0], static_cast<std::uint16_t>(w)) << "word " << w;
-    if (d->words == 2) EXPECT_EQ(re[1], 0x0123) << "word " << w;
+    if (d->words == 2) {
+      EXPECT_EQ(re[1], 0x0123) << "word " << w;
+    }
   }
   // The AVR map is dense: most of the space decodes.
   EXPECT_GT(decoded_count, 50000u);

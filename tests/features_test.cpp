@@ -20,8 +20,10 @@ sim::Trace synthetic_trace(int cls, int program, std::mt19937_64& rng) {
   sim::Trace t;
   t.samples.assign(315, 0.0);
   for (double& v : t.samples) v = noise(rng);
-  // Class-dependent burst (stable across programs).
-  for (int i = 95; i < 105; ++i) t.samples[static_cast<std::size_t>(i)] += cls ? 1.0 : -1.0;
+  // Class-dependent burst (stable across programs): -1 for class 0, +cls
+  // for the others.
+  const double burst = cls == 0 ? -1.0 : static_cast<double>(cls);
+  for (int i = 95; i < 105; ++i) t.samples[static_cast<std::size_t>(i)] += burst;
   // Program-dependent burst (same for both classes).
   for (int i = 195; i < 205; ++i) {
     t.samples[static_cast<std::size_t>(i)] += 0.8 * program;
@@ -244,6 +246,59 @@ TEST_F(PipelineFixture, FitAndTransformAreWorkerCountInvariant) {
     // ...and a bit-identical projection of unseen traces (scaler + PCA fitted
     // on the same matrix in the same order).
     const ml::Dataset par_ds = par.transform({{0, 1}, {&a_test_, &b_test_}});
+    ASSERT_EQ(par_ds.x.data().size(), seq_ds.x.data().size());
+    for (std::size_t i = 0; i < seq_ds.x.data().size(); ++i) {
+      ASSERT_EQ(par_ds.x.data()[i], seq_ds.x.data()[i]) << "workers=" << workers;
+    }
+    EXPECT_EQ(par_ds.y, seq_ds.y);
+  }
+}
+
+TEST(PipelineFanOut, MasksPointsAndProjectionAreWorkerCountInvariant) {
+  // Five classes give ten class pairs and five NVP masks, so both the
+  // per-class mask pass and the class-pair selection run on several lanes.
+  constexpr int kClasses = 5;
+  std::mt19937_64 rng(11);
+  std::vector<sim::TraceSet> train, test;
+  LabeledTraces train_in, test_in;
+  for (int c = 0; c < kClasses; ++c) {
+    train.push_back(synthetic_set(c, 3, 12, rng));
+    test.push_back(synthetic_set(c, 3, 4, rng));
+  }
+  for (int c = 0; c < kClasses; ++c) {
+    train_in.labels.push_back(c);
+    train_in.sets.push_back(&train[static_cast<std::size_t>(c)]);
+    test_in.labels.push_back(c);
+    test_in.sets.push_back(&test[static_cast<std::size_t>(c)]);
+  }
+  PipelineConfig cfg;
+  cfg.pca_components = 6;
+  cfg.kl_threshold = 0.01;
+
+  const auto fit_at = [&](std::size_t workers) {
+    cfg.workers = workers;
+    auto data = FeaturePipeline::precompute(train_in, cfg);
+    std::vector<const FeaturePipeline::ClassData*> ptrs;
+    for (const auto& d : data) ptrs.push_back(&d);
+    FeaturePipeline pipe = FeaturePipeline::fit(ptrs, cfg);
+    return std::make_pair(std::move(data), std::move(pipe));
+  };
+  const auto [seq_data, seq] = fit_at(1);
+  const ml::Dataset seq_ds = seq.transform(test_in);
+  ASSERT_GT(seq.unified_points().size(), 5u);
+  for (const std::size_t workers : {std::size_t{3}, std::size_t{8}}) {
+    const auto [par_data, par] = fit_at(workers);
+    ASSERT_EQ(par_data.size(), seq_data.size());
+    for (std::size_t c = 0; c < seq_data.size(); ++c) {
+      EXPECT_EQ(par_data[c].mask, seq_data[c].mask) << "class " << c << " workers=" << workers;
+    }
+    ASSERT_EQ(par.unified_points().size(), seq.unified_points().size());
+    for (std::size_t i = 0; i < seq.unified_points().size(); ++i) {
+      EXPECT_EQ(par.unified_points()[i].j, seq.unified_points()[i].j);
+      EXPECT_EQ(par.unified_points()[i].k, seq.unified_points()[i].k);
+      EXPECT_EQ(par.unified_points()[i].value, seq.unified_points()[i].value);
+    }
+    const ml::Dataset par_ds = par.transform(test_in);
     ASSERT_EQ(par_ds.x.data().size(), seq_ds.x.data().size());
     for (std::size_t i = 0; i < seq_ds.x.data().size(); ++i) {
       ASSERT_EQ(par_ds.x.data()[i], seq_ds.x.data()[i]) << "workers=" << workers;

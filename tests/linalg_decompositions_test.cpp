@@ -1,6 +1,8 @@
-// Unit tests for Cholesky / LU factorizations and the Jacobi eigensolver.
+// Unit tests for Cholesky / LU factorizations and the tridiagonal-QL
+// symmetric eigensolver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -19,6 +21,55 @@ Matrix random_spd(std::size_t n, std::mt19937_64& rng) {
   Matrix spd = a * a.transposed();
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
   return spd;
+}
+
+/// Largest absolute row sum of A V - V diag(values) (the infinity norm).
+double residual_inf(const Matrix& a, const EigenDecomposition& e) {
+  const Matrix av = a * e.vectors;
+  double worst = 0.0;
+  for (std::size_t r = 0; r < av.rows(); ++r) {
+    double row = 0.0;
+    for (std::size_t c = 0; c < av.cols(); ++c) {
+      row += std::abs(av(r, c) - e.vectors(r, c) * e.values[c]);
+    }
+    worst = std::max(worst, row);
+  }
+  return worst;
+}
+
+/// Largest absolute entry of V^T V - I.
+double orthogonality_error(const Matrix& v) {
+  const Matrix vtv = v.transposed() * v;
+  double worst = 0.0;
+  for (std::size_t r = 0; r < vtv.rows(); ++r) {
+    for (std::size_t c = 0; c < vtv.cols(); ++c) {
+      worst = std::max(worst, std::abs(vtv(r, c) - (r == c ? 1.0 : 0.0)));
+    }
+  }
+  return worst;
+}
+
+/// Q diag(lambda) Q^T with Q a product of `reflectors` seeded Householder
+/// reflectors, each applied two-sided as A <- H A H in O(n^2).
+Matrix known_spectrum(const Vector& lambda, int reflectors, std::mt19937_64& rng) {
+  const std::size_t n = lambda.size();
+  std::normal_distribution<double> d(0, 1);
+  Matrix a = Matrix::diagonal(lambda);
+  for (int h = 0; h < reflectors; ++h) {
+    Vector u(n);
+    for (double& x : u) x = d(rng);
+    const double norm = std::sqrt(dot(u, u));
+    for (double& x : u) x /= norm;
+    // H A H = A - 2 u w^T - 2 w u^T + 4 (u^T w) u u^T, with w = A u.
+    const Vector w = a * u;
+    const double uw = dot(u, w);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        a(i, j) += -2.0 * u[i] * w[j] - 2.0 * w[i] * u[j] + 4.0 * uw * u[i] * u[j];
+      }
+    }
+  }
+  return a;
 }
 
 TEST(Cholesky, ReconstructsInput) {
@@ -185,7 +236,70 @@ TEST_P(EigenSizeSweep, EigenpairsSatisfyDefinition) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenSizeSweep,
-                         ::testing::Values<std::size_t>(1, 2, 3, 5, 10, 25, 60));
+                         ::testing::Values<std::size_t>(1, 2, 3, 5, 10, 25, 60, 128,
+                                                        512));
+
+TEST(Eigen, KnownSpectrumAtPipelineScale) {
+  // The shape of the 112-class group covariance: 512 selected points, a
+  // spectrum falling from 1e2, and a numerical-rank cliff after 53
+  // components with the tail running down to 1e-13.
+  constexpr std::size_t kN = 512;
+  constexpr std::size_t kRank = 53;
+  Vector lambda(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    lambda[i] = i < kRank
+                    ? 1e2 * std::pow(1e-4, static_cast<double>(i) / (kRank - 1))
+                    : 1e-10 * std::pow(1e-3, static_cast<double>(i - kRank) /
+                                                 (kN - 1 - kRank));
+  }
+  std::mt19937_64 rng(512);
+  const Matrix a = known_spectrum(lambda, 6, rng);
+  const EigenDecomposition e = eigen_symmetric(a);
+  ASSERT_TRUE(e.converged);
+  const double lambda0 = lambda.front();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_NEAR(e.values[i], lambda[i], 1e-10 * lambda0) << "eigenvalue " << i;
+    if (i + 1 < kN) {
+      EXPECT_GE(e.values[i], e.values[i + 1]) << "order at " << i;
+    }
+  }
+  EXPECT_LE(residual_inf(a, e), 1e-9 * lambda0);
+  EXPECT_LE(orthogonality_error(e.vectors), 1e-10);
+}
+
+TEST(Eigen, IdentityHasOrthonormalEigenbasis) {
+  const Matrix a = Matrix::identity(6);
+  const EigenDecomposition e = eigen_symmetric(a);
+  ASSERT_TRUE(e.converged);
+  for (double v : e.values) EXPECT_NEAR(v, 1.0, 1e-14);
+  EXPECT_LE(residual_inf(a, e), 1e-13);
+  EXPECT_LE(orthogonality_error(e.vectors), 1e-13);
+}
+
+TEST(Eigen, BlockDiagonalRepeatedEigenvalues) {
+  // Two copies of [[2, 1], [1, 2]] (eigenvalues 3 and 1) around 2 * I_3:
+  // spectrum {3, 3, 2, 2, 2, 1, 1}, every value repeated.
+  Matrix a(7, 7);
+  for (const std::size_t b : {std::size_t{0}, std::size_t{5}}) {
+    a(b, b) = a(b + 1, b + 1) = 2.0;
+    a(b, b + 1) = a(b + 1, b) = 1.0;
+  }
+  for (std::size_t i = 2; i < 5; ++i) a(i, i) = 2.0;
+  const EigenDecomposition e = eigen_symmetric(a);
+  ASSERT_TRUE(e.converged);
+  const Vector expected{3, 3, 2, 2, 2, 1, 1};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(e.values[i], expected[i], 1e-12) << "eigenvalue " << i;
+  }
+  EXPECT_LE(residual_inf(a, e), 1e-12);
+  EXPECT_LE(orthogonality_error(e.vectors), 1e-12);
+}
+
+TEST(Eigen, NonFiniteInputIsNotConverged) {
+  Matrix a = Matrix::identity(3);
+  a(1, 2) = a(2, 1) = std::nan("");
+  EXPECT_FALSE(eigen_symmetric(a).converged);
+}
 
 }  // namespace
 }  // namespace sidis::linalg

@@ -164,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ClassifierContract,
                                            ClassifierKind::kSvmRbf,
                                            ClassifierKind::kSvmLinear,
                                            ClassifierKind::kKnn),
-                         [](const ::testing::TestParamInfo<ClassifierKind>& info) {
-                           std::string n = to_string(info.param);
+                         [](const ::testing::TestParamInfo<ClassifierKind>& param_info) {
+                           std::string n = to_string(param_info.param);
                            for (char& c : n) {
                              if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
                            }

@@ -201,7 +201,9 @@ TEST(Pca, ComponentsAreDecorrelated) {
   const linalg::Matrix cov = linalg::row_covariance(z);
   for (std::size_t i = 0; i < cov.rows(); ++i) {
     for (std::size_t j = 0; j < cov.cols(); ++j) {
-      if (i != j) EXPECT_NEAR(cov(i, j), 0.0, 1e-8);
+      if (i != j) {
+        EXPECT_NEAR(cov(i, j), 0.0, 1e-8);
+      }
     }
   }
 }
