@@ -1,4 +1,4 @@
-// Scalar-vs-batch classification throughput -- the acceptance gate of the
+// Scalar-vs-batch classification throughput and bit-identity of the
 // batch-vectorized hot path.  The same eval windows run through classify()
 // one at a time and through classify_batch() at batch sizes 1/16/64; before
 // any timing is trusted, every batched result is checked bit-identical to
@@ -13,8 +13,10 @@
 //
 // Results go to BENCH_batch.json (override with SIDIS_BENCH_OUT); CI diffs
 // a SIDIS_FAST run against the checked-in baseline via check_batch.py.
-// Record baselines from an optimized build only -- the 2x criterion is a
-// statement about the Release hot path, not about -O1 coverage builds.
+// Bit-identity is the one hard gate (the exit code).  The batch-16 >= 2x
+// speedup is a criterion about the Release hot path, not about -O1 coverage
+// builds: record baselines from an optimized build only; CI gates the
+// speedup as a band against that baseline, never against 2x itself.
 #include "bench/common.hpp"
 
 #include <algorithm>
@@ -226,9 +228,16 @@ int main() {
   for (const SizeRun& r : runs) {
     if (r.batch == 16) speedup16 = r.speedup;
   }
-  std::printf("\n  acceptance: batch-16 speedup %.2fx (gate: >= 2x), "
-              "identity %s\n",
-              speedup16, all_identical ? "PASS" : "FAIL");
+  // One meaning per line: identity is the only hard gate (it sets the exit
+  // code on every build flavor); the 2x speedup is a Release-build criterion
+  // recorded in the JSON, which CI checks only as check_batch.py's band.
+  std::printf("\n  hard gate (exit code): batch == scalar bit-identity %s\n",
+              all_identical ? "PASS" : "FAIL");
+  std::printf("  Release criterion (not a gate): batch-16 speedup %.3fx, target "
+              ">= 2x: %s\n",
+              speedup16, speedup16 >= 2.0 ? "met" : "not met");
+  std::printf("  CI gates the speedup only as a band against bench/BENCH_batch.json "
+              "(check_batch.py: >= 0.4x the recorded speedup, never below 1.0x)\n");
 
   const char* out = std::getenv("SIDIS_BENCH_OUT");
   write_json(out != nullptr && *out != '\0' ? out : "BENCH_batch.json", n_classes,

@@ -73,6 +73,14 @@ void FftPlan::run(ComplexVector& x, bool inverse) const {
   // every point once instead of twice, halving the load/store traffic that
   // dominates an in-cache radix-2 sweep.  W_{4h}^{k+h} = -i * W_{4h}^k, so
   // the second stage's upper-half twiddles are a free rotation.
+  //
+  // Every complex product's real part ADDS the cross term against a negated
+  // twiddle (x * n1i == -(x * w1i) exactly) instead of subtracting it.  With
+  // an a*b - c*d / a*b + c*d pair on adjacent doubles, GCC 12's SLP add/sub
+  // pattern emits vfmaddsub on FMA targets even under -ffp-contract=off, so
+  // this interleaved loop rounded differently from run_batch()'s split one
+  // under -march=native.  Same-sign halves leave nothing to fuse; run_batch()
+  // spells the products identically.
   const double sign = inverse ? -1.0 : 1.0;
   std::size_t len = 2;
   for (; len * 2 <= n_; len <<= 2) {
@@ -87,24 +95,25 @@ void FftPlan::run(ComplexVector& x, bool inverse) const {
       for (std::size_t k = 0; k < h; ++k) {
         const double w1r = w1[2 * k], w1i = sign * w1[2 * k + 1];
         const double w2r = w2[2 * k], w2i = sign * w2[2 * k + 1];
+        const double n1i = -sign * w1[2 * k + 1], n2i = -sign * w2[2 * k + 1];
         // First stage: (a,b) and (c,d) butterflies with W_{2h}^k.
         const double br = p1[2 * k], bi = p1[2 * k + 1];
-        const double t1r = br * w1r - bi * w1i;
+        const double t1r = br * w1r + bi * n1i;
         const double t1i = br * w1i + bi * w1r;
         const double ar = p0[2 * k], ai = p0[2 * k + 1];
         const double ur = ar + t1r, ui = ai + t1i;
         const double vr = ar - t1r, vi = ai - t1i;
         const double dr = p3[2 * k], di = p3[2 * k + 1];
-        const double t2r = dr * w1r - di * w1i;
+        const double t2r = dr * w1r + di * n1i;
         const double t2i = dr * w1i + di * w1r;
         const double cr = p2[2 * k], ci = p2[2 * k + 1];
         const double pr = cr + t2r, pi = ci + t2i;
         const double qr = cr - t2r, qi = ci - t2i;
         // Second stage: (u,p) with W_{4h}^k, (v,q) with -i * W_{4h}^k
         // (conjugated for the inverse).
-        const double s1r = pr * w2r - pi * w2i;
+        const double s1r = pr * w2r + pi * n2i;
         const double s1i = pr * w2i + pi * w2r;
-        const double s2r0 = qr * w2r - qi * w2i;
+        const double s2r0 = qr * w2r + qi * n2i;
         const double s2i0 = qr * w2i + qi * w2r;
         const double s2r = sign * s2i0;
         const double s2i = -sign * s2r0;
@@ -128,9 +137,9 @@ void FftPlan::run(ComplexVector& x, bool inverse) const {
       double* b = xd + 2 * (i + half);
       for (std::size_t k = 0; k < half; ++k) {
         const double wr = tw[2 * k];
-        const double wi = sign * tw[2 * k + 1];
+        const double wi = sign * tw[2 * k + 1], nwi = -sign * tw[2 * k + 1];
         const double br = b[2 * k], bi = b[2 * k + 1];
-        const double vr = br * wr - bi * wi;
+        const double vr = br * wr + bi * nwi;
         const double vi = br * wi + bi * wr;
         const double ar = a[2 * k], ai = a[2 * k + 1];
         a[2 * k] = ar + vr;
@@ -181,6 +190,7 @@ void FftPlan::run_batch(BatchComplex& x, bool inverse) const {
       for (std::size_t k = 0; k < h; ++k) {
         const double w1r = w1[2 * k], w1i = sign * w1[2 * k + 1];
         const double w2r = w2[2 * k], w2i = sign * w2[2 * k + 1];
+        const double n1i = -sign * w1[2 * k + 1], n2i = -sign * w2[2 * k + 1];
         double* __restrict p0r = xr + (i + k) * lanes;
         double* __restrict p0i = xi + (i + k) * lanes;
         double* __restrict p1r = xr + (i + h + k) * lanes;
@@ -191,20 +201,20 @@ void FftPlan::run_batch(BatchComplex& x, bool inverse) const {
         double* __restrict p3i = xi + (i + 3 * h + k) * lanes;
         for (std::size_t l = 0; l < lanes; ++l) {
           const double br = p1r[l], bi = p1i[l];
-          const double t1r = br * w1r - bi * w1i;
+          const double t1r = br * w1r + bi * n1i;
           const double t1i = br * w1i + bi * w1r;
           const double ar = p0r[l], ai = p0i[l];
           const double ur = ar + t1r, ui = ai + t1i;
           const double vr = ar - t1r, vi = ai - t1i;
           const double dr = p3r[l], di = p3i[l];
-          const double t2r = dr * w1r - di * w1i;
+          const double t2r = dr * w1r + di * n1i;
           const double t2i = dr * w1i + di * w1r;
           const double cr = p2r[l], ci = p2i[l];
           const double pr = cr + t2r, pi = ci + t2i;
           const double qr = cr - t2r, qi = ci - t2i;
-          const double s1r = pr * w2r - pi * w2i;
+          const double s1r = pr * w2r + pi * n2i;
           const double s1i = pr * w2i + pi * w2r;
-          const double s2r0 = qr * w2r - qi * w2i;
+          const double s2r0 = qr * w2r + qi * n2i;
           const double s2i0 = qr * w2i + qi * w2r;
           const double s2r = sign * s2i0;
           const double s2i = -sign * s2r0;
@@ -226,14 +236,14 @@ void FftPlan::run_batch(BatchComplex& x, bool inverse) const {
     for (std::size_t i = 0; i < n_; i += len) {
       for (std::size_t k = 0; k < half; ++k) {
         const double wr = tw[2 * k];
-        const double wi = sign * tw[2 * k + 1];
+        const double wi = sign * tw[2 * k + 1], nwi = -sign * tw[2 * k + 1];
         double* __restrict ar_p = xr + (i + k) * lanes;
         double* __restrict ai_p = xi + (i + k) * lanes;
         double* __restrict br_p = xr + (i + half + k) * lanes;
         double* __restrict bi_p = xi + (i + half + k) * lanes;
         for (std::size_t l = 0; l < lanes; ++l) {
           const double br = br_p[l], bi = bi_p[l];
-          const double vr = br * wr - bi * wi;
+          const double vr = br * wr + bi * nwi;
           const double vi = br * wi + bi * wr;
           const double ar = ar_p[l], ai = ai_p[l];
           ar_p[l] = ar + vr;

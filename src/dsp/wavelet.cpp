@@ -29,7 +29,8 @@ double log2d(std::size_t n) { return std::log2(static_cast<double>(n)); }
 
 /// out[f] = a[f] * b[f] on the raw interleaved-double views: std::complex
 /// loads/stores and operator* (Annex-G fixups) are an order of magnitude
-/// slower here -- see FftPlan::run.
+/// slower here -- see FftPlan::run.  The real part adds ai * (-bi) for the
+/// same reason FftPlan::run does: no add/sub pair for the compiler to fuse.
 void multiply_spectra(const ComplexVector& a, const ComplexVector& b,
                       ComplexVector& out) {
   const std::size_t n = a.size();
@@ -38,8 +39,8 @@ void multiply_spectra(const ComplexVector& a, const ComplexVector& b,
   double* od = reinterpret_cast<double*>(out.data());
   for (std::size_t f = 0; f < 2 * n; f += 2) {
     const double ar = ad[f], ai = ad[f + 1];
-    const double br = bd[f], bi = bd[f + 1];
-    od[f] = ar * br - ai * bi;
+    const double br = bd[f], bi = bd[f + 1], nbi = -bi;
+    od[f] = ar * br + ai * nbi;
     od[f + 1] = ar * bi + ai * br;
   }
 }
@@ -299,11 +300,11 @@ void multiply_spectra_batch(const BatchComplex& a, const ComplexVector& b,
   double* __restrict ore = out.re.data();
   double* __restrict oim = out.im.data();
   for (std::size_t f = 0; f < n; ++f) {
-    const double br = bd[2 * f], bi = bd[2 * f + 1];
+    const double br = bd[2 * f], bi = bd[2 * f + 1], nbi = -bi;
     const std::size_t base = f * lanes;
     for (std::size_t l = 0; l < lanes; ++l) {
       const double ar = are[base + l], ai = aim[base + l];
-      ore[base + l] = ar * br - ai * bi;
+      ore[base + l] = ar * br + ai * nbi;
       oim[base + l] = ar * bi + ai * br;
     }
   }

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
 #include "avr/grouping.hpp"
+#include "linalg/lanes.hpp"
 
 namespace sidis::runtime {
 
@@ -26,6 +29,175 @@ void normalize_shift(linalg::Vector& v) {
   const double m = v[argmax_first(v)];
   if (!std::isfinite(m)) return;  // degenerate row; keep as-is
   for (double& x : v) x -= m;
+}
+
+/// A log-posterior the lattice can chain through: the support's size, no NaN
+/// or +inf (no log-probability is either), and at least one finite entry.
+/// Anything else would turn every later score into NaN or -inf.
+bool decodable(const linalg::Vector& log_posterior, std::size_t n) {
+  if (log_posterior.size() != n) return false;
+  bool finite = false;
+  for (const double x : log_posterior) {
+    if (std::isnan(x) || x == kInf) return false;
+    finite = finite || std::isfinite(x);
+  }
+  return finite;
+}
+
+/// Max-marginal margin of `state`: the best path score through it minus the
+/// best through any other state (+inf without a finite rival).
+double margin(const linalg::Vector& delta, const linalg::Vector& beta,
+              std::size_t state) {
+  const std::size_t n = delta.size();
+  if (n < 2) return kInf;
+  double committed = -kInf, runner = -kInf;
+  for (std::size_t c = 0; c < n; ++c) {
+    const double mm = delta[c] + beta[c];
+    if (c == state) {
+      committed = mm;
+    } else {
+      runner = std::max(runner, mm);
+    }
+  }
+  return runner == -kInf ? kInf : committed - runner;
+}
+
+// -- max-plus kernels ---------------------------------------------------------
+//
+// Both kernels put DESTINATION states in SIMD lanes and run the reduction
+// over source states outermost, in the scalar loop's order, with the scalar
+// loop's strict `>`.  Every lane therefore performs exactly the additions and
+// comparisons of the per-destination scalar loop -- only their interleaving
+// across lanes changes -- so results are bit-identical to it, first-index tie
+// break included.  Each kernel keeps a register tile of lanes live across the
+// whole reduction (see linalg/lanes.hpp for why); lanes left over by the
+// tiles run the same arithmetic one at a time.
+
+#ifdef SIDIS_LANE_VEC
+namespace lanes = linalg::lane_detail;
+typedef std::int64_t IndexVec __attribute__((vector_size(SIDIS_LANE_VEC_BYTES)));
+static_assert(sizeof(std::size_t) == sizeof(std::int64_t));
+
+/// Lanes per tile.  The argmax kernel carries a score and an index vector per
+/// lane group, the plain max kernel only a score, so it affords twice the
+/// lanes within the 16 vector registers of SSE2/AVX.
+constexpr std::size_t kArgmaxTile = 8;
+constexpr std::size_t kMaxTile = 16;
+
+IndexVec splat_index(std::size_t i) {
+  IndexVec v;
+  for (std::size_t l = 0; l < lanes::kVecWidth; ++l) v[l] = static_cast<std::int64_t>(i);
+  return v;
+}
+
+template <std::size_t V>
+void argmax_tile(const double* src, const std::size_t* preds, std::size_t count,
+                 const double* trans, std::size_t n, std::size_t c0, double* best_out,
+                 std::size_t* arg_out) {
+  lanes::LaneVec best[V];
+  IndexVec arg[V];
+  for (std::size_t v = 0; v < V; ++v) {
+    best[v] = lanes::splat(-kInf);
+    arg[v] = splat_index(preds[0]);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t p = preds[i];
+    const lanes::LaneVec d = lanes::splat(src[p]);
+    const IndexVec pv = splat_index(p);
+    const double* row = trans + p * n + c0;
+    for (std::size_t v = 0; v < V; ++v) {
+      lanes::LaneVec t;
+      std::memcpy(&t, row + v * lanes::kVecWidth, sizeof(t));
+      const lanes::LaneVec cand = d + t;
+      // The scalar `if (cand > best)` update, spelled so the value half is
+      // one max instruction: `next` is that update's result, and it differs
+      // from `best` exactly when the update fired (`best` starts at -inf and
+      // only ever takes a non-NaN `cand`, and a strictly greater value never
+      // compares equal).
+      const lanes::LaneVec next = cand > best[v] ? cand : best[v];
+      arg[v] = next != best[v] ? pv : arg[v];
+      best[v] = next;
+    }
+  }
+  std::memcpy(best_out + c0, best, sizeof(best));
+  std::memcpy(arg_out + c0, arg, sizeof(arg));
+}
+
+template <std::size_t V>
+void max_tile(const double* trans_t, std::size_t n, const double* e, const double* beta,
+              std::size_t c0, double* out) {
+  lanes::LaneVec best[V];
+  for (std::size_t v = 0; v < V; ++v) best[v] = lanes::splat(-kInf);
+  for (std::size_t c2 = 0; c2 < n; ++c2) {
+    const lanes::LaneVec ev = lanes::splat(e[c2]);
+    const lanes::LaneVec bv = lanes::splat(beta[c2]);
+    const double* row = trans_t + c2 * n + c0;
+    for (std::size_t v = 0; v < V; ++v) {
+      lanes::LaneVec t;
+      std::memcpy(&t, row + v * lanes::kVecWidth, sizeof(t));
+      const lanes::LaneVec cand = (t + ev) + bv;
+      best[v] = cand > best[v] ? cand : best[v];
+    }
+  }
+  std::memcpy(out + c0, best, sizeof(best));
+}
+#endif  // SIDIS_LANE_VEC
+
+/// Kernel (a), the Viterbi step: for every destination c of the n x n
+/// row-major `trans`, best[c] = max over p in preds[0..count) of
+/// src[p] + trans(p, c), and arg[c] the first p (in preds order) attaining it
+/// -- preds[0] when nothing beats -inf.
+void max_plus_argmax(const double* src, const std::size_t* preds, std::size_t count,
+                     const double* trans, std::size_t n, double* best,
+                     std::size_t* arg) {
+  std::size_t c = 0;
+#ifdef SIDIS_LANE_VEC
+  for (; c + kArgmaxTile <= n; c += kArgmaxTile) {
+    argmax_tile<kArgmaxTile / lanes::kVecWidth>(src, preds, count, trans, n, c, best, arg);
+  }
+  for (; c + lanes::kVecWidth <= n; c += lanes::kVecWidth) {
+    argmax_tile<1>(src, preds, count, trans, n, c, best, arg);
+  }
+#endif
+  for (; c < n; ++c) {
+    double b = -kInf;
+    std::size_t bp = preds[0];
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t p = preds[i];
+      const double v = src[p] + trans[p * n + c];
+      if (v > b) {
+        b = v;
+        bp = p;
+      }
+    }
+    best[c] = b;
+    arg[c] = bp;
+  }
+}
+
+/// Kernel (b), the backward (beta) step: out[c] = max over c2 of
+/// (trans_t(c2, c) + e[c2]) + beta[c2], with trans_t the transposed
+/// transition matrix (so destinations are contiguous) and -inf when nothing
+/// beats it.
+void max_plus(const double* trans_t, std::size_t n, const double* e, const double* beta,
+              double* out) {
+  std::size_t c = 0;
+#ifdef SIDIS_LANE_VEC
+  for (; c + kMaxTile <= n; c += kMaxTile) {
+    max_tile<kMaxTile / lanes::kVecWidth>(trans_t, n, e, beta, c, out);
+  }
+  for (; c + lanes::kVecWidth <= n; c += lanes::kVecWidth) {
+    max_tile<1>(trans_t, n, e, beta, c, out);
+  }
+#endif
+  for (; c < n; ++c) {
+    double b = -kInf;
+    for (std::size_t c2 = 0; c2 < n; ++c2) {
+      const double v = trans_t[c2 * n + c] + e[c2] + beta[c2];
+      if (v > b) b = v;
+    }
+    out[c] = b;
+  }
 }
 
 }  // namespace
@@ -50,78 +222,81 @@ SequenceDecoder::SequenceDecoder(std::vector<std::size_t> classes,
   // The transition matrix restricted to the support, weighted once.  Rows are
   // intentionally NOT renormalized over the support: the prior's relative
   // preferences among the profiled classes are what matters, and a constant
-  // per-row offset never changes a Viterbi path.
+  // per-row offset never changes a Viterbi path.  The transpose feeds the
+  // backward kernel, whose lanes are source states.
   log_trans_ = linalg::Matrix(n, n);
+  log_trans_t_ = linalg::Matrix(n, n);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
       log_trans_(a, b) =
           config_.prior_weight * prior->log_prob(classes_[a], classes_[b]);
+      log_trans_t_(b, a) = log_trans_(a, b);
     }
   }
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
 }
 
-void SequenceDecoder::advance(Node& node, const Node* prev) const {
+void SequenceDecoder::advance(Node& node, const Node* prev) {
   const std::size_t n = classes_.size();
-  node.delta.resize(n);
+  const linalg::Vector& emissions = node.window.log_posterior;
   if (prev == nullptr) {
     node.backptr.clear();
     if (last_committed_.has_value()) {
       // The lattice emptied right after a commit (lag 0 does this on every
       // push): the stream continues, so condition on the committed state.
+      node.delta.resize(n);
       for (std::size_t c = 0; c < n; ++c) {
-        node.delta[c] = log_trans_(*last_committed_, c) + node.emissions[c];
+        node.delta[c] = log_trans_(*last_committed_, c) + emissions[c];
       }
     } else {
-      node.delta = node.emissions;
+      node.delta.assign(emissions.begin(), emissions.end());
     }
     normalize_shift(node.delta);
     return;
   }
-  node.backptr.assign(n, 0);
-  std::vector<std::size_t> beam;
-  const bool pruned = config_.beam > 0 && config_.beam < n;
-  if (pruned) {
-    beam.resize(n);
-    std::iota(beam.begin(), beam.end(), std::size_t{0});
-    // Highest predecessor score first, index-ascending on ties, so pruning
-    // is deterministic.
-    std::stable_sort(beam.begin(), beam.end(), [&](std::size_t a, std::size_t b) {
-      return prev->delta[a] > prev->delta[b];
-    });
-    beam.resize(config_.beam);
+  std::size_t count = n;
+  if (config_.beam > 0 && config_.beam < n) {
+    // Highest predecessor score first, index-ascending on ties -- the order
+    // a stable sort by score gives -- so pruning is deterministic.  A NaN
+    // score ranks last.
+    const auto key = [&](std::size_t p) {
+      return std::isnan(prev->delta[p]) ? -kInf : prev->delta[p];
+    };
+    count = config_.beam;
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::partial_sort(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(count),
+                      order_.end(), [&](std::size_t a, std::size_t b) {
+                        const double ka = key(a), kb = key(b);
+                        return ka > kb || (ka == kb && a < b);
+                      });
   }
-  for (std::size_t c = 0; c < n; ++c) {
-    double best = -kInf;
-    std::size_t bp = pruned ? beam[0] : 0;
-    if (pruned) {
-      for (const std::size_t p : beam) {
-        const double v = prev->delta[p] + log_trans_(p, c);
-        if (v > best) {
-          best = v;
-          bp = p;
-        }
-      }
-    } else {
-      for (std::size_t p = 0; p < n; ++p) {
-        const double v = prev->delta[p] + log_trans_(p, c);
-        if (v > best) {
-          best = v;
-          bp = p;
-        }
-      }
-    }
-    node.delta[c] = best + node.emissions[c];
-    node.backptr[c] = bp;
-  }
+  node.delta.resize(n);
+  node.backptr.resize(n);
+  max_plus_argmax(prev->delta.data(), order_.data(), count, log_trans_.data().data(), n,
+                  node.delta.data(), node.backptr.data());
+  for (std::size_t c = 0; c < n; ++c) node.delta[c] += emissions[c];
   // Keep scores bounded over unbounded streams; a uniform shift changes no
   // path decision and no confidence margin.
   normalize_shift(node.delta);
 }
 
-SmoothedWindow SequenceDecoder::emit(const Node& node, std::size_t state,
-                                     double confidence, bool converged) {
+void SequenceDecoder::backward_pass() {
+  const std::size_t n = classes_.size();
+  lattice_.back().beta.assign(n, 0.0);
+  for (std::size_t t = lattice_.size() - 1; t > 0; --t) {
+    const Node& next = lattice_[t];
+    Node& cur = lattice_[t - 1];
+    cur.beta.resize(n);
+    max_plus(log_trans_t_.data().data(), n, next.window.log_posterior.data(),
+             next.beta.data(), cur.beta.data());
+  }
+}
+
+void SequenceDecoder::emit(Node& node, std::size_t state, double confidence,
+                           bool converged) {
   SmoothedWindow w;
-  w.value = node.window;
+  w.value = std::move(node.window);
   w.raw_class = w.value.class_idx;
   w.confidence = confidence;
   w.converged = converged;
@@ -145,7 +320,7 @@ SmoothedWindow SequenceDecoder::emit(const Node& node, std::size_t state,
       confidence >= config_.repair_confidence) {
     w.value.verdict = core::Verdict::kDegraded;
   }
-  return w;
+  out_.push_back() = std::move(w);
 }
 
 void SequenceDecoder::commit_front() {
@@ -160,34 +335,9 @@ void SequenceDecoder::commit_front() {
   // Max-marginal confidence of the front decision: best full-lattice path
   // through each front state (delta is trivial at the front; beta carries
   // the suffix).
-  double confidence = kInf;
-  if (n > 1) {
-    linalg::Vector beta(n, 0.0);
-    linalg::Vector prev_beta(n);
-    for (std::size_t t = depth - 1; t > 0; --t) {
-      const Node& next = lattice_[t];
-      for (std::size_t c = 0; c < n; ++c) {
-        double best = -kInf;
-        for (std::size_t c2 = 0; c2 < n; ++c2) {
-          const double v = log_trans_(c, c2) + next.emissions[c2] + beta[c2];
-          if (v > best) best = v;
-        }
-        prev_beta[c] = best;
-      }
-      beta.swap(prev_beta);
-    }
-    const linalg::Vector& delta = lattice_.front().delta;
-    double committed = -kInf, runner = -kInf;
-    for (std::size_t c = 0; c < n; ++c) {
-      const double mm = delta[c] + beta[c];
-      if (c == s0) {
-        committed = mm;
-      } else {
-        runner = std::max(runner, mm);
-      }
-    }
-    confidence = runner == -kInf ? kInf : committed - runner;
-  }
+  if (n > 1) backward_pass();
+  Node& front = lattice_.front();
+  const double confidence = margin(front.delta, front.beta, s0);
 
   // Converged exactly when every state one step ahead already descends from
   // s0 -- then every extension of the stream must route through s0 here, so
@@ -199,8 +349,8 @@ void SequenceDecoder::commit_front() {
                                [&](std::size_t p) { return p == s0; });
   const bool converged = fused || n == 1;
 
-  const double base = lattice_.front().delta[s0];
-  out_.push_back(emit(lattice_.front(), s0, confidence, converged));
+  const double base = front.delta[s0];
+  emit(front, s0, confidence, converged);
   lattice_.pop_front();
   if (lattice_.empty()) {
     last_committed_ = s0;  // the next push chains from here
@@ -211,43 +361,43 @@ void SequenceDecoder::commit_front() {
   // decisions always chain into a connected path.  When the lattice already
   // fused through s0 the reconditioned scores are what advance() computed,
   // so nothing needs recomputing.
-  Node& front = lattice_.front();
+  Node& head = lattice_.front();
   if (!fused) {
+    const linalg::Vector& emissions = head.window.log_posterior;
     for (std::size_t c = 0; c < n; ++c) {
-      front.delta[c] = base + log_trans_(s0, c) + front.emissions[c];
+      head.delta[c] = base + log_trans_(s0, c) + emissions[c];
     }
-    normalize_shift(front.delta);
+    normalize_shift(head.delta);
     for (std::size_t t = 1; t < lattice_.size(); ++t) {
       Node& cur = lattice_[t];
-      const linalg::Vector old_delta = cur.delta;
-      const std::vector<std::size_t> old_backptr = cur.backptr;
+      // Keep the pre-rebase scores in the snapshot's buffers (a swap, no
+      // copy) and recompute into the snapshot's old ones.
+      cur.delta.swap(snapshot_delta_);
+      cur.backptr.swap(snapshot_backptr_);
       advance(cur, &lattice_[t - 1]);
       // Downstream of the first unchanged node nothing can differ.
-      if (cur.delta == old_delta && cur.backptr == old_backptr) break;
+      if (cur.delta == snapshot_delta_ && cur.backptr == snapshot_backptr_) break;
     }
   }
-  front.backptr.clear();
+  head.backptr.clear();
 }
 
 void SequenceDecoder::push(core::Disassembly window) {
-  const std::size_t n = classes_.size();
-  if (window.log_posterior.size() != n) {
+  if (!decodable(window.log_posterior, classes_.size())) {
     // No posterior to decode on: finish the lattice and pass the window
-    // through untouched (plain classify() results, foreign supports).  The
-    // chain is broken -- whatever follows starts a fresh segment.
-    for (SmoothedWindow& w : flush()) out_.push_back(std::move(w));
-    last_committed_.reset();
+    // through untouched (plain classify() results, foreign supports,
+    // malformed rows).  The chain is broken -- whatever follows starts a
+    // fresh segment.
+    finish();
     SmoothedWindow w;
     w.value = std::move(window);
     w.raw_class = w.value.class_idx;
-    out_.push_back(std::move(w));
+    out_.push_back() = std::move(w);
     return;
   }
-  Node node;
-  node.emissions = window.log_posterior;
+  Node& node = lattice_.push_back();
   node.window = std::move(window);
-  advance(node, lattice_.empty() ? nullptr : &lattice_.back());
-  lattice_.push_back(std::move(node));
+  advance(node, lattice_.size() == 1 ? nullptr : &lattice_[lattice_.size() - 2]);
   if (lattice_.size() > config_.lag) commit_front();
 }
 
@@ -258,13 +408,13 @@ std::optional<SmoothedWindow> SequenceDecoder::poll() {
   return w;
 }
 
-std::vector<SmoothedWindow> SequenceDecoder::flush() {
-  const std::size_t n = classes_.size();
+void SequenceDecoder::finish() {
   if (!lattice_.empty()) {
     const std::size_t depth = lattice_.size();
     // Offline decode of the tail: exact Viterbi over what remains (already
     // conditioned on the last committed state via the rebase).
-    std::vector<std::size_t> path(depth);
+    std::vector<std::size_t>& path = path_;
+    path.resize(depth);
     std::size_t s = argmax_first(lattice_.back().delta);
     path[depth - 1] = s;
     for (std::size_t t = depth - 1; t > 0; --t) {
@@ -272,42 +422,21 @@ std::vector<SmoothedWindow> SequenceDecoder::flush() {
       path[t - 1] = s;
     }
     // Suffix scores for per-window max-marginal confidence.
-    std::vector<linalg::Vector> beta(depth);
-    beta[depth - 1].assign(n, 0.0);
-    for (std::size_t t = depth - 1; t > 0; --t) {
-      const Node& next = lattice_[t];
-      beta[t - 1].assign(n, -kInf);
-      for (std::size_t c = 0; c < n; ++c) {
-        double best = -kInf;
-        for (std::size_t c2 = 0; c2 < n; ++c2) {
-          const double v = log_trans_(c, c2) + next.emissions[c2] + beta[t][c2];
-          if (v > best) best = v;
-        }
-        beta[t - 1][c] = best;
-      }
-    }
+    if (classes_.size() > 1) backward_pass();
     for (std::size_t t = 0; t < depth; ++t) {
-      double confidence = kInf;
-      if (n > 1) {
-        double committed = -kInf, runner = -kInf;
-        for (std::size_t c = 0; c < n; ++c) {
-          const double mm = lattice_[t].delta[c] + beta[t][c];
-          if (c == path[t]) {
-            committed = mm;
-          } else {
-            runner = std::max(runner, mm);
-          }
-        }
-        confidence = runner == -kInf ? kInf : committed - runner;
-      }
-      out_.push_back(emit(lattice_[t], path[t], confidence, /*converged=*/true));
+      Node& node = lattice_[t];
+      emit(node, path[t], margin(node.delta, node.beta, path[t]), /*converged=*/true);
     }
     lattice_.clear();
   }
-  last_committed_.reset();  // flush ends the stream; reuse starts fresh
+  last_committed_.reset();  // the stream ends here; what follows starts fresh
+}
+
+std::vector<SmoothedWindow> SequenceDecoder::flush() {
+  finish();
   std::vector<SmoothedWindow> result;
   result.reserve(out_.size());
-  for (SmoothedWindow& w : out_) result.push_back(std::move(w));
+  for (std::size_t i = 0; i < out_.size(); ++i) result.push_back(std::move(out_[i]));
   out_.clear();
   return result;
 }

@@ -20,17 +20,27 @@
 // decode-equivalence battery in sequence_test pins this, and flush() finishes
 // any tail with a full offline pass.
 //
-// Windows without a posterior (plain classify() results, or windows outside
-// the decoder's class support) flush the lattice and pass through unsmoothed,
-// so a mixed stream degrades gracefully instead of faulting.
+// Windows without a usable posterior (plain classify() results, windows
+// outside the decoder's class support, or a log_posterior holding a NaN, a
+// +inf, or no finite entry) flush the lattice and pass through unsmoothed, so
+// a mixed stream degrades gracefully instead of faulting -- and one malformed
+// row cannot poison every later decision of the stream.
+//
+// The recursions run on two max-plus kernels with destination states in SIMD
+// lanes (DESIGN.md, sequence decoding): each lane performs the scalar loop's
+// operations in the scalar loop's order, so every decision, backpointer and
+// confidence bit matches a plain per-state loop.  Steady-state push() and the
+// commits it triggers allocate nothing: lattice nodes, beta rows, the beam
+// and the rebase snapshot are reused buffers.
 //
 // Thread-safety: none.  One decoder belongs to one stream's single consumer
 // (StreamingDisassembler::poll/drain, or a FleetFrontend shard under its
 // lock), mirroring DriftMonitor's per-stream isolation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -116,29 +126,78 @@ class SequenceDecoder {
   std::uint64_t smoothed_count() const { return smoothed_count_; }
 
  private:
+  /// FIFO over reused slots: pop_front() keeps a slot's buffers for the next
+  /// push_back(), so a lattice at its steady depth allocates nothing.
+  template <typename T>
+  class Ring {
+   public:
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    T& operator[](std::size_t i) { return slots_[(head_ + i) % slots_.size()]; }
+    const T& operator[](std::size_t i) const {
+      return slots_[(head_ + i) % slots_.size()];
+    }
+    T& front() { return (*this)[0]; }
+    T& back() { return (*this)[size_ - 1]; }
+    /// The slot behind the back, holding whatever a popped element left.
+    T& push_back() {
+      if (size_ == slots_.size()) {
+        std::rotate(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(head_),
+                    slots_.end());
+        head_ = 0;
+        slots_.emplace_back();
+      }
+      ++size_;
+      return back();
+    }
+    void pop_front() {
+      head_ = (head_ + 1) % slots_.size();
+      --size_;
+    }
+    void clear() { head_ = size_ = 0; }
+
+   private:
+    std::vector<T> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   struct Node {
+    /// The pushed window; its log_posterior is the emission row (support
+    /// order).  Moved out on emission.
     core::Disassembly window;
-    linalg::Vector emissions;  ///< log-posterior over classes_, support order
-    linalg::Vector delta;      ///< Viterbi scores, max-normalized per step
+    linalg::Vector delta;              ///< Viterbi scores, max-normalized per step
     std::vector<std::size_t> backptr;  ///< empty at the lattice front
+    linalg::Vector beta;               ///< best suffix score per state (commit/flush)
   };
 
   /// Extends the recursion: fills node.delta/backptr from `prev` (nullptr at
   /// the lattice front).
-  void advance(Node& node, const Node* prev) const;
+  void advance(Node& node, const Node* prev);
+  /// Fills every node's beta with the best score of the lattice suffix after
+  /// it, per state (0 at the frontier).
+  void backward_pass();
   /// Commits the front window off a full backtrace and rebases the rest of
   /// the lattice on the committed state.
   void commit_front();
-  /// Builds the emission record for the front node given its committed
+  /// Decides the whole remaining lattice offline into out_ and ends the
+  /// stream (the next push starts unconditioned).
+  void finish();
+  /// Moves the node's window into an emission record given its committed
   /// state index and max-marginal confidence.
-  SmoothedWindow emit(const Node& node, std::size_t state, double confidence,
-                      bool converged);
+  void emit(Node& node, std::size_t state, double confidence, bool converged);
 
   std::vector<std::size_t> classes_;
   SequenceDecoderConfig config_;
-  linalg::Matrix log_trans_;  ///< prior_weight * log P(b|a) over the support
-  std::deque<Node> lattice_;
-  std::deque<SmoothedWindow> out_;
+  linalg::Matrix log_trans_;    ///< prior_weight * log P(b|a) over the support
+  linalg::Matrix log_trans_t_;  ///< its transpose: rows are destination states
+  std::vector<std::size_t> order_;  ///< predecessors visited per step: 0..n-1,
+                                    ///< or the beam's best-first prefix
+  Ring<Node> lattice_;
+  Ring<SmoothedWindow> out_;
+  linalg::Vector snapshot_delta_;  ///< a rebased node's pre-rebase scores
+  std::vector<std::size_t> snapshot_backptr_;  ///< ... and backpointers
+  std::vector<std::size_t> path_;  ///< finish()'s backtrace
   /// State committed just before the lattice emptied (lag 0 commits every
   /// push), so the next window still chains from it.  Reset at stream breaks
   /// (flush, pass-through) -- a fresh stream starts unconditioned.

@@ -1,13 +1,22 @@
 // Tests for the bigram prior and Viterbi sequence smoothing extension, the
 // ISA-derived transition prior, and the streaming sequence-decoding battery:
-// Viterbi vs brute force, bounded-lag vs offline, and bit-identical smoothed
-// verdicts across worker and shard counts.
+// Viterbi vs brute force, bounded-lag vs offline, bit-identical smoothed
+// verdicts across worker and shard counts, the lane kernels vs a scalar
+// reference at ISA scale, and the malformed-row and allocation-free push
+// contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <new>
+#include <numeric>
+#include <optional>
 #include <random>
 
 #include "avr/assembler.hpp"
@@ -20,6 +29,45 @@
 #include "runtime/fleet.hpp"
 #include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
+
+// Counts this thread's heap allocations, so a test can pin a code path as
+// allocation-free.  Replacing the global allocation functions is the only
+// portable hook.  Every non-aligned variant is replaced and funnels through
+// malloc/free, so no block crosses between these and a sanitizer's own
+// operator new/delete (the aligned variants stay the runtime's, in pairs).
+namespace {
+thread_local std::size_t t_allocations = 0;
+
+void* counted_malloc(std::size_t size) noexcept {
+  ++t_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_malloc_or_throw(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+// GCC flags free() in a replacement operator delete once inlined next to a
+// new-expression; here the pairing is malloc/free by construction.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) { return counted_malloc_or_throw(size); }
+void* operator new[](std::size_t size) { return counted_malloc_or_throw(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace sidis::core {
 namespace {
@@ -356,6 +404,229 @@ core::Disassembly make_window(const linalg::Vector& log_posterior,
   return w;
 }
 
+/// The decoder's recursions as plain per-destination scalar loops: a verbatim
+/// copy of the scalar implementation the lane kernels replaced, kept as the
+/// bit-identity reference.  Decides only (state, converged, confidence);
+/// every input row must carry a finite entry and no NaN.
+class ScalarReferenceDecoder {
+ public:
+  struct Decision {
+    std::size_t state = 0;
+    bool converged = true;
+    double confidence = kInf;
+  };
+
+  ScalarReferenceDecoder(std::size_t n, const core::TransitionPrior& prior,
+                         SequenceDecoderConfig config)
+      : n_(n), config_(config), log_trans_(n, n) {
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        log_trans_(a, b) = config_.prior_weight * prior.log_prob(a, b);
+      }
+    }
+  }
+
+  void push(const linalg::Vector& emissions) {
+    Node node;
+    node.emissions = emissions;
+    advance(node, lattice_.empty() ? nullptr : &lattice_.back());
+    lattice_.push_back(std::move(node));
+    if (lattice_.size() > config_.lag) commit_front();
+  }
+
+  std::vector<Decision> flush() {
+    const std::size_t n = n_;
+    if (!lattice_.empty()) {
+      const std::size_t depth = lattice_.size();
+      std::vector<std::size_t> path(depth);
+      std::size_t s = argmax_first(lattice_.back().delta);
+      path[depth - 1] = s;
+      for (std::size_t t = depth - 1; t > 0; --t) {
+        s = lattice_[t].backptr[s];
+        path[t - 1] = s;
+      }
+      std::vector<linalg::Vector> beta(depth);
+      beta[depth - 1].assign(n, 0.0);
+      for (std::size_t t = depth - 1; t > 0; --t) {
+        const Node& next = lattice_[t];
+        beta[t - 1].assign(n, -kInf);
+        for (std::size_t c = 0; c < n; ++c) {
+          double best = -kInf;
+          for (std::size_t c2 = 0; c2 < n; ++c2) {
+            const double v = log_trans_(c, c2) + next.emissions[c2] + beta[t][c2];
+            if (v > best) best = v;
+          }
+          beta[t - 1][c] = best;
+        }
+      }
+      for (std::size_t t = 0; t < depth; ++t) {
+        double confidence = kInf;
+        if (n > 1) {
+          double committed = -kInf, runner = -kInf;
+          for (std::size_t c = 0; c < n; ++c) {
+            const double mm = lattice_[t].delta[c] + beta[t][c];
+            if (c == path[t]) {
+              committed = mm;
+            } else {
+              runner = std::max(runner, mm);
+            }
+          }
+          confidence = runner == -kInf ? kInf : committed - runner;
+        }
+        out_.push_back({path[t], true, confidence});
+      }
+      lattice_.clear();
+    }
+    last_committed_.reset();
+    return std::move(out_);
+  }
+
+ private:
+  struct Node {
+    linalg::Vector emissions;
+    linalg::Vector delta;
+    std::vector<std::size_t> backptr;
+  };
+
+  static std::size_t argmax_first(const linalg::Vector& v) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      if (v[i] > v[best]) best = i;
+    }
+    return best;
+  }
+
+  static void normalize_shift(linalg::Vector& v) {
+    const double m = v[argmax_first(v)];
+    if (!std::isfinite(m)) return;
+    for (double& x : v) x -= m;
+  }
+
+  void advance(Node& node, const Node* prev) const {
+    const std::size_t n = n_;
+    node.delta.resize(n);
+    if (prev == nullptr) {
+      node.backptr.clear();
+      if (last_committed_.has_value()) {
+        for (std::size_t c = 0; c < n; ++c) {
+          node.delta[c] = log_trans_(*last_committed_, c) + node.emissions[c];
+        }
+      } else {
+        node.delta = node.emissions;
+      }
+      normalize_shift(node.delta);
+      return;
+    }
+    node.backptr.assign(n, 0);
+    std::vector<std::size_t> beam;
+    const bool pruned = config_.beam > 0 && config_.beam < n;
+    if (pruned) {
+      beam.resize(n);
+      std::iota(beam.begin(), beam.end(), std::size_t{0});
+      std::stable_sort(beam.begin(), beam.end(), [&](std::size_t a, std::size_t b) {
+        return prev->delta[a] > prev->delta[b];
+      });
+      beam.resize(config_.beam);
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      double best = -kInf;
+      std::size_t bp = pruned ? beam[0] : 0;
+      if (pruned) {
+        for (const std::size_t p : beam) {
+          const double v = prev->delta[p] + log_trans_(p, c);
+          if (v > best) {
+            best = v;
+            bp = p;
+          }
+        }
+      } else {
+        for (std::size_t p = 0; p < n; ++p) {
+          const double v = prev->delta[p] + log_trans_(p, c);
+          if (v > best) {
+            best = v;
+            bp = p;
+          }
+        }
+      }
+      node.delta[c] = best + node.emissions[c];
+      node.backptr[c] = bp;
+    }
+    normalize_shift(node.delta);
+  }
+
+  void commit_front() {
+    const std::size_t n = n_;
+    const std::size_t depth = lattice_.size();
+    std::size_t s = argmax_first(lattice_.back().delta);
+    for (std::size_t t = depth - 1; t > 0; --t) s = lattice_[t].backptr[s];
+    const std::size_t s0 = s;
+
+    double confidence = kInf;
+    if (n > 1) {
+      linalg::Vector beta(n, 0.0);
+      linalg::Vector prev_beta(n);
+      for (std::size_t t = depth - 1; t > 0; --t) {
+        const Node& next = lattice_[t];
+        for (std::size_t c = 0; c < n; ++c) {
+          double best = -kInf;
+          for (std::size_t c2 = 0; c2 < n; ++c2) {
+            const double v = log_trans_(c, c2) + next.emissions[c2] + beta[c2];
+            if (v > best) best = v;
+          }
+          prev_beta[c] = best;
+        }
+        beta.swap(prev_beta);
+      }
+      const linalg::Vector& delta = lattice_.front().delta;
+      double committed = -kInf, runner = -kInf;
+      for (std::size_t c = 0; c < n; ++c) {
+        const double mm = delta[c] + beta[c];
+        if (c == s0) {
+          committed = mm;
+        } else {
+          runner = std::max(runner, mm);
+        }
+      }
+      confidence = runner == -kInf ? kInf : committed - runner;
+    }
+
+    const bool fused =
+        depth > 1 && std::all_of(lattice_[1].backptr.begin(), lattice_[1].backptr.end(),
+                                 [&](std::size_t p) { return p == s0; });
+    const bool converged = fused || n == 1;
+
+    const double base = lattice_.front().delta[s0];
+    out_.push_back({s0, converged, confidence});
+    lattice_.pop_front();
+    if (lattice_.empty()) {
+      last_committed_ = s0;
+      return;
+    }
+    Node& front = lattice_.front();
+    if (!fused) {
+      for (std::size_t c = 0; c < n; ++c) {
+        front.delta[c] = base + log_trans_(s0, c) + front.emissions[c];
+      }
+      normalize_shift(front.delta);
+      for (std::size_t t = 1; t < lattice_.size(); ++t) {
+        Node& cur = lattice_[t];
+        const linalg::Vector old_delta = cur.delta;
+        const std::vector<std::size_t> old_backptr = cur.backptr;
+        advance(cur, &lattice_[t - 1]);
+        if (cur.delta == old_delta && cur.backptr == old_backptr) break;
+      }
+    }
+    front.backptr.clear();
+  }
+
+  std::size_t n_;
+  SequenceDecoderConfig config_;
+  linalg::Matrix log_trans_;
+  std::deque<Node> lattice_;
+  std::vector<Decision> out_;
+  std::optional<std::size_t> last_committed_;
+};
+
 TEST(SequenceDecoderTest, InvalidConstruction) {
   auto prior = std::make_shared<core::BigramPrior>(4);
   EXPECT_THROW(SequenceDecoder({}, prior), std::invalid_argument);
@@ -528,6 +799,162 @@ TEST(DecodeEquivalence, BeamedDecoderStaysExactWhenBeamCoversTheStates) {
   }
   // beam == n is exhaustive by definition; beam 0 means "all".
   EXPECT_EQ(run(0, emissions), run(n, emissions));
+}
+
+TEST(SequenceDecoderTest, MalformedPosteriorBreaksTheChainInsteadOfPoisoningIt) {
+  // Sharp windows under a flat prior decode to their own argmax.  One
+  // malformed row among them must pass through unsmoothed and leave every
+  // other window's decision alone -- not drag the rest of the stream to
+  // class 0 with an infinite confidence.
+  const std::vector<std::size_t> support = {0, 1, 2, 3};
+  auto prior = std::make_shared<core::BigramPrior>(4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<linalg::Vector> malformed = {
+      linalg::Vector(4, nan),                  // all NaN
+      linalg::Vector{-0.1, nan, -3.0, -4.0},   // one NaN
+      linalg::Vector(4, -kInf),                // no finite entry
+      linalg::Vector{-0.1, kInf, -3.0, -4.0},  // +inf is no log-probability
+  };
+  const std::vector<std::size_t> truth = {1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3};
+  const std::size_t bad_at = 4;
+  for (std::size_t m = 0; m < malformed.size(); ++m) {
+    SequenceDecoderConfig cfg;
+    cfg.lag = 2;
+    SequenceDecoder dec(support, prior, cfg);
+    std::vector<SmoothedWindow> out;
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+      if (i == bad_at) {
+        core::Disassembly bad;
+        bad.class_idx = 3;
+        bad.log_posterior = malformed[m];
+        dec.push(bad);
+      } else {
+        linalg::Vector row(4, -8.0);
+        row[truth[i]] = -0.001;
+        dec.push(make_window(row, support));
+      }
+      while (auto w = dec.poll()) out.push_back(std::move(*w));
+    }
+    for (auto& w : dec.flush()) out.push_back(std::move(w));
+    ASSERT_EQ(out.size(), truth.size()) << "variant " << m;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_FALSE(out[i].smoothed) << "variant " << m << " window " << i;
+      EXPECT_TRUE(out[i].converged) << "variant " << m << " window " << i;
+      if (i == bad_at) {
+        EXPECT_EQ(out[i].value.class_idx, 3u) << "variant " << m;
+        EXPECT_EQ(out[i].confidence, kInf) << "variant " << m;
+      } else {
+        EXPECT_EQ(out[i].value.class_idx, truth[i]) << "variant " << m << " window " << i;
+        EXPECT_TRUE(std::isfinite(out[i].confidence)) << "variant " << m << " window " << i;
+        EXPECT_GT(out[i].confidence, 0.0) << "variant " << m << " window " << i;
+      }
+    }
+  }
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// Emission rows for an ISA-scale stream: coarse-grid scores (exact ties
+/// within and across rows), about one -inf entry in eight, and every 29th row
+/// flat, all over a planted class that keeps each row finite somewhere.
+std::vector<linalg::Vector> isa_scale_rows(std::size_t n, std::size_t len,
+                                           std::uint64_t seed) {
+  std::mt19937_64 rng{seed};
+  std::uniform_int_distribution<int> grid(1, 16);
+  std::uniform_int_distribution<int> hole(0, 7);
+  std::uniform_int_distribution<std::size_t> cls(0, n - 1);
+  std::vector<linalg::Vector> rows(len, linalg::Vector(n));
+  for (std::size_t t = 0; t < len; ++t) {
+    for (std::size_t c = 0; c < n; ++c) {
+      rows[t][c] = hole(rng) == 0 ? -kInf : -0.5 * grid(rng);
+      if (t % 29 == 0) rows[t][c] = -1.0;
+    }
+    rows[t][cls(rng)] = 0.0;
+  }
+  return rows;
+}
+
+TEST(DecodeEquivalence, IsaScaleKernelsMatchScalarReference) {
+  const auto prior = std::make_shared<core::IsaPrior>();
+  const std::size_t n = prior->num_classes();
+  ASSERT_GE(n, 100u);
+  std::vector<std::size_t> support(n);
+  std::iota(support.begin(), support.end(), std::size_t{0});
+  const std::vector<linalg::Vector> rows = isa_scale_rows(n, 2000, 20261017);
+
+  for (const std::size_t lag : {std::size_t{0}, std::size_t{2}, std::size_t{6}}) {
+    for (const std::size_t beam : {std::size_t{0}, std::size_t{16}}) {
+      SequenceDecoderConfig cfg;
+      cfg.lag = lag;
+      cfg.beam = beam;
+      SequenceDecoder dec(support, prior, cfg);
+      ScalarReferenceDecoder ref(n, *prior, cfg);
+      std::vector<SmoothedWindow> out;
+      for (const linalg::Vector& row : rows) {
+        dec.push(make_window(row, support));
+        ref.push(row);
+        while (auto w = dec.poll()) out.push_back(std::move(*w));
+      }
+      for (auto& w : dec.flush()) out.push_back(std::move(w));
+      const std::vector<ScalarReferenceDecoder::Decision> expected = ref.flush();
+      ASSERT_EQ(out.size(), rows.size()) << "lag " << lag << " beam " << beam;
+      ASSERT_EQ(expected.size(), rows.size());
+      std::size_t mismatches = 0, converged = 0;
+      for (std::size_t t = 0; t < rows.size(); ++t) {
+        const bool same = out[t].value.class_idx == support[expected[t].state] &&
+                          out[t].converged == expected[t].converged &&
+                          bits_of(out[t].confidence) == bits_of(expected[t].confidence);
+        if (!same && mismatches++ == 0) {
+          ADD_FAILURE() << "lag " << lag << " beam " << beam << " window " << t
+                        << ": class " << out[t].value.class_idx << " vs "
+                        << expected[t].state << ", converged " << out[t].converged
+                        << " vs " << expected[t].converged << ", confidence "
+                        << out[t].confidence << " vs " << expected[t].confidence;
+        }
+        converged += out[t].converged ? 1 : 0;
+      }
+      EXPECT_EQ(mismatches, 0u) << "lag " << lag << " beam " << beam;
+      // The battery must exercise both commit kinds.
+      if (lag > 0) {
+        EXPECT_GT(converged, 0u) << "lag " << lag << " beam " << beam;
+        EXPECT_LT(converged, rows.size()) << "lag " << lag << " beam " << beam;
+      }
+    }
+  }
+}
+
+TEST(SequenceDecoderTest, SteadyStatePushAllocatesNothing) {
+  const auto prior = std::make_shared<core::IsaPrior>();
+  const std::size_t n = prior->num_classes();
+  std::vector<std::size_t> support(n);
+  std::iota(support.begin(), support.end(), std::size_t{0});
+  const std::vector<linalg::Vector> rows = isa_scale_rows(n, 400, 7);
+  for (const std::size_t beam : {std::size_t{0}, std::size_t{16}}) {
+    SequenceDecoderConfig cfg;
+    cfg.lag = 6;
+    cfg.beam = beam;
+    SequenceDecoder dec(support, prior, cfg);
+    std::vector<core::Disassembly> windows;
+    for (const linalg::Vector& row : rows) windows.push_back(make_window(row, support));
+    std::vector<SmoothedWindow> sink;
+    sink.reserve(windows.size());
+    const std::size_t warm = 100;
+    for (std::size_t i = 0; i < warm; ++i) {
+      dec.push(std::move(windows[i]));
+      while (auto w = dec.poll()) sink.push_back(std::move(*w));
+    }
+    const std::size_t before = t_allocations;
+    for (std::size_t i = warm; i < windows.size(); ++i) {
+      dec.push(std::move(windows[i]));
+      while (auto w = dec.poll()) sink.push_back(std::move(*w));
+    }
+    EXPECT_EQ(t_allocations - before, 0u) << "beam " << beam;
+    EXPECT_EQ(sink.size() + dec.pending(), windows.size());
+  }
 }
 
 // -- model-backed battery ----------------------------------------------------
