@@ -148,7 +148,7 @@ BaselineRun run_dedicated(const core::HierarchicalDisassembler& model,
   const Clock::time_point t0 = Clock::now();
   runtime::StreamingConfig scfg;
   scfg.workers = 1;
-  scfg.queue_capacity = 32;
+  scfg.max_in_flight = 32;
   std::vector<std::unique_ptr<runtime::StreamingDisassembler>> engines;
   engines.reserve(streams);
   for (std::size_t s = 0; s < streams; ++s) {
@@ -186,7 +186,7 @@ BaselineRun run_pooled(const core::HierarchicalDisassembler& model,
     drivers.emplace_back([&, d] {
       runtime::StreamingConfig scfg;
       scfg.workers = 1;
-      scfg.queue_capacity = 32;
+      scfg.max_in_flight = 32;
       runtime::StreamingDisassembler engine(model, scfg);
       for (std::size_t s = d; s < streams; s += driver_threads) {
         for (std::size_t w = 0; w < windows_per_stream; ++w) {

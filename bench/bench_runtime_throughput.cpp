@@ -79,7 +79,7 @@ int main() {
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     runtime::StreamingConfig scfg;
     scfg.workers = workers;
-    scfg.queue_capacity = 64;
+    scfg.max_in_flight = 64;
     runtime::StreamingDisassembler engine(model, scfg);
 
     const Clock::time_point ts = Clock::now();
@@ -119,7 +119,7 @@ int main() {
   for (const std::size_t batch : {1u, 4u, 16u, 64u}) {
     runtime::StreamingConfig scfg;
     scfg.workers = 4;
-    scfg.queue_capacity = 64;
+    scfg.max_in_flight = 64;
     runtime::StreamingDisassembler engine(model, scfg);
 
     const Clock::time_point ts = Clock::now();

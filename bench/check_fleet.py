@@ -3,7 +3,10 @@
 
 Usage: check_fleet.py CANDIDATE.json [BASELINE.json]
 
-Fails (exit 1) when an acceptance criterion flips to false, the fleet's
+Fails (exit 1) when the candidate ran at a different load than the baseline
+(its "config" block differs -- e.g. a SIDIS_FAST smoke run against the
+full-size baseline, whose coalescing and speedup bands it cannot meet), when
+an acceptance criterion flips to false, the fleet's
 throughput advantage over the engine-per-device deployment collapses, or the
 admission-control ledger stops closing.  Timing on shared CI machines is
 noisy, so throughput bands are deliberately wide (the criteria booleans,
@@ -48,6 +51,15 @@ def main(argv):
     candidate = json.loads(Path(argv[1]).read_text())
     baseline_path = argv[2] if len(argv) > 2 else str(Path(__file__).parent / "BENCH_fleet.json")
     baseline = json.loads(Path(baseline_path).read_text())
+
+    # Bands are fractions of the baseline's figures, which only mean
+    # something at the baseline's load: refuse to compare anything else.
+    if candidate.get("config") != baseline.get("config"):
+        print(f"FAIL: candidate config {candidate.get('config')} differs from the "
+              f"baseline config {baseline.get('config')}; rerun bench_fleet at the "
+              f"baseline's config (no SIDIS_FAST, no SIDIS_FLEET_* overrides)",
+              file=sys.stderr)
+        return 1
 
     failures = []
     rows = []

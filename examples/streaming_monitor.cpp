@@ -77,7 +77,7 @@ int main() {
   const auto model = registry.load("firmware-monitor");  // latest version
   runtime::StreamingConfig scfg;
   scfg.workers = 0;  // hardware concurrency
-  scfg.queue_capacity = 32;
+  scfg.max_in_flight = 32;
   runtime::StreamingDisassembler engine(model, scfg);
 
   std::printf("\nstreaming 20 executions of the monitored firmware...\n");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace sidis::runtime {
@@ -23,13 +22,13 @@ FleetFrontend::FleetFrontend(
   if (default_model_ == nullptr) {
     throw std::invalid_argument("FleetFrontend: null default model");
   }
-  default_stage_ = StreamingDisassembler::make_stage(default_model_, 0);
+  default_stage_ = make_stage(default_model_, 0);
   if (registry != nullptr) view_ = std::make_unique<RegistryView>(*registry);
   init_shards();
 }
 
-FleetFrontend::FleetFrontend(StreamingDisassembler::StageRef default_stage,
-                             FleetConfig config, const ModelRegistry* registry)
+FleetFrontend::FleetFrontend(StageRef default_stage, FleetConfig config,
+                             const ModelRegistry* registry)
     : config_(config), default_stage_(std::move(default_stage)) {
   if (default_stage_ == nullptr || !default_stage_->fn) {
     throw std::invalid_argument("FleetFrontend: null default stage");
@@ -47,28 +46,17 @@ void FleetFrontend::init_shards() {
   if (config_.shard_depth == 0) {
     config_.shard_depth = std::max<std::size_t>(4 * config_.batch_max, 64);
   }
-  // A batch must be able to fit the whole engine credit, or a full-width
-  // batch could only ever be admitted against an empty engine.
+  // A full-width batch must fit the shard credit, or it could only ever be
+  // dispatched against an idle shard.
   config_.shard_depth = std::max(config_.shard_depth, config_.batch_max);
-
-  StreamingConfig sc;
-  sc.workers = config_.workers_per_shard;
-  // queue_capacity == max_in_flight makes try_submit_batch hard
-  // non-blocking (see its doc) -- the dispatcher must never stall the
-  // submit/poll path behind a worker.
-  sc.queue_capacity = config_.shard_depth;
-  sc.max_in_flight = config_.shard_depth;
 
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->engine = std::make_unique<StreamingDisassembler>(default_stage_->fn, sc);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(config_.workers_per_shard));
   }
 }
 
-StreamingDisassembler::StageRef FleetFrontend::stage_for(const ResolvedModel& resolved,
-                                                         bool scored) {
+StageRef FleetFrontend::stage_for(const ResolvedModel& resolved, bool scored) {
   std::lock_guard lock(stage_cache_mutex_);
   const auto key = std::make_tuple(resolved.name, resolved.version, scored);
   const auto it = stage_cache_.find(key);
@@ -78,23 +66,21 @@ StreamingDisassembler::StageRef FleetFrontend::stage_for(const ResolvedModel& re
   // scored twin is a distinct stage (decode streams batch with decode
   // streams of the same artifact, never with plain ones -- emissions must be
   // all-or-nothing per batch).
-  auto stage =
-      StreamingDisassembler::make_stage(resolved.model, resolved.checksum, scored);
+  auto stage = make_stage(resolved.model, resolved.checksum, scored);
   stage_cache_.emplace(key, stage);
   return stage;
 }
 
-StreamingDisassembler::StageRef FleetFrontend::default_scored_stage() {
+StageRef FleetFrontend::default_scored_stage() {
   std::lock_guard lock(stage_cache_mutex_);
   if (default_scored_stage_ == nullptr) {
-    default_scored_stage_ =
-        StreamingDisassembler::make_stage(default_model_, 0, /*scored=*/true);
+    default_scored_stage_ = make_stage(default_model_, 0, /*scored=*/true);
   }
   return default_scored_stage_;
 }
 
 FleetFrontend::StreamId FleetFrontend::open_stream(StreamOptions options) {
-  StreamingDisassembler::StageRef stage;
+  StageRef stage;
   std::shared_ptr<const core::HierarchicalDisassembler> model;
   if (!options.model_name.empty()) {
     if (view_ == nullptr) {
@@ -145,7 +131,7 @@ FleetFrontend::StreamId FleetFrontend::open_stream(StreamOptions options) {
   StreamState state;
   state.stage = std::move(stage);
   state.monitor = std::move(monitor);
-  state.decoder = std::move(decoder);
+  state.out.set_decoder(std::move(decoder));
   shard.streams.emplace(id, std::move(state));
   ++shard.opened;
   return id;
@@ -168,37 +154,35 @@ AdmitResult FleetFrontend::submit(StreamId stream, sim::Trace trace) {
   if (s.outstanding() >= config_.stream_credit) {
     if (config_.admission == AdmissionPolicy::kRejectNew) {
       ++s.rejected;
-      ++shard.rejected;
+      ++shard.runner.stats().windows_rejected;
       result.status = AdmitStatus::kRejected;
       return result;
     }
-    // kShedOldest: reclaim the oldest window not yet inside the engine --
+    // kShedOldest: reclaim the oldest window not in the workers' hands --
     // oldest pending first (never classified, cheapest loss), else oldest
-    // ready (classified but undelivered).  Windows in the engine's hands
-    // cannot be recalled; if everything is in flight, refuse after all.
+    // ready (classified but undelivered).  Dispatched windows cannot be
+    // recalled; if everything is in flight, refuse after all.
     if (!s.pending.empty()) {
       s.pending.pop_front();
       --shard.pending_windows;
-    } else if (!s.ready.empty()) {
-      s.ready.pop_front();
+    } else if (!s.out.ready.empty()) {
+      s.out.ready.pop_front();
     } else {
       ++s.rejected;
-      ++shard.rejected;
+      ++shard.runner.stats().windows_rejected;
       result.status = AdmitStatus::kRejected;
       return result;
     }
     ++s.shed;
-    ++shard.shed;
+    ++shard.runner.stats().windows_shed;
     status = AdmitStatus::kAcceptedShedOldest;
   }
 
-  PendingWindow window;
-  window.stream_sequence = s.next_sequence++;
-  window.trace = std::move(trace);
-  window.admitted_at = Clock::now();
   result.status = status;
-  result.stream_sequence = window.stream_sequence;
-  s.pending.push_back(std::move(window));
+  result.stream_sequence = s.next_sequence++;
+  s.pending.push_back(
+      PendingWindow{Job::Route{stream, result.stream_sequence, Clock::now()},
+                    std::move(trace)});
   ++shard.pending_windows;
   ++s.admitted;
   ++shard.admitted;
@@ -212,17 +196,17 @@ AdmitResult FleetFrontend::submit(StreamId stream, sim::Trace trace) {
 
 void FleetFrontend::dispatch_locked(Shard& shard) {
   for (;;) {
-    const std::size_t in_flight = shard.engine->in_flight();
-    const std::size_t room = shard.engine->max_in_flight() - in_flight;
+    const std::size_t in_flight = shard.runner.unclassified();
+    const std::size_t room = config_.shard_depth - in_flight;
     if (room == 0 || shard.dispatch_queue.empty()) return;
-    // Adaptive coalescing: while every worker has queued work (the engine is
+    // Adaptive coalescing: while every worker has queued work (the shard is
     // not starving), hold pending windows back until a full batch_max batch
     // fits -- dispatching dribbles now would forfeit the classify_batch
     // amortization for zero latency gain, since the windows would only queue
-    // inside the engine instead.  The moment the engine runs low
+    // in the slot FIFO instead.  The moment the shard runs low
     // (in_flight < workers) anything pending goes out immediately, so light
     // load keeps per-window latency and saturated load gets full batches.
-    const bool starving = in_flight < shard.engine->workers();
+    const bool starving = in_flight < shard.runner.workers();
     if (!starving && (shard.pending_windows < config_.batch_max ||
                       room < config_.batch_max)) {
       return;
@@ -239,12 +223,10 @@ void FleetFrontend::dispatch_locked(Shard& shard) {
     // classify_batch amortization comes from.  Wrong-stage streams are
     // deferred to the head of the queue so the next turn picks them up
     // first.
-    sim::TraceSet batch;
-    std::vector<Route> routes;
-    StreamingDisassembler::StageRef stage;
+    Job job;
     std::vector<StreamId> wrong_stage;
     std::deque<StreamId> carousel;
-    while (batch.size() < cap) {
+    while (job.traces.size() < cap) {
       StreamId id = 0;
       if (!shard.dispatch_queue.empty()) {
         id = shard.dispatch_queue.front();
@@ -262,21 +244,16 @@ void FleetFrontend::dispatch_locked(Shard& shard) {
         s.queued_for_dispatch = false;
         continue;
       }
-      if (stage == nullptr) stage = s.stage;
-      if (s.stage != stage) {
+      if (job.stage == nullptr) job.stage = s.stage;
+      if (s.stage != job.stage) {
         wrong_stage.push_back(id);
         continue;
       }
-      PendingWindow window = std::move(s.pending.front());
+      PendingWindow& window = s.pending.front();
+      job.traces.push_back(std::move(window.trace));
+      job.routes.push_back(window.route);
       s.pending.pop_front();
       --shard.pending_windows;
-      Route route;
-      route.stream = id;
-      route.stream_sequence = window.stream_sequence;
-      route.admitted_at = window.admitted_at;
-      if (s.monitor != nullptr) route.trace = window.trace;
-      batch.push_back(std::move(window.trace));
-      routes.push_back(std::move(route));
       ++s.dispatched;
       if (!s.pending.empty()) {
         carousel.push_back(id);
@@ -288,92 +265,43 @@ void FleetFrontend::dispatch_locked(Shard& shard) {
       shard.dispatch_queue.push_front(*rit);
     }
     for (const StreamId id : carousel) shard.dispatch_queue.push_back(id);
-    if (batch.empty()) return;
-
-    const std::size_t n = batch.size();
-    const auto seq = shard.engine->try_submit_batch(std::move(batch), stage);
-    if (!seq.has_value()) {
-      // Unreachable while the engine runs (room was checked under the shard
-      // lock and the fleet is the engine's only producer); reachable only
-      // through external cancellation of the shard engine.  Account the
-      // windows as shed so delivered + shed == admitted still closes.
-      for (const Route& route : routes) {
-        const auto sit = shard.streams.find(route.stream);
-        if (sit != shard.streams.end()) {
-          --sit->second.dispatched;
-          ++sit->second.shed;
-        }
-        ++shard.shed;
-      }
-      return;
-    }
-    // Engine sequences [*seq, *seq + n) belong to these routes, in order;
-    // the engine emits in sequence order and the fleet is its only producer
-    // and consumer, so appending keeps `routes` aligned with poll() order.
-    (void)n;
-    for (Route& route : routes) shard.routes.push_back(std::move(route));
-  }
-}
-
-void FleetFrontend::append_decoded_locked(Shard& shard, StreamState& s,
-                                          SmoothedWindow&& w) {
-  DecodePending meta = s.decode_meta.front();
-  s.decode_meta.pop_front();
-  ReadyEntry entry;
-  entry.result.stream_sequence = meta.stream_sequence;
-  entry.result.value = std::move(w.value);
-  entry.result.model_stamp = meta.model_stamp;
-  entry.result.sequence_confidence = w.confidence;
-  entry.result.smoothed = w.smoothed;
-  entry.admitted_at = meta.admitted_at;
-  ++shard.decoded;
-  if (w.smoothed) ++shard.smoothed;
-  s.ready.push_back(std::move(entry));
-}
-
-void FleetFrontend::drain_decoder_locked(Shard& shard, StreamState& s) {
-  while (std::optional<SmoothedWindow> w = s.decoder->poll()) {
-    append_decoded_locked(shard, s, std::move(*w));
+    if (job.traces.empty()) return;
+    shard.runner.dispatch(std::move(job), /*batched=*/true);
   }
 }
 
 void FleetFrontend::pump_locked(Shard& shard) {
-  while (auto polled = shard.engine->poll()) {
-    Route route = std::move(shard.routes.front());
-    shard.routes.pop_front();
-    const auto it = shard.streams.find(route.stream);
-    if (it == shard.streams.end()) continue;
+  shard.runner.pump([&shard](const Job& job, std::size_t i, Ready ready) {
+    const auto it = shard.streams.find(job.routes[i].stream);
+    if (it == shard.streams.end()) return;
     StreamState& s = it->second;
     ++s.arrived;
-    if (s.monitor != nullptr && route.trace.has_value()) {
+    if (s.monitor != nullptr) {
       // Per-stream isolation: this stream's monitor sees only this stream's
       // windows, in this stream's delivery order.  The monitor observes the
       // RAW classification, before any lattice smoothing -- drift statistics
       // must reflect what the model actually said.
-      s.monitor->observe(*route.trace, polled->value);
+      s.monitor->observe(job.traces[i], ready.result.value);
       if (auto event = s.monitor->poll_event()) {
         s.events.push_back(*event);
         ++s.drift_events;
         ++shard.drift_events;
       }
     }
-    if (s.decoder != nullptr) {
-      // Per-stream lattice, fed in this stream's delivery order; whatever it
-      // has committed moves on to the ready queue.
-      s.decode_meta.push_back(DecodePending{route.stream_sequence,
-                                            polled->model_stamp,
-                                            route.admitted_at});
-      s.decoder->push(std::move(polled->value));
-      drain_decoder_locked(shard, s);
-      continue;
-    }
-    ReadyEntry entry;
-    entry.result.stream_sequence = route.stream_sequence;
-    entry.result.value = std::move(polled->value);
-    entry.result.model_stamp = polled->model_stamp;
-    entry.admitted_at = route.admitted_at;
-    s.ready.push_back(std::move(entry));
-  }
+    s.out.push(std::move(ready), shard.runner.stats());
+  });
+}
+
+FleetResult FleetFrontend::deliver_locked(Shard& shard, StreamState& s, Ready ready) {
+  ++s.delivered;
+  ++shard.delivered;
+  shard.admit_to_deliver.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           ready.admitted_at)
+          .count()));
+  StreamResult& r = ready.result;
+  return FleetResult{r.sequence, std::move(r.value), r.model_stamp,
+                     r.sequence_confidence, r.smoothed};
 }
 
 std::optional<FleetResult> FleetFrontend::poll(StreamId stream) {
@@ -382,17 +310,11 @@ std::optional<FleetResult> FleetFrontend::poll(StreamId stream) {
   pump_locked(shard);
   dispatch_locked(shard);
   const auto it = shard.streams.find(stream);
-  if (it == shard.streams.end() || it->second.ready.empty()) return std::nullopt;
+  if (it == shard.streams.end() || it->second.out.ready.empty()) return std::nullopt;
   StreamState& s = it->second;
-  ReadyEntry entry = std::move(s.ready.front());
-  s.ready.pop_front();
-  ++s.delivered;
-  ++shard.delivered;
-  shard.admit_to_deliver.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           entry.admitted_at)
-          .count()));
-  return std::move(entry.result);
+  Ready ready = std::move(s.out.ready.front());
+  s.out.ready.pop_front();
+  return deliver_locked(shard, s, std::move(ready));
 }
 
 std::optional<DriftEvent> FleetFrontend::poll_drift_event(StreamId stream) {
@@ -408,43 +330,31 @@ std::optional<DriftEvent> FleetFrontend::poll_drift_event(StreamId stream) {
 
 std::vector<FleetResult> FleetFrontend::close_stream(StreamId stream) {
   Shard& shard = shard_of(stream);
-  for (;;) {
-    {
-      std::lock_guard lock(shard.mutex);
-      const auto it = shard.streams.find(stream);
-      if (it == shard.streams.end()) return {};
-      it->second.closing = true;
-      pump_locked(shard);
-      dispatch_locked(shard);
-      StreamState& s = it->second;
-      if (s.pending.empty() && s.dispatched == s.arrived) {
-        if (s.decoder != nullptr) {
-          // The stream is over: finish the lattice with the decoder's
-          // offline tail pass so every admitted window is delivered.
-          for (SmoothedWindow& w : s.decoder->flush()) {
-            append_decoded_locked(shard, s, std::move(w));
-          }
-        }
-        const auto now = Clock::now();
-        std::vector<FleetResult> tail;
-        tail.reserve(s.ready.size());
-        for (ReadyEntry& entry : s.ready) {
-          ++shard.delivered;
-          shard.admit_to_deliver.record(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  now - entry.admitted_at)
-                  .count()));
-          tail.push_back(std::move(entry.result));
-        }
-        ++shard.closed;
-        shard.streams.erase(it);
-        return tail;
-      }
-      // In-flight windows remain: release the lock so workers can classify
-      // and retry (pump_locked above makes progress every turn).
-    }
-    std::this_thread::yield();
+  std::unique_lock lock(shard.mutex);
+  auto it = shard.streams.find(stream);
+  if (it == shard.streams.end()) return {};
+  it->second.closing = true;
+  // Pump and dispatch until every window of the stream is back, sleeping
+  // while workers still hold some (the wait releases the shard lock).
+  shard.runner.wait(lock, [&] {
+    pump_locked(shard);
+    dispatch_locked(shard);
+    it = shard.streams.find(stream);
+    return it == shard.streams.end() ||
+           (it->second.pending.empty() && it->second.dispatched == it->second.arrived);
+  });
+  if (it == shard.streams.end()) return {};  // closed by a concurrent call
+  StreamState& s = it->second;
+  // The stream is over: finish the lattice with the decoder's offline tail
+  // pass so every admitted window is delivered.
+  s.out.flush(shard.runner.stats());
+  std::vector<FleetResult> tail;
+  for (Ready& ready : s.out.ready) {
+    tail.push_back(deliver_locked(shard, s, std::move(ready)));
   }
+  ++shard.closed;
+  shard.streams.erase(it);
+  return tail;
 }
 
 StreamStats FleetFrontend::stream_stats(StreamId stream) const {
@@ -473,25 +383,12 @@ FleetStats FleetFrontend::stats() const {
     out.streams_live += shard.streams.size();
     out.windows_admitted += shard.admitted;
     out.windows_delivered += shard.delivered;
-    out.windows_shed += shard.shed;
-    out.windows_rejected += shard.rejected;
     out.drift_events += shard.drift_events;
     out.admit_to_deliver.merge(shard.admit_to_deliver);
-    out.runtime.merge(shard.engine->stats());
+    out.runtime.merge(shard.runner.stats());
   }
-  // The shard engines never shed (the frontend does, before they see the
-  // window) -- mirror the frontend's admission outcomes into the merged
-  // runtime record so one snapshot tells the whole story.  Sequence decoding
-  // likewise happens frontend-side (per-stream lattices), so those counters
-  // are mirrored too.
-  out.runtime.windows_shed = out.windows_shed;
-  out.runtime.windows_rejected = out.windows_rejected;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    std::lock_guard lock(shard.mutex);
-    out.runtime.windows_decoded += shard.decoded;
-    out.runtime.windows_smoothed += shard.smoothed;
-  }
+  out.windows_shed = out.runtime.windows_shed;
+  out.windows_rejected = out.runtime.windows_rejected;
   if (view_ != nullptr) out.models_cached = view_->models_cached();
   return out;
 }

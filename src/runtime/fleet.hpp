@@ -1,5 +1,5 @@
 // Fleet-scale multi-tenant serving frontend: many logical device streams
-// multiplexed onto a few shared StreamingDisassembler worker shards.
+// multiplexed onto a few worker shards.
 //
 // The paper watches ONE device; the production problem is a fleet.  A
 // thousand monitored devices each emit a few windows per second -- far too
@@ -12,31 +12,32 @@
 //        |
 //   submit(stream, window)                   admission control (credit,
 //        |                                   shed-oldest / reject-new)
-//   [per-shard pending queues]
+//   [per-stream pending queues]
 //        |
-//   shard scheduler                          coalesces windows of many
-//        |                                   streams with the SAME model
-//   StreamingDisassembler::submit_batch      into one batched classify pass
-//        |
-//   route table -> per-stream ready queues   per-stream in-order delivery
+//   shard dispatcher                         coalesces windows of many
+//        |                                   streams with the SAME stage
+//   JobRunner::dispatch(job)                 into one batched classify pass;
+//        |                                   each window carries its route
+//   slot FIFO -> per-stream DeliveryQueue    (stream, sequence, admit time)
 //        |
 //   poll(stream) / close_stream(stream)
 //
-// Routing and shards.  Streams are assigned round-robin to `shards`
-// StreamingDisassembler engines (stream id modulo shard count); each shard
-// owns its engine exclusively (the shard lock serializes submits and polls,
-// satisfying the engine's single-consumer contract) while the engine's own
-// worker pool provides the parallelism.  All shard state -- per-stream
-// queues, the route table mapping engine sequences back to streams, the
-// dispatch round-robin -- lives under one mutex per shard, so streams on
-// different shards never contend.
+// Shards.  Streams are assigned round-robin to `shards` shards (stream id
+// modulo shard count).  Each shard owns a JobRunner with
+// `workers_per_shard` threads (runtime/job_runner.hpp) and ONE mutex that
+// guards everything on the shard: per-stream queues, the dispatch
+// round-robin and the runner's slot FIFO, whose workers take the same lock
+// to pick a job up and to complete it.  Streams on different shards never
+// contend.  A finished job is pumped off the head of the FIFO in dispatch
+// order and each window goes straight to its own stream by the route it
+// carries, so there is no second reorder stage and no route table.
 //
 // Batching.  The dispatcher drains pending windows round-robin across the
 // shard's streams -- every queued stream contributes one window before any
 // stream contributes a second (fairness) -- packing up to batch_max windows
-// that share a model stage into one submit_batch call; when fewer streams
-// are queued than the batch has room, the round-robin keeps cycling so deep
-// per-stream backlogs still fill batches.
+// that share a model stage into one job; when fewer streams are queued than
+// the batch has room, the round-robin keeps cycling so deep per-stream
+// backlogs still fill batches.
 // Streams serving different models are never mixed into one batch -- a batch
 // is classified by exactly one model -- but they interleave batch-by-batch
 // on the same shard.  Batch grouping depends on arrival timing and is NOT
@@ -47,17 +48,18 @@
 // Admission control.  Each stream holds at most `stream_credit` undelivered
 // windows (pending + in flight + ready).  Over-credit submissions either
 // shed the oldest reclaimable window (kShedOldest: oldest pending, else
-// oldest ready; windows already inside the engine cannot be reclaimed) or
-// are refused (kRejectNew).  Shedding is per-stream: one device flooding its
-// credit never steals another stream's capacity, because shard engine depth
-// is only consumed by dispatch, which is fair.  Counts surface per stream
-// (StreamStats), per fleet (FleetStats), and mirrored into
+// oldest ready; windows already dispatched cannot be reclaimed) or are
+// refused (kRejectNew).  Shedding is per-stream: one device flooding its
+// credit never steals another stream's capacity, because shard depth (the
+// shard's one in-flight credit) is only consumed by dispatch, which is fair.
+// Counts surface per stream (StreamStats), per fleet (FleetStats), and in
 // RuntimeStats::windows_shed / windows_rejected.
 //
 // Drift isolation.  A stream opened with monitor_drift gets its OWN
 // DriftMonitor bound to its own model; observations are fed in delivery
-// order during result pump-back, so one drifting device raises its own
-// events (poll_drift_event) and never contaminates a neighbor's statistics.
+// order during result pump-back, straight from the finished job's window,
+// so one drifting device raises its own events (poll_drift_event) and never
+// contaminates a neighbor's statistics.
 //
 // Thread-safety contract: every public method is safe from any thread; the
 // shard mutex serializes internally.  Calls for ONE stream should come from
@@ -82,8 +84,8 @@
 #include <vector>
 
 #include "runtime/drift.hpp"
+#include "runtime/job_runner.hpp"
 #include "runtime/registry_view.hpp"
-#include "runtime/streaming.hpp"
 
 namespace sidis::runtime {
 
@@ -96,19 +98,18 @@ enum class AdmissionPolicy : std::uint8_t {
 std::string to_string(AdmissionPolicy policy);
 
 struct FleetConfig {
-  /// Worker shards (independent engines); streams spread round-robin.
+  /// Worker shards; streams spread round-robin.
   std::size_t shards = 2;
-  /// Worker threads per shard engine.
+  /// Worker threads per shard.
   std::size_t workers_per_shard = 2;
-  /// Max windows coalesced into one submit_batch call.
+  /// Max windows coalesced into one batched classify pass.
   std::size_t batch_max = 16;
   /// Per-stream cap on admitted-but-undelivered windows (pending + in
   /// flight + ready).
   std::size_t stream_credit = 32;
   AdmissionPolicy admission = AdmissionPolicy::kRejectNew;
-  /// Shard engine in-flight credit (0 = max(4 * batch_max, 64)).  The engine
-  /// queue capacity is set equal, which makes try_submit_batch hard
-  /// non-blocking (see StreamingDisassembler::try_submit_batch).
+  /// The shard's one in-flight credit: windows dispatched to its workers but
+  /// not yet classified (0 = max(4 * batch_max, 64); never below batch_max).
   std::size_t shard_depth = 0;
 };
 
@@ -177,7 +178,7 @@ struct StreamStats {
   std::uint64_t outstanding = 0;  ///< admitted - delivered - shed
 };
 
-/// Fleet-wide snapshot: frontend counters plus the merged shard engines.
+/// Fleet-wide snapshot: frontend counters plus the shards' runtime records.
 struct FleetStats {
   std::uint64_t streams_opened = 0;
   std::uint64_t streams_closed = 0;
@@ -188,8 +189,9 @@ struct FleetStats {
   std::uint64_t windows_rejected = 0;
   std::uint64_t drift_events = 0;
   std::size_t models_cached = 0;  ///< distinct artifacts in the registry view
-  /// Merged shard-engine stats; windows_shed / windows_rejected above are
-  /// mirrored into the corresponding RuntimeStats fields.
+  /// Every shard's runtime record summed: dispatch, classify, decode and
+  /// admission counters (windows_shed / windows_rejected above are read
+  /// from it).
   RuntimeStats runtime;
   /// submit() admission -> poll() delivery, per window.
   LatencyHistogram admit_to_deliver;
@@ -209,10 +211,10 @@ class FleetFrontend {
   /// Stage-backed fleet (tests, alternative backends): streams opened
   /// without a model_name run `default_stage`; monitor_drift requires a
   /// model-backed stream, so it only works with a registry here.
-  FleetFrontend(StreamingDisassembler::StageRef default_stage,
-                FleetConfig config = {}, const ModelRegistry* registry = nullptr);
+  FleetFrontend(StageRef default_stage, FleetConfig config = {},
+                const ModelRegistry* registry = nullptr);
 
-  /// Stops the shard engines; undelivered results of still-open streams are
+  /// Stops the shard workers; undelivered results of still-open streams are
   /// discarded (close_stream first when every window must come back).
   ~FleetFrontend();
 
@@ -247,7 +249,7 @@ class FleetFrontend {
   /// Telemetry of one stream (zeros for unknown streams).
   StreamStats stream_stats(StreamId stream) const;
 
-  /// Fleet-wide snapshot (merges every shard engine; see FleetStats).
+  /// Fleet-wide snapshot (sums every shard; see FleetStats).
   FleetStats stats() const;
 
   const FleetConfig& config() const { return config_; }
@@ -255,43 +257,18 @@ class FleetFrontend {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Admitted window awaiting dispatch.
+  /// Admitted window awaiting dispatch, with the route its result takes.
   struct PendingWindow {
-    std::uint64_t stream_sequence = 0;
+    Job::Route route;
     sim::Trace trace;
-    Clock::time_point admitted_at;
-  };
-  /// Classified window awaiting delivery.
-  struct ReadyEntry {
-    FleetResult result;
-    Clock::time_point admitted_at;
-  };
-  /// Maps one dispatched engine sequence back to its stream.  Routes are
-  /// consumed strictly in engine-sequence order (the shard lock makes the
-  /// fleet the engine's only producer, so engine sequences are contiguous).
-  struct Route {
-    StreamId stream = 0;
-    std::uint64_t stream_sequence = 0;
-    Clock::time_point admitted_at;
-    /// Kept only for monitored streams (the monitor needs the raw window).
-    std::optional<sim::Trace> trace;
-  };
-  /// Delivery metadata for a window inside a stream's sequence decoder
-  /// (emission order is push order, so a FIFO stays aligned).
-  struct DecodePending {
-    std::uint64_t stream_sequence = 0;
-    std::uint64_t model_stamp = 0;
-    Clock::time_point admitted_at;
   };
   struct StreamState {
-    StreamingDisassembler::StageRef stage;  ///< always non-null
+    StageRef stage;  ///< always non-null
     std::unique_ptr<DriftMonitor> monitor;
-    /// Per-stream lattice smoother (decode_sequence streams only), fed in
-    /// delivery order between the drift monitor and the ready queue.
-    std::unique_ptr<SequenceDecoder> decoder;
-    std::deque<DecodePending> decode_meta;
+    /// Ready results in delivery order, behind a per-stream lattice smoother
+    /// for decode_sequence streams.
+    DeliveryQueue out;
     std::deque<PendingWindow> pending;
-    std::deque<ReadyEntry> ready;
     std::deque<DriftEvent> events;
     std::uint64_t next_sequence = 0;
     std::uint64_t admitted = 0;
@@ -299,31 +276,29 @@ class FleetFrontend {
     std::uint64_t shed = 0;
     std::uint64_t rejected = 0;
     std::uint64_t drift_events = 0;
-    std::uint64_t dispatched = 0;  ///< handed to the engine
-    std::uint64_t arrived = 0;     ///< pumped back from the engine
+    std::uint64_t dispatched = 0;  ///< handed to the shard's workers
+    std::uint64_t arrived = 0;     ///< pumped back into `out`
     bool queued_for_dispatch = false;
     bool closing = false;
 
     std::uint64_t outstanding() const { return admitted - delivered - shed; }
   };
   struct Shard {
+    explicit Shard(std::size_t workers) : runner(mutex, workers) {}
+
     mutable std::mutex mutex;
-    std::unique_ptr<StreamingDisassembler> engine;
     std::map<StreamId, StreamState> streams;
-    std::deque<Route> routes;             ///< engine-sequence order
     std::deque<StreamId> dispatch_queue;  ///< streams with pending windows
     std::size_t pending_windows = 0;      ///< total windows awaiting dispatch
-    // Shard-lifetime aggregates (survive stream close).
+    // Shard-lifetime aggregates (survive stream close); shed / rejected /
+    // decode counts go straight into runner.stats().
     std::uint64_t opened = 0;
     std::uint64_t closed = 0;
     std::uint64_t admitted = 0;
     std::uint64_t delivered = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t rejected = 0;
     std::uint64_t drift_events = 0;
-    std::uint64_t decoded = 0;   ///< windows emitted through stream decoders
-    std::uint64_t smoothed = 0;  ///< of those, class rewritten
     LatencyHistogram admit_to_deliver;
+    JobRunner runner;  ///< last member: joins its workers before teardown
   };
 
   void init_shards();
@@ -331,36 +306,31 @@ class FleetFrontend {
   const Shard& shard_of(StreamId stream) const {
     return *shards_[stream % shards_.size()];
   }
-  /// Drains completed engine results into per-stream ready queues, feeding
-  /// drift monitors along the way.  Caller holds the shard mutex.
+  /// Pumps finished jobs into per-stream delivery queues, feeding drift
+  /// monitors along the way.  Caller holds the shard mutex.
   void pump_locked(Shard& shard);
-  /// Coalesces pending windows into model-homogeneous batches while the
-  /// engine has credit.  Caller holds the shard mutex.
+  /// Coalesces pending windows into stage-homogeneous jobs while the shard
+  /// has credit.  Caller holds the shard mutex.
   void dispatch_locked(Shard& shard);
-  /// Converts the decoder's next emission + the aligned DecodePending into a
-  /// ReadyEntry on the stream's queue.  Caller holds the shard mutex.
-  void append_decoded_locked(Shard& shard, StreamState& s, SmoothedWindow&& w);
-  /// Drains everything the stream's decoder has decided.  Caller holds the
-  /// shard mutex.
-  void drain_decoder_locked(Shard& shard, StreamState& s);
+  /// Hands one ready result to the caller, closing its ledger entry.
+  /// Caller holds the shard mutex.
+  static FleetResult deliver_locked(Shard& shard, StreamState& s, Ready ready);
   /// Per-(bundle, version, scored) stage cache so streams serving the same
   /// artifact share one StageRef -- stage identity is what lets the
   /// dispatcher batch them together.  `scored` selects the posterior-scoring
   /// entry points (decode_sequence streams).
-  StreamingDisassembler::StageRef stage_for(const ResolvedModel& resolved,
-                                            bool scored);
+  StageRef stage_for(const ResolvedModel& resolved, bool scored);
   /// Scored twin of the fleet's default stage, built lazily (model-backed
   /// fleets only).
-  StreamingDisassembler::StageRef default_scored_stage();
+  StageRef default_scored_stage();
 
   FleetConfig config_;
   std::shared_ptr<const core::HierarchicalDisassembler> default_model_;
-  StreamingDisassembler::StageRef default_stage_;
+  StageRef default_stage_;
   std::unique_ptr<RegistryView> view_;  ///< null without a registry
   std::mutex stage_cache_mutex_;
-  std::map<std::tuple<std::string, int, bool>, StreamingDisassembler::StageRef>
-      stage_cache_;
-  StreamingDisassembler::StageRef default_scored_stage_;  ///< lazy, under cache mutex
+  std::map<std::tuple<std::string, int, bool>, StageRef> stage_cache_;
+  StageRef default_scored_stage_;  ///< lazy, under cache mutex
   std::atomic<StreamId> next_stream_id_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -64,7 +64,8 @@ class LatencyHistogram {
   std::uint64_t max_nanos_ = 0;
 };
 
-/// Point-in-time snapshot of a StreamingDisassembler's counters.  Plain
+/// Point-in-time snapshot of a JobRunner owner's counters (a
+/// StreamingDisassembler, or a FleetFrontend summed over its shards).  Plain
 /// values -- safe to copy around, print, or diff between two instants.
 struct RuntimeStats {
   std::uint64_t traces_submitted = 0;  ///< accepted by submit()
@@ -90,9 +91,9 @@ struct RuntimeStats {
   std::uint64_t drift_events = 0;
   std::uint64_t recalibrations = 0;
   std::uint64_t recal_traces_spent = 0;
-  /// Batched submissions (submit_batch): calls accepted and the windows
-  /// they carried.  batch_windows / batches_submitted is the realized
-  /// coalescing factor of a fleet shard.
+  /// Batched submissions (submit_batch calls, or fleet dispatches): jobs
+  /// accepted and the windows they carried.  batch_windows /
+  /// batches_submitted is the realized coalescing factor of a fleet shard.
   std::uint64_t batches_submitted = 0;
   std::uint64_t batch_windows = 0;
   /// Batch-amortization telemetry of the worker pool: how many windows each
@@ -112,22 +113,22 @@ struct RuntimeStats {
   /// them had their class rewritten by the transition prior.
   std::uint64_t windows_decoded = 0;
   std::uint64_t windows_smoothed = 0;
-  /// Admission-control outcomes, filled by the multi-tenant frontend when it
-  /// aggregates shard stats (a bare engine never sheds -- it blocks):
+  /// Admission-control outcomes, counted by the multi-tenant frontend (a
+  /// bare engine never sheds -- it blocks):
   /// windows shed after admission (kShedOldest reclaiming credit) and
   /// submissions refused outright (kRejectNew, or nothing sheddable).
   std::uint64_t windows_shed = 0;
   std::uint64_t windows_rejected = 0;
-  std::size_t queue_depth_high_water = 0;     ///< work-queue backlog peak
+  std::size_t queue_depth_high_water = 0;     ///< jobs awaiting a worker, peak
   std::size_t in_flight_high_water = 0;       ///< accepted-not-yet-classified peak
   std::size_t workers = 0;
   LatencyHistogram queue_wait;   ///< submit -> worker pickup
   LatencyHistogram classify;     ///< feature extraction + hierarchy walk
-  LatencyHistogram end_to_end;   ///< submit -> in-order emission
+  LatencyHistogram end_to_end;   ///< admission -> ready for the consumer
 
   /// Folds another snapshot into this one: counters add, histograms merge,
   /// high-water marks take the max, workers add.  How FleetFrontend
-  /// aggregates its shard engines into one fleet-wide record.
+  /// sums its shards into one fleet-wide record.
   void merge(const RuntimeStats& other);
 
   /// Multi-line human-readable report.

@@ -1,5 +1,5 @@
-// Parallel streaming disassembly engine -- the serving layer between
-// `core::disassemble` and a live trace stream.
+// Parallel streaming disassembly engine -- the single-stream serving layer
+// between `core::disassemble` and a live trace stream.
 //
 // The paper's real-time framing (Sec. 5.4) is a producer/consumer problem:
 // per-instruction windows arrive at capture rate, classification costs a few
@@ -8,13 +8,17 @@
 // the one property a disassembler cannot lose: *output order is submission
 // order*, no matter how out-of-order the workers complete.
 //
-//   submit(trace) -> seq       bounded, blocking backpressure
-//        |                     (BoundedQueue + in-flight credits)
-//     [worker pool]            model.classify per trace, any order
-//        |
-//   reorder buffer             seq -> result, emitted strictly in order
+//   submit(trace) -> seq       blocking backpressure on ONE in-flight
+//        |                     credit (max_in_flight)
+//   JobRunner slot FIFO        workers classify jobs in any order; finished
+//        |                     slots leave the head in submission order
+//   DeliveryQueue              optional sequence decoding, then ready FIFO
 //        |
 //   poll() / drain()           consumer side; drain() waits everything out
+//
+// The job runner and delivery queue are the same ones every FleetFrontend
+// shard runs on (runtime/job_runner.hpp); the engine adds the blocking
+// admission, hot swaps, the acquisition-stamp contract and the stop token.
 //
 // Thread-safety contract: any number of producer threads may call submit()
 // concurrently; poll()/drain() belong to ONE consumer thread; stats() and
@@ -22,28 +26,18 @@
 // read-only across workers (see the contract note in core/hierarchical.hpp).
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stop_token>
-#include <thread>
 #include <vector>
 
 #include "core/hierarchical.hpp"
 #include "core/sequence.hpp"
-
-namespace sidis::core {
-class FusedDisassembler;
-}
-#include "runtime/bounded_queue.hpp"
 #include "runtime/decoder.hpp"
+#include "runtime/job_runner.hpp"
 #include "runtime/stats.hpp"
 #include "sim/acq_config.hpp"
 #include "sim/trace.hpp"
@@ -53,89 +47,32 @@ namespace sidis::runtime {
 struct StreamingConfig {
   /// Worker threads (0 = hardware concurrency).
   std::size_t workers = 0;
-  /// Work-queue capacity; submit() blocks when this many traces await a
-  /// worker.  Small on purpose -- the queue is a shock absorber, not a lake.
-  std::size_t queue_capacity = 64;
-  /// Cap on accepted-but-not-yet-classified traces (0 = queue_capacity +
-  /// 2 x workers) -- queue backlog plus work in workers' hands.  Classified
-  /// results waiting for the consumer live in the reorder buffer, which a
-  /// consumer bounds by polling at least as often as it submits (the
-  /// single-threaded submit/poll loop does exactly that); deliberately NOT
-  /// part of this credit, or a producer thread that is also the consumer
-  /// would deadlock itself at capacity.
+  /// The one in-flight credit (0 = 64 + 2 x workers): accepted but not yet
+  /// classified windows, whether waiting for a worker or in its hands.
+  /// submit() blocks while it is used up.  Classified results waiting for
+  /// the consumer are deliberately NOT part of it -- a consumer bounds them
+  /// by polling at least as often as it submits (the single-threaded
+  /// submit/poll loop does exactly that), and a producer thread that is
+  /// also the consumer would otherwise deadlock itself at capacity.
   std::size_t max_in_flight = 0;
   /// When set, every submitted window must carry this acquisition stamp
   /// (TraceMeta::samples_per_cycle / adc_bits, written by the capture
-  /// campaign) and the matching window length; any submit/enqueue overload
-  /// throws std::invalid_argument otherwise, before a sequence number is
-  /// reserved.  Guards a fleet against mixing corpora captured at different
-  /// front-end configurations behind one model -- templates fitted on one
-  /// grid silently misclassify windows from another.
+  /// campaign) and the matching window length; submit/submit_batch throw
+  /// std::invalid_argument otherwise, before a sequence number is reserved.
+  /// Guards a fleet against mixing corpora captured at different front-end
+  /// configurations behind one model -- templates fitted on one grid
+  /// silently misclassify windows from another.
   std::optional<sim::AcquisitionConfig> expected_acquisition;
-};
-
-/// One in-order result: `sequence` is the submit() ticket it answers.
-struct StreamResult {
-  std::uint64_t sequence = 0;
-  core::Disassembly value;
-  /// Stamp of the classification stage that produced this result (the stamp
-  /// passed to swap_classifier/swap_model; 0 for the construction-time stage
-  /// and unstamped swaps).  Pinned together with the stage function, so a
-  /// result's stamp always identifies the exact model that classified it --
-  /// never a concurrently published successor.
-  std::uint64_t model_stamp = 0;
-  /// Max-marginal sequence confidence when sequence decoding is enabled
-  /// (SmoothedWindow::confidence); +inf otherwise, and for pass-through
-  /// windows that carried no posterior.
-  double sequence_confidence = std::numeric_limits<double>::infinity();
-  /// True when the sequence decoder rewrote this window's class.
-  bool smoothed = false;
 };
 
 class StreamingDisassembler {
  public:
-  /// Classification stage, pluggable for tests (adversarial delays) and for
-  /// alternative backends; the model overload wraps model.classify.
-  using ClassifyFn = std::function<core::Disassembly(const sim::Trace&)>;
-  /// Batched stage: classifies N windows in one call, returning exactly N
-  /// results in input order (core::HierarchicalDisassembler::classify_batch
-  /// amortizes workspace setup and per-trace normalization this way).
-  using BatchClassifyFn =
-      std::function<std::vector<core::Disassembly>(const sim::TraceSet&)>;
-
-  /// Classification stage + its identity stamp, swapped and pinned as one
-  /// unit (see swap_classifier).  `fn` is required; `batch`, when absent,
-  /// falls back to looping `fn` per window.  Public so multi-tenant callers
-  /// (FleetFrontend) can pin per-batch stages for many models on one engine.
-  struct Stage {
-    ClassifyFn fn;
-    BatchClassifyFn batch;
-    std::uint64_t stamp = 0;
-  };
-  /// Stages are immutable once published and shared between the publisher,
-  /// the engine, and every in-flight job.
-  using StageRef = std::shared_ptr<const Stage>;
-
-  /// Builds a model-backed stage (classify + classify_batch closures, or
-  /// classify_scored + classify_batch_scored when `scored`, so every result
-  /// carries the per-class log-posterior a SequenceDecoder needs).  The
-  /// shared_ptr keeps the model alive as long as any job can still run it.
-  static StageRef make_stage(
-      std::shared_ptr<const core::HierarchicalDisassembler> model,
-      std::uint64_t stamp = 0, bool scored = false);
-
-  /// Multimodal stage backed by a core::FusedDisassembler: each submitted
-  /// trace is treated as a paired power+EM window (Trace::em_samples); a
-  /// window without an EM half degrades to the power channel per the fusion
-  /// contract.  The engine, FleetFrontend shards, and swap paths are
-  /// modality-agnostic.
-  static StageRef make_stage(std::shared_ptr<const core::FusedDisassembler> model,
-                             std::uint64_t stamp = 0, bool scored = false);
-
   /// The model must outlive the engine and is shared read-only by all
   /// workers.  An already-stopped `stop` token starts the engine stopped.
   StreamingDisassembler(const core::HierarchicalDisassembler& model,
                         StreamingConfig config = {}, std::stop_token stop = {});
+  /// Scalar-only stage, pluggable for tests (adversarial delays) and for
+  /// alternative backends.
   StreamingDisassembler(ClassifyFn classify, StreamingConfig config = {},
                         std::stop_token stop = {});
   /// Stage-backed engine (make_stage result).  Throws
@@ -161,24 +98,11 @@ class StreamingDisassembler {
   /// feature-extraction + classify pass amortized over N windows), and the
   /// windows occupy sequences [ret, ret + n) in the ordinary in-order
   /// delivery stream -- poll()/drain() interleave batched and single
-  /// submissions transparently.  `stage`, when non-null, overrides the
-  /// engine's current stage for this batch only; this is how a multi-tenant
-  /// frontend serves many models on one shared worker pool.  Blocks on the
-  /// in-flight credit like submit(); a batch larger than the whole credit is
-  /// admitted only once the engine is empty (it can never fit "partially").
-  /// Throws std::invalid_argument on an empty batch.
-  std::optional<std::uint64_t> submit_batch(sim::TraceSet traces,
-                                            StageRef stage = nullptr);
-
-  /// Non-blocking admission variant: refuses (nullopt) instead of waiting
-  /// when the batch exceeds the available in-flight credit or the engine is
-  /// stopped.  Note: with queue_capacity < max_in_flight the subsequent
-  /// queue push can still block briefly; configure queue_capacity >=
-  /// max_in_flight (the FleetFrontend shard configuration) for a hard
-  /// non-blocking guarantee -- batches then always fit the queue, because
-  /// queued jobs never hold more windows than the in-flight credit admitted.
-  std::optional<std::uint64_t> try_submit_batch(sim::TraceSet traces,
-                                                StageRef stage = nullptr);
+  /// submissions transparently.  Blocks on the in-flight credit like
+  /// submit(); a batch larger than the whole credit is admitted only once
+  /// the engine is empty (it can never fit "partially").  Throws
+  /// std::invalid_argument on an empty batch.
+  std::optional<std::uint64_t> submit_batch(sim::TraceSet traces);
 
   /// Turns on lattice smoothing: in-order results flow through a bounded-lag
   /// SequenceDecoder before poll()/drain() emit them, so each verdict is
@@ -215,15 +139,15 @@ class StreamingDisassembler {
 
   /// Atomically replaces the classification stage while the engine runs --
   /// how a monitor publishes a recalibrated template set without dropping a
-  /// single window.  Workers pick up the new stage at their next job;
-  /// classifications already in progress finish with the stage they started
-  /// with, so every result comes from exactly one coherent model.  Safe from
-  /// any thread; counted in RuntimeStats::model_swaps.
+  /// single window.  Every window accepted after the swap is classified by
+  /// the new stage; windows accepted before it finish with the stage they
+  /// were admitted under, so every result comes from exactly one coherent
+  /// model.  Safe from any thread; counted in RuntimeStats::model_swaps.
   ///
   /// `stamp` identifies the published stage (e.g. the registry artifact
   /// checksum) and is reported back on every result it classifies
   /// (StreamResult::model_stamp).  Function and stamp live in ONE shared
-  /// stage record that workers pin as a unit -- reading them separately
+  /// stage record that each job pins as a unit -- reading them separately
   /// raced: a registry checksum snapshot taken after the stage pointer could
   /// describe a concurrently published successor model.
   void swap_classifier(ClassifyFn classify, std::uint64_t stamp = 0);
@@ -247,96 +171,27 @@ class StreamingDisassembler {
   /// Consistent snapshot of counters and latency histograms.
   RuntimeStats stats() const;
 
-  std::size_t workers() const { return threads_.size(); }
-  /// Accepted-but-not-yet-classified windows right now (in-flight credit in
-  /// use).  A single-producer caller (FleetFrontend owns its shard engines
-  /// exclusively) can treat `max_in_flight() - in_flight()` as guaranteed
-  /// admission room.
-  std::size_t in_flight() const;
-  std::size_t max_in_flight() const { return config_.max_in_flight; }
+  std::size_t workers() const { return runner_.workers(); }
 
  private:
-  using Clock = std::chrono::steady_clock;
-  /// One unit of worker work: a single window or a coalesced batch.  The
-  /// batch spans sequences [sequence, sequence + traces.size()).
-  struct Job {
-    std::uint64_t sequence = 0;
-    sim::TraceSet traces;
-    StageRef stage;  ///< batch-pinned stage; null = engine stage at pickup
-    Clock::time_point submitted_at;
-  };
-  struct Pending {
-    core::Disassembly value;
-    Clock::time_point submitted_at;
-    std::uint64_t model_stamp = 0;
-  };
-  /// Delivery metadata travelling alongside a window inside the sequence
-  /// decoder (the decoder only sees Disassembly).  Decoder emission order is
-  /// push order, so a FIFO stays aligned with the lattice.
-  struct DecodeMeta {
-    std::uint64_t sequence = 0;
-    std::uint64_t model_stamp = 0;
-    Clock::time_point submitted_at;
-  };
+  /// Shared admission path of submit/submit_batch.
+  std::optional<std::uint64_t> enqueue(sim::TraceSet traces, bool batched);
+  /// Moves finished jobs into the delivery queue; caller holds mutex_.
+  void pump_locked();
+  void publish(StageRef stage);
 
-  void worker_loop();
-  /// Shared admission path of submit/submit_batch/try_submit_batch.
-  std::optional<std::uint64_t> enqueue(sim::TraceSet traces, StageRef stage,
-                                       bool blocking, bool batched);
-  /// Pops ready in-order results into `out`; caller holds mutex_.  With a
-  /// decoder installed, feeds them through it and pops what it has decided.
-  void collect_ready_locked(std::vector<StreamResult>& out);
-  /// Moves every ready in-order result into the decoder; caller holds mutex_.
-  void feed_decoder_locked();
-  /// Converts the decoder's next emission + the aligned DecodeMeta into a
-  /// StreamResult, recording latency and smoothing counters.
-  StreamResult finish_decoded_locked(SmoothedWindow&& w);
-
-  /// Shared with workers job-by-job: each pickup copies the pointer under
-  /// mutex_, so a swap never frees a stage mid-classification and the
-  /// (function, stamp) pair stays coherent.
-  StageRef classify_;
   StreamingConfig config_;
-  BoundedQueue<Job> queue_;
-
   mutable std::mutex mutex_;
-  std::condition_variable space_cv_;    ///< producers waiting for credit
-  std::condition_variable results_cv_;  ///< drain() waiting for completions
-  std::map<std::uint64_t, Pending> reorder_;
+  /// Stage pinned by each accepted job; a swap replaces the pointer, never
+  /// the record a job already holds.
+  StageRef stage_;
+  DeliveryQueue out_;
   std::uint64_t next_submit_ = 0;
-  std::uint64_t next_emit_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t model_swaps_ = 0;
-  std::uint64_t drift_events_ = 0;
-  std::uint64_t recalibrations_ = 0;
-  std::uint64_t recal_traces_spent_ = 0;
-  std::uint64_t rejected_ = 0;  ///< results with Verdict::kRejected
-  std::uint64_t degraded_ = 0;  ///< results with Verdict::kDegraded
-  std::uint64_t batches_submitted_ = 0;  ///< submit_batch calls accepted
-  std::uint64_t batch_windows_ = 0;      ///< windows they carried
-  /// Consumer-side sequence decoder (null = no smoothing).  Guarded by
-  /// mutex_; only the single consumer (poll/drain) touches it.
-  std::unique_ptr<SequenceDecoder> decoder_;
-  std::deque<DecodeMeta> decode_meta_;
-  std::uint64_t windows_decoded_ = 0;   ///< emissions that went through it
-  std::uint64_t windows_smoothed_ = 0;  ///< of those, class rewritten
-  LatencyHistogram windows_per_batch_;   ///< realized lanes per batched pass
-  std::uint64_t batch_classify_nanos_ = 0;   ///< wall time in batched passes
-  std::uint64_t scalar_classify_nanos_ = 0;  ///< wall time in scalar passes
-  std::uint64_t batch_classified_windows_ = 0;
-  std::uint64_t scalar_classified_windows_ = 0;
-  std::uint64_t faulted_ = 0;   ///< submitted windows with fault_severity > 0
-  double fault_severity_sum_ = 0.0;
-  double max_fault_severity_ = 0.0;
-  std::size_t in_flight_high_water_ = 0;
   bool accepting_ = true;
-  LatencyHistogram queue_wait_;
-  LatencyHistogram classify_hist_;
-  LatencyHistogram end_to_end_;
-
+  JobRunner runner_;
+  /// After runner_: a token stopped at construction finds the runner built,
+  /// and the callback is deregistered before the runner joins.
   std::stop_callback<std::function<void()>> stop_callback_;
-  std::vector<std::jthread> threads_;  ///< last member: joins before teardown
 };
 
 }  // namespace sidis::runtime

@@ -1,9 +1,9 @@
 // Fixed-size worker pool over a BoundedQueue of type-erased jobs.
 //
 // Header-only (see bounded_queue.hpp for why): core::profile_device borrows
-// the pool for campaign parallelism, and the streaming engine builds its
-// trace pipeline on top of it.  Workers are std::jthread, so destruction is
-// exception-safe: the queue closes, queued jobs finish, threads join.
+// the pool for campaign parallelism through parallel_for.  Workers are
+// std::jthread, so destruction is exception-safe: the queue closes, queued
+// jobs finish, threads join.
 #pragma once
 
 #include <algorithm>

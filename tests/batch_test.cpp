@@ -506,7 +506,7 @@ TEST_F(BatchModelFixture, StreamingBatchesAreWorkerCountInvariant) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     runtime::StreamingConfig cfg;
     cfg.workers = workers;
-    cfg.queue_capacity = 8;
+    cfg.max_in_flight = 8;
     runtime::StreamingDisassembler engine(model(), cfg);
     // Submit as batches of 16 so the worker pool takes the batched path.
     for (std::size_t base = 0; base < pool.size(); base += 16) {

@@ -446,7 +446,7 @@ LoopRun run_drift_loop(const sim::TraceSet& windows,
   LoopRun run;
   StreamingConfig scfg;
   scfg.workers = workers;
-  scfg.queue_capacity = 16;
+  scfg.max_in_flight = 16;
   StreamingDisassembler engine(
       [model](const sim::Trace& t) { return model->classify(t); }, scfg);
   DriftMonitor monitor(model, drift_cfg);

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <random>
 #include <thread>
 
@@ -37,30 +38,28 @@ sim::Trace tagged_trace(int tag) {
 
 /// Stage that echoes the window's tag into class_idx after an adversarial,
 /// order-inverting delay -- late submissions finish first.
-StreamingDisassembler::StageRef echo_stage() {
-  StreamingDisassembler::ClassifyFn fn = [](const sim::Trace& t) {
+StageRef echo_stage() {
+  ClassifyFn fn = [](const sim::Trace& t) {
     const auto tag = static_cast<std::size_t>(t.meta.program_id);
     std::this_thread::sleep_for(std::chrono::microseconds(100 * (7 - tag % 7)));
     core::Disassembly d;
     d.class_idx = tag;
     return d;
   };
-  return std::make_shared<const StreamingDisassembler::Stage>(
-      StreamingDisassembler::Stage{std::move(fn), nullptr, 0});
+  return std::make_shared<const Stage>(Stage{std::move(fn), nullptr, 0});
 }
 
 /// Stage that blocks every classification until `release` flips -- lets a
 /// test wedge the shard engine and exercise admission control on a backlog
 /// that cannot drain.
-StreamingDisassembler::StageRef gated_stage(std::atomic<bool>* release) {
-  StreamingDisassembler::ClassifyFn fn = [release](const sim::Trace& t) {
+StageRef gated_stage(std::atomic<bool>* release) {
+  ClassifyFn fn = [release](const sim::Trace& t) {
     while (!release->load()) std::this_thread::sleep_for(1ms);
     core::Disassembly d;
     d.class_idx = static_cast<std::size_t>(t.meta.program_id);
     return d;
   };
-  return std::make_shared<const StreamingDisassembler::Stage>(
-      StreamingDisassembler::Stage{std::move(fn), nullptr, 0});
+  return std::make_shared<const Stage>(Stage{std::move(fn), nullptr, 0});
 }
 
 // -- model fixture -----------------------------------------------------------
@@ -451,6 +450,182 @@ TEST_F(FleetModelFixture, DriftMonitorsAreIsolatedPerStream) {
   EXPECT_EQ(clean_events, 0u)
       << "clean stream caught its neighbor's drift -- monitors not isolated";
   EXPECT_EQ(stats.drift_events, drifted_events + clean_events);
+}
+
+// -- failure and churn --------------------------------------------------------
+
+TEST(Fleet, ThrowingBatchEntryDeliversPlaceholdersInOrderAndCounts) {
+  // The batched entry point blows up; the scalar one works.  Wedge the one
+  // worker on a singleton so the backlog leaves as multi-window batches,
+  // every one of which throws: those windows must come back as
+  // default-constructed placeholders, in per-stream order, counted as
+  // failed, with the ledger still closed.
+  std::atomic<bool> release{false};
+  ClassifyFn fn = [&release](const sim::Trace& t) {
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    core::Disassembly d;
+    d.class_idx = static_cast<std::size_t>(t.meta.program_id);
+    return d;
+  };
+  BatchClassifyFn batch = [](const sim::TraceSet&) -> std::vector<core::Disassembly> {
+    throw std::runtime_error("batched model blew up");
+  };
+  FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = 1;
+  cfg.batch_max = 4;
+  cfg.shard_depth = 4;
+  cfg.stream_credit = 16;
+  FleetFrontend fleet(std::make_shared<const Stage>(Stage{fn, batch, 0}), cfg);
+
+  constexpr std::size_t kStreams = 2;
+  constexpr int kWindows = 10;
+  std::vector<FleetFrontend::StreamId> ids;
+  for (std::size_t s = 0; s < kStreams; ++s) ids.push_back(fleet.open_stream());
+  for (int i = 0; i < kWindows; ++i) {
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      ASSERT_TRUE(
+          fleet.submit(ids[s], tagged_trace(static_cast<int>(s) * 100 + i + 1))
+              .accepted());
+    }
+  }
+  release.store(true);
+
+  std::size_t placeholders = 0;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    std::vector<FleetResult> got;
+    while (auto r = fleet.poll(ids[s])) got.push_back(std::move(*r));
+    for (FleetResult& r : fleet.close_stream(ids[s])) got.push_back(std::move(r));
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kWindows)) << "stream " << s;
+    for (int i = 0; i < kWindows; ++i) {
+      EXPECT_EQ(got[i].stream_sequence, static_cast<std::uint64_t>(i))
+          << "stream " << s << " delivered out of order";
+      const core::Disassembly placeholder;
+      if (got[i].value.class_idx == placeholder.class_idx) {
+        EXPECT_EQ(got[i].value.verdict, placeholder.verdict);
+        ++placeholders;
+      } else {
+        EXPECT_EQ(got[i].value.class_idx, s * 100 + static_cast<std::size_t>(i) + 1)
+            << "stream " << s << " got another window's result";
+      }
+    }
+  }
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_GT(placeholders, 0u) << "no batch ever reached the throwing entry";
+  EXPECT_EQ(stats.runtime.traces_failed, placeholders);
+  EXPECT_EQ(stats.runtime.batch_classified_windows, placeholders);
+  EXPECT_EQ(stats.runtime.traces_completed, kStreams * kWindows);
+  EXPECT_EQ(stats.windows_admitted, kStreams * kWindows);
+  EXPECT_EQ(stats.windows_delivered + stats.windows_shed, stats.windows_admitted);
+  EXPECT_EQ(stats.windows_shed, 0u);
+}
+
+TEST(Fleet, ChaosChurnKeepsStreamsOrderedAndTheLedgerClosed) {
+  // Several tenant threads hammer one two-shard fleet whose stage finishes
+  // out of order on both entry points.  Each thread opens streams, submits
+  // with interleaved polls, and closes every stream while its windows are
+  // still in flight.  Per stream: strictly ascending delivery, every result
+  // answers its own window, delivered + shed == admitted; fleet-wide the
+  // same ledger closes, and every close returns.
+  const auto delay = [](int tag) {
+    std::this_thread::sleep_for(std::chrono::microseconds(40 * (5 - tag % 5)));
+  };
+  ClassifyFn fn = [delay](const sim::Trace& t) {
+    delay(t.meta.program_id);
+    core::Disassembly d;
+    d.class_idx = static_cast<std::size_t>(t.meta.program_id);
+    return d;
+  };
+  BatchClassifyFn batch = [delay](const sim::TraceSet& ts) {
+    delay(ts.front().meta.program_id);
+    std::vector<core::Disassembly> out(ts.size());
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      out[i].class_idx = static_cast<std::size_t>(ts[i].meta.program_id);
+    }
+    return out;
+  };
+  const StageRef stage = std::make_shared<const Stage>(Stage{fn, batch, 0});
+
+  for (const AdmissionPolicy policy :
+       {AdmissionPolicy::kRejectNew, AdmissionPolicy::kShedOldest}) {
+    SCOPED_TRACE("policy " + to_string(policy));
+    FleetConfig cfg;
+    cfg.shards = 2;
+    cfg.workers_per_shard = 2;
+    cfg.batch_max = 4;
+    cfg.shard_depth = 8;
+    cfg.stream_credit = 5;
+    cfg.admission = policy;
+    FleetFrontend fleet(stage, cfg);
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    constexpr int kStreamsPerRound = 2;
+    constexpr int kWindows = 24;
+    std::atomic<std::uint64_t> admitted{0}, delivered{0}, shed{0}, closes{0};
+    std::vector<std::thread> tenants;
+    for (int t = 0; t < kThreads; ++t) {
+      tenants.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          struct Tenant {
+            FleetFrontend::StreamId id = 0;
+            std::map<std::uint64_t, int> tags;  ///< admitted sequence -> tag
+            std::vector<FleetResult> got;
+            std::uint64_t shed = 0;
+          };
+          std::vector<Tenant> streams(kStreamsPerRound);
+          for (Tenant& s : streams) s.id = fleet.open_stream();
+          for (int i = 0; i < kWindows; ++i) {
+            for (std::size_t k = 0; k < streams.size(); ++k) {
+              Tenant& s = streams[k];
+              const int tag = ((t * kRounds + round) * kStreamsPerRound +
+                               static_cast<int>(k)) * 1000 + i + 1;
+              const AdmitResult r = fleet.submit(s.id, tagged_trace(tag));
+              if (r.accepted()) s.tags[r.stream_sequence] = tag;
+              if (r.status == AdmitStatus::kAcceptedShedOldest) ++s.shed;
+              while (auto polled = fleet.poll(s.id)) s.got.push_back(std::move(*polled));
+            }
+            // Pace the tenant so some windows complete between submits and
+            // the credit both refills and overflows.
+            if (i % 4 == 3) std::this_thread::sleep_for(200us);
+          }
+          // Close with windows still pending or in the workers' hands.
+          for (Tenant& s : streams) {
+            for (FleetResult& r : fleet.close_stream(s.id)) s.got.push_back(std::move(r));
+            ++closes;
+            for (std::size_t j = 0; j < s.got.size(); ++j) {
+              if (j > 0) {
+                EXPECT_GT(s.got[j].stream_sequence, s.got[j - 1].stream_sequence);
+              }
+              const auto tag = s.tags.find(s.got[j].stream_sequence);
+              ASSERT_NE(tag, s.tags.end()) << "delivered a never-admitted window";
+              EXPECT_EQ(s.got[j].value.class_idx, static_cast<std::size_t>(tag->second));
+            }
+            EXPECT_EQ(s.got.size() + s.shed, s.tags.size())
+                << "stream ledger open: delivered + shed != admitted";
+            if (policy == AdmissionPolicy::kRejectNew) {
+              EXPECT_EQ(s.shed, 0u);
+            }
+            admitted += s.tags.size();
+            delivered += s.got.size();
+            shed += s.shed;
+          }
+        }
+      });
+    }
+    for (std::thread& th : tenants) th.join();
+
+    EXPECT_EQ(closes.load(), std::uint64_t{kThreads * kRounds * kStreamsPerRound});
+    const FleetStats stats = fleet.stats();
+    EXPECT_EQ(stats.streams_live, 0u);
+    EXPECT_EQ(stats.streams_closed, stats.streams_opened);
+    EXPECT_EQ(stats.windows_admitted, admitted.load());
+    EXPECT_EQ(stats.windows_delivered, delivered.load());
+    EXPECT_EQ(stats.windows_shed, shed.load());
+    EXPECT_EQ(stats.windows_delivered + stats.windows_shed, stats.windows_admitted);
+    EXPECT_EQ(stats.runtime.traces_completed, stats.runtime.traces_submitted);
+  }
 }
 
 // -- registry resolution -----------------------------------------------------

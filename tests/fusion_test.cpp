@@ -179,7 +179,7 @@ std::vector<Disassembly> stream_all(const FusedDisassembler& fused,
   runtime::StreamingConfig cfg;
   cfg.workers = workers;
   runtime::StreamingDisassembler engine(
-      runtime::StreamingDisassembler::make_stage(model, 0, /*scored=*/true), cfg);
+      runtime::make_stage(model, 0, /*scored=*/true), cfg);
   for (const sim::Trace& t : world().probes) {
     EXPECT_TRUE(engine.submit(t).has_value());
   }
@@ -205,7 +205,7 @@ std::vector<Disassembly> fleet_all(std::size_t shards) {
   cfg.shards = shards;
   cfg.workers_per_shard = 2;
   runtime::FleetFrontend fleet(
-      runtime::StreamingDisassembler::make_stage(model, 0, /*scored=*/true), cfg);
+      runtime::make_stage(model, 0, /*scored=*/true), cfg);
   const auto id = fleet.open_stream();
   std::vector<Disassembly> out;
   for (const sim::Trace& t : world().probes) {
@@ -235,7 +235,7 @@ TEST(FusionRuntime, FleetVerdictsAreShardCountInvariant) {
 TEST(FusionRuntime, OneChannelRecalibratesWhileTheOtherServes) {
   auto current = std::make_shared<FusedDisassembler>(balanced_fused());
   runtime::StreamingDisassembler engine(
-      runtime::StreamingDisassembler::make_stage(current, 0, /*scored=*/true));
+      runtime::make_stage(current, 0, /*scored=*/true));
 
   runtime::CampaignCalibrationSource inner(world().campaign, world().classes,
                                            /*num_programs=*/5, /*seed=*/99);

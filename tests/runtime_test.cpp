@@ -107,7 +107,7 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
 
 /// Classify stage that encodes the sequence into the result and sleeps an
 /// adversarial, order-inverting amount (early traces finish last).
-StreamingDisassembler::ClassifyFn adversarial_classify(std::atomic<int>* calls) {
+ClassifyFn adversarial_classify(std::atomic<int>* calls) {
   return [calls](const sim::Trace& t) {
     const auto tag = static_cast<std::size_t>(t.meta.program_id);
     std::this_thread::sleep_for(std::chrono::microseconds(500 * ((tag % 7 == 0) ? 20 : (7 - tag % 7))));
@@ -128,7 +128,7 @@ sim::Trace tagged_trace(std::size_t tag) {
 TEST(Streaming, OrderedOutputUnderAdversarialDelays) {
   StreamingConfig cfg;
   cfg.workers = 4;
-  cfg.queue_capacity = 8;
+  cfg.max_in_flight = 8;
   StreamingDisassembler engine(adversarial_classify(nullptr), cfg);
 
   constexpr std::size_t kTraces = 64;
@@ -216,7 +216,6 @@ TEST(Streaming, CampaignStampsSatisfyTheMatchingExpectation) {
 TEST(Streaming, BackpressureBlocksProducerAtCapacity) {
   StreamingConfig cfg;
   cfg.workers = 1;
-  cfg.queue_capacity = 2;
   cfg.max_in_flight = 3;
   std::atomic<bool> release{false};
   StreamingDisassembler engine(
@@ -254,7 +253,7 @@ TEST(Streaming, BackpressureBlocksProducerAtCapacity) {
 TEST(Streaming, DrainAfterCancelLosesAndDuplicatesNothing) {
   StreamingConfig cfg;
   cfg.workers = 3;
-  cfg.queue_capacity = 4;
+  cfg.max_in_flight = 4;
   StreamingDisassembler engine(adversarial_classify(nullptr), cfg);
 
   std::vector<StreamResult> got;
@@ -358,7 +357,7 @@ TEST(Streaming, SwapStampStaysCoherentWithItsStageUnderConcurrentSwaps) {
   // runs in the TSan CI job too) would flag the unsynchronized read.
   StreamingConfig cfg;
   cfg.workers = 4;
-  cfg.queue_capacity = 8;
+  cfg.max_in_flight = 8;
   auto stage_fn = [](std::uint64_t k) {
     return [k](const sim::Trace&) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -453,7 +452,7 @@ TEST_F(RuntimeModelFixture, StreamingMatchesSerialDisassemblyExactly) {
 
   StreamingConfig cfg;
   cfg.workers = 4;
-  cfg.queue_capacity = 8;
+  cfg.max_in_flight = 8;
   StreamingDisassembler engine(model(), cfg);
   for (const sim::Trace& t : windows) ASSERT_TRUE(engine.submit(t).has_value());
   const std::vector<StreamResult> streamed = engine.drain();

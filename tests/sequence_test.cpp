@@ -1078,7 +1078,7 @@ TEST(DecodeEquivalence, StreamingEngineIsWorkerCountInvariant) {
     StreamingConfig sc;
     sc.workers = workers;
     StreamingDisassembler engine(
-        StreamingDisassembler::make_stage(f.model, 0, /*scored=*/true), sc);
+        make_stage(f.model, 0, /*scored=*/true), sc);
     engine.enable_sequence_decoding(f.model->posterior_classes(), f.prior, cfg);
     for (const sim::Trace& t : f.stream) {
       ASSERT_TRUE(engine.submit(t).has_value());
@@ -1147,7 +1147,7 @@ TEST(DecodeEquivalence, EngineRejectsLateDecoderInstall) {
   StreamingConfig sc;
   sc.workers = 1;
   StreamingDisassembler engine(
-      StreamingDisassembler::make_stage(f.model, 0, /*scored=*/true), sc);
+      make_stage(f.model, 0, /*scored=*/true), sc);
   ASSERT_TRUE(engine.submit(f.stream.front()).has_value());
   EXPECT_THROW(
       engine.enable_sequence_decoding(f.model->posterior_classes(), f.prior),
@@ -1161,7 +1161,7 @@ TEST(DecodeEquivalence, PlainStagePassesThroughUndecoded) {
   const DecodeFixture& f = fixture();
   StreamingConfig sc;
   sc.workers = 1;
-  StreamingDisassembler engine(StreamingDisassembler::make_stage(f.model), sc);
+  StreamingDisassembler engine(make_stage(f.model), sc);
   engine.enable_sequence_decoding(f.model->posterior_classes(), f.prior);
   for (std::size_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(engine.submit(f.stream[i]).has_value());
