@@ -336,6 +336,7 @@ HierarchicalDisassembler HierarchicalDisassembler::train(const ProfilingData& da
                              static_cast<std::uint64_t>(projected.size())};
     }
   }
+  d.build_plan();
   return d;
 }
 
@@ -401,57 +402,27 @@ void HierarchicalDisassembler::finalize_posterior_support() {
       posterior_classes_.end());
 }
 
-struct HierarchicalDisassembler::Bucket {
-  std::span<const sim::Trace> traces;
-  std::span<const std::size_t> windows;  ///< lane -> index into traces
-  std::size_t length = 0;                ///< samples per window
-  dsp::CwtWorkspace& ws;                 ///< scalar-kernel scratch
-  dsp::CwtBatchWorkspace& batch_ws;      ///< SoA-kernel scratch
-  std::vector<std::vector<double>> normalized{};  ///< per lane, lazy
-  std::vector<double> soa_raw{}, soa_norm{};       ///< whole bucket, lazy per kind
-  std::vector<double> soa_subset{};                ///< lane gather, grow-once
-
-  /// A lane's window as a level pipeline reads it.  All levels of one model
-  /// share the per_trace_normalization setting, but the lazy split keeps
-  /// mixed configurations correct too.
-  const std::vector<double>& prepared(std::size_t lane, bool normalize) {
-    if (!normalize) return traces[windows[lane]].samples;
-    if (normalized.empty()) {
-      normalized.reserve(windows.size());
-      for (const std::size_t w : windows) {
-        normalized.push_back(
-            features::FeaturePipeline::preprocess_window(traces[w], true));
-      }
-    }
-    return normalized[lane];
+void HierarchicalDisassembler::build_plan() {
+  std::vector<const features::FeaturePipeline*> pipelines;
+  std::vector<std::size_t> tiers;
+  const auto add = [&](Level& level, std::size_t tier) {
+    level.slot = pipelines.size();
+    pipelines.push_back(level.trivial ? nullptr : &level.pipeline);
+    tiers.push_back(tier);
+  };
+  add(group_level_, kGroupTier);
+  for (auto& [group, level] : instruction_levels_) {
+    (void)group;
+    add(level, kInstructionTier);
   }
-
-  /// `lanes` as one struct-of-arrays block.  The whole bucket marshals once
-  /// per view kind; a sub-batch gathers its lanes from that block
-  /// (row-contiguous copies) instead of re-marshalling from the scattered
-  /// per-window vectors.
-  std::span<const double> soa(std::span<const std::size_t> lanes, bool normalize) {
-    const std::size_t n = windows.size();
-    std::vector<double>& full = normalize ? soa_norm : soa_raw;
-    if (full.empty()) {
-      std::vector<const std::vector<double>*> ptrs(n);
-      for (std::size_t p = 0; p < n; ++p) ptrs[p] = &prepared(p, normalize);
-      dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, full);
-    }
-    const std::size_t m = lanes.size();
-    if (m == n) return full;
-    soa_subset.resize(length * m);
-    for (std::size_t t = 0; t < length; ++t) {
-      const double* __restrict src = full.data() + t * n;
-      double* __restrict dst = soa_subset.data() + t * m;
-      for (std::size_t i = 0; i < m; ++i) dst[i] = src[lanes[i]];
-    }
-    return soa_subset;
-  }
-};
+  if (rd_level_) add(*rd_level_, kRegisterTier);
+  if (rr_level_) add(*rr_level_, kRegisterTier);
+  plan_ = features::GatherPlan(pipelines, tiers);
+}
 
 template <class Fold>
-void HierarchicalDisassembler::score_level(const Level& level, Bucket& bucket,
+void HierarchicalDisassembler::score_level(const Level& level,
+                                           features::GatherBatch& gather,
                                            std::span<const std::size_t> lanes,
                                            bool surface, Fold&& fold) {
   const linalg::Vector none;
@@ -468,28 +439,24 @@ void HierarchicalDisassembler::score_level(const Level& level, Bucket& bucket,
   // Hard-decision classifiers (SVM votes, kNN) have no score surface; the
   // walk folds a one-hot factor at their prediction instead.
   surface = surface && !labels.empty();
-  const bool normalize = level.pipeline.config().per_trace_normalization;
 
   // A one-lane SoA pass is pure marshalling overhead (single windows forced
-  // through it ran at 0.31x the scalar kernels), so one lane -- and a
-  // degenerate zero-length bucket -- runs the scalar kernels.  Both kernel families keep the scalar per-window
-  // accumulation order, so the choice never changes a bit of the result.
-  if (lanes.size() == 1 || bucket.length == 0) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      const linalg::Vector x = level.pipeline.transform_prepared(
-          bucket.prepared(lanes[i], normalize), level.components, bucket.ws);
-      if (!surface) {
-        fold(i, classifier.predict_scored(x), none);
-        continue;
-      }
-      const linalg::Vector s = classifier.class_scores(x);
-      fold(i, ml::scored_from_scores(s, labels), log_softmax(s));
+  // through it ran at 0.31x the scalar kernels), so one lane runs the scalar
+  // kernels.  Both kernel families keep the scalar per-window accumulation
+  // order, so the choice never changes a bit of the result.
+  if (lanes.size() == 1) {
+    const linalg::Vector x =
+        gather.features(level.slot, level.pipeline, lanes[0], level.components);
+    if (!surface) {
+      fold(0, classifier.predict_scored(x), none);
+      return;
     }
+    const linalg::Vector s = classifier.class_scores(x);
+    fold(0, ml::scored_from_scores(s, labels), log_softmax(s));
     return;
   }
-  const linalg::Matrix x = level.pipeline.transform_soa_batch(
-      bucket.soa(lanes, normalize), bucket.length, lanes.size(), level.components,
-      bucket.batch_ws);
+  const linalg::Matrix x =
+      gather.features(level.slot, level.pipeline, lanes, level.components);
   if (!surface) {
     const std::vector<ml::ScoredPrediction> p = classifier.predict_scored_batch(x);
     for (std::size_t i = 0; i < lanes.size(); ++i) fold(i, p[i], none);
@@ -524,8 +491,12 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
     return traces[a].samples.size() < traces[b].samples.size();
   });
   std::vector<std::size_t> subset;
-  dsp::CwtWorkspace ws;             // grow-once scratch, shared by buckets
-  dsp::CwtBatchWorkspace batch_ws;  // grow-once scratch, shared by buckets
+  features::GatherBatch gather;  // grow-once scratch, shared by buckets
+  std::vector<std::vector<double>> normalized;
+  std::vector<const std::vector<double>*> prepared;
+  if (!traces.empty() && plan_.slots() == 0) {
+    throw std::runtime_error("level not trained");
+  }
   // Scored walk: log P(group | x) of every lane under every trained group
   // (lane-major, instruction_levels_ order).
   std::vector<double> group_lp;
@@ -546,13 +517,29 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
     while (end < order.size() && traces[order[end]].samples.size() == length) ++end;
     const std::span<const std::size_t> windows(order.data() + begin, end - begin);
     const std::span<const std::size_t> lanes(all.data(), windows.size());
-    Bucket bucket{traces, windows, length, ws, batch_ws};
     const auto at = [&](std::size_t lane) -> Disassembly& { return out[windows[lane]]; };
+
+    // Every level of the model reads the window the same way (GatherPlan
+    // holds them to one normalization setting), so each is prepared once.
+    // Then the union of the levels that score every lane -- level 1, plus
+    // level 2 when scored -- is gathered once for the whole bucket.
+    prepared.clear();
+    if (plan_.normalize()) {
+      normalized.resize(windows.size());
+      for (std::size_t i = 0; i < windows.size(); ++i) {
+        normalized[i] =
+            features::FeaturePipeline::preprocess_window(traces[windows[i]], true);
+        prepared.push_back(&normalized[i]);
+      }
+    } else {
+      for (const std::size_t w : windows) prepared.push_back(&traces[w].samples);
+    }
+    gather.begin(plan_, prepared, scored ? kInstructionTier : kGroupTier);
 
     // Level 1.  The scored walk keeps each group's log-softmax entry, or a
     // one-hot factor when the level has no score surface.
     if (scored) group_lp.assign(lanes.size() * groups, -kInf);
-    score_level(group_level_, bucket, lanes, scored,
+    score_level(group_level_, gather, lanes, scored,
                 [&](std::size_t i, const ml::ScoredPrediction& p,
                     const linalg::Vector& lp) {
       Disassembly& o = at(lanes[i]);
@@ -595,7 +582,7 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
         }
         sub = subset;
       }
-      score_level(level, bucket, sub, scored,
+      score_level(level, gather, sub, scored,
                   [&](std::size_t i, const ml::ScoredPrediction& p,
                       const linalg::Vector& lp) {
         Disassembly& o = at(sub[i]);
@@ -629,7 +616,7 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
           subset.push_back(lane);
         }
       }
-      score_level(*level, bucket, subset, /*surface=*/false,
+      score_level(*level, gather, subset, /*surface=*/false,
                   [&](std::size_t i, const ml::ScoredPrediction& p,
                       const linalg::Vector&) {
         Disassembly& o = at(subset[i]);

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "avr/grouping.hpp"
+#include "features/gather_plan.hpp"
 #include "features/pipeline.hpp"
 #include "ml/factory.hpp"
 #include "sim/trace.hpp"
@@ -177,17 +178,20 @@ class HierarchicalDisassembler {
   /// Batched classification -- bit-identical to calling classify() per
   /// window (labels, operands, verdicts, and headrooms match to the last
   /// bit), but lane-vectorized: windows bucket by trace length, and each
-  /// multi-window bucket runs the whole hot path in struct-of-arrays form --
-  /// batch CWT (Cwt::transform_batch / coefficients_batch over a shared FFT
-  /// plan), fused feature transform (FeaturePipeline::transform_prepared_
-  /// batch), and blocked QDA scoring (Qda::predict_scored_batch) -- with the
-  /// window dimension innermost so every inner loop vectorizes across the
-  /// batch while each window keeps the scalar accumulation order.  Level 2
-  /// re-batches by predicted group and level 3 by operand usage, so every
-  /// classifier invocation stays a dense sub-batch.  One-lane sub-batches
-  /// take the scalar kernels (a one-lane SoA pass is pure marshalling
-  /// overhead).  classify() is this walk on a batch of one.  This is the
-  /// engine-room of the fleet runtime's submit_batch path.  Thread-safe like
+  /// multi-window bucket runs the whole hot path in struct-of-arrays form
+  /// with the window dimension innermost, so every inner loop vectorizes
+  /// across the batch while each window keeps the scalar accumulation order.
+  /// The CWT is gathered once per bucket: the model's GatherPlan (built at
+  /// train() and load()) holds the union of every level's feature points,
+  /// the union of the levels that score every window is computed for all of
+  /// them, and each level reads its rows from there (copied into its
+  /// column-standardization pass) before the PCA projection and blocked QDA
+  /// scoring (Qda::predict_scored_batch).  Level 2 re-batches by predicted
+  /// group and level 3 by operand usage, so every classifier invocation
+  /// stays a dense sub-batch; such a level gathers only its points outside
+  /// the shared union, for its own windows.  One-lane sub-batches take the
+  /// scalar kernels (a one-lane SoA pass is pure marshalling overhead).
+  /// classify() is this walk on a batch of one.  Thread-safe like
   /// classify().
   std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const;
 
@@ -203,10 +207,10 @@ class HierarchicalDisassembler {
   Disassembly classify_scored(const sim::Trace& trace) const;
 
   /// Batched scored classification: classify_batch's lane-vectorized hot
-  /// path (SoA marshal, fused feature transform, blocked QDA scoring) with
-  /// the score surfaces kept, so out[i] is bit-identical to
-  /// classify_scored(traces[i]) including the posterior.  Thread-safe like
-  /// classify().
+  /// path with the score surfaces kept, so out[i] is bit-identical to
+  /// classify_scored(traces[i]) including the posterior.  Every level-2
+  /// model scores every window here, so the shared gather covers levels 1
+  /// and 2 together.  Thread-safe like classify().
   std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const;
 
   /// Ascending class indices spanned by Disassembly::log_posterior -- the
@@ -321,7 +325,15 @@ class HierarchicalDisassembler {
     int only_label = 0;       ///< used when a level has a single class
     bool trivial = false;     ///< single-class level: no classifier needed
     LevelGate gate;           ///< reject thresholds (inactive until calibrated)
+    std::size_t slot = 0;     ///< this level's slot in plan_
   };
+
+  /// GatherPlan tiers: the group level scores every window in both walks,
+  /// the instruction levels every window in the scored walk, the register
+  /// levels only the windows whose class uses the operand.
+  static constexpr std::size_t kGroupTier = 0;
+  static constexpr std::size_t kInstructionTier = 1;
+  static constexpr std::size_t kRegisterTier = 2;
 
   static Level train_level_precomputed(
       const std::vector<const features::FeaturePipeline::ClassData*>& data,
@@ -332,18 +344,18 @@ class HierarchicalDisassembler {
   static ml::ScoredPrediction predict_level_scored(const Level& level,
                                                    const sim::Trace& trace,
                                                    std::size_t components);
-  /// The windows of one trace length, with the per-window normalization and
-  /// struct-of-arrays blocks built lazily and shared by every level.
-  struct Bucket;
-  /// Scores `level` on `lanes` (positions in `bucket`) and calls
-  /// fold(i, prediction, log_posterior) for each lanes[i].  The log-posterior
-  /// is the log-softmax over score_labels() when `surface` is set and the
-  /// classifier has a score surface, else empty.  One lane runs the scalar
-  /// kernels, wider sub-batches the SoA ones.
+  /// Scores `level` on `lanes` (ascending positions in the bucket `gather`
+  /// holds) and calls fold(i, prediction, log_posterior) for each lanes[i].
+  /// The log-posterior is the log-softmax over score_labels() when `surface`
+  /// is set and the classifier has a score surface, else empty.  One lane
+  /// runs the scalar kernels, wider sub-batches the SoA ones.
   template <class Fold>
-  static void score_level(const Level& level, Bucket& bucket,
+  static void score_level(const Level& level, features::GatherBatch& gather,
                           std::span<const std::size_t> lanes, bool surface,
                           Fold&& fold);
+  /// Numbers the levels' slots and builds plan_ from their pipelines (the
+  /// end of train() and load(); feature points never change after that).
+  void build_plan();
   /// The one classify walk behind classify(), classify_scored() and their
   /// batch forms: out[i] is traces[i]'s recovery; `scored` composes the
   /// per-class log-posterior.
@@ -366,6 +378,9 @@ class HierarchicalDisassembler {
   FeatureMoments training_moments_;
   RejectOperatingPoint reject_point_ = RejectOperatingPoint::kMonitoring;
   std::vector<std::size_t> posterior_classes_;  ///< ascending, see accessor
+  /// The union of every level's feature points; levels index it by slot,
+  /// so it survives a move of the model.
+  features::GatherPlan plan_;
 };
 
 }  // namespace sidis::core

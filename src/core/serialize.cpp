@@ -428,6 +428,7 @@ HierarchicalDisassembler HierarchicalDisassembler::load(std::istream& is, int ve
   // Archives carry QDA levels, whose label lists recover the posterior
   // support exactly; no format change needed for classify_scored.
   d.finalize_posterior_support();
+  d.build_plan();
   return d;
 }
 

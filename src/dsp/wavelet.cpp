@@ -403,109 +403,160 @@ std::vector<Scalogram> Cwt::transform_batch(TraceBatch traces,
   return out;
 }
 
-linalg::Matrix Cwt::coefficients_batch(TraceBatch traces,
-                                       std::span<const std::size_t> js,
-                                       std::span<const std::size_t> ks,
-                                       CwtBatchWorkspace& ws) const {
-  const std::size_t n = marshal(traces, ws.soa_);
-  // ws.soa_ is only read below coefficients_soa (freq_/work_/acc_ are the
-  // scratch it writes), so handing it in as the "external" block is safe.
-  return coefficients_soa(ws.soa_, n, traces.size(), js, ks, ws);
-}
-
-linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa_block,
-                                     std::size_t n, std::size_t lanes,
-                                     std::span<const std::size_t> js,
-                                     std::span<const std::size_t> ks,
-                                     CwtBatchWorkspace& ws) const {
-  if (js.size() != ks.size()) {
-    throw std::invalid_argument("Cwt::coefficients_batch: js/ks length mismatch");
-  }
-  if (soa_block.size() != n * lanes) {
-    throw std::invalid_argument("Cwt::coefficients_soa: block size mismatch");
-  }
-  linalg::Matrix out(js.size(), lanes, 0.0);
-  const double* __restrict soa = soa_block.data();
-
-  // Identical per-scale direct/spectral decision to the scalar path: the
-  // predicate only consumes per-window point counts and the trace length,
-  // both shared across the batch, so every lane takes the same route (and
-  // the amortized FFT must NOT move the crossover -- bit-identity pins each
-  // lane to the exact arithmetic the scalar path would run).
+std::vector<std::uint8_t> Cwt::sparse_routes(std::span<const std::size_t> js,
+                                             std::size_t n) const {
+  std::vector<std::uint8_t> routes(scales_.size(), 0);
+  if (config_.backend == CwtBackend::kDirect || n == 0) return routes;
   std::vector<std::size_t> counts(scales_.size(), 0);
   for (std::size_t j : js) counts.at(j)++;
 
-  std::vector<std::uint8_t> row_done;
-  if (config_.backend != CwtBackend::kDirect && n > 0) {
-    const SpectralBank* bank = &bank_for(n);
-    std::vector<std::uint8_t> want_pair(bank->pairs.size(), 0);
-    const bool force = config_.backend == CwtBackend::kSpectral;
-    bool any = false;
-    for (std::size_t j = 0; j < scales_.size(); ++j) {
-      if (counts[j] == 0 || bank->pair_index[j] == SIZE_MAX) continue;
-      const std::size_t L = bank->fft_size;
-      if (force || static_cast<double>(counts[j]) *
-                           static_cast<double>(kernels_[j].size()) >
-                       kSparseCrossover * static_cast<double>(L) * log2d(L)) {
-        want_pair[bank->pair_index[j]] = 1;
-        any = true;
+  // A sparse scale computes a full spectral row to serve its points, so the
+  // row must beat counts[j] correlations by the sparse crossover.  The
+  // amortized batch FFT must NOT move this line: bit-identity pins every
+  // lane of every batch to the route the one-window path takes.
+  const SpectralBank& bank = bank_for(n);
+  const std::size_t L = bank.fft_size;
+  const bool force = config_.backend == CwtBackend::kSpectral;
+  std::vector<std::uint8_t> want(bank.pairs.size(), 0);
+  for (std::size_t j = 0; j < scales_.size(); ++j) {
+    if (counts[j] == 0 || bank.pair_index[j] == SIZE_MAX) continue;
+    if (force || static_cast<double>(counts[j]) *
+                         static_cast<double>(kernels_[j].size()) >
+                     kSparseCrossover * static_cast<double>(L) * log2d(L)) {
+      want[bank.pair_index[j]] = 1;
+    }
+  }
+  // Both halves of a packed transform are free once it ran, so the partner
+  // scale's points read the row too.
+  for (std::size_t j = 0; j < scales_.size(); ++j) {
+    if (bank.pair_index[j] != SIZE_MAX) routes[j] = want[bank.pair_index[j]];
+  }
+  return routes;
+}
+
+const Cwt::SpectralBank* Cwt::spectral_pairs(std::span<const CwtPoint> points,
+                                             std::size_t n,
+                                             std::vector<std::uint8_t>& want) const {
+  if (n == 0 || std::none_of(points.begin(), points.end(),
+                             [](const CwtPoint& p) { return p.spectral; })) {
+    return nullptr;
+  }
+  const SpectralBank& bank = bank_for(n);
+  want.assign(bank.pairs.size(), 0);
+  for (const CwtPoint& p : points) {
+    if (!p.spectral) continue;
+    const std::size_t pair = bank.pair_index.at(p.j);
+    if (pair == SIZE_MAX) {
+      throw std::invalid_argument("Cwt::gather: spectral point on a direct scale");
+    }
+    want[pair] = 1;
+  }
+  return &bank;
+}
+
+void Cwt::gather(const std::vector<double>& trace, std::span<const CwtPoint> points,
+                 std::span<double> out, CwtWorkspace& ws) const {
+  if (out.size() != points.size()) {
+    throw std::invalid_argument("Cwt::gather: output size mismatch");
+  }
+  const std::size_t n = trace.size();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    out[i] = points[i].spectral ? 0.0 : coefficient(trace, points[i].j, points[i].k);
+  }
+  std::vector<std::uint8_t> want;
+  const SpectralBank* bank = spectral_pairs(points, n, want);
+  if (bank == nullptr) return;
+  const std::size_t L = bank->fft_size;
+  ws.freq_.assign(L, Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < n; ++i) ws.freq_[i] = Complex(trace[i], 0.0);
+  bank->plan.forward(ws.freq_);
+  ws.work_.resize(L);
+  for (std::size_t p = 0; p < bank->pairs.size(); ++p) {
+    if (!want[p]) continue;
+    const PackedPair& pair = bank->pairs[p];
+    multiply_spectra(ws.freq_, pair.spec, ws.work_);
+    bank->plan.inverse(ws.work_);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const CwtPoint& pt = points[i];
+      if (!pt.spectral || pt.k >= n) continue;
+      if (pt.j == pair.scale_a) {
+        out[i] = ws.work_[pt.k].real();
+      } else if (pair.has_b && pt.j == pair.scale_b) {
+        out[i] = ws.work_[pt.k].imag();
       }
     }
-    if (any) {
-      const std::size_t L = bank->fft_size;
-      ws.freq_.assign(L, lanes);
-      for (std::size_t i = 0; i < n; ++i) {
-        double* dst = ws.freq_.re.data() + i * lanes;
-        const double* src = soa + i * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
-      }
-      bank->plan.forward_batch(ws.freq_);
-      ws.work_.assign(L, lanes);
-      row_done.assign(scales_.size(), 0);
-      for (std::size_t p = 0; p < bank->pairs.size(); ++p) {
-        if (!want_pair[p]) continue;
-        const PackedPair& pair = bank->pairs[p];
-        multiply_spectra_batch(ws.freq_, pair.spec, ws.work_);
-        bank->plan.inverse_batch(ws.work_);
-        row_done[pair.scale_a] = 1;
-        if (pair.has_b) row_done[pair.scale_b] = 2;
-        for (std::size_t i = 0; i < js.size(); ++i) {
-          if (js[i] == pair.scale_a && ks[i] < n) {
-            const double* src = ws.work_.re.data() + ks[i] * lanes;
-            double* dst = out.row(i).data();
-            for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
-          } else if (pair.has_b && js[i] == pair.scale_b && ks[i] < n) {
-            const double* src = ws.work_.im.data() + ks[i] * lanes;
-            double* dst = out.row(i).data();
-            for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
-          }
+  }
+}
+
+void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
+                     std::size_t lanes, std::span<const CwtPoint> points,
+                     std::span<double> out, CwtBatchWorkspace& ws) const {
+  if (soa_block.size() != n * lanes) {
+    throw std::invalid_argument("Cwt::gather_soa: block size mismatch");
+  }
+  if (out.size() != points.size() * lanes) {
+    throw std::invalid_argument("Cwt::gather_soa: output size mismatch");
+  }
+  const double* __restrict soa = soa_block.data();
+
+  std::vector<std::uint8_t> want;
+  if (const SpectralBank* bank = spectral_pairs(points, n, want)) {
+    const std::size_t L = bank->fft_size;
+    ws.freq_.assign(L, lanes);
+    for (std::size_t i = 0; i < n; ++i) {
+      double* dst = ws.freq_.re.data() + i * lanes;
+      const double* src = soa + i * lanes;
+      for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
+    }
+    bank->plan.forward_batch(ws.freq_);
+    ws.work_.assign(L, lanes);
+    for (std::size_t p = 0; p < bank->pairs.size(); ++p) {
+      if (!want[p]) continue;
+      const PackedPair& pair = bank->pairs[p];
+      multiply_spectra_batch(ws.freq_, pair.spec, ws.work_);
+      bank->plan.inverse_batch(ws.work_);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const CwtPoint& pt = points[i];
+        if (!pt.spectral || pt.k >= n) continue;
+        const double* src = nullptr;
+        if (pt.j == pair.scale_a) {
+          src = ws.work_.re.data() + pt.k * lanes;
+        } else if (pair.has_b && pt.j == pair.scale_b) {
+          src = ws.work_.im.data() + pt.k * lanes;
+        } else {
+          continue;
         }
+        double* dst = out.data() + i * lanes;
+        for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
       }
     }
   }
 
-  // Remaining points: one lane-parallel correlation per point, each lane
+  // Direct points: one lane-parallel correlation per point, each lane
   // accumulating its own sum in scalar tap order (bit-identical to
   // Cwt::coefficient on that lane).  Full linalg::kLaneTile blocks of lanes
   // ride in registers across the whole tap loop (see lanes.hpp for why that
   // beats memory accumulators); the sub-tile remainder keeps the plain
   // lane-innermost form -- at under one tile of lanes the store traffic is
   // bounded and a partial tile would not pay for itself.
-  for (std::size_t i = 0; i < js.size(); ++i) {
-    if (!row_done.empty() && row_done[js[i]] != 0) continue;
-    const std::vector<double>& kern = kernels_.at(js[i]);
-    const auto radius = static_cast<std::ptrdiff_t>(kern.size() / 2);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    double* __restrict dst = out.data() + i * lanes;
+    const CwtPoint& pt = points[i];
     const auto nn = static_cast<std::ptrdiff_t>(n);
-    const auto t = static_cast<std::ptrdiff_t>(ks[i]);
+    const auto t = static_cast<std::ptrdiff_t>(pt.k);
+    const std::vector<double>& kern = kernels_.at(pt.j);
+    const auto radius = static_cast<std::ptrdiff_t>(kern.size() / 2);
     const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(-radius, -t);
     const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(radius, nn - 1 - t);
-    // A point past the end of a short window has no taps; its row stays 0,
-    // as Cwt::coefficient returns.
-    if (hi < lo) continue;
+    // A spectral point past the row end, and a direct one whose kernel
+    // misses the window, read 0 -- as on the one-window path.
+    if (pt.spectral ? pt.k >= n : hi < lo) {
+      for (std::size_t l = 0; l < lanes; ++l) dst[l] = 0.0;
+    }
+    if (pt.spectral || hi < lo) continue;
     const std::size_t taps = static_cast<std::size_t>(hi - lo + 1);
     const double* kern_lo = kern.data() + (lo + radius);
     const double* soa_lo = soa + static_cast<std::size_t>(t + lo) * lanes;
-    double* __restrict dst = out.row(i).data();
     std::size_t l0 = 0;
     for (; l0 + linalg::kLaneTile <= lanes; l0 += linalg::kLaneTile) {
       linalg::LaneTile acc;
@@ -526,6 +577,34 @@ linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa_block,
       }
     }
   }
+}
+
+namespace {
+
+/// The points (js[i], ks[i]), each on its scale's route.
+std::vector<CwtPoint> routed_points(std::span<const std::size_t> js,
+                                    std::span<const std::size_t> ks,
+                                    const std::vector<std::uint8_t>& routes) {
+  if (js.size() != ks.size()) {
+    throw std::invalid_argument("Cwt::coefficients: js/ks length mismatch");
+  }
+  std::vector<CwtPoint> points(js.size());
+  for (std::size_t i = 0; i < js.size(); ++i) {
+    points[i] = {js[i], ks[i], routes.at(js[i]) != 0};
+  }
+  return points;
+}
+
+}  // namespace
+
+linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa, std::size_t n,
+                                     std::size_t lanes,
+                                     std::span<const std::size_t> js,
+                                     std::span<const std::size_t> ks,
+                                     CwtBatchWorkspace& ws) const {
+  const std::vector<CwtPoint> points = routed_points(js, ks, sparse_routes(js, n));
+  linalg::Matrix out(js.size(), lanes);
+  gather_soa(soa, n, lanes, points, out.data(), ws);
   return out;
 }
 
@@ -548,65 +627,10 @@ linalg::Vector Cwt::coefficients(const std::vector<double>& trace,
                                  std::span<const std::size_t> js,
                                  std::span<const std::size_t> ks,
                                  CwtWorkspace& ws) const {
-  if (js.size() != ks.size()) {
-    throw std::invalid_argument("Cwt::coefficients: js/ks length mismatch");
-  }
+  const std::vector<CwtPoint> points =
+      routed_points(js, ks, sparse_routes(js, trace.size()));
   linalg::Vector out(js.size());
-  const std::size_t n = trace.size();
-
-  // Count points per scale to find rows where a spectral sweep beats
-  // point-by-point correlation.
-  std::vector<std::size_t> counts(scales_.size(), 0);
-  for (std::size_t j : js) counts.at(j)++;
-
-  std::vector<std::uint8_t> row_done;
-  if (config_.backend != CwtBackend::kDirect && n > 0) {
-    const SpectralBank* bank = &bank_for(n);
-    std::vector<std::uint8_t> want_pair(bank->pairs.size(), 0);
-    const bool force = config_.backend == CwtBackend::kSpectral;
-    bool any = false;
-    for (std::size_t j = 0; j < scales_.size(); ++j) {
-      if (counts[j] == 0 || bank->pair_index[j] == SIZE_MAX) continue;
-      const std::size_t L = bank->fft_size;
-      if (force || static_cast<double>(counts[j]) *
-                           static_cast<double>(kernels_[j].size()) >
-                       kSparseCrossover * static_cast<double>(L) * log2d(L)) {
-        want_pair[bank->pair_index[j]] = 1;
-        any = true;
-      }
-    }
-    if (any) {
-      const std::size_t L = bank->fft_size;
-      ws.freq_.assign(L, Complex(0.0, 0.0));
-      for (std::size_t i = 0; i < n; ++i) ws.freq_[i] = Complex(trace[i], 0.0);
-      bank->plan.forward(ws.freq_);
-      ws.work_.resize(L);
-      row_done.assign(scales_.size(), 0);
-      for (std::size_t p = 0; p < bank->pairs.size(); ++p) {
-        if (!want_pair[p]) continue;
-        const PackedPair& pair = bank->pairs[p];
-        multiply_spectra(ws.freq_, pair.spec, ws.work_);
-        bank->plan.inverse(ws.work_);
-        // Both halves of the packed transform are free once it ran; serve
-        // the partner scale's points from it too.
-        row_done[pair.scale_a] = 1;
-        if (pair.has_b) row_done[pair.scale_b] = 2;
-        for (std::size_t i = 0; i < js.size(); ++i) {
-          if (js[i] == pair.scale_a && ks[i] < n) {
-            out[i] = ws.work_[ks[i]].real();
-          } else if (pair.has_b && js[i] == pair.scale_b && ks[i] < n) {
-            out[i] = ws.work_[ks[i]].imag();
-          }
-        }
-      }
-    }
-  }
-
-  for (std::size_t i = 0; i < js.size(); ++i) {
-    if (row_done.empty() || row_done[js[i]] == 0) {
-      out[i] = coefficient(trace, js[i], ks[i]);
-    }
-  }
+  gather(trace, points, out, ws);
   return out;
 }
 

@@ -19,7 +19,9 @@
 // in DESIGN.md.
 #pragma once
 
+#include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -58,6 +60,21 @@ struct CwtConfig {
   bool log_spacing = true;       ///< geometric scale progression (octave-like)
   double kernel_radius = 4.0;    ///< kernel support = radius * scale samples
   CwtBackend backend = CwtBackend::kAuto;
+
+  bool operator==(const CwtConfig&) const = default;
+};
+
+/// One coefficient to gather: grid point (scale index j, time index k) and
+/// the route that computes it.  The two routes round differently, so a
+/// point's route is part of its identity: a union of several point sets
+/// keeps (j, k) once per route it is asked for.  Ordered by (j, k, route).
+struct CwtPoint {
+  std::size_t j = 0;
+  std::size_t k = 0;
+  bool spectral = false;  ///< read off the scale's packed spectral row,
+                          ///< else one direct kernel correlation
+
+  auto operator<=>(const CwtPoint&) const = default;
 };
 
 /// Reusable scratch buffers for the spectral path.  A default-constructed
@@ -75,24 +92,17 @@ class CwtWorkspace {
 };
 
 /// Scratch for the batch (struct-of-arrays) paths: the lane-contiguous trace
-/// block, the batched spectra, and the per-point accumulators.  Grow-once
-/// like CwtWorkspace; one instance serves any batch width/length sequence.
-/// Not thread-safe: use one per worker.
+/// block and the batched spectra.  Grow-once like CwtWorkspace; one instance
+/// serves any batch width/length sequence.  Not thread-safe: use one per
+/// worker.
 class CwtBatchWorkspace {
  public:
   CwtBatchWorkspace() = default;
-
-  /// The marshalling buffer, exposed for callers that drive Cwt::marshal +
-  /// coefficients_soa themselves (grow-once reuse instead of a fresh
-  /// allocation per batch).  Safe to hand back to coefficients_soa: the
-  /// batch routines only write freq_/work_/acc_ after marshalling.
-  std::vector<double>& soa_scratch() { return soa_; }
 
  private:
   friend class Cwt;
   std::vector<double> soa_;   ///< traces, lane-contiguous: [sample][lane]
   std::vector<double> row_;   ///< one batched output row: [sample][lane]
-  std::vector<double> acc_;   ///< per-lane correlation accumulators
   BatchComplex freq_;         ///< forward spectra of the padded batch
   BatchComplex work_;         ///< per-pair multiply / inverse scratch
 };
@@ -118,15 +128,36 @@ class Cwt {
                      std::size_t k) const;
 
   /// Batched coefficient extraction: values of the (js[i], ks[i]) grid
-  /// points, in input order (js and ks must have equal length).  Points are
-  /// grouped by scale internally; once one scale holds enough points, the
-  /// whole spectral row is computed instead of per-point correlations (the
-  /// forward trace FFT amortizes across all such scales).  With
-  /// `CwtBackend::kDirect` every point stays a per-point correlation.
+  /// points, in input order (js and ks must have equal length).  Each scale
+  /// takes the route sparse_routes() picks for this point set, then
+  /// gather() computes the points.  With `CwtBackend::kDirect` every point
+  /// stays a per-point correlation.
   linalg::Vector coefficients(const std::vector<double>& trace,
                               std::span<const std::size_t> js,
                               std::span<const std::size_t> ks,
                               CwtWorkspace& ws) const;
+
+  /// The per-scale route sparse extraction of the point set with scale
+  /// indices `js` takes on traces of `n` samples: routes[j] = 1 when scale
+  /// j's points are read off its packed spectral row, 0 when each is one
+  /// direct correlation.  A scale goes spectral once it holds enough points
+  /// that the row costs less than its correlations (always, under
+  /// kSpectral; never, under kDirect or at n = 0), and its pair partner
+  /// rides along because the packed inverse transform serves both.  The
+  /// route depends on the point set, so two sets sharing a point may route
+  /// it differently.
+  std::vector<std::uint8_t> sparse_routes(std::span<const std::size_t> js,
+                                          std::size_t n) const;
+
+  /// Computes `points` on one trace, each by its own route, into out[i]
+  /// (out.size() == points.size()).  Past the trace end a spectral point
+  /// reads 0 (its row spans [0, n)), a direct one the part of the kernel
+  /// that still overlaps the trace.  Spectral points need a scale the
+  /// spectral bank packs at this length (as sparse_routes() flags them);
+  /// throws std::invalid_argument otherwise.  One forward FFT serves every
+  /// spectral pair the points touch.
+  void gather(const std::vector<double>& trace, std::span<const CwtPoint> points,
+              std::span<double> out, CwtWorkspace& ws) const;
 
   /// Batch of same-length traces, addressed by pointer (struct-of-arrays
   /// marshalling happens inside, against the workspace's grow-once buffers).
@@ -141,33 +172,28 @@ class Cwt {
   std::vector<Scalogram> transform_batch(TraceBatch traces,
                                          CwtBatchWorkspace& ws) const;
 
-  /// Batched sparse extraction, struct-of-arrays result: the matrix is
-  /// (js.size() x traces.size()) with *columns* as windows, so column w is
-  /// bit-identical to coefficients(*traces[w], js, ks, ws) -- same per-scale
-  /// direct/spectral decision, same arithmetic per lane -- while the kernel
-  /// taps, packed spectra, and FFT twiddles load once per batch instead of
-  /// once per window, and every inner loop runs lane-contiguous.  The
-  /// point-major layout feeds FeaturePipeline::transform_prepared_batch
-  /// without a transpose.
-  linalg::Matrix coefficients_batch(TraceBatch traces,
-                                    std::span<const std::size_t> js,
-                                    std::span<const std::size_t> ks,
-                                    CwtBatchWorkspace& ws) const;
-
   /// Marshals a batch of same-length traces into the lane-contiguous SoA
   /// block soa[t * lanes + l] = traces[l][t] (write-contiguous: the lane
   /// loop is innermost, so the reads are `lanes` sequential streams and the
   /// writes one).  Returns the common trace length.  Throws
   /// std::invalid_argument on an empty batch or mixed trace lengths.
   /// Callers that run several feature pipelines over one batch marshal once
-  /// through this and feed the block to coefficients_soa /
-  /// FeaturePipeline::transform_soa_batch, instead of paying the marshal per
-  /// pipeline.
+  /// through this and feed the block to gather_soa / coefficients_soa,
+  /// instead of paying the marshal per pipeline.
   static std::size_t marshal(TraceBatch traces, std::vector<double>& soa);
 
-  /// coefficients_batch on a pre-marshalled SoA block (layout and guarantees
-  /// as documented on marshal/coefficients_batch): `soa` holds `n * lanes`
-  /// doubles and is NOT aliased by the workspace's own buffers.  Column w is
+  /// gather() across a pre-marshalled SoA block (`soa` holds `n * lanes`
+  /// doubles, layout of marshal, and is NOT aliased by the workspace's own
+  /// buffers): out holds points.size() rows of `lanes` doubles, row i =
+  /// point i, so out[i * lanes + l] is bit-identical to gather() on lane l.
+  /// The kernel taps, packed spectra and FFT twiddles load once per batch
+  /// instead of once per window, and every inner loop runs lane-contiguous.
+  void gather_soa(std::span<const double> soa, std::size_t n, std::size_t lanes,
+                  std::span<const CwtPoint> points, std::span<double> out,
+                  CwtBatchWorkspace& ws) const;
+
+  /// coefficients() across a pre-marshalled SoA block: the matrix is
+  /// (js.size() x lanes) with *columns* as windows, and column w is
   /// bit-identical to coefficients(trace w, js, ks, ws).
   linalg::Matrix coefficients_soa(std::span<const double> soa, std::size_t n,
                                   std::size_t lanes,
@@ -198,6 +224,11 @@ class Cwt {
   struct BankCache;
 
   const SpectralBank& bank_for(std::size_t trace_len) const;
+  /// The bank serving the spectral `points` at length n, with want[p] = 1
+  /// for every packed pair they read; nullptr when none is spectral (or
+  /// n == 0).
+  const SpectralBank* spectral_pairs(std::span<const CwtPoint> points, std::size_t n,
+                                     std::vector<std::uint8_t>& want) const;
   void direct_row(const std::vector<double>& trace, std::size_t j,
                   std::span<double> out) const;
 

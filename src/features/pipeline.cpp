@@ -170,9 +170,11 @@ FeaturePipeline FeaturePipeline::fit(const std::vector<const ClassData*>& classe
 void FeaturePipeline::index_points() {
   point_js_.resize(points_.size());
   point_ks_.resize(points_.size());
+  own_rows_.resize(points_.size());
   for (std::size_t i = 0; i < points_.size(); ++i) {
     point_js_[i] = points_[i].j;
     point_ks_[i] = points_[i].k;
+    own_rows_[i] = i;
   }
 }
 
@@ -247,44 +249,84 @@ linalg::Vector FeaturePipeline::transform_prepared(const std::vector<double>& pr
   if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
   // The cached point split (as the batch path uses) instead of
   // extract_features, which rebuilds it per call.
-  linalg::Vector v = cwt_.coefficients(prepared, point_js_, point_ks_, ws);
-  if (config_.column_standardization) v = scaler_.transform(v);
-  return pca_.transform(v, components);
+  const linalg::Vector v = cwt_.coefficients(prepared, point_js_, point_ks_, ws);
+  return project(v.data(), 1, own_rows_, components);
 }
 
-linalg::Matrix FeaturePipeline::transform_prepared_batch(
-    std::span<const std::vector<double>* const> prepared, std::size_t components,
-    dsp::CwtBatchWorkspace& ws) const {
-  const std::size_t n = dsp::Cwt::marshal(prepared, ws.soa_scratch());
-  return transform_soa_batch(ws.soa_scratch(), n, prepared.size(), components,
-                             ws);
+linalg::Vector FeaturePipeline::project(const double* gathered, std::size_t stride,
+                                        std::span<const std::size_t> rows,
+                                        std::size_t components) const {
+  if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
+  if (rows.size() != points_.size()) {
+    throw std::invalid_argument("FeaturePipeline::project: row map size mismatch");
+  }
+  if (config_.column_standardization && scaler_.dim() != rows.size()) {
+    throw std::invalid_argument("ColumnScaler: dim mismatch");
+  }
+  // The exact (x - m) / s of ColumnScaler::transform, reading x straight
+  // out of the gather.
+  linalg::Vector v(rows.size());
+  if (config_.column_standardization) {
+    const linalg::Vector& smean = scaler_.mean();
+    const linalg::Vector& sstd = scaler_.stddev();
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+      v[p] = (gathered[rows[p] * stride] - smean[p]) / sstd[p];
+    }
+  } else {
+    for (std::size_t p = 0; p < rows.size(); ++p) v[p] = gathered[rows[p] * stride];
+  }
+  return pca_.transform(v, components);
 }
 
 linalg::Matrix FeaturePipeline::transform_soa_batch(
     std::span<const double> soa, std::size_t n, std::size_t lanes,
     std::size_t components, dsp::CwtBatchWorkspace& ws) const {
   if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
+  // F is point-major SoA: F(p, w) = point p of window w.
+  const linalg::Matrix f = cwt_.coefficients_soa(soa, n, lanes, point_js_, point_ks_, ws);
+  return project_soa(f.data().data(), lanes, own_rows_, {}, components);
+}
 
-  // Stage 1: sparse feature-point gathers for the whole batch in one pass
-  // over each scale row.  F is point-major SoA: F(p, w) = point p of window w.
-  linalg::Matrix f = cwt_.coefficients_soa(soa, n, lanes, point_js_, point_ks_, ws);
-
-  // Stage 2: column standardization in place -- the exact (x - m) / s of
-  // ColumnScaler::transform, lane-parallel.  Folding the PCA mean in here
-  // too would change (f - m)/s - pm into one expression the compiler may
-  // re-associate, so it stays a separate subtraction below.
-  const std::size_t k = std::min(components, pca_.num_components());
-  if (f.rows() != pca_.input_dim()) {
+linalg::Matrix FeaturePipeline::project_soa(const double* gathered, std::size_t width,
+                                            std::span<const std::size_t> rows,
+                                            std::span<const std::size_t> lanes,
+                                            std::size_t components) const {
+  if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
+  if (rows.size() != points_.size()) {
+    throw std::invalid_argument("FeaturePipeline::project_soa: row map size mismatch");
+  }
+  if (config_.column_standardization && scaler_.dim() != rows.size()) {
+    throw std::invalid_argument("ColumnScaler: dim mismatch");
+  }
+  if (rows.size() != pca_.input_dim()) {
     throw std::invalid_argument("Pca::transform: dim mismatch");
   }
-  if (config_.column_standardization) {
-    const linalg::Vector& smean = scaler_.mean();
-    const linalg::Vector& sstd = scaler_.stddev();
-    for (std::size_t p = 0; p < f.rows(); ++p) {
+  const std::size_t m = lanes.empty() ? width : lanes.size();
+  const std::size_t np = rows.size();
+  const std::size_t k = std::min(components, pca_.num_components());
+
+  // Column standardization -- the exact (x - m) / s of
+  // ColumnScaler::transform, lane-parallel -- doubles as the copy of this
+  // pipeline's rows out of the gather.  Folding the PCA mean in here too
+  // would change (f - m)/s - pm into one expression the compiler may
+  // re-associate, so it stays a separate subtraction below.
+  linalg::Matrix f(np, m);
+  const auto standardize = [&](auto column) {
+    for (std::size_t p = 0; p < np; ++p) {
+      const double* __restrict src = gathered + rows[p] * width;
       double* __restrict frow = f.row(p).data();
-      const double m = smean[p], s = sstd[p];
-      for (std::size_t l = 0; l < lanes; ++l) frow[l] = (frow[l] - m) / s;
+      if (!config_.column_standardization) {
+        for (std::size_t l = 0; l < m; ++l) frow[l] = src[column(l)];
+        continue;
+      }
+      const double mu = scaler_.mean()[p], s = scaler_.stddev()[p];
+      for (std::size_t l = 0; l < m; ++l) frow[l] = (src[column(l)] - mu) / s;
     }
+  };
+  if (lanes.empty()) {
+    standardize([](std::size_t l) { return l; });
+  } else {
+    standardize([&](std::size_t l) { return lanes[l]; });
   }
 
   // Centering: the scalar Pca::transform subtracts pca_mean[p] inside its
@@ -293,37 +335,36 @@ linalg::Matrix FeaturePipeline::transform_soa_batch(
   // component row, so projections stay bit-identical while the inner loop
   // below becomes a pure multiply-add.
   const linalg::Vector& pmean = pca_.mean();
-  const std::size_t np = f.rows();
   for (std::size_t p = 0; p < np; ++p) {
     double* __restrict frow = f.row(p).data();
     const double pm = pmean[p];
-    for (std::size_t l = 0; l < lanes; ++l) frow[l] -= pm;
+    for (std::size_t l = 0; l < m; ++l) frow[l] -= pm;
   }
 
-  // Stage 3: PCA projection, component-outer with register-tiled lanes.
-  // Each output row c accumulates centered-f * axis over points in ascending
-  // order -- the scalar Pca::transform reduction -- but a linalg::LaneTile
-  // of lanes rides in registers across the whole point loop, so the row
-  // costs zero stores per point instead of one per (point, lane).  Tiling
-  // picks which lane runs when; each lane's sum order is untouched, so
-  // columns stay bit-identical to the scalar pipeline.
+  // PCA projection, component-outer with register-tiled lanes.  Each output
+  // row c accumulates centered-f * axis over points in ascending order --
+  // the scalar Pca::transform reduction -- but a linalg::LaneTile of lanes
+  // rides in registers across the whole point loop, so the row costs zero
+  // stores per point instead of one per (point, lane).  Tiling picks which
+  // lane runs when; each lane's sum order is untouched, so columns stay
+  // bit-identical to the scalar pipeline.
   const linalg::Matrix& axes = pca_.components();
-  const double* __restrict fbase = f.row(0).data();
-  linalg::Matrix z(k, lanes, 0.0);
+  const double* __restrict fbase = f.data().data();
+  linalg::Matrix z(k, m, 0.0);
   for (std::size_t c = 0; c < k; ++c) {
     double* __restrict zrow = z.row(c).data();
     std::size_t l0 = 0;
-    for (; l0 + linalg::kLaneTile <= lanes; l0 += linalg::kLaneTile) {
+    for (; l0 + linalg::kLaneTile <= m; l0 += linalg::kLaneTile) {
       linalg::LaneTile acc;
       for (std::size_t p = 0; p < np; ++p) {
-        acc.mul_add(axes(p, c), fbase + p * lanes + l0);
+        acc.mul_add(axes(p, c), fbase + p * m + l0);
       }
       acc.store(zrow + l0);
     }
-    for (; l0 < lanes; ++l0) {
+    for (; l0 < m; ++l0) {
       double a = 0.0;
       for (std::size_t p = 0; p < np; ++p) {
-        a += fbase[p * lanes + l0] * axes(p, c);
+        a += fbase[p * m + l0] * axes(p, c);
       }
       zrow[l0] = a;
     }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "features/selection.hpp"
@@ -122,10 +123,8 @@ class FeaturePipeline {
   /// transform(trace), but the spectral scratch comes from the caller, so one
   /// grow-once workspace serves a whole batch instead of a fresh allocation
   /// per window.  `prepared` must be the output of preprocess_window for this
-  /// pipeline's per_trace_normalization setting -- splitting the
-  /// preprocessing out lets a multi-level caller (the hierarchical
-  /// disassembler classifies each window through up to four pipelines that
-  /// share one normalization flag) pay the per-trace normalization once.
+  /// pipeline's per_trace_normalization setting.  The two steps are public:
+  /// gathering this pipeline's points (Cwt::coefficients), then project().
   linalg::Vector transform_prepared(const std::vector<double>& prepared,
                                     std::size_t components,
                                     dsp::CwtWorkspace& ws) const;
@@ -136,28 +135,40 @@ class FeaturePipeline {
   static std::vector<double> preprocess_window(const sim::Trace& trace,
                                                bool per_trace_normalization);
 
-  /// Batched, struct-of-arrays variant of transform_prepared: the K windows
-  /// (same length, already preprocessed for this pipeline's
-  /// per_trace_normalization setting) move through sparse feature-point
-  /// extraction, column standardization, and the PCA projection in one fused
-  /// pass per stage, with the window dimension innermost so every loop
-  /// vectorizes across the batch.  Returns (components x K) with *columns*
-  /// as windows; column w is bit-identical to
-  /// transform_prepared(*prepared[w], components, ws) -- per-window
-  /// reductions keep the scalar accumulation order, only the batch dimension
-  /// is vectorized.
-  linalg::Matrix transform_prepared_batch(
-      std::span<const std::vector<double>* const> prepared,
-      std::size_t components, dsp::CwtBatchWorkspace& ws) const;
+  /// Second step of transform_prepared on coefficients someone else
+  /// gathered: point p of this pipeline is gathered[rows[p] * stride], and
+  /// it goes through column standardization (copied out of `gathered` in
+  /// the same pass), PCA centring and the projection onto `components`
+  /// PCs.  Bit-identical to transform_prepared when every coefficient
+  /// matches what this pipeline's own gather computes -- which lets several
+  /// pipelines read one shared gather (see features/gather_plan.hpp).
+  linalg::Vector project(const double* gathered, std::size_t stride,
+                         std::span<const std::size_t> rows,
+                         std::size_t components) const;
 
-  /// transform_prepared_batch on a pre-marshalled SoA block (layout of
-  /// dsp::Cwt::marshal: soa[t * lanes + l] = window l, sample t; `soa` must
-  /// hold n * lanes doubles).  Lets a caller running several pipelines over
-  /// the same batch -- the hierarchical classifier runs up to four -- pay the
-  /// marshal once instead of once per pipeline.  Identical output guarantees.
+  /// Batched, struct-of-arrays variant of transform_prepared on a
+  /// pre-marshalled block (layout of dsp::Cwt::marshal: soa[t * lanes + l] =
+  /// window l, sample t; `soa` must hold n * lanes doubles, each window
+  /// preprocessed for this pipeline's per_trace_normalization setting).
+  /// Sparse feature-point extraction (Cwt::coefficients_soa), then
+  /// project_soa.  Returns (components x lanes) with *columns* as windows;
+  /// column w is bit-identical to transform_prepared on window w --
+  /// per-window reductions keep the scalar accumulation order, only the
+  /// batch dimension is vectorized.
   linalg::Matrix transform_soa_batch(std::span<const double> soa, std::size_t n,
                                      std::size_t lanes, std::size_t components,
                                      dsp::CwtBatchWorkspace& ws) const;
+
+  /// Second step of transform_soa_batch on a gathered block of `width`
+  /// lane-contiguous columns: point p of output column i is
+  /// gathered[rows[p] * width + lanes[i]], where `lanes` (ascending) picks
+  /// the columns and empty means all `width`.  Column standardization
+  /// (which does the copy), PCA centring, then the register-tiled
+  /// projection.  (components x lanes), columns bit-identical to project().
+  linalg::Matrix project_soa(const double* gathered, std::size_t width,
+                             std::span<const std::size_t> rows,
+                             std::span<const std::size_t> lanes,
+                             std::size_t components) const;
 
   /// Raw-window variant: assumes unit capture gain (gain_estimate = 1).
   linalg::Vector transform(const std::vector<double>& samples,
@@ -183,6 +194,8 @@ class FeaturePipeline {
 
   // -- introspection for the experiment benches -----------------------------
   const std::vector<stats::GridPoint>& unified_points() const { return points_; }
+  /// The filter bank the points are gathered with.
+  const dsp::Cwt& cwt() const { return cwt_; }
   const stats::Pca& pca() const { return pca_; }
   const stats::ColumnScaler& scaler() const { return scaler_; }
   std::size_t max_components() const { return pca_.num_components(); }
@@ -195,16 +208,17 @@ class FeaturePipeline {
   linalg::Vector transform_one(const sim::Trace& trace, std::size_t components,
                                dsp::CwtWorkspace& ws) const;
 
-  /// Splits points_ into the (js, ks) index arrays the Cwt batch entry
-  /// points take, so the batch hot path reads them instead of rebuilding
-  /// two vectors per call.  Both factory functions call this after setting
-  /// points_.
+  /// Splits points_ into the (js, ks) index arrays the Cwt entry points
+  /// take, plus the identity row map project() reads this pipeline's own
+  /// gather through, so the hot path reads them instead of rebuilding them
+  /// per call.  Both factory functions call this after setting points_.
   void index_points();
 
   PipelineConfig config_;
   dsp::Cwt cwt_{dsp::CwtConfig{}};
   std::vector<stats::GridPoint> points_;
   std::vector<std::size_t> point_js_, point_ks_;  ///< points_, split (cache)
+  std::vector<std::size_t> own_rows_;             ///< 0 .. points_.size() - 1
   stats::ColumnScaler scaler_;
   stats::Pca pca_;
   std::size_t grid_size_ = 0;

@@ -11,14 +11,18 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
+#include <sstream>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/csa.hpp"
 #include "core/hierarchical.hpp"
+#include "core/serialize.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/wavelet.hpp"
+#include "features/gather_plan.hpp"
 #include "features/pipeline.hpp"
 #include "ml/discriminant.hpp"
 #include "runtime/streaming.hpp"
@@ -144,9 +148,10 @@ TEST_P(CwtBatchTest, CoefficientsBatchMatchesScalarColumns) {
     for (std::size_t l = 0; l < lanes; ++l) traces.push_back(random_signal(n, rng));
     std::vector<const std::vector<double>*> ptrs;
     for (const auto& t : traces) ptrs.push_back(&t);
+    std::vector<double> soa;
+    ASSERT_EQ(dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa), n);
 
-    const linalg::Matrix batch = cwt.coefficients_batch(
-        {ptrs.data(), ptrs.size()}, js, ks, bws);
+    const linalg::Matrix batch = cwt.coefficients_soa(soa, n, lanes, js, ks, bws);
     ASSERT_EQ(batch.rows(), js.size());
     ASSERT_EQ(batch.cols(), lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -315,14 +320,16 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
   }
   std::vector<const std::vector<double>*> ptrs;
   for (const auto& p : prepared) ptrs.push_back(&p);
+  std::vector<double> soa;
+  const std::size_t n = dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa);
 
   dsp::CwtWorkspace sws;
   dsp::CwtBatchWorkspace bws;
   const std::size_t fitted = pipeline.max_components();
   ASSERT_GE(fitted, 2u);
   for (const std::size_t components : {fitted, fitted - 1}) {
-    const linalg::Matrix batch = pipeline.transform_prepared_batch(
-        {ptrs.data(), ptrs.size()}, components, bws);
+    const linalg::Matrix batch =
+        pipeline.transform_soa_batch(soa, n, prepared.size(), components, bws);
     ASSERT_EQ(batch.rows(), components);
     ASSERT_EQ(batch.cols(), prepared.size());
     for (std::size_t w = 0; w < prepared.size(); ++w) {
@@ -333,6 +340,214 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
         ASSERT_EQ(batch(c, w), ref[c]) << "window " << w << " component " << c;
       }
     }
+  }
+}
+
+// -- shared gather -------------------------------------------------------------
+
+/// A pipeline with hand-placed feature points, so a test can put a level
+/// across the sparse crossover at a scale where another level stays below
+/// it.  The scaler and PCA are fitted on random rows of the right width, so
+/// the projection is a real one.
+features::FeaturePipeline placed_pipeline(const features::PipelineConfig& cfg,
+                                          std::vector<stats::GridPoint> points,
+                                          std::mt19937_64& rng) {
+  linalg::Matrix x(3 * points.size() + 8, points.size());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 0; c < x.cols(); ++c) x(r, c) = random_signal(1, rng)[0];
+  }
+  stats::ColumnScaler scaler = stats::ColumnScaler::fit(x);
+  stats::Pca pca = stats::Pca::fit(scaler.transform(x), 6);
+  return features::FeaturePipeline::from_parts(cfg, std::move(points), std::move(scaler),
+                                               std::move(pca), 50 * 315);
+}
+
+/// `count` points on scale j, at k = first, first + step, ...
+void place(std::vector<stats::GridPoint>& out, std::size_t j, std::size_t count,
+           std::size_t first, std::size_t step) {
+  for (std::size_t i = 0; i < count; ++i) out.push_back({j, first + i * step, 0.0});
+}
+
+/// The levels of a small model (fitted group, instruction and register
+/// pipelines) plus hand-placed ones: at 315 samples under kAuto, the
+/// tier-0 placed level routes scale 49 spectrally (70 points), the tier-1
+/// one reads five of the same points directly, and the tier-2 one routes
+/// scale 49 spectrally on points both of them hold.
+class GatherPlanTest : public ::testing::TestWithParam<dsp::CwtBackend> {
+ protected:
+  static const std::vector<features::FeaturePipeline>& base() {
+    static const std::vector<features::FeaturePipeline> levels = [] {
+      sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                        sim::SessionContext::make(0)};
+      std::mt19937_64 rng(41);
+      std::vector<sim::TraceSet> sets;
+      for (avr::Mnemonic m : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi,
+                              avr::Mnemonic::kCom, avr::Mnemonic::kRjmp}) {
+        sets.push_back(campaign.capture_class(*avr::class_index(m), 30, 5, rng));
+      }
+      sets.push_back(campaign.capture_register(true, 4, 60, 5, rng));
+      sets.push_back(campaign.capture_register(true, 20, 60, 5, rng));
+      features::PipelineConfig cfg = core::csa_config();
+      cfg.pca_components = 10;
+      const auto fit = [&](std::vector<std::size_t> which) {
+        features::LabeledTraces input;
+        for (const std::size_t w : which) {
+          input.labels.push_back(static_cast<int>(w));
+          input.sets.push_back(&sets[w]);
+        }
+        return features::FeaturePipeline::fit(input, cfg);
+      };
+      std::vector<features::FeaturePipeline> out;
+      out.push_back(fit({0, 1, 2, 3}));
+      out.push_back(fit({0, 2}));
+      out.push_back(fit({1, 3}));
+      out.push_back(fit({4, 5}));
+      std::vector<stats::GridPoint> wide, dual, operand;
+      place(wide, 49, 70, 0, 4);
+      place(wide, 10, 6, 100, 9);
+      place(dual, 49, 5, 0, 8);
+      place(dual, 10, 3, 100, 9);
+      place(dual, 48, 4, 7, 30);
+      place(operand, 49, 40, 2, 4);
+      place(operand, 49, 30, 0, 4);
+      place(operand, 12, 5, 50, 3);
+      out.push_back(placed_pipeline(cfg, wide, rng));
+      out.push_back(placed_pipeline(cfg, dual, rng));
+      out.push_back(placed_pipeline(cfg, operand, rng));
+      return out;
+    }();
+    return levels;
+  }
+
+  /// The windows: clean captures of every class, preprocessed.
+  static std::vector<std::vector<double>> windows(std::size_t count) {
+    sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                      sim::SessionContext::make(0)};
+    std::mt19937_64 rng(43);
+    const std::size_t classes[] = {*avr::class_index(avr::Mnemonic::kAdd),
+                                   *avr::class_index(avr::Mnemonic::kLdi),
+                                   *avr::class_index(avr::Mnemonic::kCom),
+                                   *avr::class_index(avr::Mnemonic::kRjmp)};
+    std::vector<std::vector<double>> out;
+    for (std::size_t i = 0; i < count; ++i) {
+      const sim::Trace t = campaign.capture_trace(
+          avr::random_instance(classes[i % 4], rng),
+          sim::ProgramContext::make(static_cast<int>(i % 5)), rng);
+      out.push_back(features::FeaturePipeline::preprocess_window(t, true));
+    }
+    return out;
+  }
+};
+
+TEST_P(GatherPlanTest, EveryLevelReadsItsOwnFeaturesFromTheUnion) {
+  // Slots in model order: group, instruction levels (one trivial), register
+  // levels; the placed levels ride in each tier.
+  std::vector<features::FeaturePipeline> levels;
+  for (const features::FeaturePipeline& p : base()) {
+    features::PipelineConfig cfg = p.config();
+    cfg.cwt.backend = GetParam();
+    levels.push_back(features::FeaturePipeline::from_parts(
+        cfg, p.unified_points(), p.scaler(), p.pca(), p.grid_size()));
+  }
+  const std::vector<const features::FeaturePipeline*> slots{
+      &levels[0], &levels[4], &levels[1], &levels[5], nullptr,
+      &levels[2], &levels[3], &levels[6]};
+  const std::vector<std::size_t> tiers{0, 0, 1, 1, 1, 1, 2, 2};
+  const features::GatherPlan plan(slots, tiers);
+
+  if (GetParam() == dsp::CwtBackend::kAuto) {
+    // Non-vacuous: some point is in the union once per route.
+    const std::vector<dsp::CwtPoint>& e = plan.layout(315).entries;
+    std::size_t dual = 0;
+    for (std::size_t i = 0; i + 1 < e.size(); ++i) {
+      for (std::size_t k = i + 1; k < e.size(); ++k) {
+        if (e[i].j == e[k].j && e[i].k == e[k].k) ++dual;
+      }
+    }
+    EXPECT_GT(dual, 0u) << "no point is routed two ways";
+  }
+
+  const std::vector<std::vector<double>> pool = windows(64);
+  dsp::CwtWorkspace ws;
+  features::GatherBatch batch;
+  for (const std::size_t n : {std::size_t{315}, std::size_t{250}, std::size_t{40},
+                              std::size_t{0}}) {
+    std::vector<std::vector<double>> cut = pool;
+    for (std::vector<double>& w : cut) w.resize(n);
+    // The reference: each level alone.
+    std::vector<std::vector<linalg::Vector>> alone(slots.size());
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      if (slots[s] == nullptr) continue;
+      for (const std::vector<double>& w : cut) {
+        alone[s].push_back(slots[s]->transform_prepared(w, SIZE_MAX, ws));
+      }
+    }
+    for (const std::size_t tier : {std::size_t{0}, std::size_t{1}}) {
+      for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                      std::size_t{16}, std::size_t{64}}) {
+        std::vector<const std::vector<double>*> ptrs;
+        for (std::size_t i = 0; i < width; ++i) ptrs.push_back(&cut[i]);
+        batch.begin(plan, ptrs, tier);
+        std::vector<std::size_t> all(width), odd, last{width - 1};
+        std::iota(all.begin(), all.end(), std::size_t{0});
+        for (std::size_t i = 1; i < width; i += 2) odd.push_back(i);
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+          if (slots[s] == nullptr) continue;
+          for (const std::vector<std::size_t>& lanes : {all, odd, last}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " tier " + std::to_string(tier) +
+                         " width " + std::to_string(width) + " slot " +
+                         std::to_string(s) + " lanes " + std::to_string(lanes.size()));
+            if (lanes.size() == 1) {
+              const linalg::Vector x =
+                  batch.features(s, *slots[s], lanes[0], SIZE_MAX);
+              const linalg::Vector& ref = alone[s][lanes[0]];
+              ASSERT_EQ(x.size(), ref.size());
+              for (std::size_t c = 0; c < ref.size(); ++c) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(x[c]),
+                          std::bit_cast<std::uint64_t>(ref[c]))
+                    << "component " << c;
+              }
+              continue;
+            }
+            if (lanes.empty()) continue;
+            const linalg::Matrix x = batch.features(s, *slots[s], lanes, SIZE_MAX);
+            ASSERT_EQ(x.cols(), lanes.size());
+            for (std::size_t i = 0; i < lanes.size(); ++i) {
+              const linalg::Vector& ref = alone[s][lanes[i]];
+              ASSERT_EQ(x.rows(), ref.size());
+              for (std::size_t c = 0; c < ref.size(); ++c) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(x(c, i)),
+                          std::bit_cast<std::uint64_t>(ref[c]))
+                    << "lane " << lanes[i] << " component " << c;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, GatherPlanTest,
+                         ::testing::Values(dsp::CwtBackend::kAuto,
+                                           dsp::CwtBackend::kDirect,
+                                           dsp::CwtBackend::kSpectral));
+
+TEST(GatherPlan, RejectsLevelsThatReadTheWindowDifferently) {
+  std::mt19937_64 rng(47);
+  features::PipelineConfig cfg;
+  std::vector<stats::GridPoint> points;
+  place(points, 3, 8, 10, 5);
+  const features::FeaturePipeline a = placed_pipeline(cfg, points, rng);
+  cfg.per_trace_normalization = !cfg.per_trace_normalization;
+  const features::FeaturePipeline b = placed_pipeline(cfg, points, rng);
+  cfg.per_trace_normalization = !cfg.per_trace_normalization;
+  cfg.cwt.kernel_radius = 3.0;
+  const features::FeaturePipeline c = placed_pipeline(cfg, points, rng);
+  const std::vector<std::size_t> tiers{0, 1};
+  for (const features::FeaturePipeline* other : {&b, &c}) {
+    const std::vector<const features::FeaturePipeline*> slots{&a, other};
+    EXPECT_THROW(features::GatherPlan(slots, tiers), std::invalid_argument);
   }
 }
 
@@ -352,22 +567,42 @@ class BatchModelFixture : public ::testing::Test {
     return m;
   }
 
-  static core::HierarchicalDisassembler train(ml::ClassifierKind kind) {
-    sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
-                                      sim::SessionContext::make(0)};
-    std::mt19937_64 rng{31};
-    core::ProfilingData data;
-    for (avr::Mnemonic mn : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi,
-                             avr::Mnemonic::kCom, avr::Mnemonic::kRjmp}) {
-      data.classes[*avr::class_index(mn)] =
-          campaign.capture_class(*avr::class_index(mn), 50, 5, rng);
-    }
-    for (std::uint8_t r : {4, 20}) {
-      data.rd_classes[r] = campaign.capture_register(true, r, 120, 5, rng);
-      data.rr_classes[r] = campaign.capture_register(false, r, 120, 5, rng);
-    }
+  /// The QDA twin trained on CWT backend kDirect or kSpectral (kAuto is
+  /// model()).
+  static const core::HierarchicalDisassembler& backend_model(dsp::CwtBackend backend) {
+    static const core::HierarchicalDisassembler direct =
+        train(ml::ClassifierKind::kQda, dsp::CwtBackend::kDirect);
+    static const core::HierarchicalDisassembler spectral =
+        train(ml::ClassifierKind::kQda, dsp::CwtBackend::kSpectral);
+    return backend == dsp::CwtBackend::kDirect ? direct : spectral;
+  }
+
+  static const core::ProfilingData& profiling_data() {
+    static const core::ProfilingData data = [] {
+      sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                        sim::SessionContext::make(0)};
+      std::mt19937_64 rng{31};
+      core::ProfilingData d;
+      for (avr::Mnemonic mn : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi,
+                               avr::Mnemonic::kCom, avr::Mnemonic::kRjmp}) {
+        d.classes[*avr::class_index(mn)] =
+            campaign.capture_class(*avr::class_index(mn), 50, 5, rng);
+      }
+      for (std::uint8_t r : {4, 20}) {
+        d.rd_classes[r] = campaign.capture_register(true, r, 120, 5, rng);
+        d.rr_classes[r] = campaign.capture_register(false, r, 120, 5, rng);
+      }
+      return d;
+    }();
+    return data;
+  }
+
+  static core::HierarchicalDisassembler train(
+      ml::ClassifierKind kind, dsp::CwtBackend backend = dsp::CwtBackend::kAuto) {
+    const core::ProfilingData& data = profiling_data();
     core::HierarchicalConfig cfg;
     cfg.pipeline = core::csa_config();
+    cfg.pipeline.cwt.backend = backend;
     cfg.pipeline.pca_components = 10;
     cfg.group_components = 8;
     cfg.instruction_components = 8;
@@ -379,6 +614,60 @@ class BatchModelFixture : public ::testing::Test {
     // Armed gates make verdict/headroom equality a real statement.
     model.calibrate_reject(data, core::RejectOperatingPoint::kBalanced);
     return model;
+  }
+
+  /// mixed_windows(n) over several length buckets: the native length, a
+  /// truncated one, one far shorter than the coarse kernels' support (its
+  /// late feature points fall past the window end), and zero-length
+  /// windows.  Every prefix of 7 or more windows spans them all.
+  static sim::TraceSet mixed_length_windows(std::size_t n) {
+    sim::TraceSet pool = mixed_windows(n);
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (i % 8 == 2) pool[i].samples.resize(250);
+      if (i % 8 == 4 || i % 8 == 5) pool[i].samples.resize(40);
+      if (i % 8 == 6) pool[i].samples.clear();
+    }
+    return pool;
+  }
+
+  /// The walk's labels against the model's per-level entry points, each of
+  /// which runs its level's own FeaturePipeline alone.
+  static void expect_levels_match(const core::HierarchicalDisassembler& m,
+                                  const core::Disassembly& d, const sim::Trace& t,
+                                  std::size_t window) {
+    EXPECT_EQ(d.group, m.classify_group(t)) << "window " << window;
+    EXPECT_EQ(d.class_idx, m.classify_within_group(d.group, t)) << "window " << window;
+    if (avr::class_uses_rd(d.class_idx)) {
+      EXPECT_EQ(d.rd, m.classify_rd(t)) << "window " << window;
+    } else {
+      EXPECT_FALSE(d.rd.has_value()) << "window " << window;
+    }
+    if (avr::class_uses_rr(d.class_idx)) {
+      EXPECT_EQ(d.rr, m.classify_rr(t)) << "window " << window;
+    } else {
+      EXPECT_FALSE(d.rr.has_value()) << "window " << window;
+    }
+  }
+
+  /// Both walks at every batch width over prefixes of `pool` give the
+  /// per-level entry points' labels, and the scored walk the one-window
+  /// posterior, bit for bit.
+  static void expect_walks_match_levels(const core::HierarchicalDisassembler& m,
+                                        const sim::TraceSet& pool) {
+    std::vector<core::Disassembly> scored;
+    for (const sim::Trace& t : pool) scored.push_back(m.classify_scored(t));
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                std::size_t{16}, std::size_t{64}}) {
+      SCOPED_TRACE("batch size " + std::to_string(k));
+      const sim::TraceSet windows(pool.begin(), pool.begin() + static_cast<long>(k));
+      const std::vector<core::Disassembly> plain = m.classify_batch(windows);
+      const std::vector<core::Disassembly> batch_scored = m.classify_batch_scored(windows);
+      for (std::size_t i = 0; i < k; ++i) {
+        expect_levels_match(m, plain[i], windows[i], i);
+        expect_levels_match(m, batch_scored[i], windows[i], i);
+        expect_identical_scored(batch_scored[i], scored[i], i);
+      }
+    }
   }
 
   /// Mixed-content eval pool: several classes, several programs, plus
@@ -496,6 +785,75 @@ TEST_F(BatchModelFixture, BitIdenticalWithMixedTraceLengths) {
   for (std::size_t i = 0; i < pool.size(); ++i) {
     expect_identical(batch[i], model().classify(pool[i]), i);
     expect_identical_scored(batch_scored[i], model().classify_scored(pool[i]), i);
+  }
+}
+
+TEST_F(BatchModelFixture, WalksMatchThePerLevelEntryPoints) {
+  const sim::TraceSet pool = mixed_length_windows(64);
+  for (const core::HierarchicalDisassembler* m : {&model(), &knn_model()}) {
+    expect_walks_match_levels(*m, pool);
+    expect_batches_match(*m, pool);
+  }
+}
+
+TEST_F(BatchModelFixture, WalksMatchThePerLevelEntryPointsOnEveryCwtBackend) {
+  // kAuto is model(), above.
+  const sim::TraceSet pool = mixed_length_windows(64);
+  for (const dsp::CwtBackend backend : {dsp::CwtBackend::kDirect, dsp::CwtBackend::kSpectral}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    expect_walks_match_levels(backend_model(backend), pool);
+    expect_batches_match(backend_model(backend), pool);
+  }
+}
+
+TEST_F(BatchModelFixture, GatherPlanOutlivesMovesReloadsAndRecalibration) {
+  const sim::TraceSet pool = mixed_length_windows(64);
+  const auto reload = [](const core::HierarchicalDisassembler& m) {
+    std::stringstream archive;
+    core::save_disassembler(archive, m);
+    return core::load_disassembler(archive);
+  };
+
+  core::HierarchicalDisassembler loaded = reload(model());
+  {
+    SCOPED_TRACE("save/load round trip");
+    expect_walks_match_levels(loaded, pool);
+  }
+  // A moved model's group level lives at a new address; the plan must not
+  // care.
+  core::HierarchicalDisassembler moved(std::move(loaded));
+  {
+    SCOPED_TRACE("move-constructed");
+    expect_walks_match_levels(moved, pool);
+  }
+  core::HierarchicalDisassembler assigned;
+  assigned = std::move(moved);
+  {
+    SCOPED_TRACE("move-assigned");
+    expect_walks_match_levels(assigned, pool);
+  }
+
+  // Recalibration re-centres the scalers, refit retrains the classifiers;
+  // neither moves a feature point.
+  core::HierarchicalDisassembler recalibrated = reload(model());
+  sim::AcquisitionCampaign corner{sim::DeviceModel::make(7), sim::SessionContext::make(3)};
+  std::mt19937_64 rng{53};
+  sim::TraceSet recal;
+  for (const auto& [class_idx, traces] : profiling_data().classes) {
+    (void)traces;
+    const sim::TraceSet some = corner.capture_class(class_idx, 8, 2, rng);
+    recal.insert(recal.end(), some.begin(), some.end());
+  }
+  recalibrated.recalibrate(recal, /*rescale=*/true);
+  {
+    SCOPED_TRACE("recalibrated");
+    expect_walks_match_levels(recalibrated, pool);
+  }
+  core::HierarchicalDisassembler refit = reload(model());
+  refit.refit_classifiers(profiling_data());
+  {
+    SCOPED_TRACE("refit");
+    expect_walks_match_levels(refit, pool);
   }
 }
 
