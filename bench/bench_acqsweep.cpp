@@ -7,7 +7,7 @@
 // and records the accuracy-vs-cost frontier, where cost = samples per
 // window x ADC bits, the byte budget a capture card spends per window.
 //
-// Three things are gated in CI (check_acqsweep.py):
+// Three things are gated in CI (`bench/check.py acqsweep`):
 //
 //   * the frontier is monotone within noise: paying more never buys less
 //     accuracy (a cheaper corner may tie -- the sweep's classes stay

@@ -12,7 +12,7 @@
 // fallback inside classify_batch, so it should track the scalar path).
 //
 // Results go to BENCH_batch.json (override with SIDIS_BENCH_OUT); CI diffs
-// a SIDIS_FAST run against the checked-in baseline via check_batch.py.
+// a SIDIS_FAST run against the checked-in baseline via `bench/check.py batch`.
 // Bit-identity is the one hard gate (the exit code).  The batch-16 >= 2x
 // speedup is a criterion about the Release hot path, not about -O1 coverage
 // builds: record baselines from an optimized build only; CI gates the
@@ -230,14 +230,16 @@ int main() {
   }
   // One meaning per line: identity is the only hard gate (it sets the exit
   // code on every build flavor); the 2x speedup is a Release-build criterion
-  // recorded in the JSON, which CI checks only as check_batch.py's band.
+  // recorded in the JSON, which CI checks only as a band
+  // (`bench/check.py batch`).
   std::printf("\n  hard gate (exit code): batch == scalar bit-identity %s\n",
               all_identical ? "PASS" : "FAIL");
   std::printf("  Release criterion (not a gate): batch-16 speedup %.3fx, target "
               ">= 2x: %s\n",
               speedup16, speedup16 >= 2.0 ? "met" : "not met");
   std::printf("  CI gates the speedup only as a band against bench/BENCH_batch.json "
-              "(check_batch.py: >= 0.4x the recorded speedup, never below 1.0x)\n");
+              "(bench/check.py batch: >= 0.4x the recorded speedup, never below "
+              "1.0x)\n");
 
   const char* out = std::getenv("SIDIS_BENCH_OUT");
   write_json(out != nullptr && *out != '\0' ? out : "BENCH_batch.json", n_classes,

@@ -17,7 +17,7 @@
 //
 // A per-batch timeline (accuracy, z_rms, active model stamp) shows the whole
 // arc.  Results go to BENCH_drift.json (override with SIDIS_BENCH_OUT),
-// diffed in CI by check_drift.py exactly like the transfer bench.
+// diffed in CI by `bench/check.py drift` exactly like the transfer bench.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

@@ -19,7 +19,8 @@
 //
 // SIDIS_FAST=1 shrinks the task to two classes per group (16 classes) and a
 // three-point sweep; results go to BENCH_fusion.json (override with
-// SIDIS_BENCH_OUT), gated in CI by check_fusion.py like the other benches.
+// SIDIS_BENCH_OUT), gated in CI by `bench/check.py fusion` like the other
+// benches.
 #include <algorithm>
 #include <cstdio>
 #include <map>

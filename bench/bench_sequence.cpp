@@ -18,8 +18,8 @@
 //
 // A lag sweep shows the latency/exactness trade; the primary row (lag 6)
 // carries the acceptance criteria.  Results go to BENCH_sequence.json
-// (override with SIDIS_BENCH_OUT), diffed in CI by check_sequence.py exactly
-// like the drift and batch benches.
+// (override with SIDIS_BENCH_OUT), diffed in CI by `bench/check.py sequence`
+// exactly like the drift and batch benches.
 #include <chrono>
 #include <cmath>
 #include <cstdio>

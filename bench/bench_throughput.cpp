@@ -155,7 +155,7 @@ BENCHMARK(BM_EndToEndClassifyTrace);
 // Expanded BENCHMARK_MAIN so the JSON context carries OUR build type: the
 // system-packaged libbenchmark stamps `build_type` with how IT was compiled,
 // which says nothing about the optimization level of this binary.
-// run_benchmarks.sh keys its refuse-to-record guard on this field.
+// A recorded BENCH_cwt.json thus says which build produced it.
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("sidis_build_type", SIDIS_BUILD_TYPE);
   benchmark::Initialize(&argc, argv);

@@ -1,82 +1,48 @@
 #!/usr/bin/env bash
-# Runs the CWT/pipeline throughput benchmarks in JSON mode and compares the
-# result against the checked-in baseline (bench/BENCH_cwt.json), so every PR
-# leaves a perf trajectory behind.
+# Runs a baseline-tracked bench and checks it with `bench/check.py` against
+# its checked-in bench/BENCH_<bench>.json, or (--update) overwrites that
+# baseline, so every change leaves a perf trajectory behind.
 #
 # Usage:
-#   bench/run_benchmarks.sh                  # run + print ratio vs. baseline
-#   bench/run_benchmarks.sh --update         # run + overwrite the baseline
-#   bench/run_benchmarks.sh fusion           # SIDIS_FAST fusion run, diffed
-#                                            # against bench/BENCH_fusion.json
-#   bench/run_benchmarks.sh fusion --update  # full-scale fusion run, then
-#                                            # overwrite the fusion baseline
+#   bench/run_benchmarks.sh [cwt|fusion] [--update]
+#     cwt     CWT/pipeline microbenchmarks (bench_throughput); the default
+#     fusion  multimodal power+EM workload (bench_fusion): a SIDIS_FAST run
+#             is checked, --update records a full-scale run
 #
 # Environment:
-#   BUILD_DIR   build tree holding bench/bench_throughput (default: ./build)
-#   FILTER      --benchmark_filter regex (default: the CWT/feature cases)
+#   BUILD_DIR   build tree holding the bench binaries (default: ./build)
+#   FILTER      cwt --benchmark_filter regex (default: the CWT/feature cases)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build}"
-BIN="$BUILD/bench/bench_throughput"
-BASELINE="$ROOT/bench/BENCH_cwt.json"
 FILTER="${FILTER:-Cwt|FeatureExtraction|PipelineTransform}"
 
-# -- fusion workload ----------------------------------------------------------
-# The multimodal power+EM accuracy workload: a reduced run gated against the
-# checked-in baseline, or (--update) a full-scale Release run that becomes
-# the new baseline the CI coverage job diffs against.
-if [[ "${1:-}" == "fusion" ]]; then
-  FBIN="$BUILD/bench/bench_fusion"
-  FBASE="$ROOT/bench/BENCH_fusion.json"
-  if [[ ! -x "$FBIN" ]]; then
-    echo "error: $FBIN not found -- build it first:" >&2
-    echo "  cmake -B $BUILD && cmake --build $BUILD -j --target bench_fusion" >&2
-    exit 1
-  fi
-  if [[ "${2:-}" == "--update" ]]; then
-    BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "$BUILD/CMakeCache.txt")"
-    case "$BUILD_TYPE" in
-      Release|RelWithDebInfo|MinSizeRel) ;;
-      *)
-        echo "error: refusing --update from a '$BUILD_TYPE' build." >&2
-        echo "  rebuild with -DCMAKE_BUILD_TYPE=Release and re-run." >&2
-        exit 1
-        ;;
-    esac
-    SIDIS_BENCH_OUT="$FBASE" "$FBIN"
-    echo "baseline updated: $FBASE (build type: $BUILD_TYPE)"
-    exit 0
-  fi
-  FOUT="$(mktemp /tmp/bench_fusion.XXXXXX.json)"
-  trap 'rm -f "$FOUT"' EXIT
-  SIDIS_FAST=1 SIDIS_BENCH_OUT="$FOUT" "$FBIN"
-  python3 "$ROOT/bench/check_fusion.py" "$FOUT" "$FBASE"
-  exit $?
-fi
+BENCH=cwt
+UPDATE=
+for arg in "$@"; do
+  case "$arg" in
+    cwt|fusion) BENCH="$arg" ;;
+    --update) UPDATE=1 ;;
+    *) echo "usage: $0 [cwt|fusion] [--update]" >&2; exit 2 ;;
+  esac
+done
+BASELINE="$ROOT/bench/BENCH_$BENCH.json"
+BIN="$BUILD/bench/$([[ $BENCH == cwt ]] && echo bench_throughput || echo bench_fusion)"
 
 if [[ ! -x "$BIN" ]]; then
   echo "error: $BIN not found -- build it first:" >&2
-  echo "  cmake -B $BUILD && cmake --build $BUILD -j --target bench_throughput" >&2
+  echo "  cmake -B $BUILD && cmake --build $BUILD -j --target $(basename "$BIN")" >&2
   exit 1
 fi
 
-OUT="$(mktemp /tmp/bench_cwt.XXXXXX.json)"
-trap 'rm -f "$OUT"' EXIT
-
-"$BIN" --benchmark_filter="$FILTER" \
-       --benchmark_format=json \
-       --benchmark_out="$OUT" \
-       --benchmark_out_format=json >/dev/null
-
-if [[ "${1:-}" == "--update" ]]; then
-  # Refuse to record a baseline from an unoptimized binary: a debug-build
-  # baseline makes every later optimized run look like a huge win and hides
-  # real regressions.  bench_throughput stamps its own compile-time build
-  # type into the JSON context (the libbenchmark `build_type` field reports
-  # how the LIBRARY was built, which is useless here).
-  BUILD_TYPE="$(python3 -c 'import json,sys
-print(json.load(open(sys.argv[1])).get("context", {}).get("sidis_build_type", "unknown"))' "$OUT")"
+# Refuse to record a baseline from an unoptimized build: a debug-build
+# baseline makes every later optimized run look like a huge win and hides
+# real regressions.  An empty cached build type is the top-level
+# CMakeLists.txt default, RelWithDebInfo.
+if [[ -n "$UPDATE" ]]; then
+  BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "$BUILD/CMakeCache.txt")"
+  BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}"
   case "$BUILD_TYPE" in
     Release|RelWithDebInfo|MinSizeRel) ;;
     *)
@@ -85,41 +51,22 @@ print(json.load(open(sys.argv[1])).get("context", {}).get("sidis_build_type", "u
       exit 1
       ;;
   esac
+fi
+
+OUT="$(mktemp "${TMPDIR:-/tmp}/bench_$BENCH.XXXXXX.json")"
+trap 'rm -f "$OUT"' EXIT
+if [[ $BENCH == cwt ]]; then
+  "$BIN" --benchmark_filter="$FILTER" --benchmark_format=json \
+         --benchmark_out="$OUT" --benchmark_out_format=json >/dev/null
+elif [[ -n "$UPDATE" ]]; then
+  SIDIS_BENCH_OUT="$OUT" "$BIN"
+else
+  SIDIS_FAST=1 SIDIS_BENCH_OUT="$OUT" "$BIN"
+fi
+
+if [[ -n "$UPDATE" ]]; then
   cp "$OUT" "$BASELINE"
   echo "baseline updated: $BASELINE (build type: $BUILD_TYPE)"
-  exit 0
+else
+  python3 "$ROOT/bench/check.py" "$BENCH" "$OUT" "$BASELINE"
 fi
-
-if [[ ! -f "$BASELINE" ]]; then
-  echo "no baseline at $BASELINE -- run with --update to create it" >&2
-  exit 1
-fi
-
-python3 - "$BASELINE" "$OUT" <<'EOF'
-import json, sys
-
-def load(path):
-    with open(path) as f:
-        doc = json.load(f)
-    return {b["name"]: b["cpu_time"] for b in doc["benchmarks"]
-            if b.get("run_type", "iteration") == "iteration"}
-
-base, cur = load(sys.argv[1]), load(sys.argv[2])
-width = max(len(n) for n in cur) if cur else 10
-print(f"{'benchmark':<{width}}  {'baseline':>12}  {'current':>12}  ratio")
-regressed = []
-for name, t in cur.items():
-    b = base.get(name)
-    if b is None:
-        print(f"{name:<{width}}  {'--':>12}  {t:>10.0f}ns   new")
-        continue
-    ratio = t / b
-    print(f"{name:<{width}}  {b:>10.0f}ns  {t:>10.0f}ns  {ratio:5.2f}x")
-    # Single-run microbenchmarks on a shared box jitter by tens of percent;
-    # only flag clear regressions.
-    if ratio > 1.5:
-        regressed.append(name)
-if regressed:
-    print("\npossible regressions (>1.5x baseline): " + ", ".join(regressed))
-    sys.exit(1)
-EOF
