@@ -439,7 +439,14 @@ int main() {
               fleet.batch_ns_per_win,
               static_cast<unsigned long long>(fleet.scalar_win),
               fleet.scalar_ns_per_win);
-  std::printf("    windows/batch: %s\n", fleet.windows_per_batch.c_str());
+  // windows/batch samples only passes of two or more windows; the scalar
+  // path's share is the windows that ran one per pass.
+  std::printf("    single-window share: %.1f%% of classified windows\n",
+              fleet.batch_win + fleet.scalar_win == 0
+                  ? 0.0
+                  : 100.0 * static_cast<double>(fleet.scalar_win) /
+                        static_cast<double>(fleet.batch_win + fleet.scalar_win));
+  std::printf("    windows/batched pass: %s\n", fleet.windows_per_batch.c_str());
 
   std::printf("  dedicated engines:   %10.1f windows/sec  (wall %.2fs, %zu "
               "single-worker engines live at once)\n",

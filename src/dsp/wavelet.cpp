@@ -324,10 +324,8 @@ std::vector<Scalogram> Cwt::transform_batch(TraceBatch traces,
   const double* __restrict soa = ws.soa_.data();
 
   // Lane-parallel direct correlation of scale j: the kernel tap streams once
-  // per batch and each tap broadcasts over a block of lanes, accumulating in
-  // the same tap order as the scalar direct_row.  Full linalg::kLaneTile
-  // blocks keep their accumulators in registers across the tap loop (see
-  // lanes.hpp); the sub-tile remainder keeps the plain lane-innermost form.
+  // per batch and each tap broadcasts over a tile of lanes, accumulating in
+  // registers (see lanes.hpp) in the same tap order as the scalar direct_row.
   const auto direct_row_batch = [&](std::size_t j) {
     const std::vector<double>& k = kernels_[j];
     const auto radius = static_cast<std::ptrdiff_t>(k.size() / 2);
@@ -342,25 +340,14 @@ std::vector<Scalogram> Cwt::transform_batch(TraceBatch traces,
       double* __restrict acc = row + t * lanes;
       const double* kern_lo = k.data() + (lo + radius);
       const double* soa_lo = soa + static_cast<std::size_t>(tt + lo) * lanes;
-      std::size_t l0 = 0;
-      for (; l0 + linalg::kLaneTile <= lanes; l0 += linalg::kLaneTile) {
-        linalg::LaneTile tile;
+      linalg::for_each_tile(lanes, [&](auto tile, std::size_t l0) {
         const double* xp = soa_lo + l0;
         for (std::size_t d = 0; d < taps; ++d) {
           tile.mul_add(kern_lo[d], xp);
           xp += lanes;
         }
         tile.store(acc + l0);
-      }
-      if (l0 < lanes) {
-        for (std::size_t l = l0; l < lanes; ++l) acc[l] = 0.0;
-        const double* xp = soa_lo;
-        for (std::size_t d = 0; d < taps; ++d) {
-          const double kv = kern_lo[d];
-          for (std::size_t l = l0; l < lanes; ++l) acc[l] += kv * xp[l];
-          xp += lanes;
-        }
-      }
+      });
     }
     for (std::size_t l = 0; l < lanes; ++l) {
       auto dst = out[l].row(j);
@@ -534,11 +521,9 @@ void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
 
   // Direct points: one lane-parallel correlation per point, each lane
   // accumulating its own sum in scalar tap order (bit-identical to
-  // Cwt::coefficient on that lane).  Full linalg::kLaneTile blocks of lanes
-  // ride in registers across the whole tap loop (see lanes.hpp for why that
-  // beats memory accumulators); the sub-tile remainder keeps the plain
-  // lane-innermost form -- at under one tile of lanes the store traffic is
-  // bounded and a partial tile would not pay for itself.
+  // Cwt::coefficient on that lane).  Every tile of lanes rides in registers
+  // across the whole tap loop (see lanes.hpp for why that beats memory
+  // accumulators).
   for (std::size_t i = 0; i < points.size(); ++i) {
     double* __restrict dst = out.data() + i * lanes;
     const CwtPoint& pt = points[i];
@@ -557,25 +542,14 @@ void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
     const std::size_t taps = static_cast<std::size_t>(hi - lo + 1);
     const double* kern_lo = kern.data() + (lo + radius);
     const double* soa_lo = soa + static_cast<std::size_t>(t + lo) * lanes;
-    std::size_t l0 = 0;
-    for (; l0 + linalg::kLaneTile <= lanes; l0 += linalg::kLaneTile) {
-      linalg::LaneTile acc;
+    linalg::for_each_tile(lanes, [&](auto acc, std::size_t l0) {
       const double* x = soa_lo + l0;
       for (std::size_t d = 0; d < taps; ++d) {
         acc.mul_add(kern_lo[d], x);
         x += lanes;
       }
       acc.store(dst + l0);
-    }
-    if (l0 < lanes) {
-      for (std::size_t l = l0; l < lanes; ++l) dst[l] = 0.0;
-      const double* x = soa_lo;
-      for (std::size_t d = 0; d < taps; ++d) {
-        const double kv = kern_lo[d];
-        for (std::size_t l = l0; l < lanes; ++l) dst[l] += kv * x[l];
-        x += lanes;
-      }
-    }
+    });
   }
 }
 

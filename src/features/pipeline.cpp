@@ -343,7 +343,7 @@ linalg::Matrix FeaturePipeline::project_soa(const double* gathered, std::size_t 
 
   // PCA projection, component-outer with register-tiled lanes.  Each output
   // row c accumulates centered-f * axis over points in ascending order --
-  // the scalar Pca::transform reduction -- but a linalg::LaneTile of lanes
+  // the scalar Pca::transform reduction -- but each linalg::Tile of lanes
   // rides in registers across the whole point loop, so the row costs zero
   // stores per point instead of one per (point, lane).  Tiling picks which
   // lane runs when; each lane's sum order is untouched, so columns stay
@@ -353,21 +353,12 @@ linalg::Matrix FeaturePipeline::project_soa(const double* gathered, std::size_t 
   linalg::Matrix z(k, m, 0.0);
   for (std::size_t c = 0; c < k; ++c) {
     double* __restrict zrow = z.row(c).data();
-    std::size_t l0 = 0;
-    for (; l0 + linalg::kLaneTile <= m; l0 += linalg::kLaneTile) {
-      linalg::LaneTile acc;
+    linalg::for_each_tile(m, [&](auto acc, std::size_t l0) {
       for (std::size_t p = 0; p < np; ++p) {
         acc.mul_add(axes(p, c), fbase + p * m + l0);
       }
       acc.store(zrow + l0);
-    }
-    for (; l0 < m; ++l0) {
-      double a = 0.0;
-      for (std::size_t p = 0; p < np; ++p) {
-        a += fbase[p * m + l0] * axes(p, c);
-      }
-      zrow[l0] = a;
-    }
+    });
   }
   return z;
 }

@@ -82,15 +82,14 @@ void Cholesky::mahalanobis_squared_batch(const Matrix& x_cols, std::span<double>
   // Mirror of the scalar routine lane-parallel: for each lane, v starts at
   // x[i], subtracts l(i,k) * y[k] in ascending k, divides by the diagonal,
   // and squares into the running sum -- the identical operation sequence, so
-  // each lane's result matches the scalar call.  Full LaneTile blocks keep
-  // row i's partial sums in registers across the k loop (see lanes.hpp);
-  // the squared-sum accumulates through `out` once per row i, which is cheap
-  // at that frequency.  The sub-tile remainder keeps the lane-innermost form.
+  // each lane's result matches the scalar call.  Each tile keeps row i's
+  // partial sums in registers across the k loop (see lanes.hpp); the squared
+  // sum accumulates through `out` once per row i, which is cheap at that
+  // frequency.
   for (std::size_t l2 = 0; l2 < lanes; ++l2) out[l2] = 0.0;
-  std::size_t l0 = 0;
-  for (; l0 + kLaneTile <= lanes; l0 += kLaneTile) {
+  for_each_tile(lanes, [&](auto tile, std::size_t l0) {
     for (std::size_t i = 0; i < n; ++i) {
-      LaneTile v;
+      auto v = tile;
       v.load(x_cols.row(i).data() + l0);
       for (std::size_t k = 0; k < i; ++k) {
         v.mul_sub(l(i, k), y.row(k).data() + l0);
@@ -99,26 +98,9 @@ void Cholesky::mahalanobis_squared_batch(const Matrix& x_cols, std::span<double>
       double* __restrict yrow = y.row(i).data() + l0;
       v.store(yrow);
       double* __restrict orow = out.data() + l0;
-      for (std::size_t u = 0; u < kLaneTile; ++u) orow[u] += yrow[u] * yrow[u];
+      for (std::size_t u = 0; u < v.kLanes; ++u) orow[u] += yrow[u] * yrow[u];
     }
-  }
-  if (l0 < lanes) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* __restrict xrow = x_cols.row(i).data();
-      double* __restrict yrow = y.row(i).data();
-      for (std::size_t l2 = l0; l2 < lanes; ++l2) yrow[l2] = xrow[l2];
-      for (std::size_t k = 0; k < i; ++k) {
-        const double lik = l(i, k);
-        const double* __restrict ykrow = y.row(k).data();
-        for (std::size_t l2 = l0; l2 < lanes; ++l2) yrow[l2] -= lik * ykrow[l2];
-      }
-      const double diag = l(i, i);
-      for (std::size_t l2 = l0; l2 < lanes; ++l2) {
-        yrow[l2] /= diag;
-        out[l2] += yrow[l2] * yrow[l2];
-      }
-    }
-  }
+  });
 }
 
 Lu Lu::compute(const Matrix& a) {

@@ -121,7 +121,7 @@ std::string RuntimeStats::report() const {
     out += buf;
   }
   if (batch_classified_windows != 0 || scalar_classified_windows != 0) {
-    char buf[160];
+    char buf[192];
     const auto per_window = [](std::uint64_t nanos, std::uint64_t windows) {
       return windows == 0 ? std::string("-")
                           : human_nanos(static_cast<double>(nanos) /
@@ -129,13 +129,16 @@ std::string RuntimeStats::report() const {
     };
     std::snprintf(buf, sizeof buf,
                   "  classify split: batch %llu windows @ %s/win, "
-                  "scalar %llu windows @ %s/win\n",
+                  "scalar %llu windows @ %s/win (%.1f%% of windows)\n",
                   static_cast<unsigned long long>(batch_classified_windows),
                   per_window(batch_classify_nanos, batch_classified_windows).c_str(),
                   static_cast<unsigned long long>(scalar_classified_windows),
-                  per_window(scalar_classify_nanos, scalar_classified_windows).c_str());
+                  per_window(scalar_classify_nanos, scalar_classified_windows).c_str(),
+                  100.0 * static_cast<double>(scalar_classified_windows) /
+                      static_cast<double>(batch_classified_windows +
+                                          scalar_classified_windows));
     out += buf;
-    out += "  windows/batch: " + windows_per_batch.summary_counts() + "\n";
+    out += "  windows/batched pass: " + windows_per_batch.summary_counts() + "\n";
   }
   if (windows_decoded != 0) {
     out += "  sequence decode: " + std::to_string(windows_decoded) +

@@ -97,10 +97,14 @@ struct RuntimeStats {
   std::uint64_t batches_submitted = 0;
   std::uint64_t batch_windows = 0;
   /// Batch-amortization telemetry of the worker pool: how many windows each
-  /// classification pass actually carried (the realized lane count of the
-  /// SoA hot path -- one sample per worker pass, value = windows), and how
-  /// classify wall-time splits between the lane-vectorized batch path and
-  /// the scalar per-window path.  batch_classify_nanos /
+  /// batched classification pass carried (the realized lane count of the
+  /// SoA hot path -- one sample per pass of more than one window, value =
+  /// windows; single-window passes are not sampled), and how classify
+  /// wall-time splits between batched passes and scalar ones (single-window
+  /// passes, or every pass of a stage without a batch path).  So the mean of
+  /// windows_per_batch describes the batched passes only; the share of
+  /// windows that ran scalar is scalar_classified_windows over both counts,
+  /// and report() prints it.  batch_classify_nanos /
   /// batch_classified_windows vs the scalar ratio is the in-situ
   /// amortization factor a deployment actually realizes.
   LatencyHistogram windows_per_batch;       ///< counts, not nanos

@@ -3,9 +3,9 @@
 // dimension and keeps the scalar per-window accumulation order, so its
 // output must equal the scalar path's to the last bit -- at every layer:
 // FFT, CWT (full transform and sparse extraction), fused feature transform,
-// blocked Mahalanobis/QDA scoring, and the full hierarchical classify_batch
-// across batch sizes, mixed content, mixed trace lengths, and streaming
-// worker counts.
+// blocked Mahalanobis/QDA scoring (each kernel at every lane count 1..33),
+// and the full hierarchical classify_batch across batch sizes, mixed
+// content, mixed trace lengths, and streaming worker counts.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -31,6 +31,12 @@
 
 namespace sidis {
 namespace {
+
+/// The lane kernels cover a lane count with 16-lane register tiles, then one
+/// 8-, 4-, 2- and 1-lane tile each as the remainder needs
+/// (linalg::for_each_tile).  Widths 1..kMaxSweepWidth run every remainder
+/// split behind zero, one and two full tiles.
+constexpr std::size_t kMaxSweepWidth = 33;
 
 std::vector<double> random_signal(std::size_t n, std::mt19937_64& rng) {
   std::normal_distribution<double> dist(0.0, 1.0);
@@ -95,7 +101,7 @@ TEST_P(CwtBatchTest, TransformBatchMatchesScalarTransforms) {
   const dsp::Cwt cwt(cfg);
   dsp::CwtBatchWorkspace bws;
   for (const std::size_t n : {std::size_t{315}, std::size_t{200}}) {
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    for (std::size_t lanes = 1; lanes <= kMaxSweepWidth; ++lanes) {
       std::vector<std::vector<double>> traces;
       for (std::size_t l = 0; l < lanes; ++l) traces.push_back(random_signal(n, rng));
       std::vector<const std::vector<double>*> ptrs;
@@ -143,7 +149,7 @@ TEST_P(CwtBatchTest, CoefficientsBatchMatchesScalarColumns) {
   js.push_back(3);  // duplicate of a dense-scale point
   ks.push_back(7);
 
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+  for (std::size_t lanes = 1; lanes <= kMaxSweepWidth; ++lanes) {
     std::vector<std::vector<double>> traces;
     for (std::size_t l = 0; l < lanes; ++l) traces.push_back(random_signal(n, rng));
     std::vector<const std::vector<double>*> ptrs;
@@ -198,18 +204,19 @@ TEST(LinalgBatch, MahalanobisBatchMatchesScalar) {
   const linalg::Cholesky chol = linalg::Cholesky::compute(spd);
   ASSERT_TRUE(chol.valid);
 
-  const std::size_t lanes = 9;
-  linalg::Matrix x_cols(dim, lanes);
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t l = 0; l < lanes; ++l) x_cols(r, l) = random_signal(1, rng)[0];
-  }
-  std::vector<double> out(lanes);
   linalg::Matrix scratch;
-  chol.mahalanobis_squared_batch(x_cols, out, scratch);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    linalg::Vector x(dim);
-    for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
-    EXPECT_EQ(out[l], chol.mahalanobis_squared(x)) << "lane " << l;
+  for (std::size_t lanes = 1; lanes <= kMaxSweepWidth; ++lanes) {
+    linalg::Matrix x_cols(dim, lanes);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t l = 0; l < lanes; ++l) x_cols(r, l) = random_signal(1, rng)[0];
+    }
+    std::vector<double> out(lanes);
+    chol.mahalanobis_squared_batch(x_cols, out, scratch);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      linalg::Vector x(dim);
+      for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
+      ASSERT_EQ(out[l], chol.mahalanobis_squared(x)) << "lanes " << lanes << " lane " << l;
+    }
   }
 }
 
@@ -254,26 +261,29 @@ TEST(MlBatch, QdaPredictScoredBatchMatchesScalar) {
   ml::Qda qda;
   qda.fit(train);
 
-  const std::size_t lanes = 11;
-  linalg::Matrix x_cols(dim, lanes);
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      x_cols(r, l) = random_signal(1, rng)[0] + 2.0 * (l % 3);
+  linalg::Matrix x_cols;
+  for (std::size_t lanes = 1; lanes <= kMaxSweepWidth; ++lanes) {
+    x_cols = linalg::Matrix(dim, lanes);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        x_cols(r, l) = random_signal(1, rng)[0] + 2.0 * (l % 3);
+      }
     }
-  }
-  const std::vector<ml::ScoredPrediction> batch = qda.predict_scored_batch(x_cols);
-  const linalg::Matrix scores = qda.scores_batch(x_cols);
-  ASSERT_EQ(batch.size(), lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    linalg::Vector x(dim);
-    for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
-    const ml::ScoredPrediction ref = qda.predict_scored(x);
-    EXPECT_EQ(batch[l].label, ref.label) << "lane " << l;
-    EXPECT_EQ(batch[l].top_score, ref.top_score) << "lane " << l;
-    EXPECT_EQ(batch[l].margin, ref.margin) << "lane " << l;
-    const linalg::Vector sref = qda.scores(x);
-    for (std::size_t c = 0; c < sref.size(); ++c) {
-      EXPECT_EQ(scores(c, l), sref[c]) << "lane " << l << " class " << c;
+    const std::vector<ml::ScoredPrediction> batch = qda.predict_scored_batch(x_cols);
+    const linalg::Matrix scores = qda.scores_batch(x_cols);
+    ASSERT_EQ(batch.size(), lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + " lane " + std::to_string(l));
+      linalg::Vector x(dim);
+      for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
+      const ml::ScoredPrediction ref = qda.predict_scored(x);
+      ASSERT_EQ(batch[l].label, ref.label);
+      ASSERT_EQ(batch[l].top_score, ref.top_score);
+      ASSERT_EQ(batch[l].margin, ref.margin);
+      const linalg::Vector sref = qda.scores(x);
+      for (std::size_t c = 0; c < sref.size(); ++c) {
+        ASSERT_EQ(scores(c, l), sref[c]) << "class " << c;
+      }
     }
   }
 
@@ -283,7 +293,7 @@ TEST(MlBatch, QdaPredictScoredBatchMatchesScalar) {
   lda.fit(train);
   const ml::Classifier& base = lda;
   const std::vector<ml::ScoredPrediction> fallback = base.predict_scored_batch(x_cols);
-  for (std::size_t l = 0; l < lanes; ++l) {
+  for (std::size_t l = 0; l < x_cols.cols(); ++l) {
     linalg::Vector x(dim);
     for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
     const ml::ScoredPrediction ref = lda.predict_scored(x);
@@ -311,33 +321,39 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
   const auto pipeline = features::FeaturePipeline::fit(input, cfg);
 
   std::vector<std::vector<double>> prepared;
-  for (int i = 0; i < 9; ++i) {
+  for (std::size_t i = 0; i < kMaxSweepWidth; ++i) {
     const sim::Trace t = campaign.capture_trace(
         avr::random_instance(*avr::class_index(avr::Mnemonic::kAdd), rng),
-        sim::ProgramContext::make(i % 3), rng);
+        sim::ProgramContext::make(static_cast<int>(i % 3)), rng);
     prepared.push_back(features::FeaturePipeline::preprocess_window(
         t, cfg.per_trace_normalization));
   }
-  std::vector<const std::vector<double>*> ptrs;
-  for (const auto& p : prepared) ptrs.push_back(&p);
-  std::vector<double> soa;
-  const std::size_t n = dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa);
 
   dsp::CwtWorkspace sws;
   dsp::CwtBatchWorkspace bws;
   const std::size_t fitted = pipeline.max_components();
   ASSERT_GE(fitted, 2u);
   for (const std::size_t components : {fitted, fitted - 1}) {
-    const linalg::Matrix batch =
-        pipeline.transform_soa_batch(soa, n, prepared.size(), components, bws);
-    ASSERT_EQ(batch.rows(), components);
-    ASSERT_EQ(batch.cols(), prepared.size());
-    for (std::size_t w = 0; w < prepared.size(); ++w) {
-      const linalg::Vector ref =
-          pipeline.transform_prepared(prepared[w], components, sws);
-      ASSERT_EQ(ref.size(), components);
-      for (std::size_t c = 0; c < components; ++c) {
-        ASSERT_EQ(batch(c, w), ref[c]) << "window " << w << " component " << c;
+    std::vector<linalg::Vector> refs;
+    for (const std::vector<double>& w : prepared) {
+      refs.push_back(pipeline.transform_prepared(w, components, sws));
+      ASSERT_EQ(refs.back().size(), components);
+    }
+    // Every prefix width of the windows.
+    std::vector<const std::vector<double>*> ptrs;
+    std::vector<double> soa;
+    for (const std::vector<double>& p : prepared) {
+      ptrs.push_back(&p);
+      const std::size_t n = dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa);
+      const linalg::Matrix batch =
+          pipeline.transform_soa_batch(soa, n, ptrs.size(), components, bws);
+      ASSERT_EQ(batch.rows(), components);
+      ASSERT_EQ(batch.cols(), ptrs.size());
+      for (std::size_t w = 0; w < ptrs.size(); ++w) {
+        for (std::size_t c = 0; c < components; ++c) {
+          ASSERT_EQ(batch(c, w), refs[w][c])
+              << "width " << ptrs.size() << " window " << w << " component " << c;
+        }
       }
     }
   }
@@ -555,6 +571,10 @@ TEST(GatherPlan, RejectsLevelsThatReadTheWindowDifferently) {
 
 class BatchModelFixture : public ::testing::Test {
  protected:
+  /// Every batch width the walk tests run, as prefixes of their pool: odd
+  /// widths put sub-16 remainders on every level's tiles.
+  static constexpr std::size_t kBatchSizes[] = {1, 2, 3, 5, 7, 15, 16, 31, 64};
+
   static const core::HierarchicalDisassembler& model() {
     static const core::HierarchicalDisassembler m = train(ml::ClassifierKind::kQda);
     return m;
@@ -656,8 +676,7 @@ class BatchModelFixture : public ::testing::Test {
                                         const sim::TraceSet& pool) {
     std::vector<core::Disassembly> scored;
     for (const sim::Trace& t : pool) scored.push_back(m.classify_scored(t));
-    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                                std::size_t{16}, std::size_t{64}}) {
+    for (const std::size_t k : kBatchSizes) {
       SCOPED_TRACE("batch size " + std::to_string(k));
       const sim::TraceSet windows(pool.begin(), pool.begin() + static_cast<long>(k));
       const std::vector<core::Disassembly> plain = m.classify_batch(windows);
@@ -730,8 +749,7 @@ class BatchModelFixture : public ::testing::Test {
       scored.push_back(m.classify_scored(t));
       ASSERT_FALSE(scored.back().log_posterior.empty());
     }
-    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                                std::size_t{16}, std::size_t{64}}) {
+    for (const std::size_t k : kBatchSizes) {
       const sim::TraceSet windows(pool.begin(), pool.begin() + static_cast<long>(k));
       const std::vector<core::Disassembly> batch = m.classify_batch(windows);
       const std::vector<core::Disassembly> batch_scored =
