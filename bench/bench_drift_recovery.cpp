@@ -4,7 +4,7 @@
 // device serves a live stream; partway in, the device starts aging (linear
 // gain ramp).  A runtime::DriftMonitor watches the emissions, a
 // runtime::RecalibrationScheduler answers its events with budgeted labeled
-// captures and hot-swaps the recalibrated model into the running engine via
+// captures and hot-swaps the recalibrated model into the serving stream via
 // the ModelRegistry.  The bench measures what the ISSUE asks for:
 //
 //   * the drift magnitude in calibrated units (feature-mean shift in
@@ -31,9 +31,9 @@
 #include "bench/common.hpp"
 #include "core/csa.hpp"
 #include "runtime/drift.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/recal.hpp"
 #include "runtime/registry.hpp"
-#include "runtime/streaming.hpp"
 
 namespace sidis::bench {
 namespace {
@@ -170,13 +170,15 @@ DriftBenchRun run_scenario(std::size_t stream_windows, std::size_t per_class_tra
     run.feature_shift_sigma = std::sqrt(z_sq / static_cast<double>(mean.size()));
   }
 
-  // -- the serving loop: engine + monitor + scheduler + registry -------------
+  // -- the serving loop: one-stream fleet + monitor + scheduler + registry ---
   std::filesystem::remove_all(registry_root);
   runtime::ModelRegistry registry(registry_root);
-  runtime::StreamingConfig scfg;
-  scfg.workers = 2;
-  runtime::StreamingDisassembler engine(
-      [model](const sim::Trace& t) { return model->classify(t); }, scfg);
+  runtime::FleetConfig fcfg;
+  fcfg.shards = 1;
+  fcfg.workers_per_shard = 2;
+  fcfg.admission = runtime::AdmissionPolicy::kBlock;
+  runtime::FleetFrontend fleet(model, fcfg);
+  const auto id = fleet.open_stream();
   runtime::DriftConfig dcfg;
   dcfg.z_threshold = 2.5;  // monitoring-grade sensitivity (see regression_test)
   dcfg.cooldown = 40;
@@ -187,7 +189,7 @@ DriftBenchRun run_scenario(std::size_t stream_windows, std::size_t per_class_tra
   policy.trace_budget = 72;  // three rounds of 8 x 3 classes
   policy.rescale = true;     // a gain ramp moves stddevs, not just means
   run.trace_budget = policy.trace_budget;
-  runtime::RecalibrationScheduler scheduler(engine, model, source, policy, &registry);
+  runtime::RecalibrationScheduler scheduler(fleet, id, model, source, policy, &registry);
 
   const std::size_t batch = std::max<std::size_t>(10, stream_windows / 20);
   for (std::size_t base = 0; base < windows.size(); base += batch) {
@@ -195,12 +197,13 @@ DriftBenchRun run_scenario(std::size_t stream_windows, std::size_t per_class_tra
     BatchPoint point;
     point.first_window = base;
     std::size_t hits = 0;
-    for (std::size_t i = base; i < end; ++i) (void)engine.submit(windows[i]);
+    for (std::size_t i = base; i < end; ++i) (void)fleet.submit(id, windows[i]);
     std::size_t emitted = base;
     while (emitted < end) {
-      if (auto r = engine.poll()) {
-        monitor.observe(windows[r->sequence], r->value);
-        if (r->value.class_idx == windows[r->sequence].meta.class_idx) ++hits;
+      if (auto r = fleet.poll(id)) {
+        const sim::Trace& window = windows[r->stream_sequence];
+        monitor.observe(window, r->value);
+        if (r->value.class_idx == window.meta.class_idx) ++hits;
         point.model_stamp = r->model_stamp;
         ++emitted;
       }
@@ -225,11 +228,10 @@ DriftBenchRun run_scenario(std::size_t stream_windows, std::size_t per_class_tra
       (void)scheduler.on_drift(*event, monitor);
     }
   }
-  (void)engine.drain();
-  const runtime::RuntimeStats stats = engine.stats();
-  run.recalibrations = stats.recalibrations;
-  run.traces_spent = stats.recal_traces_spent;
-  run.model_swaps = stats.model_swaps;
+  (void)fleet.close_stream(id);
+  run.recalibrations = scheduler.recalibrations();
+  run.traces_spent = scheduler.traces_spent();
+  run.model_swaps = fleet.stats().runtime.model_swaps;
   run.registry_versions =
       registry.names().empty() ? 0 : registry.latest_version(policy.registry_name);
 

@@ -1,11 +1,11 @@
 // Fleet-scale serving: thousands of logical device streams multiplexed onto
 // a handful of shared worker shards (runtime::FleetFrontend) versus the
-// naive deployment -- one dedicated single-stream StreamingDisassembler per
-// device -- at EQUAL total worker count.
+// naive deployment -- one dedicated one-stream fleet per device (one shard,
+// one worker, no coalescing) -- at EQUAL window load.
 //
 // The fleet wins two ways: batched classification amortizes one
 // feature-extraction workspace across up to batch_max windows per worker
-// pass, and shared long-lived shards amortize engine/thread setup that the
+// pass, and shared long-lived shards amortize shard/thread setup that the
 // per-device deployment pays per stream.  The bench measures both
 // deployments on the same window load, reports aggregate windows/sec and
 // admit->deliver latency quantiles, and exercises the admission-control
@@ -29,7 +29,6 @@
 
 #include "core/hierarchical.hpp"
 #include "runtime/fleet.hpp"
-#include "runtime/streaming.hpp"
 
 using namespace sidis;
 
@@ -39,6 +38,18 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// One device's dedicated deployment: one shard with one worker, no
+/// coalescing, and a producer that blocks at 32 unclassified windows.
+runtime::FleetConfig dedicated_config() {
+  runtime::FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = 1;
+  cfg.batch_max = 1;
+  cfg.stream_credit = 32;
+  cfg.admission = runtime::AdmissionPolicy::kBlock;
+  return cfg;
 }
 
 struct FleetRun {
@@ -121,7 +132,7 @@ FleetRun run_fleet(const std::shared_ptr<const core::HierarchicalDisassembler>& 
   run.batches = stats.runtime.batches_submitted;
   run.coalescing = run.batches == 0
                        ? 0.0
-                       : static_cast<double>(stats.runtime.batch_windows) /
+                       : static_cast<double>(stats.runtime.traces_submitted) /
                              static_cast<double>(run.batches);
   if (stats.windows_shed != 0 || stats.windows_rejected != 0) run.in_order = false;
   run.windows_per_batch = stats.runtime.windows_per_batch.summary_counts();
@@ -138,46 +149,46 @@ FleetRun run_fleet(const std::shared_ptr<const core::HierarchicalDisassembler>& 
   return run;
 }
 
-/// The deployment the fleet replaces: one dedicated single-worker
-/// StreamingDisassembler per device, all alive at once, fed the same
-/// interleaved window arrivals the fleet sees.  Every stream's worker thread
-/// wakes for its own windows -- with a thousand devices that is a thousand
-/// mostly-idle threads and a context switch per few windows, which is
-/// exactly the overhead shard sharing exists to remove.
-BaselineRun run_dedicated(const core::HierarchicalDisassembler& model,
-                          const sim::TraceSet& pool, std::size_t streams,
-                          std::size_t windows_per_stream) {
+/// The deployment the fleet replaces: one dedicated one-stream fleet per
+/// device (dedicated_config), all alive at once, fed the same interleaved
+/// window arrivals the fleet sees.  Every stream's worker thread wakes for
+/// its own windows -- with a thousand devices that is a thousand mostly-idle
+/// threads and a context switch per few windows, which is exactly the
+/// overhead shard sharing exists to remove.
+BaselineRun run_dedicated(
+    const std::shared_ptr<const core::HierarchicalDisassembler>& model,
+    const sim::TraceSet& pool, std::size_t streams, std::size_t windows_per_stream) {
   BaselineRun run;
   const Clock::time_point t0 = Clock::now();
-  runtime::StreamingConfig scfg;
-  scfg.workers = 1;
-  scfg.max_in_flight = 32;
-  std::vector<std::unique_ptr<runtime::StreamingDisassembler>> engines;
-  engines.reserve(streams);
+  std::vector<std::unique_ptr<runtime::FleetFrontend>> fleets;
+  std::vector<runtime::FleetFrontend::StreamId> ids;
+  fleets.reserve(streams);
+  ids.reserve(streams);
   for (std::size_t s = 0; s < streams; ++s) {
-    engines.push_back(
-        std::make_unique<runtime::StreamingDisassembler>(model, scfg));
+    fleets.push_back(std::make_unique<runtime::FleetFrontend>(model, dedicated_config()));
+    ids.push_back(fleets.back()->open_stream());
   }
   for (std::size_t w = 0; w < windows_per_stream; ++w) {
     for (std::size_t s = 0; s < streams; ++s) {
-      engines[s]->submit(pool[(s * 7 + w) % pool.size()]);
-      while (engines[s]->poll()) {
+      fleets[s]->submit(ids[s], pool[(s * 7 + w) % pool.size()]);
+      while (fleets[s]->poll(ids[s])) {
       }
     }
   }
-  for (auto& engine : engines) engine->drain();
+  for (std::size_t s = 0; s < streams; ++s) fleets[s]->close_stream(ids[s]);
   run.wall_secs = seconds_since(t0);
   run.windows_per_sec =
       static_cast<double>(streams * windows_per_stream) / run.wall_secs;
   return run;
 }
 
-/// Offline reference: `driver_threads` pooled engines, each running its
-/// share of streams SEQUENTIALLY to completion.  No real deployment can do
-/// this -- live windows arrive interleaved across devices, not one device at
-/// a time -- so this is a work-conserving upper bound on the same worker
-/// count, not a serving alternative.
-BaselineRun run_pooled(const core::HierarchicalDisassembler& model,
+/// Offline reference: `driver_threads` dedicated one-stream fleets, each
+/// running its share of devices' windows SEQUENTIALLY through its one
+/// stream.  No real deployment can do this -- live windows arrive
+/// interleaved across devices, not one device at a time -- so this is a
+/// work-conserving upper bound on the same worker count, not a serving
+/// alternative.
+BaselineRun run_pooled(const std::shared_ptr<const core::HierarchicalDisassembler>& model,
                        const sim::TraceSet& pool, std::size_t streams,
                        std::size_t windows_per_stream,
                        std::size_t driver_threads) {
@@ -187,18 +198,16 @@ BaselineRun run_pooled(const core::HierarchicalDisassembler& model,
   drivers.reserve(driver_threads);
   for (std::size_t d = 0; d < driver_threads; ++d) {
     drivers.emplace_back([&, d] {
-      runtime::StreamingConfig scfg;
-      scfg.workers = 1;
-      scfg.max_in_flight = 32;
-      runtime::StreamingDisassembler engine(model, scfg);
+      runtime::FleetFrontend fleet(model, dedicated_config());
+      const auto id = fleet.open_stream();
       for (std::size_t s = d; s < streams; s += driver_threads) {
         for (std::size_t w = 0; w < windows_per_stream; ++w) {
-          engine.submit(pool[(s * 7 + w) % pool.size()]);
-          while (engine.poll()) {
+          fleet.submit(id, pool[(s * 7 + w) % pool.size()]);
+          while (fleet.poll(id)) {
           }
         }
       }
-      engine.drain();
+      fleet.close_stream(id);
     });
   }
   for (std::thread& t : drivers) t.join();
@@ -225,14 +234,14 @@ Comparison compare(const std::shared_ptr<const core::HierarchicalDisassembler>& 
   // Untimed warm-up of both deployments: the first leg of a process pays
   // page faults, thread-stack and allocator-arena setup the others do not.
   run_fleet(model, pool, streams, windows_per_stream, cfg);
-  run_dedicated(*model, pool, streams, windows_per_stream);
+  run_dedicated(model, pool, streams, windows_per_stream);
 
   Comparison cmp;
   std::vector<FleetRun> fleets;
   std::vector<BaselineRun> dedicateds;
   for (std::size_t leg = 0; leg < legs; ++leg) {
     fleets.push_back(run_fleet(model, pool, streams, windows_per_stream, cfg));
-    dedicateds.push_back(run_dedicated(*model, pool, streams, windows_per_stream));
+    dedicateds.push_back(run_dedicated(model, pool, streams, windows_per_stream));
     cmp.all_delivered = cmp.all_delivered && fleets.back().in_order &&
                         fleets.back().delivered == streams * windows_per_stream;
     cmp.speedups.push_back(fleets.back().windows_per_sec /
@@ -364,7 +373,7 @@ void write_json(const std::string& path, std::size_t streams,
 }  // namespace
 
 int main() {
-  bench::print_header("Fleet serving -- shared shards vs dedicated engines");
+  bench::print_header("Fleet serving -- shared shards vs a fleet per device");
   std::printf("  host reports %u hardware thread(s)\n",
               std::thread::hardware_concurrency());
   std::mt19937_64 rng(static_cast<std::uint64_t>(bench::env_int("SIDIS_SEED", 54)));
@@ -448,10 +457,10 @@ int main() {
                         static_cast<double>(fleet.batch_win + fleet.scalar_win));
   std::printf("    windows/batched pass: %s\n", fleet.windows_per_batch.c_str());
 
-  std::printf("  dedicated engines:   %10.1f windows/sec  (wall %.2fs, %zu "
-              "single-worker engines live at once)\n",
+  std::printf("  dedicated fleets:    %10.1f windows/sec  (wall %.2fs, %zu "
+              "one-worker fleets live at once)\n",
               dedicated.windows_per_sec, dedicated.wall_secs, streams);
-  std::printf("  fleet speedup: %.2fx over engine-per-device, with %zu workers "
+  std::printf("  fleet speedup: %.2fx over fleet-per-device, with %zu workers "
               "instead of %zu (per leg:",
               fleet.windows_per_sec / dedicated.windows_per_sec, total_workers,
               streams);
@@ -459,9 +468,9 @@ int main() {
   std::printf(")\n");
 
   const BaselineRun pooled =
-      run_pooled(*model, pool, streams, windows_per_stream, total_workers);
+      run_pooled(model, pool, streams, windows_per_stream, total_workers);
   std::printf("  pooled reference:    %10.1f windows/sec  (offline upper "
-              "bound: %zu engines, streams run sequentially)\n",
+              "bound: %zu one-stream fleets, devices run sequentially)\n",
               pooled.windows_per_sec, total_workers);
 
   const ShedRun shed = run_shed(model, pool, runtime::AdmissionPolicy::kShedOldest,

@@ -1,12 +1,14 @@
-// Streaming-runtime scaling: traces/sec through runtime::StreamingDisassembler
-// at 1/2/4/8 workers vs. the serial core::disassemble baseline on the same
-// trace set -- the serving-layer counterpart of bench_throughput's per-stage
-// microbenchmarks (Sec. 5.4's real-time argument).
+// Serving-layer scaling: traces/sec through one stream of a one-shard
+// runtime::FleetFrontend at 1/2/4/8 workers, and at batch_max 1/4/16/64,
+// vs. the serial core::disassemble baseline on the same trace set -- the
+// serving-layer counterpart of bench_throughput's per-stage microbenchmarks
+// (Sec. 5.4's real-time argument).
 //
 // Besides throughput, the bench asserts the property that makes parallel
 // serving legitimate at all: the streamed listing is byte-identical to the
-// serial one at every worker count.  SIDIS_RUNTIME_TRACES overrides the
-// stream length, SIDIS_FAST=1 shrinks everything.
+// serial one in every configuration; any MISMATCH row makes it exit 1.
+// SIDIS_RUNTIME_TRACES overrides the stream length, SIDIS_FAST=1 shrinks
+// everything.
 #include "bench/common.hpp"
 
 #include <algorithm>
@@ -15,7 +17,7 @@
 
 #include "core/disassembler.hpp"
 #include "core/hierarchical.hpp"
-#include "runtime/streaming.hpp"
+#include "runtime/fleet.hpp"
 
 using namespace sidis;
 
@@ -25,6 +27,41 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+struct Served {
+  double rate = 0.0;  ///< traces/sec, submit of the first to delivery of the last
+  std::string listing;
+  runtime::RuntimeStats stats;
+};
+
+/// Streams `windows` through one blocking stream of a one-shard fleet,
+/// polling after every submit -- the single-monitor deployment.
+Served serve(const std::shared_ptr<const core::HierarchicalDisassembler>& model,
+             const sim::TraceSet& windows, std::size_t workers,
+             std::size_t batch_max) {
+  runtime::FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = workers;
+  cfg.batch_max = batch_max;
+  cfg.stream_credit = 64;
+  cfg.admission = runtime::AdmissionPolicy::kBlock;
+  runtime::FleetFrontend fleet(model, cfg);
+  const auto id = fleet.open_stream();
+
+  const Clock::time_point ts = Clock::now();
+  std::vector<core::Disassembly> streamed;
+  streamed.reserve(windows.size());
+  for (const sim::Trace& t : windows) {
+    fleet.submit(id, t);
+    while (auto r = fleet.poll(id)) streamed.push_back(std::move(r->value));
+  }
+  for (auto& r : fleet.close_stream(id)) streamed.push_back(std::move(r.value));
+  Served out;
+  out.rate = static_cast<double>(windows.size()) / seconds_since(ts);
+  out.listing = core::listing(streamed);
+  out.stats = fleet.stats().runtime;
+  return out;
 }
 
 }  // namespace
@@ -52,7 +89,8 @@ int main() {
   cfg.instruction_components = 40;
   cfg.factory.discriminant.shrinkage = 0.15;
   std::printf("  training a %zu-class hierarchical model...\n", n_classes);
-  const auto model = core::HierarchicalDisassembler::train(data, cfg);
+  const auto model = std::make_shared<const core::HierarchicalDisassembler>(
+      core::HierarchicalDisassembler::train(data, cfg));
 
   // The stream under test: unseen windows of the profiled classes.
   const std::size_t n_traces = static_cast<std::size_t>(
@@ -66,87 +104,57 @@ int main() {
 
   // Serial baseline (and the golden listing for the identity check).
   const Clock::time_point t0 = Clock::now();
-  const std::vector<core::Disassembly> serial = core::disassemble(model, windows);
+  const std::vector<core::Disassembly> serial = core::disassemble(*model, windows);
   const double serial_secs = seconds_since(t0);
   const std::string golden = core::listing(serial);
   const double serial_rate = static_cast<double>(n_traces) / serial_secs;
   std::printf("\n  %zu traces, serial core::disassemble: %8.1f traces/sec\n", n_traces,
               serial_rate);
 
-  std::printf("\n  %-9s %-14s %-10s %-12s %s\n", "workers", "traces/sec", "speedup",
+  bool all_identical = true;
+  std::printf("\n  one-shard fleet, one blocking stream (batch_max 16):\n");
+  std::printf("  %-9s %-14s %-10s %-12s %s\n", "workers", "traces/sec", "speedup",
               "vs serial", "output");
   double rate1 = 0.0;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    runtime::StreamingConfig scfg;
-    scfg.workers = workers;
-    scfg.max_in_flight = 64;
-    runtime::StreamingDisassembler engine(model, scfg);
-
-    const Clock::time_point ts = Clock::now();
-    std::vector<core::Disassembly> streamed;
-    streamed.reserve(n_traces);
-    for (const sim::Trace& t : windows) {
-      engine.submit(t);
-      while (auto r = engine.poll()) streamed.push_back(std::move(r->value));
-    }
-    for (auto& r : engine.drain()) streamed.push_back(std::move(r.value));
-    const double secs = seconds_since(ts);
-
-    const double rate = static_cast<double>(n_traces) / secs;
-    if (workers == 1) rate1 = rate;
-    const bool identical = core::listing(streamed) == golden;
-    std::printf("  %-9zu %10.1f %8.2fx %10.2fx   %s\n", workers, rate, rate / rate1,
-                rate / serial_rate, identical ? "byte-identical" : "MISMATCH");
+    const Served run = serve(model, windows, workers, 16);
+    if (workers == 1) rate1 = run.rate;
+    const bool identical = run.listing == golden;
+    all_identical = all_identical && identical;
+    std::printf("  %-9zu %10.1f %8.2fx %10.2fx   %s\n", workers, run.rate,
+                run.rate / rate1, run.rate / serial_rate,
+                identical ? "byte-identical" : "MISMATCH");
     if (workers == 4) {
-      const runtime::RuntimeStats stats = engine.stats();
-      std::printf("\n  stats @ 4 workers:\n%s\n", stats.report().c_str());
+      std::printf("\n  stats @ 4 workers:\n%s\n", run.stats.report().c_str());
     }
   }
   std::printf(
-      "  (speedup is relative to the 1-worker engine; 'vs serial' includes the\n"
-      "   queue/reorder overhead.  Scaling requires physical cores: on a\n"
+      "  (speedup is relative to 1 worker; 'vs serial' includes the admission,\n"
+      "   dispatch and reorder overhead.  Scaling requires physical cores: on a\n"
       "   single-core host every configuration collapses to ~1x.)\n");
 
-  // Batched submission: the same stream coalesced into submit_batch calls at
-  // fixed worker count.  One worker runs each batch through classify_batch
-  // (one feature-extraction workspace amortized over the whole batch), so
-  // per-window overhead drops even before parallelism enters -- this is the
-  // amortization the fleet frontend's shard dispatcher rides on.
-  std::printf("\n  batched submission @ 4 workers (vs per-window submit):\n");
-  std::printf("  %-12s %-14s %-10s %s\n", "batch size", "traces/sec", "speedup",
-              "output");
+  // Coalescing: the same stream at fixed worker count, with the dispatcher
+  // allowed to pack up to batch_max pending windows into one classify_batch
+  // pass (one feature-extraction workspace amortized over the batch).  The
+  // dispatcher only holds windows back while every worker is busy, so the
+  // realized batch width is reported beside the cap.
+  std::printf("\n  coalescing @ 4 workers (vs batch_max 1):\n");
+  std::printf("  %-12s %-14s %-10s %-14s %s\n", "batch_max", "traces/sec", "speedup",
+              "windows/pass", "output");
   double per_window_rate = 0.0;
-  for (const std::size_t batch : {1u, 4u, 16u, 64u}) {
-    runtime::StreamingConfig scfg;
-    scfg.workers = 4;
-    scfg.max_in_flight = 64;
-    runtime::StreamingDisassembler engine(model, scfg);
-
-    const Clock::time_point ts = Clock::now();
-    std::vector<core::Disassembly> streamed;
-    streamed.reserve(n_traces);
-    for (std::size_t i = 0; i < n_traces; i += batch) {
-      const std::size_t n = std::min(batch, n_traces - i);
-      if (batch == 1) {
-        engine.submit(windows[i]);
-      } else {
-        engine.submit_batch(
-            sim::TraceSet(windows.begin() + static_cast<std::ptrdiff_t>(i),
-                          windows.begin() + static_cast<std::ptrdiff_t>(i + n)));
-      }
-      while (auto r = engine.poll()) streamed.push_back(std::move(r->value));
-    }
-    for (auto& r : engine.drain()) streamed.push_back(std::move(r.value));
-    const double secs = seconds_since(ts);
-
-    const double rate = static_cast<double>(n_traces) / secs;
-    if (batch == 1) per_window_rate = rate;
-    const bool identical = core::listing(streamed) == golden;
-    std::printf("  %-12zu %10.1f %8.2fx   %s\n", batch, rate, rate / per_window_rate,
+  for (const std::size_t batch_max : {1u, 4u, 16u, 64u}) {
+    const Served run = serve(model, windows, 4, batch_max);
+    if (batch_max == 1) per_window_rate = run.rate;
+    const bool identical = run.listing == golden;
+    all_identical = all_identical && identical;
+    std::printf("  %-12zu %10.1f %8.2fx %12.1f   %s\n", batch_max, run.rate,
+                run.rate / per_window_rate,
+                static_cast<double>(run.stats.traces_submitted) /
+                    static_cast<double>(run.stats.batches_submitted),
                 identical ? "byte-identical" : "MISMATCH");
   }
   std::printf(
       "  (classify_batch is bit-identical to per-window classify, so the\n"
-      "   batched listing must match byte-for-byte at every batch size.)\n");
-  return 0;
+      "   served listing must match byte-for-byte at every batch width.)\n");
+  return all_identical ? 0 : 1;
 }

@@ -27,8 +27,8 @@
 //
 // The last act wires the result through the serving stack: the baseline and
 // recalibrated template sets are published to a runtime::ModelRegistry, and
-// a StreamingDisassembler hot-swaps to the recalibrated version mid-stream
-// (RuntimeStats::model_swaps counts the publication).
+// a one-stream FleetFrontend hot-swaps to the recalibrated version
+// mid-stream (RuntimeStats::model_swaps counts the publication).
 //
 // Results are printed and written to BENCH_transfer.json (override with
 // SIDIS_BENCH_OUT); CI diffs the key metrics against a checked-in baseline.
@@ -40,8 +40,8 @@
 
 #include "bench/common.hpp"
 #include "core/transfer.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/registry.hpp"
-#include "runtime/streaming.hpp"
 
 namespace sidis::bench {
 namespace {
@@ -118,7 +118,7 @@ struct HotSwapResult {
 };
 
 /// Publishes baseline + recalibrated templates through the model registry
-/// and hot-swaps a live streaming engine between them mid-corpus.
+/// and hot-swaps a live stream between them mid-corpus.
 HotSwapResult hot_swap_demo(const core::TransferEvaluator& evaluator,
                             int test_device) {
   const core::TransferEvaluator::FieldData fd = evaluator.capture_field(test_device);
@@ -135,45 +135,50 @@ HotSwapResult hot_swap_demo(const core::TransferEvaluator& evaluator,
 
   // The monitor starts on the profiling templates (v1), then a recalibrated
   // artifact lands in the registry and gets swapped in without stopping the
-  // stream.  Loaded models must outlive the engine.
-  const core::HierarchicalDisassembler v1 = registry.load("transfer-monitor", 1);
-  const core::HierarchicalDisassembler v2 = registry.load("transfer-monitor", 2);
+  // stream.
+  const auto v1 = std::make_shared<const core::HierarchicalDisassembler>(
+      registry.load("transfer-monitor", 1));
+  const auto v2 = std::make_shared<const core::HierarchicalDisassembler>(
+      registry.load("transfer-monitor", 2));
 
   HotSwapResult out;
   out.registry_versions = registry.latest_version("transfer-monitor");
-  runtime::StreamingConfig scfg;
-  scfg.workers = 2;
-  runtime::StreamingDisassembler engine(v1, scfg);
+  runtime::FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = 2;
+  cfg.admission = runtime::AdmissionPolicy::kBlock;
+  runtime::FleetFrontend fleet(v1, cfg);
+  const auto id = fleet.open_stream();
   const std::size_t half = fd.field.size() / 2;
   std::size_t hits_before = 0, hits_after = 0;
 
   std::size_t emitted = 0;
-  const auto score = [&](const runtime::StreamResult& r) {
+  const auto score = [&](const runtime::FleetResult& r) {
     const bool hit =
-        r.value.class_idx == fd.field[r.sequence].meta.class_idx;
-    if (r.sequence < half) {
+        r.value.class_idx == fd.field[r.stream_sequence].meta.class_idx;
+    if (r.stream_sequence < half) {
       hits_before += hit ? 1 : 0;
     } else {
       hits_after += hit ? 1 : 0;
     }
     ++emitted;
   };
-  for (std::size_t i = 0; i < half; ++i) engine.submit(fd.field[i]);
+  for (std::size_t i = 0; i < half; ++i) fleet.submit(id, fd.field[i]);
   while (emitted < half) {
-    if (const auto r = engine.poll()) {
+    if (const auto r = fleet.poll(id)) {
       score(*r);
     } else {
       std::this_thread::yield();
     }
   }
-  engine.swap_model(v2);
-  for (std::size_t i = half; i < fd.field.size(); ++i) engine.submit(fd.field[i]);
-  for (const runtime::StreamResult& r : engine.drain()) score(r);
+  fleet.swap_stage(id, runtime::make_stage(v2));
+  for (std::size_t i = half; i < fd.field.size(); ++i) fleet.submit(id, fd.field[i]);
+  for (const runtime::FleetResult& r : fleet.close_stream(id)) score(r);
 
   out.accuracy_before = static_cast<double>(hits_before) / static_cast<double>(half);
   out.accuracy_after = static_cast<double>(hits_after) /
                        static_cast<double>(fd.field.size() - half);
-  out.model_swaps = engine.stats().model_swaps;
+  out.model_swaps = fleet.stats().runtime.model_swaps;
   std::filesystem::remove_all(root);
   return out;
 }

@@ -5,10 +5,10 @@
 //   2. train the hierarchical disassembler and publish it into a versioned
 //      ModelRegistry bundle (checksummed, atomically written);
 //   3. on the "monitor" side, load the bundle back by name and stream live
-//      per-instruction trace windows through StreamingDisassembler --
-//      bounded queue, worker pool, in-order results -- as a real-time
-//      monitor would;
-//   4. print the recovered listing and the engine's latency telemetry.
+//      per-instruction trace windows through one stream of a one-shard
+//      FleetFrontend -- blocking credit, worker pool, in-order results -- as
+//      a real-time monitor would;
+//   4. print the recovered listing and the fleet's latency telemetry.
 #include <cstdio>
 #include <filesystem>
 #include <random>
@@ -17,8 +17,8 @@
 #include "core/csa.hpp"
 #include "core/disassembler.hpp"
 #include "core/profiler.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/registry.hpp"
-#include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
 
 using namespace sidis;
@@ -74,21 +74,25 @@ int main() {
               static_cast<unsigned long long>(info.checksum));
 
   // -- 3. monitor side: load by name, stream live windows -------------------
-  const auto model = registry.load("firmware-monitor");  // latest version
-  runtime::StreamingConfig scfg;
-  scfg.workers = 0;  // hardware concurrency
-  scfg.max_in_flight = 32;
-  runtime::StreamingDisassembler engine(model, scfg);
+  const auto model = std::make_shared<const core::HierarchicalDisassembler>(
+      registry.load("firmware-monitor"));  // latest version
+  runtime::FleetConfig fcfg;
+  fcfg.shards = 1;
+  fcfg.workers_per_shard = 0;  // hardware concurrency
+  fcfg.stream_credit = 32;
+  fcfg.admission = runtime::AdmissionPolicy::kBlock;
+  runtime::FleetFrontend fleet(model, fcfg);
+  const auto monitor = fleet.open_stream();
 
   std::printf("\nstreaming 20 executions of the monitored firmware...\n");
   std::vector<core::Disassembly> recovered;
   for (int rep = 0; rep < 20; ++rep) {
     const sim::TraceSet windows =
         campaign.capture_program(firmware, sim::ProgramContext::make(300), rng);
-    for (const sim::Trace& t : windows) engine.submit(t);
-    while (auto r = engine.poll()) recovered.push_back(std::move(r->value));
+    for (const sim::Trace& t : windows) fleet.submit(monitor, t);
+    while (auto r = fleet.poll(monitor)) recovered.push_back(std::move(r->value));
   }
-  for (auto& r : engine.drain()) recovered.push_back(std::move(r.value));
+  for (auto& r : fleet.close_stream(monitor)) recovered.push_back(std::move(r.value));
 
   const std::size_t per_exec = recovered.size() / 20;
   std::printf("\nrecovered stream (first execution, %zu windows):\n", per_exec);
@@ -97,6 +101,6 @@ int main() {
   }
 
   // -- 4. runtime telemetry -------------------------------------------------
-  std::printf("\n%s", engine.stats().report().c_str());
+  std::printf("\n%s", fleet.stats().report().c_str());
   return 0;
 }

@@ -171,8 +171,8 @@ class HierarchicalDisassembler {
   /// immutable afterwards).  Concurrent use is only undefined while a
   /// non-const operation (move assignment, loading over an instance) runs
   /// -- the usual C++ const-correctness rule, with no exceptions hiding in
-  /// caches.  runtime::StreamingDisassembler relies on this to share one
-  /// model across its worker pool.
+  /// caches.  runtime::FleetFrontend relies on this to share one model
+  /// across every shard's worker pool.
   Disassembly classify(const sim::Trace& trace) const;
 
   /// Batched classification -- bit-identical to calling classify() per

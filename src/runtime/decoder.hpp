@@ -34,8 +34,8 @@
 // and the rebase snapshot are reused buffers.
 //
 // Thread-safety: none.  One decoder belongs to one stream's single consumer
-// (StreamingDisassembler::poll/drain, or a FleetFrontend shard under its
-// lock), mirroring DriftMonitor's per-stream isolation.
+// (a FleetFrontend shard, under its lock, for decode_sequence streams),
+// mirroring DriftMonitor's per-stream isolation.
 #pragma once
 
 #include <algorithm>

@@ -36,7 +36,8 @@
 // never raises), and `cooldown` observations must separate events.
 //
 // Threading contract: a DriftMonitor belongs to ONE thread -- feed it from
-// the streaming engine's consumer loop in emission order.  Pure sequential
+// a stream's consumer loop (or, for a monitor_drift stream, the fleet shard
+// under its lock) in emission order.  Pure sequential
 // arithmetic, no clocks, no RNG: a fixed observation sequence produces
 // bit-identical scores and events at any worker count.
 #pragma once

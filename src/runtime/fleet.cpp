@@ -7,10 +7,27 @@
 
 namespace sidis::runtime {
 
+namespace {
+
+void check_acquisition(const std::optional<sim::AcquisitionConfig>& expected,
+                       const sim::Trace& t) {
+  if (!expected) return;
+  if (t.meta.samples_per_cycle != expected->samples_per_cycle ||
+      t.meta.adc_bits != expected->adc_bits ||
+      t.samples.size() != expected->window_samples()) {
+    throw std::invalid_argument(
+        "FleetFrontend: trace acquisition stamp does not match the stream's "
+        "expected_acquisition (rate/resolution/window)");
+  }
+}
+
+}  // namespace
+
 std::string to_string(AdmissionPolicy policy) {
   switch (policy) {
     case AdmissionPolicy::kRejectNew: return "reject-new";
     case AdmissionPolicy::kShedOldest: return "shed-oldest";
+    case AdmissionPolicy::kBlock: return "block";
   }
   return "unknown";
 }
@@ -131,6 +148,7 @@ FleetFrontend::StreamId FleetFrontend::open_stream(StreamOptions options) {
   StreamState state;
   state.stage = std::move(stage);
   state.monitor = std::move(monitor);
+  state.expected_acquisition = options.expected_acquisition;
   state.out.set_decoder(std::move(decoder));
   shard.streams.emplace(id, std::move(state));
   ++shard.opened;
@@ -139,19 +157,38 @@ FleetFrontend::StreamId FleetFrontend::open_stream(StreamOptions options) {
 
 AdmitResult FleetFrontend::submit(StreamId stream, sim::Trace trace) {
   Shard& shard = shard_of(stream);
-  std::lock_guard lock(shard.mutex);
+  std::unique_lock lock(shard.mutex);
   pump_locked(shard);
 
   AdmitResult result;
-  const auto it = shard.streams.find(stream);
+  auto it = shard.streams.find(stream);
   if (it == shard.streams.end() || it->second.closing) {
     result.status = AdmitStatus::kClosed;
     return result;
   }
-  StreamState& s = it->second;
+  check_acquisition(it->second.expected_acquisition, trace);
 
   AdmitStatus status = AdmitStatus::kAccepted;
-  if (s.outstanding() >= config_.stream_credit) {
+  if (config_.admission == AdmissionPolicy::kBlock) {
+    // Wait for room the way close_stream waits for the tail: pump and
+    // dispatch on every worker completion, so windows held back for
+    // coalescing still go out.  The stream may close (or be erased by a
+    // concurrent close) while the lock is released.
+    shard.runner.wait(lock, [&] {
+      pump_locked(shard);
+      dispatch_locked(shard);
+      it = shard.streams.find(stream);
+      return it == shard.streams.end() || it->second.closing ||
+             it->second.unclassified() < config_.stream_credit;
+    });
+    if (it == shard.streams.end() || it->second.closing) {
+      result.status = AdmitStatus::kClosed;
+      return result;
+    }
+  }
+  StreamState& s = it->second;
+  if (config_.admission != AdmissionPolicy::kBlock &&
+      s.outstanding() >= config_.stream_credit) {
     if (config_.admission == AdmissionPolicy::kRejectNew) {
       ++s.rejected;
       ++shard.runner.stats().windows_rejected;
@@ -182,7 +219,7 @@ AdmitResult FleetFrontend::submit(StreamId stream, sim::Trace trace) {
   result.stream_sequence = s.next_sequence++;
   s.pending.push_back(
       PendingWindow{Job::Route{stream, result.stream_sequence, Clock::now()},
-                    std::move(trace)});
+                    s.stage, std::move(trace)});
   ++shard.pending_windows;
   ++s.admitted;
   ++shard.admitted;
@@ -213,8 +250,8 @@ void FleetFrontend::dispatch_locked(Shard& shard) {
     }
     const std::size_t cap = std::min(room, config_.batch_max);
 
-    // One coalescing turn: round-robin across queued streams, only streams
-    // sharing the first taken stream's stage -- a batch is classified by
+    // One coalescing turn: round-robin across queued streams, only windows
+    // pinned to the first taken window's stage -- a batch is classified by
     // exactly one model.  Every queued stream contributes one window before
     // any stream contributes a second (fairness), but once the queue is
     // exhausted the turn keeps cycling through streams that still have
@@ -244,12 +281,12 @@ void FleetFrontend::dispatch_locked(Shard& shard) {
         s.queued_for_dispatch = false;
         continue;
       }
-      if (job.stage == nullptr) job.stage = s.stage;
-      if (s.stage != job.stage) {
+      PendingWindow& window = s.pending.front();
+      if (job.stage == nullptr) job.stage = window.stage;
+      if (window.stage != job.stage) {
         wrong_stage.push_back(id);
         continue;
       }
-      PendingWindow& window = s.pending.front();
       job.traces.push_back(std::move(window.trace));
       job.routes.push_back(window.route);
       s.pending.pop_front();
@@ -266,7 +303,7 @@ void FleetFrontend::dispatch_locked(Shard& shard) {
     }
     for (const StreamId id : carousel) shard.dispatch_queue.push_back(id);
     if (job.traces.empty()) return;
-    shard.runner.dispatch(std::move(job), /*batched=*/true);
+    shard.runner.dispatch(std::move(job));
   }
 }
 
@@ -299,9 +336,7 @@ FleetResult FleetFrontend::deliver_locked(Shard& shard, StreamState& s, Ready re
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            ready.admitted_at)
           .count()));
-  StreamResult& r = ready.result;
-  return FleetResult{r.sequence, std::move(r.value), r.model_stamp,
-                     r.sequence_confidence, r.smoothed};
+  return std::move(ready.result);
 }
 
 std::optional<FleetResult> FleetFrontend::poll(StreamId stream) {
@@ -334,6 +369,7 @@ std::vector<FleetResult> FleetFrontend::close_stream(StreamId stream) {
   auto it = shard.streams.find(stream);
   if (it == shard.streams.end()) return {};
   it->second.closing = true;
+  shard.runner.notify();  // a submit blocked on the stream's credit bails out
   // Pump and dispatch until every window of the stream is back, sleeping
   // while workers still hold some (the wait releases the shard lock).
   shard.runner.wait(lock, [&] {
@@ -355,6 +391,18 @@ std::vector<FleetResult> FleetFrontend::close_stream(StreamId stream) {
   ++shard.closed;
   shard.streams.erase(it);
   return tail;
+}
+
+void FleetFrontend::swap_stage(StreamId stream, StageRef stage) {
+  if (stage == nullptr || !stage->fn) {
+    throw std::invalid_argument("FleetFrontend: null or scalar-less stage");
+  }
+  Shard& shard = shard_of(stream);
+  std::lock_guard lock(shard.mutex);
+  const auto it = shard.streams.find(stream);
+  if (it == shard.streams.end()) return;
+  it->second.stage = std::move(stage);
+  ++shard.runner.stats().model_swaps;
 }
 
 StreamStats FleetFrontend::stream_stats(StreamId stream) const {

@@ -1,17 +1,19 @@
-// Fleet-scale multi-tenant serving frontend: many logical device streams
-// multiplexed onto a few worker shards.
+// The serving front end: logical device streams multiplexed onto a few
+// worker shards.
 //
-// The paper watches ONE device; the production problem is a fleet.  A
-// thousand monitored devices each emit a few windows per second -- far too
-// little to justify a dedicated engine (and its worker threads) per device,
-// far too much aggregate for one serial consumer.  The frontend gives every
-// device a cheap logical stream handle and shares the expensive part (worker
-// threads, feature-extraction passes, model instances) across all of them:
+// The paper watches ONE device (Sec. 5.4: a monitor disassembling live
+// windows in real time); the production problem is a fleet.  A thousand
+// monitored devices each emit a few windows per second -- far too little to
+// justify dedicated worker threads per device, far too much aggregate for
+// one serial consumer.  The frontend gives every device a cheap logical
+// stream handle and shares the expensive part (worker threads,
+// feature-extraction passes, model instances) across all of them.  A single
+// monitored device is the one-stream case: one shard, one stream, kBlock.
 //
 //   open_stream(opts) -> StreamId            per-stream model + drift monitor
 //        |
-//   submit(stream, window)                   admission control (credit,
-//        |                                   shed-oldest / reject-new)
+//   submit(stream, window)                   admission control (credit:
+//        |                                   block / shed-oldest / reject-new)
 //   [per-stream pending queues]
 //        |
 //   shard dispatcher                         coalesces windows of many
@@ -20,7 +22,7 @@
 //        |                                   each window carries its route
 //   slot FIFO -> per-stream DeliveryQueue    (stream, sequence, admit time)
 //        |
-//   poll(stream) / close_stream(stream)
+//   poll(stream) / close_stream(stream)      swap_stage(stream, stage)
 //
 // Shards.  Streams are assigned round-robin to `shards` shards (stream id
 // modulo shard count).  Each shard owns a JobRunner with
@@ -40,20 +42,25 @@
 // backlogs still fill batches.
 // Streams serving different models are never mixed into one batch -- a batch
 // is classified by exactly one model -- but they interleave batch-by-batch
-// on the same shard.  Batch grouping depends on arrival timing and is NOT
-// deterministic; per-window results are, because classify_batch is
-// bit-identical to per-window classify for any grouping (the fleet_test
-// battery pins this across 1/2/8 workers).
+// on the same shard.  Each window is pinned to its stream's stage when it is
+// admitted, so a swap_stage never reaches windows admitted before it.  Batch
+// grouping depends on arrival timing and is NOT deterministic; per-window
+// results are, because classify_batch is bit-identical to per-window
+// classify for any grouping (the fleet_test battery pins this across 1/2/8
+// workers).
 //
-// Admission control.  Each stream holds at most `stream_credit` undelivered
-// windows (pending + in flight + ready).  Over-credit submissions either
-// shed the oldest reclaimable window (kShedOldest: oldest pending, else
-// oldest ready; windows already dispatched cannot be reclaimed) or are
-// refused (kRejectNew).  Shedding is per-stream: one device flooding its
-// credit never steals another stream's capacity, because shard depth (the
-// shard's one in-flight credit) is only consumed by dispatch, which is fair.
-// Counts surface per stream (StreamStats), per fleet (FleetStats), and in
-// RuntimeStats::windows_shed / windows_rejected.
+// Admission control.  Under kShedOldest and kRejectNew each stream holds at
+// most `stream_credit` undelivered windows (pending + in flight + ready).
+// Over-credit submissions either shed the oldest reclaimable window
+// (kShedOldest: oldest pending, else oldest ready; windows already
+// dispatched cannot be reclaimed) or are refused (kRejectNew).  Under kBlock
+// the credit bounds the stream's UNCLASSIFIED windows (pending + in flight)
+// and submit() waits for room: ready results do not count, so a thread that
+// submits and then polls never blocks on itself.  Admission is per-stream:
+// one device flooding its credit never steals another stream's capacity,
+// because shard depth (the shard's one in-flight credit) is only consumed by
+// dispatch, which is fair.  Counts surface per stream (StreamStats), per
+// fleet (FleetStats), and in RuntimeStats::windows_shed / windows_rejected.
 //
 // Drift isolation.  A stream opened with monitor_drift gets its OWN
 // DriftMonitor bound to its own model; observations are fed in delivery
@@ -62,11 +69,13 @@
 // contaminates a neighbor's statistics.
 //
 // Thread-safety contract: every public method is safe from any thread; the
-// shard mutex serializes internally.  Calls for ONE stream should come from
-// one thread at a time (submit/submit races on a single stream would make
-// its admission order, and hence its sequence numbers, unspecified --
+// shard mutex serializes internally.  Submissions to ONE stream should come
+// from one thread at a time (submit/submit races on a single stream would
+// make its admission order, and hence its sequence numbers, unspecified --
 // nothing breaks, but per-stream FIFO only means what the caller's own
-// ordering means).  close_stream blocks until the stream's in-flight windows
+// ordering means); a producer blocked in a kBlock submit() may be served by
+// a consumer polling from another thread, and close_stream from any thread
+// cancels it.  close_stream blocks until the stream's in-flight windows
 // complete; it must not be called under a lock the classify path needs.
 #pragma once
 
@@ -74,7 +83,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -86,6 +94,7 @@
 #include "runtime/drift.hpp"
 #include "runtime/job_runner.hpp"
 #include "runtime/registry_view.hpp"
+#include "sim/acq_config.hpp"
 
 namespace sidis::runtime {
 
@@ -93,6 +102,7 @@ namespace sidis::runtime {
 enum class AdmissionPolicy : std::uint8_t {
   kRejectNew = 0,   ///< refuse the new window; the backlog is preserved
   kShedOldest = 1,  ///< shed the oldest reclaimable window to admit the new
+  kBlock = 2,       ///< wait until the stream's unclassified windows fit
 };
 
 std::string to_string(AdmissionPolicy policy);
@@ -105,7 +115,8 @@ struct FleetConfig {
   /// Max windows coalesced into one batched classify pass.
   std::size_t batch_max = 16;
   /// Per-stream cap on admitted-but-undelivered windows (pending + in
-  /// flight + ready).
+  /// flight + ready); under kBlock, on unclassified ones (pending + in
+  /// flight).
   std::size_t stream_credit = 32;
   AdmissionPolicy admission = AdmissionPolicy::kRejectNew;
   /// The shard's one in-flight credit: windows dispatched to its workers but
@@ -133,6 +144,14 @@ struct StreamOptions {
   bool decode_sequence = false;
   SequenceDecoderConfig decode;
   std::shared_ptr<const core::TransitionPrior> decode_prior;
+  /// When set, every window submitted to the stream must carry this
+  /// acquisition stamp (TraceMeta::samples_per_cycle / adc_bits, written by
+  /// the capture campaign) and the matching window length; submit() throws
+  /// std::invalid_argument otherwise, before a sequence number is reserved.
+  /// Guards a monitor against mixing corpora captured at different front-end
+  /// configurations behind one model -- templates fitted on one grid
+  /// silently misclassify windows from another.
+  std::optional<sim::AcquisitionConfig> expected_acquisition;
 };
 
 enum class AdmitStatus : std::uint8_t {
@@ -152,20 +171,6 @@ struct AdmitResult {
     return status == AdmitStatus::kAccepted ||
            status == AdmitStatus::kAcceptedShedOldest;
   }
-};
-
-/// One in-order result of one stream.  stream_sequence is the submit()
-/// ticket; gaps mark shed windows (delivery order is still strictly
-/// ascending per stream).
-struct FleetResult {
-  std::uint64_t stream_sequence = 0;
-  core::Disassembly value;
-  std::uint64_t model_stamp = 0;  ///< registry checksum of the serving model
-  /// Max-marginal sequence confidence for decode_sequence streams; +inf
-  /// otherwise (see StreamResult::sequence_confidence).
-  double sequence_confidence = std::numeric_limits<double>::infinity();
-  /// True when the stream's sequence decoder rewrote this window's class.
-  bool smoothed = false;
 };
 
 /// Telemetry of one live stream.
@@ -228,8 +233,12 @@ class FleetFrontend {
   /// without training moments.
   StreamId open_stream(StreamOptions options = {});
 
-  /// Admission-controlled, non-blocking submit of one window.  Never waits:
-  /// over-credit submissions shed or reject per the configured policy.
+  /// Admission-controlled submit of one window.  Over-credit submissions
+  /// shed or reject per the configured policy, or under kBlock wait --
+  /// pumping and dispatching the shard -- until the stream has room; a
+  /// close_stream meanwhile makes the waiting submit return kClosed.  Throws
+  /// std::invalid_argument when the window misses the stream's
+  /// expected_acquisition.
   AdmitResult submit(StreamId stream, sim::Trace trace);
 
   /// Next in-order result of `stream`, if ready; non-blocking.  Also pumps
@@ -241,10 +250,21 @@ class FleetFrontend {
   /// most one per DriftMonitor cooldown by construction).
   std::optional<DriftEvent> poll_drift_event(StreamId stream);
 
-  /// Graceful close: stops admitting, waits for the stream's in-flight
-  /// windows to classify, and returns every undelivered result in order.
-  /// Idempotent (an unknown/closed stream returns empty).  Blocks.
+  /// Graceful close: stops admitting (waking a submit blocked on the
+  /// stream's credit), waits for the stream's in-flight windows to classify,
+  /// and returns every undelivered result in order.  Idempotent (an
+  /// unknown/closed stream returns empty).  Blocks.
   std::vector<FleetResult> close_stream(StreamId stream);
+
+  /// Atomically replaces the stream's classification stage while it serves
+  /// -- how a scheduler publishes a recalibrated template set without
+  /// dropping a window.  Windows admitted after the swap are classified by
+  /// `stage`; windows admitted before it keep the stage they were admitted
+  /// under, so every result names (FleetResult::model_stamp) the one model
+  /// that produced it.  The stream's drift monitor is left as it is.
+  /// Counted in RuntimeStats::model_swaps; no effect on an unknown stream.
+  /// Throws std::invalid_argument on a null or scalar-less stage.
+  void swap_stage(StreamId stream, StageRef stage);
 
   /// Telemetry of one stream (zeros for unknown streams).
   StreamStats stream_stats(StreamId stream) const;
@@ -257,14 +277,17 @@ class FleetFrontend {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Admitted window awaiting dispatch, with the route its result takes.
+  /// Admitted window awaiting dispatch, with the route its result takes and
+  /// the stage it was admitted under.
   struct PendingWindow {
     Job::Route route;
+    StageRef stage;
     sim::Trace trace;
   };
   struct StreamState {
-    StageRef stage;  ///< always non-null
+    StageRef stage;  ///< always non-null; pinned by each admitted window
     std::unique_ptr<DriftMonitor> monitor;
+    std::optional<sim::AcquisitionConfig> expected_acquisition;
     /// Ready results in delivery order, behind a per-stream lattice smoother
     /// for decode_sequence streams.
     DeliveryQueue out;
@@ -282,6 +305,10 @@ class FleetFrontend {
     bool closing = false;
 
     std::uint64_t outstanding() const { return admitted - delivered - shed; }
+    /// Admitted windows not yet classified: the kBlock credit in use.
+    std::uint64_t unclassified() const {
+      return pending.size() + dispatched - arrived;
+    }
   };
   struct Shard {
     explicit Shard(std::size_t workers) : runner(mutex, workers) {}

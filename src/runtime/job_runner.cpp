@@ -62,17 +62,14 @@ JobRunner::~JobRunner() {
   // they touch is torn down.
 }
 
-void JobRunner::dispatch(Job job, bool batched) {
+void JobRunner::dispatch(Job job) {
   const std::size_t n = job.traces.size();
   job.dispatched_at = Clock::now();
   slots_.push_back(std::move(job));
   ++unstarted_;
   unclassified_ += n;
   stats_.traces_submitted += n;
-  if (batched) {
-    ++stats_.batches_submitted;
-    stats_.batch_windows += n;
-  }
+  ++stats_.batches_submitted;
   stats_.queue_depth_high_water = std::max(stats_.queue_depth_high_water, unstarted_);
   stats_.in_flight_high_water = std::max(stats_.in_flight_high_water, unclassified_);
   wake_.notify_one();
@@ -91,7 +88,7 @@ void JobRunner::work() {
     lock.unlock();
 
     // The only place a stage runs.  A serving layer must not lose a worker
-    // (its owner would wait forever), so on any throw the window gets a
+    // (its shard would wait forever), so on any throw the window gets a
     // default-constructed placeholder and counts as failed.
     const std::size_t n = job.traces.size();
     const Stage& stage = *job.stage;

@@ -1,15 +1,13 @@
-// The serving core shared by both front ends: the classification stage a job
-// is pinned to, the worker threads that run jobs, and the in-order hand-off
-// of their results to a consumer.
+// The serving core of every FleetFrontend shard: the classification stage a
+// job is pinned to, the worker threads that run jobs, and the in-order
+// hand-off of their results to a stream's consumer.
 //
-// StreamingDisassembler (one stream, blocking backpressure) and every
-// FleetFrontend shard (many streams, coalesced batches, admission control)
-// each own one JobRunner.  A job is one dispatched unit of work -- a single
-// window or a batch, possibly drawn from many streams -- with its stage
-// pinned at dispatch and, per window, the route back to its stream.  Jobs
-// wait in ONE FIFO of slots in dispatch order: workers take the oldest
+// Each shard owns one JobRunner.  A job is one dispatched unit of work -- a
+// single window or a batch, possibly drawn from many streams -- with its
+// stage pinned at dispatch and, per window, the route back to its stream.
+// Jobs wait in ONE FIFO of slots in dispatch order: workers take the oldest
 // unstarted slot, classify outside the lock and fill the slot in place; the
-// owner pumps finished slots off the head, so results leave in dispatch
+// shard pumps finished slots off the head, so results leave in dispatch
 // order however the workers finish.  That FIFO is the only reorder stage.
 //
 //   dispatch(job) ──► [slot FIFO] ──► pump(deliver) ──► DeliveryQueue
@@ -18,9 +16,9 @@
 //   fill slots in any order
 //
 // Locking: a JobRunner has no mutex of its own.  It is guarded by its
-// owner's mutex (the engine's, or the fleet shard's), which the workers take
-// to pick a job up and to complete it; every member except the constructor
-// and destructor must be called with that mutex held.
+// shard's mutex, which the workers take to pick a job up and to complete it;
+// every member except the constructor and destructor must be called with
+// that mutex held.
 #pragma once
 
 #include <chrono>
@@ -63,7 +61,7 @@ struct Stage {
   std::uint64_t stamp = 0;
 };
 /// Stages are immutable once published and shared between the publisher,
-/// the owner and every job pinned to them.
+/// the streams serving them and every job pinned to them.
 using StageRef = std::shared_ptr<const Stage>;
 
 /// Model-backed stage: classify + classify_batch closures, or
@@ -78,26 +76,27 @@ StageRef make_stage(std::shared_ptr<const core::HierarchicalDisassembler> model,
 StageRef make_stage(std::shared_ptr<const core::FusedDisassembler> model,
                     std::uint64_t stamp = 0, bool scored = false);
 
-/// One in-order result.  `sequence` is the window's ticket: the engine's
-/// submit() sequence, or a fleet stream's per-stream sequence.
-struct StreamResult {
-  std::uint64_t sequence = 0;
+/// One in-order result of one stream.  stream_sequence is the window's
+/// submit() ticket; gaps mark shed windows (delivery order is still strictly
+/// ascending per stream).
+struct FleetResult {
+  std::uint64_t stream_sequence = 0;
   core::Disassembly value;
   /// Stamp of the stage that classified this window (pinned with the stage
   /// function, so it always names the exact model that produced the result).
   std::uint64_t model_stamp = 0;
-  /// Max-marginal sequence confidence when sequence decoding is enabled
+  /// Max-marginal sequence confidence for decode_sequence streams
   /// (SmoothedWindow::confidence); +inf otherwise, and for pass-through
   /// windows that carried no posterior.
   double sequence_confidence = std::numeric_limits<double>::infinity();
-  /// True when the sequence decoder rewrote this window's class.
+  /// True when the stream's sequence decoder rewrote this window's class.
   bool smoothed = false;
 };
 
 /// A result on its way to the consumer, with the time its window was
 /// admitted (the start of its end-to-end latency).
 struct Ready {
-  StreamResult result;
+  FleetResult result;
   std::chrono::steady_clock::time_point admitted_at;
 };
 
@@ -106,8 +105,8 @@ struct Job {
   using Clock = std::chrono::steady_clock;
   /// Where one window's result goes back to.
   struct Route {
-    std::uint64_t stream = 0;    ///< fleet stream id (0 for the engine)
-    std::uint64_t sequence = 0;  ///< StreamResult::sequence
+    std::uint64_t stream = 0;    ///< fleet stream id
+    std::uint64_t sequence = 0;  ///< FleetResult::stream_sequence
     Clock::time_point admitted_at;
   };
   sim::TraceSet traces;
@@ -123,7 +122,7 @@ struct Job {
 class JobRunner {
  public:
   /// Starts `workers` threads (0 = hardware concurrency) guarded by the
-  /// owner's `mutex`, which must outlive the runner.
+  /// shard's `mutex`, which must outlive the runner.
   JobRunner(std::mutex& mutex, std::size_t workers);
   /// Lets the workers finish every dispatched job, then joins them.  Call
   /// without the mutex held.
@@ -132,9 +131,8 @@ class JobRunner {
   JobRunner(const JobRunner&) = delete;
   JobRunner& operator=(const JobRunner&) = delete;
 
-  /// Appends `job` to the FIFO and wakes a worker.  `batched` counts it in
-  /// RuntimeStats::batches_submitted / batch_windows.
-  void dispatch(Job job, bool batched);
+  /// Appends `job` to the FIFO and wakes a worker.
+  void dispatch(Job job);
 
   /// Hands every finished job at the head of the FIFO to
   /// `deliver(const Job&, window index, Ready)`, window by window in
@@ -146,8 +144,8 @@ class JobRunner {
       for (std::size_t i = 0; i < job.traces.size(); ++i) {
         const Job::Route& route = job.routes[i];
         deliver(std::as_const(job), i,
-                Ready{StreamResult{route.sequence, std::move(job.results[i]),
-                                   job.stage->stamp},
+                Ready{FleetResult{route.sequence, std::move(job.results[i]),
+                                  job.stage->stamp},
                       route.admitted_at});
       }
       stats_.traces_emitted += job.traces.size();
@@ -155,23 +153,23 @@ class JobRunner {
     }
   }
 
-  /// Blocks on `lock` (over the owner's mutex) until `done()` holds,
+  /// Blocks on `lock` (over the shard's mutex) until `done()` holds,
   /// re-checking it whenever a worker finishes a job or notify() is called.
   template <class Predicate>
   void wait(std::unique_lock<std::mutex>& lock, Predicate done) {
     progress_.wait(lock, std::move(done));
   }
-  /// Wakes every wait()er, e.g. after the owner stops admitting.
+  /// Wakes every wait()er, e.g. after a stream stops admitting.
   void notify() { progress_.notify_all(); }
 
   /// True when every dispatched job has been pumped.
   bool idle() const { return slots_.empty(); }
-  /// Windows dispatched but not yet classified -- the owner's in-flight
+  /// Windows dispatched but not yet classified -- the shard's in-flight
   /// credit in use.
   std::size_t unclassified() const { return unclassified_; }
   std::size_t workers() const { return threads_.size(); }
-  /// The owner's one telemetry record: the runner fills the dispatch,
-  /// classify and emission counters; the owner adds its own (swaps, drift,
+  /// The shard's one telemetry record: the runner fills the dispatch,
+  /// classify and emission counters; the shard adds its own (swaps,
   /// admission, decoding) straight into it.
   RuntimeStats& stats() { return stats_; }
   const RuntimeStats& stats() const { return stats_; }
@@ -183,7 +181,7 @@ class JobRunner {
 
   std::mutex& mutex_;
   std::condition_variable wake_;      ///< workers: a job awaits pickup, or stop
-  std::condition_variable progress_;  ///< owner: a job finished
+  std::condition_variable progress_;  ///< shard: a job finished
   std::deque<Job> slots_;             ///< dispatch order; unstarted at the tail
   std::size_t unstarted_ = 0;
   std::size_t unclassified_ = 0;

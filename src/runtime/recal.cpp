@@ -45,11 +45,12 @@ sim::TraceSet CampaignCalibrationSource::capture(std::size_t per_class) {
 }
 
 RecalibrationScheduler::RecalibrationScheduler(
-    StreamingDisassembler& engine,
+    FleetFrontend& fleet, FleetFrontend::StreamId stream,
     std::shared_ptr<const core::HierarchicalDisassembler> model,
     CalibrationSource& source, RecalPolicy policy, ModelRegistry* registry,
     const core::ProfilingData* refit_base)
-    : engine_(engine),
+    : fleet_(fleet),
+      stream_(stream),
       model_(std::move(model)),
       source_(source),
       policy_(policy),
@@ -67,7 +68,7 @@ RecalibrationScheduler::RecalibrationScheduler(
 
 RecalOutcome RecalibrationScheduler::on_drift(const DriftEvent& event,
                                               DriftMonitor& monitor) {
-  engine_.record_drift_event();
+  ++events_;
   RecalOutcome outcome;
   outcome.mode = policy_.mode;
 
@@ -131,17 +132,17 @@ RecalOutcome RecalibrationScheduler::on_drift(const DriftEvent& event,
   }
 
   // Publish: the stage closures co-own the clone, so the model lives exactly
-  // as long as some worker can still pin its stage.  The shared_ptr
-  // swap_model overload installs classify AND classify_batch, keeping the
-  // batched serving path hot across the swap.  A custom publisher (fused
-  // deployments rebinding one channel) replaces the swap, not the telemetry.
+  // as long as some worker can still pin its stage, and make_stage installs
+  // classify AND classify_batch, keeping the batched serving path hot across
+  // the swap.  A custom publisher (fused deployments rebinding one channel)
+  // replaces the swap, not the telemetry.
   std::shared_ptr<const core::HierarchicalDisassembler> published = clone;
   if (publisher_) {
     publisher_(published, stamp);
   } else {
-    engine_.swap_model(published, stamp);
+    fleet_.swap_stage(stream_, make_stage(published, stamp));
   }
-  engine_.record_recalibration(fresh.size());
+  ++recalibrations_;
   traces_spent_ += fresh.size();
   model_ = published;
   last_publish_observation_ = event.observation;

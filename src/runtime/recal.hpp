@@ -4,22 +4,21 @@
 // to do about it*: spend K labeled traces per class from a pluggable
 // CalibrationSource, run the existing CSA recalibration arms (renorm /
 // refit, the same paths core::TransferEvaluator evaluates offline), and
-// atomically publish the adapted model into the running engine via the
-// hot-swap path -- optionally through the ModelRegistry first, so the
-// artifact checksum becomes the published stage's stamp and every
-// StreamResult is attributable to an on-disk version.
+// atomically publish the adapted model into the serving stream via
+// FleetFrontend::swap_stage -- optionally through the ModelRegistry first,
+// so the artifact checksum becomes the published stage's stamp and every
+// FleetResult is attributable to an on-disk version.
 //
 // The loop a deployment runs (tests/benches drive exactly this):
 //
-//   engine.submit(...); r = engine.poll();
+//   fleet.submit(stream, ...); r = fleet.poll(stream);
 //   monitor.observe(trace, r->value);
 //   if (auto e = monitor.poll_event()) scheduler.on_drift(*e, monitor);
 //
 // Budget discipline: labeled traces are the scarce resource (each one costs
 // a ground-truth execution on the monitored device), so the scheduler
 // enforces a lifetime trace budget and refuses events it can no longer
-// afford -- the event still counts in RuntimeStats::drift_events, the spend
-// does not happen.
+// afford -- the event still counts in events(), the spend does not happen.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +27,8 @@
 
 #include "core/hierarchical.hpp"
 #include "core/transfer.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/registry.hpp"
-#include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
 
 namespace sidis::runtime {
@@ -138,7 +137,7 @@ struct RecalPolicy {
 struct RecalOutcome {
   bool performed = false;        ///< false: declined (budget) or failed
   std::size_t traces_spent = 0;  ///< fresh labeled traces consumed
-  std::uint64_t stamp = 0;       ///< stage stamp published to the engine
+  std::uint64_t stamp = 0;       ///< stage stamp published to the stream
   int registry_version = 0;      ///< stored version (0 without a registry)
   core::RecalMode mode = core::RecalMode::kRenorm;  ///< arm actually run
   bool escalated = false;        ///< mode was escalated beyond the policy's
@@ -147,14 +146,15 @@ struct RecalOutcome {
 
 class RecalibrationScheduler {
  public:
-  /// `engine` and `source` must outlive the scheduler; `model` is the
-  /// currently served model (shared -- the scheduler keeps successors alive
-  /// for the engine's stage closures).  `registry`, when non-null, receives
-  /// every recalibrated model before it is swapped in, and the artifact
-  /// checksum stamps the published stage.  `refit_base`, when non-null, is
-  /// the profiling corpus mixed into kRefit retrains (a K-traces/class
-  /// corpus alone cannot estimate class covariances); required for kRefit.
-  RecalibrationScheduler(StreamingDisassembler& engine,
+  /// `fleet` and `source` must outlive the scheduler, which maintains the
+  /// model `stream` serves; `model` is that currently served model (shared
+  /// -- the scheduler keeps successors alive for the stream's stage
+  /// closures).  `registry`, when non-null, receives every recalibrated
+  /// model before it is swapped in, and the artifact checksum stamps the
+  /// published stage.  `refit_base`, when non-null, is the profiling corpus
+  /// mixed into kRefit retrains (a K-traces/class corpus alone cannot
+  /// estimate class covariances); required for kRefit.
+  RecalibrationScheduler(FleetFrontend& fleet, FleetFrontend::StreamId stream,
                          std::shared_ptr<const core::HierarchicalDisassembler> model,
                          CalibrationSource& source, RecalPolicy policy = {},
                          ModelRegistry* registry = nullptr,
@@ -162,17 +162,16 @@ class RecalibrationScheduler {
 
   /// Consumes one drift event: spends budget, recalibrates, publishes via
   /// hot-swap, rebinds + rebases `monitor` onto the successor model.
-  /// Records drift_events / recalibrations / recal_traces_spent on the
-  /// engine either way.
+  /// Counts the event either way, and the recalibration when it happens.
   RecalOutcome on_drift(const DriftEvent& event, DriftMonitor& monitor);
 
-  /// How the recalibrated model reaches the serving tier.  Default: the
-  /// engine's shared-ptr swap_model (single-channel deployment).  A fused
-  /// deployment overrides this to rebind ONE channel of a FusedDisassembler
-  /// and republish a fused stage -- the other channel keeps serving
-  /// untouched; the scheduler itself stays channel-agnostic (it maintains
-  /// whichever channel model it was constructed around, with that channel's
-  /// CalibrationSource, e.g. a ChannelCalibrationSource).
+  /// How the recalibrated model reaches the serving tier.  Default:
+  /// fleet.swap_stage(stream, make_stage(model, stamp)) (single-channel
+  /// deployment).  A fused deployment overrides this to rebind ONE channel
+  /// of a FusedDisassembler and republish a fused stage -- the other channel
+  /// keeps serving untouched; the scheduler itself stays channel-agnostic
+  /// (it maintains whichever channel model it was constructed around, with
+  /// that channel's CalibrationSource, e.g. a ChannelCalibrationSource).
   using Publisher = std::function<void(
       std::shared_ptr<const core::HierarchicalDisassembler> model,
       std::uint64_t stamp)>;
@@ -182,20 +181,27 @@ class RecalibrationScheduler {
     return model_;
   }
   std::size_t traces_spent() const { return traces_spent_; }
+  /// Drift events consumed by on_drift(), and recalibrations actually
+  /// published (an event the budget cannot cover counts only in the former).
+  std::size_t events() const { return events_; }
+  std::size_t recalibrations() const { return recalibrations_; }
   std::size_t budget_remaining() const {
     return policy_.trace_budget - traces_spent_;
   }
   const RecalPolicy& policy() const { return policy_; }
 
  private:
-  StreamingDisassembler& engine_;
+  FleetFrontend& fleet_;
+  FleetFrontend::StreamId stream_;
   std::shared_ptr<const core::HierarchicalDisassembler> model_;
   CalibrationSource& source_;
   RecalPolicy policy_;
   ModelRegistry* registry_;
   const core::ProfilingData* refit_base_;
-  Publisher publisher_;  ///< empty = engine_.swap_model
+  Publisher publisher_;  ///< empty = fleet_.swap_stage
   std::size_t traces_spent_ = 0;
+  std::size_t events_ = 0;
+  std::size_t recalibrations_ = 0;
   std::uint64_t local_stamp_ = 0;  ///< registry-less stamp sequence
   /// Monitor observation count at the last successful publish; drives the
   /// renorm -> refit escalation (see RecalPolicy::escalate_to_refit).

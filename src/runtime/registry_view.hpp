@@ -33,7 +33,7 @@ namespace sidis::runtime {
 
 /// One resolved model: the shared instance plus the registry identity it was
 /// loaded from.  `checksum` doubles as the serving stamp
-/// (StreamResult::model_stamp of every window it classifies).
+/// (FleetResult::model_stamp of every window it classifies).
 struct ResolvedModel {
   std::shared_ptr<const core::HierarchicalDisassembler> model;
   std::string name;

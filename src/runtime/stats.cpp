@@ -68,11 +68,7 @@ void RuntimeStats::merge(const RuntimeStats& other) {
   fault_severity_sum += other.fault_severity_sum;
   max_fault_severity = std::max(max_fault_severity, other.max_fault_severity);
   model_swaps += other.model_swaps;
-  drift_events += other.drift_events;
-  recalibrations += other.recalibrations;
-  recal_traces_spent += other.recal_traces_spent;
   batches_submitted += other.batches_submitted;
-  batch_windows += other.batch_windows;
   windows_per_batch.merge(other.windows_per_batch);
   batch_classify_nanos += other.batch_classify_nanos;
   scalar_classify_nanos += other.scalar_classify_nanos;
@@ -115,8 +111,8 @@ std::string RuntimeStats::report() const {
     char buf[96];
     std::snprintf(buf, sizeof buf, "  batches: %llu carrying %llu windows (%.1f/batch)\n",
                   static_cast<unsigned long long>(batches_submitted),
-                  static_cast<unsigned long long>(batch_windows),
-                  static_cast<double>(batch_windows) /
+                  static_cast<unsigned long long>(traces_submitted),
+                  static_cast<double>(traces_submitted) /
                       static_cast<double>(batches_submitted));
     out += buf;
   }
@@ -150,11 +146,6 @@ std::string RuntimeStats::report() const {
   }
   if (model_swaps != 0) {
     out += "  model swaps: " + std::to_string(model_swaps) + "\n";
-  }
-  if (drift_events != 0 || recalibrations != 0) {
-    out += "  drift: events=" + std::to_string(drift_events) +
-           ", recalibrations=" + std::to_string(recalibrations) +
-           ", recal traces spent=" + std::to_string(recal_traces_spent) + "\n";
   }
   out += "  queue high-water: " + std::to_string(queue_depth_high_water) +
          ", in-flight high-water: " + std::to_string(in_flight_high_water) + "\n";

@@ -1,6 +1,6 @@
-// Runtime telemetry for the streaming engine: counters, queue high-water
-// marks, and per-stage latency histograms, all snapshot-able while the
-// engine is live.  Sec. 5.4 of the paper frames real-time disassembly as a
+// Runtime telemetry of the serving layer: counters, queue high-water marks,
+// and per-stage latency histograms, all snapshot-able while the fleet is
+// live.  Sec. 5.4 of the paper frames real-time disassembly as a
 // latency budget ("~0.25 ns per instruction on a 1 GHz 4-wide core"); the
 // histogram is how a deployment checks where its budget actually goes.
 #pragma once
@@ -64,9 +64,9 @@ class LatencyHistogram {
   std::uint64_t max_nanos_ = 0;
 };
 
-/// Point-in-time snapshot of a JobRunner owner's counters (a
-/// StreamingDisassembler, or a FleetFrontend summed over its shards).  Plain
-/// values -- safe to copy around, print, or diff between two instants.
+/// Point-in-time snapshot of a fleet shard's counters (FleetStats::runtime
+/// sums them over every shard).  Plain values -- safe to copy around, print,
+/// or diff between two instants.
 struct RuntimeStats {
   std::uint64_t traces_submitted = 0;  ///< accepted by submit()
   std::uint64_t traces_completed = 0;  ///< classified by a worker
@@ -77,25 +77,16 @@ struct RuntimeStats {
   std::uint64_t traces_rejected = 0;   ///< class-level gate tripped
   std::uint64_t traces_degraded = 0;   ///< off-distribution / operand gate
   /// Fault-injection telemetry, from TraceMeta::fault_severity ground truth
-  /// (robustness sweeps stream faulted corpora through the engine).
+  /// (robustness sweeps stream faulted corpora through the fleet).
   std::uint64_t traces_faulted = 0;    ///< windows with fault_severity > 0
   double fault_severity_sum = 0.0;     ///< sum over faulted windows
   double max_fault_severity = 0.0;     ///< worst severity seen
-  /// Classifier hot-swaps performed (swap_model/swap_classifier) -- e.g. a
-  /// monitor publishing a recalibrated template set mid-stream.
+  /// Stage hot-swaps performed (FleetFrontend::swap_stage) -- e.g. a
+  /// scheduler publishing a recalibrated template set mid-stream.
   std::uint64_t model_swaps = 0;
-  /// Drift/recalibration telemetry, recorded by the RecalibrationScheduler:
-  /// drift events consumed, recalibrations actually performed (an event with
-  /// an exhausted budget raises the former but not the latter), and labeled
-  /// recalibration traces spent across all of them.
-  std::uint64_t drift_events = 0;
-  std::uint64_t recalibrations = 0;
-  std::uint64_t recal_traces_spent = 0;
-  /// Batched submissions (submit_batch calls, or fleet dispatches): jobs
-  /// accepted and the windows they carried.  batch_windows /
-  /// batches_submitted is the realized coalescing factor of a fleet shard.
+  /// Jobs the shard dispatchers handed to their workers.  traces_submitted /
+  /// batches_submitted is the realized coalescing factor.
   std::uint64_t batches_submitted = 0;
-  std::uint64_t batch_windows = 0;
   /// Batch-amortization telemetry of the worker pool: how many windows each
   /// batched classification pass carried (the realized lane count of the
   /// SoA hot path -- one sample per pass of more than one window, value =
@@ -112,15 +103,14 @@ struct RuntimeStats {
   std::uint64_t scalar_classify_nanos = 0;  ///< wall time inside scalar passes
   std::uint64_t batch_classified_windows = 0;
   std::uint64_t scalar_classified_windows = 0;
-  /// Sequence-decoding telemetry (enable_sequence_decoding / per-stream fleet
-  /// decoders): windows emitted through a lattice decoder, and how many of
-  /// them had their class rewritten by the transition prior.
+  /// Sequence-decoding telemetry (decode_sequence streams): windows emitted
+  /// through a lattice decoder, and how many of them had their class
+  /// rewritten by the transition prior.
   std::uint64_t windows_decoded = 0;
   std::uint64_t windows_smoothed = 0;
-  /// Admission-control outcomes, counted by the multi-tenant frontend (a
-  /// bare engine never sheds -- it blocks):
-  /// windows shed after admission (kShedOldest reclaiming credit) and
-  /// submissions refused outright (kRejectNew, or nothing sheddable).
+  /// Admission-control outcomes (a kBlock stream never sheds or refuses --
+  /// it waits): windows shed after admission (kShedOldest reclaiming credit)
+  /// and submissions refused outright (kRejectNew, or nothing sheddable).
   std::uint64_t windows_shed = 0;
   std::uint64_t windows_rejected = 0;
   std::size_t queue_depth_high_water = 0;     ///< jobs awaiting a worker, peak

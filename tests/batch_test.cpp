@@ -8,13 +8,16 @@
 // content, mixed trace lengths, and streaming worker counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/csa.hpp"
@@ -25,7 +28,7 @@
 #include "features/gather_plan.hpp"
 #include "features/pipeline.hpp"
 #include "ml/discriminant.hpp"
-#include "runtime/streaming.hpp"
+#include "runtime/fleet.hpp"
 #include "sim/acquisition.hpp"
 #include "stats/gaussian.hpp"
 
@@ -880,29 +883,47 @@ TEST_F(BatchModelFixture, StreamingBatchesAreWorkerCountInvariant) {
   const std::vector<core::Disassembly> reference = model().classify_batch(pool);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    runtime::StreamingConfig cfg;
-    cfg.workers = workers;
-    cfg.max_in_flight = 8;
-    runtime::StreamingDisassembler engine(model(), cfg);
-    // Submit as batches of 16 so the worker pool takes the batched path.
-    for (std::size_t base = 0; base < pool.size(); base += 16) {
-      sim::TraceSet chunk(pool.begin() + static_cast<long>(base),
-                          pool.begin() + static_cast<long>(base + 16));
-      ASSERT_TRUE(engine.submit_batch(std::move(chunk)).has_value());
-    }
-    const std::vector<runtime::StreamResult> got = engine.drain();
+    // Every pass waits until all 48 windows are admitted, so the fleet's
+    // dispatcher, not the workers' pace, decides the batches: the first
+    // `workers` windows leave one by one to idle workers, the backlog in
+    // batch_max-wide batches (16, 16, then the rest).
+    std::atomic<bool> admitted{false};
+    const auto hold = [&admitted] {
+      while (!admitted.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    runtime::FleetConfig cfg;
+    cfg.shards = 1;
+    cfg.workers_per_shard = workers;
+    cfg.batch_max = 16;
+    cfg.stream_credit = pool.size();
+    runtime::FleetFrontend fleet(
+        std::make_shared<const runtime::Stage>(runtime::Stage{
+            [&](const sim::Trace& t) {
+              hold();
+              return model().classify(t);
+            },
+            [&](const sim::TraceSet& ts) {
+              hold();
+              return model().classify_batch(ts);
+            },
+            0}),
+        cfg);
+    const auto id = fleet.open_stream();
+    for (const sim::Trace& t : pool) EXPECT_TRUE(fleet.submit(id, t).accepted());
+    admitted.store(true);
+    const std::vector<runtime::FleetResult> got = fleet.close_stream(id);
     ASSERT_EQ(got.size(), pool.size()) << "workers=" << workers;
     for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].sequence, i) << "workers=" << workers;
+      ASSERT_EQ(got[i].stream_sequence, i) << "workers=" << workers;
       expect_identical(got[i].value, reference[i], i);
     }
 
     // The amortization telemetry must reflect the batched passes.
-    const runtime::RuntimeStats stats = engine.stats();
-    EXPECT_EQ(stats.batch_classified_windows, pool.size()) << "workers=" << workers;
-    EXPECT_EQ(stats.scalar_classified_windows, 0u) << "workers=" << workers;
-    EXPECT_EQ(stats.windows_per_batch.count(), pool.size() / 16)
+    const runtime::RuntimeStats stats = fleet.stats().runtime;
+    EXPECT_EQ(stats.batch_classified_windows, pool.size() - workers)
         << "workers=" << workers;
+    EXPECT_EQ(stats.scalar_classified_windows, workers) << "workers=" << workers;
+    EXPECT_EQ(stats.windows_per_batch.count(), 3u) << "workers=" << workers;
     EXPECT_GT(stats.batch_classify_nanos, 0u) << "workers=" << workers;
   }
 }

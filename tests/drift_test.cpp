@@ -23,9 +23,9 @@
 #include "core/csa.hpp"
 #include "core/serialize.hpp"
 #include "runtime/drift.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/recal.hpp"
 #include "runtime/registry.hpp"
-#include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
 
 namespace sidis::runtime {
@@ -414,7 +414,7 @@ TEST(AgingHooks, MakeNeverEnablesAging) {
   }
 }
 
-// -- end-to-end drift loop through the streaming engine ----------------------
+// -- end-to-end drift loop through a one-stream fleet -------------------------
 
 struct LoopRecord {
   std::size_t class_idx;
@@ -427,12 +427,26 @@ struct LoopRun {
   std::vector<std::uint64_t> event_observations;
   std::vector<RecalOutcome> outcomes;
   std::shared_ptr<const core::HierarchicalDisassembler> final_model;
-  RuntimeStats stats;
+  std::size_t events = 0;          ///< scheduler.events()
+  std::size_t recalibrations = 0;  ///< scheduler.recalibrations()
+  std::size_t traces_spent = 0;    ///< scheduler.traces_spent()
+  std::uint64_t model_swaps = 0;   ///< RuntimeStats::model_swaps
   double final_z_rms = 0.0;
 };
 
+/// One shard with `workers` workers; its streams block at 16 unclassified
+/// windows.
+FleetConfig one_stream(std::size_t workers) {
+  FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = workers;
+  cfg.stream_credit = 16;
+  cfg.admission = AdmissionPolicy::kBlock;
+  return cfg;
+}
+
 /// Streams `windows` (pre-captured, drift baked into their progress ramp)
-/// through the engine in batches, observing every emission in order and
+/// through a one-stream fleet in batches, observing every emission in order and
 /// recalibrating on drift events -- the canonical deployment loop.  All
 /// randomness is pre-seeded, swaps happen only at batch boundaries, and the
 /// monitor consumes in emission order, so the run is a pure function of its
@@ -444,35 +458,32 @@ LoopRun run_drift_loop(const sim::TraceSet& windows,
                        std::shared_ptr<const core::HierarchicalDisassembler> model,
                        DriftConfig drift_cfg = {}) {
   LoopRun run;
-  StreamingConfig scfg;
-  scfg.workers = workers;
-  scfg.max_in_flight = 16;
-  StreamingDisassembler engine(
-      [model](const sim::Trace& t) { return model->classify(t); }, scfg);
+  FleetFrontend fleet(model, one_stream(workers));
+  const auto id = fleet.open_stream();
   DriftMonitor monitor(model, drift_cfg);
   CampaignCalibrationSource source(recal_campaign, drift_classes(), 3, 0xca1b5eed);
-  RecalibrationScheduler scheduler(engine, model, source, policy, registry);
+  RecalibrationScheduler scheduler(fleet, id, model, source, policy, registry);
 
   constexpr std::size_t kBatch = 16;
   for (std::size_t base = 0; base < windows.size(); base += kBatch) {
     const std::size_t end = std::min(windows.size(), base + kBatch);
     for (std::size_t i = base; i < end; ++i) {
-      if (!engine.submit(windows[i]).has_value()) break;
+      if (!fleet.submit(id, windows[i]).accepted()) break;
     }
     std::size_t emitted = base;
     while (emitted < end) {
-      std::optional<StreamResult> r = engine.poll();
+      std::optional<FleetResult> r = fleet.poll(id);
       if (!r) {
         std::this_thread::yield();
         continue;
       }
-      const sim::Trace& trace = windows[r->sequence];
+      const sim::Trace& trace = windows[r->stream_sequence];
       monitor.observe(trace, r->value);
       run.records.push_back(
           LoopRecord{r->value.class_idx, r->value.verdict, r->model_stamp});
       ++emitted;
     }
-    // Drift handling at the batch boundary: the engine is idle here, so the
+    // Drift handling at the batch boundary: the stream is idle here, so the
     // published stage applies to a deterministic window range.
     if (const auto event = monitor.poll_event()) {
       run.event_observations.push_back(event->observation);
@@ -485,12 +496,15 @@ LoopRun run_drift_loop(const sim::TraceSet& windows,
       run.outcomes.push_back(scheduler.on_drift(*event, monitor));
     }
   }
-  for (StreamResult& r : engine.drain()) {
+  for (FleetResult& r : fleet.close_stream(id)) {
     run.records.push_back(
         LoopRecord{r.value.class_idx, r.value.verdict, r.model_stamp});
   }
   run.final_model = scheduler.active_model();
-  run.stats = engine.stats();
+  run.events = scheduler.events();
+  run.recalibrations = scheduler.recalibrations();
+  run.traces_spent = scheduler.traces_spent();
+  run.model_swaps = fleet.stats().runtime.model_swaps;
   run.final_z_rms = monitor.z_rms();
   return run;
 }
@@ -549,11 +563,10 @@ class DriftLoopFixture : public DriftFixture {
       RecalPolicy policy, const core::ProfilingData& base, std::size_t events) {
     sim::AcquisitionCampaign clean{sim::DeviceModel::make(0),
                                    sim::SessionContext::make(0)};
-    StreamingDisassembler engine(
-        [m = model()](const sim::Trace& t) { return m->classify(t); });
+    FleetFrontend fleet(model(), one_stream(1));
     CampaignCalibrationSource source(clean, drift_classes(), 3, 0xe5ca1a7e);
-    RecalibrationScheduler scheduler(engine, model(), source, policy, nullptr,
-                                     &base);
+    RecalibrationScheduler scheduler(fleet, fleet.open_stream(), model(), source,
+                                     policy, nullptr, &base);
     DriftMonitor monitor(model());
     std::mt19937_64 rng{0x5ca1e};
     std::vector<RecalOutcome> outcomes;
@@ -575,9 +588,9 @@ TEST_F(DriftLoopFixture, CleanStreamRaisesNoEventsAndSpendsNothing) {
       run_drift_loop(windows, clean, 2, default_policy(), nullptr, model());
   EXPECT_TRUE(run.event_observations.empty())
       << "stationary stream raised " << run.event_observations.size() << " event(s)";
-  EXPECT_EQ(run.stats.drift_events, 0u);
-  EXPECT_EQ(run.stats.recal_traces_spent, 0u);
-  EXPECT_EQ(run.stats.model_swaps, 0u);
+  EXPECT_EQ(run.events, 0u);
+  EXPECT_EQ(run.traces_spent, 0u);
+  EXPECT_EQ(run.model_swaps, 0u);
   EXPECT_EQ(run.records.size(), windows.size());
 }
 
@@ -594,8 +607,9 @@ TEST_F(DriftLoopFixture, AgingGainDriftDetectedRecalibratedAndRecovered) {
   EXPECT_LE(run.event_observations.front(), windows.size() * 3 / 4);
   ASSERT_GE(run.outcomes.size(), 1u);
   EXPECT_TRUE(run.outcomes.front().performed);
-  EXPECT_GT(run.stats.recalibrations, 0u);
-  EXPECT_LE(run.stats.recal_traces_spent, default_policy().trace_budget);
+  EXPECT_GT(run.recalibrations, 0u);
+  EXPECT_EQ(run.model_swaps, run.recalibrations);
+  EXPECT_LE(run.traces_spent, default_policy().trace_budget);
 
   // Recovery: the final published model, on fresh fully-drifted windows,
   // classifies within 2 points of the clean model on clean windows.
@@ -681,9 +695,9 @@ TEST_F(DriftLoopFixture, SchedulerStopsSpendingAtTheBudget) {
   for (std::size_t i = 1; i < run.outcomes.size(); ++i) {
     EXPECT_FALSE(run.outcomes[i].performed) << "budget-exceeding recal " << i;
   }
-  EXPECT_EQ(run.stats.recalibrations, 1u);
-  EXPECT_EQ(run.stats.recal_traces_spent, 12u);
-  EXPECT_EQ(run.stats.drift_events, run.outcomes.size());
+  EXPECT_EQ(run.recalibrations, 1u);
+  EXPECT_EQ(run.traces_spent, 12u);
+  EXPECT_EQ(run.events, run.outcomes.size());
 }
 
 TEST_F(DriftLoopFixture, RegistryPublicationStampsResultsCoherently) {
@@ -745,7 +759,7 @@ TEST_F(DriftLoopFixture, LoopIsBitIdenticalAcrossWorkerCounts) {
       ASSERT_EQ(runs[w].records[i].model_stamp, runs[0].records[i].model_stamp);
     }
     EXPECT_EQ(runs[w].event_observations, runs[0].event_observations);
-    EXPECT_EQ(runs[w].stats.recal_traces_spent, runs[0].stats.recal_traces_spent);
+    EXPECT_EQ(runs[w].traces_spent, runs[0].traces_spent);
     EXPECT_EQ(runs[w].final_z_rms, runs[0].final_z_rms) << "z_rms not bit-identical";
   }
 }
@@ -753,16 +767,16 @@ TEST_F(DriftLoopFixture, LoopIsBitIdenticalAcrossWorkerCounts) {
 TEST_F(DriftLoopFixture, RefitModeNeedsABaseCorpusAndThenWorks) {
   sim::AcquisitionCampaign drifting{aged_device(0.3, 0.0),
                                     sim::SessionContext::make(0)};
-  StreamingDisassembler engine(
-      [m = model()](const sim::Trace& t) { return m->classify(t); });
+  FleetFrontend fleet(model(), one_stream(1));
+  const auto id = fleet.open_stream();
   CampaignCalibrationSource source(drifting, drift_classes(), 3, 0xf17);
   RecalPolicy refit = default_policy();
   refit.mode = core::RecalMode::kRefit;
-  EXPECT_THROW(RecalibrationScheduler(engine, model(), source, refit),
+  EXPECT_THROW(RecalibrationScheduler(fleet, id, model(), source, refit),
                std::invalid_argument);
 
   const core::ProfilingData base = profile_clean(20);
-  RecalibrationScheduler scheduler(engine, model(), source, refit, nullptr, &base);
+  RecalibrationScheduler scheduler(fleet, id, model(), source, refit, nullptr, &base);
   DriftMonitor monitor(model());
   source.set_progress(1.0);
   DriftEvent event;  // contents are telemetry-only; any event drives the path
@@ -785,10 +799,10 @@ TEST_F(DriftLoopFixture, RenormEscalatesToRefitWhenTheAlarmRefiresBackToBack) {
   {
     sim::AcquisitionCampaign clean{sim::DeviceModel::make(0),
                                    sim::SessionContext::make(0)};
-    StreamingDisassembler engine(
-        [m = model()](const sim::Trace& t) { return m->classify(t); });
+    FleetFrontend fleet(model(), one_stream(1));
     CampaignCalibrationSource source(clean, drift_classes(), 3, 0xe5);
-    EXPECT_THROW(RecalibrationScheduler(engine, model(), source, policy),
+    EXPECT_THROW(RecalibrationScheduler(fleet, fleet.open_stream(), model(), source,
+                                        policy),
                  std::invalid_argument);
   }
 

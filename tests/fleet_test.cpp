@@ -5,8 +5,11 @@
 // grouping is a scheduling accident, classification is not), admission
 // control accounting (delivered + shed == admitted, both policies),
 // per-stream drift-monitor isolation, registry-resolved model sharing with
-// coherent result stamps, and actual coalescing through the batched engine
-// entry point.
+// coherent result stamps, and actual coalescing through the batched stage
+// entry point.  The one-stream section pins what a single live monitor
+// relies on: the blocking credit, cancellation by close_stream, hot swaps
+// that never reach windows admitted before them, and the acquisition-stamp
+// check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +17,7 @@
 #include <filesystem>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <thread>
 
 #include "avr/grouping.hpp"
@@ -36,30 +40,33 @@ sim::Trace tagged_trace(int tag) {
   return t;
 }
 
+/// Scalar-only stage (the runner loops it over a batch), stamped `stamp`.
+StageRef scalar_stage(ClassifyFn fn, std::uint64_t stamp = 0) {
+  return std::make_shared<const Stage>(Stage{std::move(fn), nullptr, stamp});
+}
+
 /// Stage that echoes the window's tag into class_idx after an adversarial,
 /// order-inverting delay -- late submissions finish first.
 StageRef echo_stage() {
-  ClassifyFn fn = [](const sim::Trace& t) {
+  return scalar_stage([](const sim::Trace& t) {
     const auto tag = static_cast<std::size_t>(t.meta.program_id);
     std::this_thread::sleep_for(std::chrono::microseconds(100 * (7 - tag % 7)));
     core::Disassembly d;
     d.class_idx = tag;
     return d;
-  };
-  return std::make_shared<const Stage>(Stage{std::move(fn), nullptr, 0});
+  });
 }
 
 /// Stage that blocks every classification until `release` flips -- lets a
-/// test wedge the shard engine and exercise admission control on a backlog
-/// that cannot drain.
+/// test wedge the shard's workers and exercise admission control on a
+/// backlog that cannot drain.
 StageRef gated_stage(std::atomic<bool>* release) {
-  ClassifyFn fn = [release](const sim::Trace& t) {
+  return scalar_stage([release](const sim::Trace& t) {
     while (!release->load()) std::this_thread::sleep_for(1ms);
     core::Disassembly d;
     d.class_idx = static_cast<std::size_t>(t.meta.program_id);
     return d;
-  };
-  return std::make_shared<const Stage>(Stage{std::move(fn), nullptr, 0});
+  });
 }
 
 // -- model fixture -----------------------------------------------------------
@@ -248,7 +255,7 @@ TEST(Fleet, ShedOldestReclaimsCreditAndTheLedgerCloses) {
   cfg.shards = 1;
   cfg.workers_per_shard = 1;
   cfg.batch_max = 1;
-  cfg.shard_depth = 1;  // one window in the engine, the rest stays pending
+  cfg.shard_depth = 1;  // one window with the workers, the rest stays pending
   cfg.stream_credit = 4;
   cfg.admission = AdmissionPolicy::kShedOldest;
   FleetFrontend fleet(gated_stage(&release), cfg);
@@ -283,7 +290,7 @@ TEST(Fleet, ShedOldestReclaimsCreditAndTheLedgerCloses) {
   }
   // Ledger: every admitted window is exactly one of delivered / shed, and
   // the survivors arrive in (gappy but ascending) sequence order.  The
-  // window inside the engine was never sheddable, so sequence 0 survived.
+  // window with the workers was never sheddable, so sequence 0 survived.
   EXPECT_EQ(got.front().stream_sequence, 0u);
   for (std::size_t i = 1; i < got.size(); ++i) {
     EXPECT_GT(got[i].stream_sequence, got[i - 1].stream_sequence);
@@ -355,7 +362,7 @@ TEST(Fleet, BackloggedStreamsCoalesceIntoMultiWindowBatches) {
   for (std::size_t s = 0; s < kStreams; ++s) ids.push_back(fleet.open_stream());
   // Wedge the worker so pending windows pile up behind the first dispatches,
   // then release: the dispatcher must drain the backlog through coalesced
-  // submit_batch calls, one window per stream per batch (fairness).
+  // batches, one window per stream per batch (fairness).
   for (int i = 0; i < kWindows; ++i) {
     for (std::size_t s = 0; s < kStreams; ++s) {
       ASSERT_TRUE(
@@ -379,14 +386,317 @@ TEST(Fleet, BackloggedStreamsCoalesceIntoMultiWindowBatches) {
   EXPECT_EQ(total, kStreams * kWindows);
 
   const RuntimeStats rt = fleet.stats().runtime;
-  EXPECT_EQ(rt.batch_windows, kStreams * kWindows);
+  EXPECT_EQ(rt.traces_submitted, kStreams * kWindows);
   ASSERT_GT(rt.batches_submitted, 0u);
-  const double coalescing = static_cast<double>(rt.batch_windows) /
+  const double coalescing = static_cast<double>(rt.traces_submitted) /
                             static_cast<double>(rt.batches_submitted);
   EXPECT_GT(coalescing, 1.5)
       << "a wedged shard with 8 backlogged streams should produce "
          "multi-window batches, got factor "
       << coalescing;
+}
+
+// -- one-stream serving -------------------------------------------------------
+//
+// A single live monitor (the paper's Sec. 5.4 deployment) is a one-shard
+// fleet with one blocking stream.
+
+/// One shard whose streams block at `credit` unclassified windows.
+FleetConfig one_stream(std::size_t workers, std::size_t credit) {
+  FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = workers;
+  cfg.stream_credit = credit;
+  cfg.admission = AdmissionPolicy::kBlock;
+  return cfg;
+}
+
+TEST(Streaming, OrderedOutputUnderAdversarialDelays) {
+  FleetFrontend fleet(echo_stage(), one_stream(4, 8));
+  const auto id = fleet.open_stream();
+
+  constexpr std::size_t kTraces = 64;
+  std::vector<FleetResult> got;
+  for (std::size_t i = 0; i < kTraces; ++i) {
+    const AdmitResult a = fleet.submit(id, tagged_trace(static_cast<int>(i)));
+    ASSERT_EQ(a.status, AdmitStatus::kAccepted);
+    EXPECT_EQ(a.stream_sequence, i);
+    while (auto r = fleet.poll(id)) got.push_back(std::move(*r));  // interleave
+  }
+  for (FleetResult& r : fleet.close_stream(id)) got.push_back(std::move(r));
+
+  ASSERT_EQ(got.size(), kTraces);
+  for (std::size_t i = 0; i < kTraces; ++i) {
+    EXPECT_EQ(got[i].stream_sequence, i) << "results emitted out of submission order";
+    EXPECT_EQ(got[i].value.class_idx, i) << "result does not answer its own trace";
+  }
+  const RuntimeStats stats = fleet.stats().runtime;
+  EXPECT_EQ(stats.traces_submitted, kTraces);
+  EXPECT_EQ(stats.traces_completed, kTraces);
+  EXPECT_EQ(stats.traces_emitted, kTraces);
+  EXPECT_EQ(stats.traces_failed, 0u);
+  EXPECT_EQ(stats.end_to_end.count(), kTraces);
+  EXPECT_LE(stats.in_flight_high_water, 8u) << "the blocking credit was overrun";
+}
+
+TEST(Streaming, ExpectedAcquisitionStampIsEnforcedAtSubmit) {
+  // A monitor pinned to one acquisition configuration must refuse windows
+  // captured under another: rate, resolution and window length are all part
+  // of the contract, and a refused submission consumes no sequence number.
+  const sim::AcquisitionConfig acq = sim::AcquisitionConfig::half_rate();
+  FleetFrontend fleet(scalar_stage([](const sim::Trace&) { return core::Disassembly{}; }),
+                      one_stream(1, 8));
+  StreamOptions opts;
+  opts.expected_acquisition = acq;
+  const auto id = fleet.open_stream(opts);
+
+  sim::Trace good;
+  good.samples.assign(acq.window_samples(), 0.0);
+  good.meta.samples_per_cycle = acq.samples_per_cycle;
+  good.meta.adc_bits = acq.adc_bits;
+  ASSERT_TRUE(fleet.submit(id, good).accepted());
+
+  sim::Trace wrong_rate = good;
+  wrong_rate.meta.samples_per_cycle = sim::kNominalSamplesPerCycle;
+  EXPECT_THROW((void)fleet.submit(id, wrong_rate), std::invalid_argument);
+
+  sim::Trace wrong_bits = good;
+  wrong_bits.meta.adc_bits = 6;
+  EXPECT_THROW((void)fleet.submit(id, wrong_bits), std::invalid_argument);
+
+  sim::Trace wrong_window = good;
+  wrong_window.samples.push_back(0.0);
+  EXPECT_THROW((void)fleet.submit(id, wrong_window), std::invalid_argument);
+
+  const AdmitResult next = fleet.submit(id, good);
+  ASSERT_TRUE(next.accepted());
+  EXPECT_EQ(next.stream_sequence, 1u)
+      << "rejected submissions must not consume sequence numbers";
+  EXPECT_EQ(fleet.close_stream(id).size(), 2u);
+  EXPECT_EQ(fleet.stats().runtime.traces_submitted, 2u);
+}
+
+TEST(Streaming, CampaignStampsSatisfyTheMatchingExpectation) {
+  // Traces from an acquisition-configured campaign carry the stamp the
+  // runtime validates against, so the contract holds end-to-end by default.
+  const sim::AcquisitionConfig acq = sim::AcquisitionConfig::low_resolution(6);
+  sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                    sim::SessionContext::make(0), acq};
+  std::mt19937_64 rng{29};
+  const sim::TraceSet windows = campaign.capture_class(
+      *avr::class_index(avr::Mnemonic::kAdd), 3, 2, rng);
+
+  FleetFrontend fleet(scalar_stage([](const sim::Trace&) { return core::Disassembly{}; }),
+                      one_stream(1, 8));
+  StreamOptions opts;
+  opts.expected_acquisition = acq;
+  const auto id = fleet.open_stream(opts);
+  for (const sim::Trace& t : windows) ASSERT_TRUE(fleet.submit(id, t).accepted());
+  EXPECT_EQ(fleet.close_stream(id).size(), windows.size());
+}
+
+TEST(Streaming, BackpressureBlocksProducerAtCapacity) {
+  std::atomic<bool> release{false};
+  FleetFrontend fleet(gated_stage(&release), one_stream(1, 3));
+  const auto id = fleet.open_stream();
+
+  std::atomic<std::size_t> accepted{0};
+  std::thread producer([&] {
+    for (int i = 0; i < 6; ++i) {
+      if (fleet.submit(id, tagged_trace(i)).accepted()) ++accepted;
+    }
+  });
+  std::this_thread::sleep_for(100ms);
+  // The worker holds window 0 and windows 1-2 wait for dispatch: three
+  // unclassified windows use up the credit, so submit() blocks on window 3.
+  EXPECT_EQ(accepted.load(), 3u) << "submit() did not block at stream_credit";
+  release.store(true);
+  // Ready results hold no credit: the producer finishes although nobody
+  // takes delivery.
+  producer.join();
+  EXPECT_EQ(accepted.load(), 6u);
+  const std::vector<FleetResult> tail = fleet.close_stream(id);
+  ASSERT_EQ(tail.size(), 6u);
+  for (std::size_t i = 0; i < tail.size(); ++i) EXPECT_EQ(tail[i].stream_sequence, i);
+  EXPECT_EQ(fleet.stats().windows_rejected, 0u);
+  EXPECT_EQ(fleet.stats().windows_shed, 0u);
+}
+
+TEST(Streaming, DrainAfterCancelLosesAndDuplicatesNothing) {
+  std::atomic<bool> release{false};
+  FleetFrontend fleet(gated_stage(&release), one_stream(3, 4));
+  const auto id = fleet.open_stream();
+
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<bool> closed{false};
+  std::thread producer([&] {
+    for (int i = 0;; ++i) {
+      const AdmitResult a = fleet.submit(id, tagged_trace(i));
+      if (!a.accepted()) {
+        closed.store(a.status == AdmitStatus::kClosed);
+        return;
+      }
+      ++accepted;
+    }
+  });
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(accepted.load(), 4u) << "the producer is not blocked on its credit";
+  // Cancel from another thread while the producer is blocked: close_stream
+  // wakes it (kClosed), then waits for the wedged windows.
+  std::vector<FleetResult> tail;
+  std::thread closer([&] { tail = fleet.close_stream(id); });
+  producer.join();
+  EXPECT_TRUE(closed.load()) << "a cancelled submit must report kClosed";
+  release.store(true);
+  closer.join();
+  EXPECT_EQ(fleet.submit(id, tagged_trace(9999)).status, AdmitStatus::kClosed);
+
+  ASSERT_EQ(tail.size(), accepted.load())
+      << "close_stream lost or duplicated accepted windows";
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].stream_sequence, i);
+    EXPECT_EQ(tail[i].value.class_idx, i);
+  }
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.runtime.traces_submitted, accepted.load());
+  EXPECT_EQ(stats.runtime.traces_emitted, accepted.load());
+  EXPECT_EQ(stats.windows_delivered, accepted.load());
+}
+
+TEST(Streaming, WorkerExceptionEmitsDefaultResultAndCounts) {
+  ClassifyFn fn = [](const sim::Trace& t) -> core::Disassembly {
+    if (t.meta.program_id == 1) throw std::runtime_error("model blew up");
+    core::Disassembly d;
+    d.class_idx = 42;
+    return d;
+  };
+  FleetFrontend fleet(scalar_stage(std::move(fn)), one_stream(2, 8));
+  const auto id = fleet.open_stream();
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(fleet.submit(id, tagged_trace(i)).accepted());
+  const std::vector<FleetResult> out = fleet.close_stream(id);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].value.class_idx, 42u);
+  EXPECT_EQ(out[1].value.class_idx, 0u);  // default-constructed placeholder
+  EXPECT_EQ(out[2].value.class_idx, 42u);
+  EXPECT_EQ(fleet.stats().runtime.traces_failed, 1u);
+}
+
+TEST(Streaming, VerdictAndFaultCountersAggregate) {
+  // Stub model: program_id selects the verdict, so the expected counter
+  // values are exact.  Faulted windows are marked by their ground-truth
+  // severity stamp, which the workers read off TraceMeta.
+  ClassifyFn fn = [](const sim::Trace& t) {
+    core::Disassembly d;
+    if (t.meta.program_id % 3 == 1) d.verdict = core::Verdict::kRejected;
+    if (t.meta.program_id % 3 == 2) d.verdict = core::Verdict::kDegraded;
+    return d;
+  };
+  FleetFrontend fleet(scalar_stage(std::move(fn)), one_stream(2, 16));
+  const auto id = fleet.open_stream();
+  for (int i = 0; i < 9; ++i) {
+    sim::Trace t = tagged_trace(i);
+    if (i < 4) t.meta.fault_severity = 0.5 * static_cast<double>(i + 1);
+    ASSERT_TRUE(fleet.submit(id, std::move(t)).accepted());
+  }
+  (void)fleet.close_stream(id);
+  const RuntimeStats stats = fleet.stats().runtime;
+  EXPECT_EQ(stats.traces_rejected, 3u);   // ids 1, 4, 7
+  EXPECT_EQ(stats.traces_degraded, 3u);   // ids 2, 5, 8
+  EXPECT_EQ(stats.traces_faulted, 4u);
+  EXPECT_DOUBLE_EQ(stats.fault_severity_sum, 0.5 + 1.0 + 1.5 + 2.0);
+  EXPECT_DOUBLE_EQ(stats.max_fault_severity, 2.0);
+  const std::string report = stats.report();
+  EXPECT_NE(report.find("rejected=3"), std::string::npos);
+  EXPECT_NE(report.find("faulted: 4 windows"), std::string::npos);
+}
+
+TEST(Streaming, SwapStampStaysCoherentWithItsStageUnderConcurrentSwaps) {
+  // Regression test for a checksum/stage race: a result stamp read
+  // separately from the stage function could report the stamp of a
+  // concurrently published successor.  Function and stamp are one shared
+  // stage record, pinned as a unit.  Here every stage k tags its results
+  // with class_idx = k and is published with stamp = k, so any tearing shows
+  // up as a stamp/class mismatch -- and TSan (this test runs in the TSan CI
+  // job too) would flag the unsynchronized read.
+  const auto stage_k = [](std::uint64_t k) {
+    return scalar_stage(
+        [k](const sim::Trace&) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          core::Disassembly d;
+          d.class_idx = static_cast<std::size_t>(k);
+          return d;
+        },
+        k);
+  };
+  FleetFrontend fleet(stage_k(0), one_stream(4, 8));
+  const auto id = fleet.open_stream();
+
+  std::atomic<bool> stop_swapping{false};
+  std::thread swapper([&] {
+    for (std::uint64_t k = 1; !stop_swapping.load(); ++k) {
+      fleet.swap_stage(id, stage_k(k));
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+
+  constexpr std::size_t kTraces = 300;
+  std::size_t checked = 0;
+  std::size_t distinct_stamps = 0;
+  std::uint64_t last_stamp = 0;
+  const auto check = [&](const FleetResult& r) {
+    EXPECT_EQ(r.value.class_idx, r.model_stamp)
+        << "result " << r.stream_sequence << " stamped with a different stage";
+    if (r.model_stamp != last_stamp) ++distinct_stamps;
+    last_stamp = r.model_stamp;
+    ++checked;
+  };
+  for (std::size_t i = 0; i < kTraces; ++i) {
+    ASSERT_TRUE(fleet.submit(id, tagged_trace(static_cast<int>(i))).accepted());
+    while (auto r = fleet.poll(id)) check(*r);
+  }
+  for (const FleetResult& r : fleet.close_stream(id)) check(r);
+  stop_swapping.store(true);
+  swapper.join();
+  EXPECT_EQ(checked, kTraces);
+  // The race window only exists when swaps actually interleave with work.
+  // (distinct_stamps counts emission-order stamp *changes*, which can exceed
+  // the swap count: neighboring jobs may pin stages in either order.)
+  EXPECT_GE(distinct_stamps, 2u) << "swaps never interleaved; test proved nothing";
+  EXPECT_GE(fleet.stats().runtime.model_swaps, 2u);
+}
+
+TEST(Streaming, WindowsAdmittedBeforeASwapKeepTheirStage) {
+  // A swap publishes for windows admitted after it.  Windows 1-3 below are
+  // still waiting for dispatch when the swap lands (the one worker is wedged
+  // on window 0), and must nevertheless come back from the stage they were
+  // admitted under.
+  std::atomic<bool> release{false};
+  const auto stage = [&release](std::uint64_t stamp) {
+    return scalar_stage(
+        [&release, stamp](const sim::Trace&) {
+          while (!release.load()) std::this_thread::sleep_for(1ms);
+          core::Disassembly d;
+          d.class_idx = static_cast<std::size_t>(stamp);
+          return d;
+        },
+        stamp);
+  };
+  FleetFrontend fleet(stage(1), one_stream(1, 16));
+  const auto id = fleet.open_stream();
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(fleet.submit(id, tagged_trace(i)).accepted());
+  fleet.swap_stage(id, stage(2));
+  EXPECT_THROW(fleet.swap_stage(id, nullptr), std::invalid_argument);
+  for (int i = 4; i < 8; ++i) ASSERT_TRUE(fleet.submit(id, tagged_trace(i)).accepted());
+  release.store(true);
+
+  const std::vector<FleetResult> out = fleet.close_stream(id);
+  ASSERT_EQ(out.size(), 8u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t admitted_under = i < 4 ? 1 : 2;
+    EXPECT_EQ(out[i].model_stamp, admitted_under) << "window " << i;
+    EXPECT_EQ(out[i].value.class_idx, admitted_under) << "window " << i;
+  }
+  EXPECT_EQ(fleet.stats().runtime.model_swaps, 1u);
 }
 
 // -- drift isolation ---------------------------------------------------------

@@ -5,8 +5,8 @@
 //    the guarantee that lets a fused serving tier consume single-channel
 //    templates with zero behavioural diff;
 //  * fused classify_batch is bit-identical to fused scalar classify across
-//    batch sizes, and streaming verdicts are worker- and shard-count
-//    invariant (fusion adds no scheduling-dependent arithmetic);
+//    batch sizes, and served verdicts are shard- and worker-count invariant
+//    (fusion adds no scheduling-dependent arithmetic);
 //  * one channel recalibrates while the other keeps serving, and the fused
 //    drift monitor attributes drift to the channel that actually moved.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "runtime/drift.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/recal.hpp"
-#include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
 
 namespace sidis {
@@ -171,82 +170,73 @@ TEST(FusionEquivalence, MixedPresenceBatchMatchesScalar) {
   }
 }
 
-std::vector<Disassembly> stream_all(const FusedDisassembler& fused,
-                                    std::size_t workers) {
-  auto model = std::make_shared<const FusedDisassembler>(
-      FusedDisassembler(fused.power_model(), fused.em_model(),
-                        fused.group_fusion(), fused.instruction_fusion()));
-  runtime::StreamingConfig cfg;
-  cfg.workers = workers;
-  runtime::StreamingDisassembler engine(
-      runtime::make_stage(model, 0, /*scored=*/true), cfg);
-  for (const sim::Trace& t : world().probes) {
-    EXPECT_TRUE(engine.submit(t).has_value());
-  }
-  std::vector<Disassembly> out;
-  for (runtime::StreamResult& r : engine.drain()) out.push_back(std::move(r.value));
-  return out;
-}
-
-TEST(FusionRuntime, StreamingVerdictsAreWorkerCountInvariant) {
-  const FusedDisassembler fused = balanced_fused();
-  const std::vector<Disassembly> one = stream_all(fused, 1);
-  ASSERT_EQ(one.size(), world().probes.size());
-  for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-    const std::vector<Disassembly> many = stream_all(fused, workers);
-    ASSERT_EQ(many.size(), one.size());
-    for (std::size_t i = 0; i < one.size(); ++i) expect_same(one[i], many[i]);
-  }
-}
-
-std::vector<Disassembly> fleet_all(std::size_t shards) {
+std::vector<Disassembly> fleet_all(std::size_t shards, std::size_t workers) {
   auto model = std::make_shared<const FusedDisassembler>(balanced_fused());
   runtime::FleetConfig cfg;
   cfg.shards = shards;
-  cfg.workers_per_shard = 2;
+  cfg.workers_per_shard = workers;
+  cfg.admission = runtime::AdmissionPolicy::kBlock;
   runtime::FleetFrontend fleet(
       runtime::make_stage(model, 0, /*scored=*/true), cfg);
   const auto id = fleet.open_stream();
   std::vector<Disassembly> out;
   for (const sim::Trace& t : world().probes) {
-    while (fleet.submit(id, t).status != runtime::AdmitStatus::kAccepted) {
-      while (auto r = fleet.poll(id)) out.push_back(std::move(r->value));
-    }
+    EXPECT_TRUE(fleet.submit(id, t).accepted());
+    while (auto r = fleet.poll(id)) out.push_back(std::move(r->value));
   }
-  // poll() pumps the shard engines, so busy-polling drains the in-flight
-  // tail; close_stream would discard undelivered results.
-  while (out.size() < world().probes.size()) {
-    if (auto r = fleet.poll(id)) out.push_back(std::move(r->value));
+  // close_stream waits out the in-flight tail and returns it in order.
+  for (runtime::FleetResult& r : fleet.close_stream(id)) {
+    out.push_back(std::move(r.value));
   }
-  fleet.close_stream(id);
   return out;
 }
 
-TEST(FusionRuntime, FleetVerdictsAreShardCountInvariant) {
-  const std::vector<Disassembly> one = fleet_all(1);
+TEST(FusionRuntime, StreamingVerdictsAreWorkerCountInvariant) {
+  // One shard, swept over workers_per_shard: batch grouping and completion
+  // order vary, the verdicts must not.
+  const std::vector<Disassembly> one = fleet_all(1, 1);
   ASSERT_EQ(one.size(), world().probes.size());
-  for (std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const std::vector<Disassembly> many = fleet_all(shards);
+  for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const std::vector<Disassembly> many = fleet_all(1, workers);
     ASSERT_EQ(many.size(), one.size());
     for (std::size_t i = 0; i < one.size(); ++i) expect_same(one[i], many[i]);
   }
 }
 
+TEST(FusionRuntime, FleetVerdictsAreShardCountInvariant) {
+  // Sweeps shards x workers_per_shard against the one-shard, one-worker run.
+  const std::vector<Disassembly> one = fleet_all(1, 1);
+  ASSERT_EQ(one.size(), world().probes.size());
+  for (std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + " workers " +
+                   std::to_string(workers));
+      const std::vector<Disassembly> many = fleet_all(shards, workers);
+      ASSERT_EQ(many.size(), one.size());
+      for (std::size_t i = 0; i < one.size(); ++i) expect_same(one[i], many[i]);
+    }
+  }
+}
+
 TEST(FusionRuntime, OneChannelRecalibratesWhileTheOtherServes) {
   auto current = std::make_shared<FusedDisassembler>(balanced_fused());
-  runtime::StreamingDisassembler engine(
-      runtime::make_stage(current, 0, /*scored=*/true));
+  runtime::FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = 2;
+  cfg.admission = runtime::AdmissionPolicy::kBlock;
+  runtime::FleetFrontend fleet(runtime::make_stage(current, 0, /*scored=*/true), cfg);
+  const auto id = fleet.open_stream();
 
   runtime::CampaignCalibrationSource inner(world().campaign, world().classes,
                                            /*num_programs=*/5, /*seed=*/99);
   runtime::ChannelCalibrationSource em_source(inner, sim::Channel::kEm);
   runtime::RecalPolicy policy;
   policy.traces_per_class = 4;
-  runtime::RecalibrationScheduler scheduler(engine, world().em, em_source,
-                                            policy);
+  runtime::RecalibrationScheduler scheduler(fleet, id, world().em, em_source, policy);
 
   // The publisher rebinds ONLY the EM channel: a fresh fused model keeps the
-  // power channel pointer and gets published as the engine's next stage.
+  // power channel pointer and gets published as the stream's next stage.
   const std::shared_ptr<const HierarchicalDisassembler> old_power =
       current->power_model();
   const std::shared_ptr<const HierarchicalDisassembler> old_em =
@@ -255,14 +245,11 @@ TEST(FusionRuntime, OneChannelRecalibratesWhileTheOtherServes) {
   scheduler.set_publisher(
       [&](std::shared_ptr<const HierarchicalDisassembler> em_model,
           std::uint64_t stamp) {
-        auto next = std::make_shared<const FusedDisassembler>(
+        published = std::make_shared<const FusedDisassembler>(
             FusedDisassembler(current->power_model(), std::move(em_model),
                               current->group_fusion(),
                               current->instruction_fusion()));
-        published = next;
-        engine.swap_classifier(
-            [next](const sim::Trace& t) { return next->classify_scored(t); },
-            stamp);
+        fleet.swap_stage(id, runtime::make_stage(published, stamp, /*scored=*/true));
       });
 
   runtime::FusedDriftMonitor monitor{
@@ -273,19 +260,19 @@ TEST(FusionRuntime, OneChannelRecalibratesWhileTheOtherServes) {
       scheduler.on_drift(event, *monitor.em_monitor());
   ASSERT_TRUE(outcome.performed) << outcome.reason;
   ASSERT_NE(published, nullptr);
-  // Power channel untouched, EM channel replaced, and the engine serves on.
+  // Power channel untouched, EM channel replaced, and the stream serves on.
   EXPECT_EQ(published->power_model(), old_power);
   EXPECT_NE(published->em_model(), old_em);
   EXPECT_EQ(monitor.em_monitor()->model(), published->em_model());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(engine.submit(world().probes[static_cast<std::size_t>(i)])
-                    .has_value());
+  for (std::size_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(fleet.submit(id, world().probes[i]).accepted());
   }
-  const auto results = engine.drain();
+  const std::vector<runtime::FleetResult> results = fleet.close_stream(id);
   ASSERT_EQ(results.size(), 8u);
   for (const auto& r : results) EXPECT_EQ(r.model_stamp, outcome.stamp);
-  EXPECT_EQ(engine.stats().model_swaps, 1u);
-  EXPECT_EQ(engine.stats().recalibrations, 1u);
+  EXPECT_EQ(fleet.stats().runtime.model_swaps, 1u);
+  EXPECT_EQ(scheduler.recalibrations(), 1u);
+  EXPECT_EQ(scheduler.events(), 1u);
 }
 
 TEST(FusionRuntime, DriftMonitorAttributesProbeDriftToTheEmChannel) {

@@ -19,8 +19,8 @@
 #include "core/transfer.hpp"
 #include "runtime/decoder.hpp"
 #include "runtime/drift.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/recal.hpp"
-#include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
 
 namespace sidis::core {
@@ -261,7 +261,7 @@ TEST(GoldenRegression, DegradedAcquisitionRunsAreReproducible) {
 // -- drift -> detect -> recalibrate -> recover golden ------------------------
 //
 // The online-adaptation canary: a seeded stream with linear aging gain drift
-// is served through the streaming engine while a DriftMonitor watches the
+// is served through a one-stream fleet while a DriftMonitor watches the
 // emissions and a RecalibrationScheduler answers its events.  The checked-in
 // band pins four facts: the drift IS detected (and not absurdly late), the
 // stale model HAS lost accuracy by end of stream, the recalibrated model
@@ -327,10 +327,12 @@ DriftGoldenRun run_drift_golden() {
         static_cast<double>(i) / static_cast<double>(kStreamWindows - 1)));
   }
 
-  StreamingConfig scfg;
-  scfg.workers = 1;
-  StreamingDisassembler engine(
-      [model](const sim::Trace& t) { return model->classify(t); }, scfg);
+  FleetConfig fcfg;
+  fcfg.shards = 1;
+  fcfg.workers_per_shard = 1;
+  fcfg.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(model, fcfg);
+  const auto id = fleet.open_stream();
   // Tighter-than-default monitor: continuous drift needs continuous
   // adaptation, so the z gate sits lower and the cooldown shorter -- the
   // monitor re-alarms while the ramp keeps going and the scheduler spends
@@ -343,17 +345,17 @@ DriftGoldenRun run_drift_golden() {
   RecalPolicy policy;
   policy.traces_per_class = 6;
   policy.trace_budget = 36;
-  RecalibrationScheduler scheduler(engine, model, source, policy);
+  RecalibrationScheduler scheduler(fleet, id, model, source, policy);
 
   DriftGoldenRun out;
   constexpr std::size_t kBatch = 16;
   for (std::size_t base = 0; base < windows.size(); base += kBatch) {
     const std::size_t end = std::min(windows.size(), base + kBatch);
-    for (std::size_t i = base; i < end; ++i) (void)engine.submit(windows[i]);
+    for (std::size_t i = base; i < end; ++i) (void)fleet.submit(id, windows[i]);
     std::size_t emitted = base;
     while (emitted < end) {
-      if (auto r = engine.poll()) {
-        monitor.observe(windows[r->sequence], r->value);
+      if (auto r = fleet.poll(id)) {
+        monitor.observe(windows[r->stream_sequence], r->value);
         ++emitted;
       }
     }
@@ -365,10 +367,9 @@ DriftGoldenRun run_drift_golden() {
       (void)scheduler.on_drift(*event, monitor);
     }
   }
-  (void)engine.drain();
-  const RuntimeStats stats = engine.stats();
-  out.recalibrations = stats.recalibrations;
-  out.traces_spent = stats.recal_traces_spent;
+  (void)fleet.close_stream(id);
+  out.recalibrations = scheduler.recalibrations();
+  out.traces_spent = scheduler.traces_spent();
 
   // Paired evaluation corpora: identical seeds, one captured healthy at
   // campaign start, one fully aged.

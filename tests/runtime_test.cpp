@@ -1,7 +1,7 @@
-// Tests for the streaming disassembly runtime: queue backpressure, ordered
-// output under adversarial completion order, cancellation without loss, the
-// model registry's round-trip and corruption rejection, and worker-count
-// invariance of the parallel profiler.
+// Tests for the runtime's building blocks: queue backpressure, the worker
+// pool, served output equal to serial disassembly, the model registry's
+// round-trip and corruption rejection, and worker-count invariance of the
+// parallel profiler.  The serving contracts themselves live in fleet_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +15,8 @@
 #include "core/disassembler.hpp"
 #include "core/profiler.hpp"
 #include "runtime/bounded_queue.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/registry.hpp"
-#include "runtime/streaming.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/acquisition.hpp"
 
@@ -103,316 +103,14 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                std::runtime_error);
 }
 
-// -- StreamingDisassembler ---------------------------------------------------
-
-/// Classify stage that encodes the sequence into the result and sleeps an
-/// adversarial, order-inverting amount (early traces finish last).
-ClassifyFn adversarial_classify(std::atomic<int>* calls) {
-  return [calls](const sim::Trace& t) {
-    const auto tag = static_cast<std::size_t>(t.meta.program_id);
-    std::this_thread::sleep_for(std::chrono::microseconds(500 * ((tag % 7 == 0) ? 20 : (7 - tag % 7))));
-    if (calls != nullptr) ++*calls;
-    core::Disassembly d;
-    d.class_idx = tag;
-    return d;
-  };
-}
-
-sim::Trace tagged_trace(std::size_t tag) {
-  sim::Trace t;
-  t.samples = {0.0};
-  t.meta.program_id = static_cast<int>(tag);
-  return t;
-}
-
-TEST(Streaming, OrderedOutputUnderAdversarialDelays) {
-  StreamingConfig cfg;
-  cfg.workers = 4;
-  cfg.max_in_flight = 8;
-  StreamingDisassembler engine(adversarial_classify(nullptr), cfg);
-
-  constexpr std::size_t kTraces = 64;
-  std::vector<StreamResult> got;
-  for (std::size_t i = 0; i < kTraces; ++i) {
-    const auto seq = engine.submit(tagged_trace(i));
-    ASSERT_TRUE(seq.has_value());
-    EXPECT_EQ(*seq, i);
-    while (auto r = engine.poll()) got.push_back(std::move(*r));  // interleave
-  }
-  for (auto& r : engine.drain()) got.push_back(std::move(r));
-
-  ASSERT_EQ(got.size(), kTraces);
-  for (std::size_t i = 0; i < kTraces; ++i) {
-    EXPECT_EQ(got[i].sequence, i) << "results emitted out of submission order";
-    EXPECT_EQ(got[i].value.class_idx, i) << "result does not answer its own trace";
-  }
-  const RuntimeStats stats = engine.stats();
-  EXPECT_EQ(stats.traces_submitted, kTraces);
-  EXPECT_EQ(stats.traces_completed, kTraces);
-  EXPECT_EQ(stats.traces_emitted, kTraces);
-  EXPECT_EQ(stats.traces_failed, 0u);
-  EXPECT_EQ(stats.end_to_end.count(), kTraces);
-}
-
-TEST(Streaming, ExpectedAcquisitionStampIsEnforcedAtSubmit) {
-  // A monitor pinned to one acquisition configuration must refuse windows
-  // captured under another: rate, resolution and window length are all part
-  // of the contract, and a refused submission consumes no sequence number.
-  const sim::AcquisitionConfig acq = sim::AcquisitionConfig::half_rate();
-  StreamingConfig cfg;
-  cfg.workers = 1;
-  cfg.expected_acquisition = acq;
-  StreamingDisassembler engine(
-      [](const sim::Trace&) { return core::Disassembly{}; }, cfg);
-
-  sim::Trace good;
-  good.samples.assign(acq.window_samples(), 0.0);
-  good.meta.samples_per_cycle = acq.samples_per_cycle;
-  good.meta.adc_bits = acq.adc_bits;
-  ASSERT_TRUE(engine.submit(good).has_value());
-
-  sim::Trace wrong_rate = good;
-  wrong_rate.meta.samples_per_cycle = sim::kNominalSamplesPerCycle;
-  EXPECT_THROW((void)engine.submit(wrong_rate), std::invalid_argument);
-
-  sim::Trace wrong_bits = good;
-  wrong_bits.meta.adc_bits = 6;
-  EXPECT_THROW((void)engine.submit(wrong_bits), std::invalid_argument);
-
-  sim::Trace wrong_window = good;
-  wrong_window.samples.push_back(0.0);
-  EXPECT_THROW((void)engine.submit(wrong_window), std::invalid_argument);
-
-  // One mismatched window poisons a whole batch before it reserves anything.
-  sim::TraceSet batch;
-  batch.push_back(good);
-  batch.push_back(wrong_bits);
-  EXPECT_THROW((void)engine.submit_batch(std::move(batch)), std::invalid_argument);
-
-  (void)engine.drain();
-  EXPECT_EQ(engine.stats().traces_submitted, 1u)
-      << "rejected submissions must not consume sequence numbers";
-}
-
-TEST(Streaming, CampaignStampsSatisfyTheMatchingExpectation) {
-  // Traces from an acquisition-configured campaign carry the stamp the
-  // runtime validates against, so the contract holds end-to-end by default.
-  const sim::AcquisitionConfig acq = sim::AcquisitionConfig::low_resolution(6);
-  sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
-                                    sim::SessionContext::make(0), acq};
-  std::mt19937_64 rng{29};
-  const sim::TraceSet windows = campaign.capture_class(
-      *avr::class_index(avr::Mnemonic::kAdd), 3, 2, rng);
-
-  StreamingConfig cfg;
-  cfg.workers = 1;
-  cfg.expected_acquisition = acq;
-  StreamingDisassembler engine(
-      [](const sim::Trace&) { return core::Disassembly{}; }, cfg);
-  for (const sim::Trace& t : windows) ASSERT_TRUE(engine.submit(t).has_value());
-  EXPECT_EQ(engine.drain().size(), windows.size());
-}
-
-TEST(Streaming, BackpressureBlocksProducerAtCapacity) {
-  StreamingConfig cfg;
-  cfg.workers = 1;
-  cfg.max_in_flight = 3;
-  std::atomic<bool> release{false};
-  StreamingDisassembler engine(
-      [&release](const sim::Trace&) {
-        while (!release.load()) std::this_thread::sleep_for(1ms);
-        return core::Disassembly{};
-      },
-      cfg);
-
-  std::atomic<std::size_t> accepted{0};
-  std::thread producer([&] {
-    for (std::size_t i = 0; i < 6; ++i) {
-      if (engine.submit(tagged_trace(i))) ++accepted;
-    }
-  });
-  std::this_thread::sleep_for(100ms);
-  // Worker holds trace 0; traces 1-2 fill in-flight credit (max 3): the
-  // producer must be blocked inside submit() for trace 3.
-  EXPECT_EQ(accepted.load(), 3u) << "submit() did not block at max_in_flight";
-  release.store(true);
-  std::vector<StreamResult> tail;
-  // Consume so the producer can finish (it unblocks as results are emitted).
-  while (tail.size() < 6) {
-    if (auto r = engine.poll()) {
-      tail.push_back(std::move(*r));
-    } else {
-      std::this_thread::sleep_for(1ms);
-    }
-  }
-  producer.join();
-  EXPECT_EQ(accepted.load(), 6u);
-  for (std::size_t i = 0; i < tail.size(); ++i) EXPECT_EQ(tail[i].sequence, i);
-}
-
-TEST(Streaming, DrainAfterCancelLosesAndDuplicatesNothing) {
-  StreamingConfig cfg;
-  cfg.workers = 3;
-  cfg.max_in_flight = 4;
-  StreamingDisassembler engine(adversarial_classify(nullptr), cfg);
-
-  std::vector<StreamResult> got;
-  std::atomic<std::uint64_t> last_accepted{0};
-  std::thread producer([&] {
-    for (std::size_t i = 0;; ++i) {
-      const auto seq = engine.submit(tagged_trace(i));
-      if (!seq) break;  // cancelled
-      last_accepted.store(*seq);
-    }
-  });
-  std::this_thread::sleep_for(60ms);
-  engine.request_stop();  // cancel mid-stream; producer unblocks and exits
-  producer.join();
-  EXPECT_FALSE(engine.submit(tagged_trace(9999)).has_value());
-
-  for (auto& r : engine.drain()) got.push_back(std::move(r));
-  const std::uint64_t accepted_count = last_accepted.load() + 1;
-  ASSERT_EQ(got.size(), accepted_count)
-      << "drain() lost or duplicated accepted traces";
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].sequence, i);
-    EXPECT_EQ(got[i].value.class_idx, i);
-  }
-  const RuntimeStats stats = engine.stats();
-  EXPECT_EQ(stats.traces_submitted, accepted_count);
-  EXPECT_EQ(stats.traces_emitted, accepted_count);
-}
-
-TEST(Streaming, StopTokenCancelsSubmission) {
-  std::stop_source source;
-  StreamingConfig cfg;
-  cfg.workers = 1;
-  StreamingDisassembler engine([](const sim::Trace&) { return core::Disassembly{}; },
-                               cfg, source.get_token());
-  ASSERT_TRUE(engine.submit(tagged_trace(0)).has_value());
-  source.request_stop();
-  EXPECT_TRUE(engine.stopped());
-  EXPECT_FALSE(engine.submit(tagged_trace(1)).has_value());
-  EXPECT_EQ(engine.drain().size(), 1u);
-}
-
-TEST(Streaming, WorkerExceptionEmitsDefaultResultAndCounts) {
-  StreamingConfig cfg;
-  cfg.workers = 2;
-  StreamingDisassembler engine(
-      [](const sim::Trace& t) -> core::Disassembly {
-        if (t.meta.program_id == 1) throw std::runtime_error("model blew up");
-        core::Disassembly d;
-        d.class_idx = 42;
-        return d;
-      },
-      cfg);
-  for (std::size_t i = 0; i < 3; ++i) ASSERT_TRUE(engine.submit(tagged_trace(i)));
-  const std::vector<StreamResult> out = engine.drain();
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].value.class_idx, 42u);
-  EXPECT_EQ(out[1].value.class_idx, 0u);  // default-constructed placeholder
-  EXPECT_EQ(out[2].value.class_idx, 42u);
-  EXPECT_EQ(engine.stats().traces_failed, 1u);
-}
-
-TEST(Streaming, VerdictAndFaultCountersAggregate) {
-  StreamingConfig cfg;
-  cfg.workers = 2;
-  // Stub model: program_id selects the verdict, so the expected counter
-  // values are exact.  Faulted windows are marked by their ground-truth
-  // severity stamp, which the engine reads off TraceMeta.
-  StreamingDisassembler engine(
-      [](const sim::Trace& t) {
-        core::Disassembly d;
-        if (t.meta.program_id % 3 == 1) d.verdict = core::Verdict::kRejected;
-        if (t.meta.program_id % 3 == 2) d.verdict = core::Verdict::kDegraded;
-        return d;
-      },
-      cfg);
-  for (std::size_t i = 0; i < 9; ++i) {
-    sim::Trace t = tagged_trace(i);
-    if (i < 4) t.meta.fault_severity = 0.5 * static_cast<double>(i + 1);
-    ASSERT_TRUE(engine.submit(std::move(t)));
-  }
-  (void)engine.drain();
-  const RuntimeStats stats = engine.stats();
-  EXPECT_EQ(stats.traces_rejected, 3u);   // ids 1, 4, 7
-  EXPECT_EQ(stats.traces_degraded, 3u);   // ids 2, 5, 8
-  EXPECT_EQ(stats.traces_faulted, 4u);
-  EXPECT_DOUBLE_EQ(stats.fault_severity_sum, 0.5 + 1.0 + 1.5 + 2.0);
-  EXPECT_DOUBLE_EQ(stats.max_fault_severity, 2.0);
-  const std::string report = stats.report();
-  EXPECT_NE(report.find("rejected=3"), std::string::npos);
-  EXPECT_NE(report.find("faulted: 4 windows"), std::string::npos);
-}
-
-TEST(Streaming, SwapStampStaysCoherentWithItsStageUnderConcurrentSwaps) {
-  // Regression test for a checksum/stage race: the result stamp used to be
-  // read separately from the stage function, so a result classified by
-  // version k could report the stamp of a concurrently published k+1.  The
-  // fix pins (function, stamp) as one shared stage record.  Here every stage
-  // k tags its results with class_idx = k and is published with stamp = k,
-  // so any tearing shows up as a stamp/class mismatch -- and TSan (this test
-  // runs in the TSan CI job too) would flag the unsynchronized read.
-  StreamingConfig cfg;
-  cfg.workers = 4;
-  cfg.max_in_flight = 8;
-  auto stage_fn = [](std::uint64_t k) {
-    return [k](const sim::Trace&) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      core::Disassembly d;
-      d.class_idx = static_cast<std::size_t>(k);
-      return d;
-    };
-  };
-  StreamingDisassembler engine(stage_fn(0), cfg);
-
-  std::atomic<bool> stop_swapping{false};
-  std::thread swapper([&] {
-    for (std::uint64_t k = 1; !stop_swapping.load(); ++k) {
-      engine.swap_classifier(stage_fn(k), k);
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
-    }
-  });
-
-  constexpr std::size_t kTraces = 300;
-  std::size_t checked = 0;
-  std::size_t distinct_stamps = 0;
-  std::uint64_t last_stamp = 0;
-  for (std::size_t i = 0; i < kTraces; ++i) {
-    ASSERT_TRUE(engine.submit(tagged_trace(i)).has_value());
-    while (auto r = engine.poll()) {
-      EXPECT_EQ(r->value.class_idx, r->model_stamp)
-          << "result " << r->sequence << " stamped with a different stage";
-      if (r->model_stamp != last_stamp) ++distinct_stamps;
-      last_stamp = r->model_stamp;
-      ++checked;
-    }
-  }
-  for (auto& r : engine.drain()) {
-    EXPECT_EQ(r.value.class_idx, r.model_stamp)
-        << "result " << r.sequence << " stamped with a different stage";
-    if (r.model_stamp != last_stamp) ++distinct_stamps;
-    last_stamp = r.model_stamp;
-    ++checked;
-  }
-  stop_swapping.store(true);
-  swapper.join();
-  EXPECT_EQ(checked, kTraces);
-  // The race window only exists when swaps actually interleave with work.
-  // (distinct_stamps counts emission-order stamp *changes*, which can exceed
-  // the swap count: neighboring jobs may pin stages in either order.)
-  EXPECT_GE(distinct_stamps, 2u) << "swaps never interleaved; test proved nothing";
-  EXPECT_GE(engine.stats().model_swaps, 2u);
-}
-
 // -- end-to-end against the real model --------------------------------------
 
 class RuntimeModelFixture : public ::testing::Test {
  protected:
-  static const core::HierarchicalDisassembler& model() {
-    static const core::HierarchicalDisassembler m = [] {
+  static const core::HierarchicalDisassembler& model() { return *shared_model(); }
+
+  static std::shared_ptr<const core::HierarchicalDisassembler> shared_model() {
+    static const auto m = std::make_shared<const core::HierarchicalDisassembler>([] {
       sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
                                         sim::SessionContext::make(0)};
       std::mt19937_64 rng{17};
@@ -428,7 +126,7 @@ class RuntimeModelFixture : public ::testing::Test {
       cfg.group_components = 8;
       cfg.instruction_components = 8;
       return core::HierarchicalDisassembler::train(data, cfg);
-    }();
+    }());
     return m;
   }
 
@@ -450,16 +148,19 @@ TEST_F(RuntimeModelFixture, StreamingMatchesSerialDisassemblyExactly) {
   const sim::TraceSet windows = probes(40);
   const std::vector<core::Disassembly> serial = core::disassemble(model(), windows);
 
-  StreamingConfig cfg;
-  cfg.workers = 4;
-  cfg.max_in_flight = 8;
-  StreamingDisassembler engine(model(), cfg);
-  for (const sim::Trace& t : windows) ASSERT_TRUE(engine.submit(t).has_value());
-  const std::vector<StreamResult> streamed = engine.drain();
+  FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = 4;
+  cfg.stream_credit = 8;
+  cfg.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(shared_model(), cfg);
+  const auto id = fleet.open_stream();
+  for (const sim::Trace& t : windows) ASSERT_TRUE(fleet.submit(id, t).accepted());
+  const std::vector<FleetResult> streamed = fleet.close_stream(id);
 
   ASSERT_EQ(streamed.size(), serial.size());
   std::vector<core::Disassembly> values;
-  for (const StreamResult& r : streamed) values.push_back(r.value);
+  for (const FleetResult& r : streamed) values.push_back(r.value);
   EXPECT_EQ(core::listing(values), core::listing(serial))
       << "parallel streaming changed the disassembly output";
 }

@@ -27,7 +27,6 @@
 #include "core/sequence.hpp"
 #include "runtime/decoder.hpp"
 #include "runtime/fleet.hpp"
-#include "runtime/streaming.hpp"
 #include "sim/acquisition.hpp"
 
 // Counts this thread's heap allocations, so a test can pin a code path as
@@ -1067,112 +1066,101 @@ std::vector<SmoothedWindow> reference_smoothed(const DecodeFixture& f,
   return out;
 }
 
+/// Streams f.stream through a fleet of `shards` x `workers` with sequence
+/// decoding on and checks the smoothed stream against the bare-decoder
+/// reference, window for window.
+void expect_fleet_matches_reference(const DecodeFixture& f,
+                                    const SequenceDecoderConfig& cfg,
+                                    const std::vector<SmoothedWindow>& reference,
+                                    std::size_t shards, std::size_t workers) {
+  SCOPED_TRACE("shards " + std::to_string(shards) + " workers " +
+               std::to_string(workers));
+  const auto smoothed = static_cast<std::uint64_t>(std::count_if(
+      reference.begin(), reference.end(),
+      [](const SmoothedWindow& w) { return w.smoothed; }));
+  FleetConfig fc;
+  fc.shards = shards;
+  fc.workers_per_shard = workers;
+  fc.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(f.model, fc);
+  StreamOptions so;
+  so.decode_sequence = true;
+  so.decode = cfg;
+  so.decode_prior = f.prior;
+  const auto id = fleet.open_stream(so);
+  std::vector<FleetResult> out;
+  for (const sim::Trace& t : f.stream) {
+    ASSERT_TRUE(fleet.submit(id, t).accepted());
+    while (auto r = fleet.poll(id)) out.push_back(std::move(*r));
+  }
+  for (FleetResult& r : fleet.close_stream(id)) out.push_back(std::move(r));
+  ASSERT_EQ(out.size(), f.stream.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].stream_sequence, i);
+    EXPECT_EQ(out[i].value.class_idx, reference[i].value.class_idx)
+        << "window " << i;
+    EXPECT_EQ(out[i].value.verdict, reference[i].value.verdict);
+    EXPECT_EQ(out[i].smoothed, reference[i].smoothed);
+    EXPECT_EQ(out[i].sequence_confidence, reference[i].confidence);
+  }
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.runtime.windows_decoded, f.stream.size());
+  EXPECT_EQ(stats.runtime.windows_smoothed, smoothed);
+}
+
 TEST(DecodeEquivalence, StreamingEngineIsWorkerCountInvariant) {
+  // One shard, swept over workers_per_shard: batch grouping and completion
+  // order vary, the smoothed stream must not.
   const DecodeFixture& f = fixture();
   SequenceDecoderConfig cfg;
   cfg.lag = 4;
   const std::vector<SmoothedWindow> reference = reference_smoothed(f, cfg);
   ASSERT_EQ(reference.size(), f.stream.size());
-
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    StreamingConfig sc;
-    sc.workers = workers;
-    StreamingDisassembler engine(
-        make_stage(f.model, 0, /*scored=*/true), sc);
-    engine.enable_sequence_decoding(f.model->posterior_classes(), f.prior, cfg);
-    for (const sim::Trace& t : f.stream) {
-      ASSERT_TRUE(engine.submit(t).has_value());
-    }
-    const std::vector<StreamResult> out = engine.drain();
-    ASSERT_EQ(out.size(), f.stream.size()) << "workers " << workers;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i].sequence, i);
-      EXPECT_EQ(out[i].value.class_idx, reference[i].value.class_idx)
-          << "workers " << workers << " window " << i;
-      EXPECT_EQ(out[i].value.verdict, reference[i].value.verdict);
-      EXPECT_EQ(out[i].smoothed, reference[i].smoothed);
-      EXPECT_EQ(out[i].sequence_confidence, reference[i].confidence);
-    }
-    const RuntimeStats stats = engine.stats();
-    EXPECT_EQ(stats.windows_decoded, f.stream.size());
-    EXPECT_EQ(stats.windows_smoothed,
-              static_cast<std::uint64_t>(
-                  std::count_if(reference.begin(), reference.end(),
-                                [](const SmoothedWindow& w) { return w.smoothed; })));
+    expect_fleet_matches_reference(f, cfg, reference, 1, workers);
   }
 }
 
 TEST(DecodeEquivalence, FleetIsShardCountInvariant) {
+  // Sweeps shards x workers_per_shard beyond the single shard.
   const DecodeFixture& f = fixture();
   SequenceDecoderConfig cfg;
   cfg.lag = 4;
   const std::vector<SmoothedWindow> reference = reference_smoothed(f, cfg);
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    FleetConfig fc;
-    fc.shards = shards;
-    fc.workers_per_shard = 2;
-    FleetFrontend fleet(f.model, fc);
-    StreamOptions so;
-    so.decode_sequence = true;
-    so.decode = cfg;
-    so.decode_prior = f.prior;
-    const auto id = fleet.open_stream(so);
-    std::vector<FleetResult> out;
-    for (const sim::Trace& t : f.stream) {
-      AdmitResult a = fleet.submit(id, t);
-      while (!a.accepted()) {
-        while (auto r = fleet.poll(id)) out.push_back(std::move(*r));
-        a = fleet.submit(id, t);
-      }
-      while (auto r = fleet.poll(id)) out.push_back(std::move(*r));
+  ASSERT_EQ(reference.size(), f.stream.size());
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      expect_fleet_matches_reference(f, cfg, reference, shards, workers);
     }
-    for (FleetResult& r : fleet.close_stream(id)) out.push_back(std::move(r));
-    ASSERT_EQ(out.size(), f.stream.size()) << "shards " << shards;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i].stream_sequence, i);
-      EXPECT_EQ(out[i].value.class_idx, reference[i].value.class_idx)
-          << "shards " << shards << " window " << i;
-      EXPECT_EQ(out[i].value.verdict, reference[i].value.verdict);
-      EXPECT_EQ(out[i].smoothed, reference[i].smoothed);
-      EXPECT_EQ(out[i].sequence_confidence, reference[i].confidence);
-    }
-    const FleetStats stats = fleet.stats();
-    EXPECT_EQ(stats.runtime.windows_decoded, f.stream.size());
   }
-}
-
-TEST(DecodeEquivalence, EngineRejectsLateDecoderInstall) {
-  const DecodeFixture& f = fixture();
-  StreamingConfig sc;
-  sc.workers = 1;
-  StreamingDisassembler engine(
-      make_stage(f.model, 0, /*scored=*/true), sc);
-  ASSERT_TRUE(engine.submit(f.stream.front()).has_value());
-  EXPECT_THROW(
-      engine.enable_sequence_decoding(f.model->posterior_classes(), f.prior),
-      std::logic_error);
-  (void)engine.drain();
 }
 
 TEST(DecodeEquivalence, PlainStagePassesThroughUndecoded) {
-  // A decoder on an engine whose stage produces no posteriors must degrade
-  // gracefully: everything passes through unsmoothed.
+  // A decode stream swapped to a stage that produces no posteriors must
+  // degrade gracefully: everything passes through unsmoothed.
   const DecodeFixture& f = fixture();
-  StreamingConfig sc;
-  sc.workers = 1;
-  StreamingDisassembler engine(make_stage(f.model), sc);
-  engine.enable_sequence_decoding(f.model->posterior_classes(), f.prior);
+  FleetConfig fc;
+  fc.shards = 1;
+  fc.workers_per_shard = 1;
+  fc.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(f.model, fc);
+  StreamOptions so;
+  so.decode_sequence = true;
+  so.decode_prior = f.prior;
+  const auto id = fleet.open_stream(so);
+  fleet.swap_stage(id, make_stage(f.model));
   for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(engine.submit(f.stream[i]).has_value());
+    ASSERT_TRUE(fleet.submit(id, f.stream[i]).accepted());
   }
-  const std::vector<StreamResult> out = engine.drain();
+  const std::vector<FleetResult> out = fleet.close_stream(id);
   ASSERT_EQ(out.size(), 8u);
-  for (const StreamResult& r : out) {
+  for (const FleetResult& r : out) {
     EXPECT_FALSE(r.smoothed);
     EXPECT_EQ(r.sequence_confidence, kInf);
-    EXPECT_EQ(r.value.class_idx, f.model->classify(f.stream[r.sequence]).class_idx);
+    EXPECT_EQ(r.value.class_idx,
+              f.model->classify(f.stream[r.stream_sequence]).class_idx);
   }
+  EXPECT_EQ(fleet.stats().runtime.windows_decoded, 8u);
 }
 
 }  // namespace
