@@ -6,8 +6,8 @@ namespace sidis::core {
 
 std::vector<Disassembly> disassemble(const HierarchicalDisassembler& model,
                                      const sim::TraceSet& windows) {
-  // The batched path shares one CWT workspace and per-window normalization
-  // across the whole program; results are bit-identical to per-window
+  // The batched path gathers each CWT point once per length bucket and
+  // vectorizes across windows; results are bit-identical to per-window
   // classify() calls.
   return model.classify_batch(windows);
 }

@@ -70,11 +70,11 @@ struct RejectConfig {
 /// raw RejectConfig quantiles.  Calibrating at a stricter point places every
 /// gate floor at a higher clean-score quantile, so the rejection sets are
 /// *nested*: any window a looser point rejects, every stricter point rejects
-/// too.  The selected point is persisted with the templates (serialize v4)
-/// so a serving tier can tell how a loaded model was gated.
+/// too.  The selected point is persisted with the templates so a serving
+/// tier can tell how a loaded model was gated.
 enum class RejectOperatingPoint : std::uint8_t {
   /// Passive monitoring: gates fire only on gross outliers (~0.5% clean
-  /// false-reject budget).  The pre-v4 default.
+  /// false-reject budget).
   kMonitoring = 0,
   /// Alerting deployments: ~2% clean false-reject budget, tighter outlier
   /// slack -- trades a little coverage for earlier fault visibility.
@@ -82,8 +82,7 @@ enum class RejectOperatingPoint : std::uint8_t {
   /// Forensic / high-assurance: ~5% clean false-reject budget, no outlier
   /// slack -- only windows deep inside the clean envelope are trusted.
   kStrict = 2,
-  /// Gates were calibrated from an explicit RejectConfig (or the archive
-  /// predates v4, where the quantiles were not recorded).
+  /// Gates were calibrated from an explicit RejectConfig.
   kCustom = 3,
 };
 
@@ -103,7 +102,7 @@ struct ProfilingData {
 
 /// Per-feature first and second moments of the training corpus in the
 /// *monitor feature space* (the post-pipeline vectors of the model's monitor
-/// level).  Persisted with the templates (serialize v3) so a deployed drift
+/// level).  Persisted with the templates so a deployed drift
 /// monitor can compare its streaming estimates against what the model was
 /// trained on without access to the profiling corpus.
 struct FeatureMoments {
@@ -247,14 +246,14 @@ class HierarchicalDisassembler {
   void calibrate_reject(const ProfilingData& clean, const RejectConfig& config = {});
 
   /// Named-operating-point overload: calibrates at the preset's quantiles
-  /// and records the point, so it survives serialization (v4) and a serving
+  /// and records the point, so it survives serialization and a serving
   /// tier can report how its models are gated.  The RejectConfig overload
   /// records kCustom.
   void calibrate_reject(const ProfilingData& clean, RejectOperatingPoint point);
 
   /// The operating point of the last calibrate_reject() call (kCustom for
-  /// explicit RejectConfig calibrations and pre-v4 archives; meaningless
-  /// until reject_calibrated()).
+  /// explicit RejectConfig calibrations; meaningless until
+  /// reject_calibrated()).
   RejectOperatingPoint reject_operating_point() const { return reject_point_; }
 
   /// True once calibrate_reject() has armed at least the group gate.
@@ -284,8 +283,8 @@ class HierarchicalDisassembler {
   const HierarchicalConfig& config() const { return config_; }
 
   /// Pooled training moments in the monitor feature space (see
-  /// FeatureMoments).  Empty when the model predates serialize v3 or every
-  /// level is trivial (single profiled class -- nothing to monitor).
+  /// FeatureMoments).  Empty when every level is trivial (single profiled
+  /// class -- nothing to monitor).
   const FeatureMoments& training_moments() const { return training_moments_; }
   bool has_training_moments() const { return !training_moments_.empty(); }
 
@@ -298,11 +297,10 @@ class HierarchicalDisassembler {
   /// Throws std::runtime_error when every level is trivial.
   linalg::Vector monitor_features(const sim::Trace& trace) const;
 
-  /// Template persistence (QDA levels only); see core/serialize.hpp.
+  /// Template persistence (QDA levels only); see core/serialize.hpp.  load()
+  /// reads what save() wrote, the model body of a current-version archive.
   void save(std::ostream& os) const;
-  /// `version` is the archive format version being read (load_disassembler
-  /// passes it through); v2 archives carry no training-moments block.
-  static HierarchicalDisassembler load(std::istream& is, int version = 3);
+  static HierarchicalDisassembler load(std::istream& is);
 
  public:
   /// Calibrated reject thresholds of one level (public for serialization).

@@ -1,27 +1,29 @@
 #include "core/serialize.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace sidis::core {
 
 namespace {
 
 constexpr const char* kMagic = "sidis-template";
-// v2: per-level reject-gate thresholds appended to each level record.
-// v3: pooled training moments (drift-monitor reference) appended after the
-//     level records; v2 archives still load, with empty moments.
-// v4: reject operating point (the named preset calibrate_reject ran at)
-//     appended after the moments; older archives load as kCustom.
-// v5: a "kind plain|fused" tag follows the header; fused archives carry the
-//     per-level fusion selections, both channel models, and the joint
-//     feature heads.  Pre-v5 archives (no tag) load as plain, and
-//     load_fused_disassembler wraps any plain archive as power-only fusion.
+// v5: a "kind plain|fused" tag follows the header.  Each level record
+// carries its reject-gate thresholds; a plain model ends with its pooled
+// training moments (the drift-monitor reference) and the reject operating
+// point calibrate_reject ran at.  Fused archives carry the per-level fusion
+// selections, both channel models, and the joint feature heads, and
+// load_fused_disassembler wraps a plain archive as power-only fusion.
+// Older versions are refused.
 constexpr int kVersion = 5;
-constexpr int kOldestSupported = 2;
+constexpr int kOldestSupported = 5;
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw std::runtime_error("template archive corrupt: " + what);
@@ -41,14 +43,26 @@ double read_double(std::istream& is) {
   std::string tok;
   if (!(is >> tok)) corrupt("truncated number");
   // std::hexfloat extraction is unreliable across standard libraries; strtod
-  // handles the 0x1.abcp+n form everywhere.
-  return std::strtod(tok.c_str(), nullptr);
+  // handles the 0x1.abcp+n form everywhere.  It must consume the whole token.
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (end != tok.c_str() + tok.size()) corrupt("bad number '" + tok + "'");
+  return v;
 }
 
 std::size_t read_size(std::istream& is) {
   long long v = 0;
   if (!(is >> v) || v < 0) corrupt("bad size field");
   return static_cast<std::size_t>(v);
+}
+
+/// Reads `count` numbers.  The buffer grows as they arrive, so a declared
+/// count the archive cannot back fails as truncated instead of allocating
+/// it up front.
+std::vector<double> read_doubles(std::istream& is, std::size_t count) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < count; ++i) out.push_back(read_double(is));
+  return out;
 }
 
 }  // namespace
@@ -64,9 +78,7 @@ void write_vector(std::ostream& os, const linalg::Vector& v) {
 
 linalg::Vector read_vector(std::istream& is) {
   expect_tag(is, "vec");
-  linalg::Vector v(read_size(is));
-  for (double& x : v) x = read_double(is);
-  return v;
+  return read_doubles(is, read_size(is));
 }
 
 void write_matrix(std::ostream& os, const linalg::Matrix& m) {
@@ -82,8 +94,10 @@ linalg::Matrix read_matrix(std::istream& is) {
   expect_tag(is, "mat");
   const std::size_t rows = read_size(is);
   const std::size_t cols = read_size(is);
+  if (cols != 0 && rows > SIZE_MAX / cols) corrupt("matrix size overflows");
+  const std::vector<double> values = read_doubles(is, rows * cols);
   linalg::Matrix m(rows, cols);
-  for (double& x : m.data()) x = read_double(is);
+  std::copy(values.begin(), values.end(), m.data().begin());
   return m;
 }
 
@@ -156,8 +170,10 @@ features::FeaturePipeline load_pipeline(std::istream& is) {
   expect_tag(is, "grid");
   const std::size_t grid = read_size(is);
   expect_tag(is, "points");
-  std::vector<stats::GridPoint> points(read_size(is));
-  for (stats::GridPoint& p : points) {
+  const std::size_t count = read_size(is);
+  std::vector<stats::GridPoint> points;
+  for (std::size_t i = 0; i < count; ++i) {
+    stats::GridPoint& p = points.emplace_back();
     p.j = read_size(is);
     p.k = read_size(is);
     p.value = read_double(is);
@@ -193,14 +209,13 @@ void save_qda(std::ostream& os, const ml::Qda& qda) {
 ml::Qda load_qda(std::istream& is) {
   expect_tag(is, "qda");
   const std::size_t n = read_size(is);
-  std::vector<int> labels(n);
+  std::vector<int> labels;
   std::vector<stats::MultivariateGaussian> models;
-  std::vector<double> priors(n);
-  models.reserve(n);
+  std::vector<double> priors;
   for (std::size_t c = 0; c < n; ++c) {
     expect_tag(is, "class");
-    if (!(is >> labels[c])) corrupt("bad class label");
-    priors[c] = read_double(is);
+    if (!(is >> labels.emplace_back())) corrupt("bad class label");
+    priors.push_back(read_double(is));
     linalg::Vector mean = read_vector(is);
     linalg::Matrix cov = read_matrix(is);
     models.push_back(
@@ -211,23 +226,20 @@ ml::Qda load_qda(std::istream& is) {
 
 namespace {
 
-/// Reads the archive header; returns the version and leaves `kind` holding
-/// "plain" or "fused" (pre-v5 archives carry no tag and read as "plain").
-int read_header(std::istream& is, std::string& kind) {
+/// Reads the archive header; returns the kind, "plain" or "fused".
+std::string read_header(std::istream& is) {
   expect_tag(is, kMagic);
   const std::size_t version = read_size(is);
   if (version < static_cast<std::size_t>(kOldestSupported) ||
       version > static_cast<std::size_t>(kVersion)) {
     corrupt("unsupported version");
   }
-  kind = "plain";
-  if (version >= 5) {
-    expect_tag(is, "kind");
-    if (!(is >> kind) || (kind != "plain" && kind != "fused")) {
-      corrupt("unknown archive kind");
-    }
+  expect_tag(is, "kind");
+  std::string kind;
+  if (!(is >> kind) || (kind != "plain" && kind != "fused")) {
+    corrupt("unknown archive kind");
   }
-  return static_cast<int>(version);
+  return kind;
 }
 
 }  // namespace
@@ -239,12 +251,10 @@ void save_disassembler(std::ostream& os, const HierarchicalDisassembler& model) 
 }
 
 HierarchicalDisassembler load_disassembler(std::istream& is) {
-  std::string kind;
-  const int version = read_header(is, kind);
-  if (kind == "fused") {
+  if (read_header(is) == "fused") {
     corrupt("archive holds a fused model; use load_fused_disassembler");
   }
-  return HierarchicalDisassembler::load(is, version);
+  return HierarchicalDisassembler::load(is);
 }
 
 void save_fused_disassembler(std::ostream& os, const FusedDisassembler& model) {
@@ -279,12 +289,10 @@ void save_fused_disassembler(std::ostream& os, const FusedDisassembler& model) {
 }
 
 FusedDisassembler load_fused_disassembler(std::istream& is) {
-  std::string kind;
-  const int version = read_header(is, kind);
-  if (kind == "plain") {
-    // Legacy / single-channel archive: power-only fusion.
+  if (read_header(is) == "plain") {
+    // Single-channel archive: power-only fusion.
     auto power = std::make_shared<const HierarchicalDisassembler>(
-        HierarchicalDisassembler::load(is, version));
+        HierarchicalDisassembler::load(is));
     return FusedDisassembler(std::move(power), nullptr);
   }
   const auto read_fusion = [&is](const char* tag) {
@@ -305,14 +313,14 @@ FusedDisassembler load_fused_disassembler(std::istream& is) {
   expect_tag(is, "channel");
   expect_tag(is, "power");
   auto power = std::make_shared<const HierarchicalDisassembler>(
-      HierarchicalDisassembler::load(is, version));
+      HierarchicalDisassembler::load(is));
   expect_tag(is, "has_em");
   std::shared_ptr<const HierarchicalDisassembler> em;
   if (read_size(is) != 0) {
     expect_tag(is, "channel");
     expect_tag(is, "em");
     em = std::make_shared<const HierarchicalDisassembler>(
-        HierarchicalDisassembler::load(is, version));
+        HierarchicalDisassembler::load(is));
   }
   FusedDisassembler fused(std::move(power), std::move(em), group, instruction);
   expect_tag(is, "group_head");
@@ -362,16 +370,16 @@ void HierarchicalDisassembler::save(std::ostream& os) const {
   if (rd_level_) save_level(*rd_level_);
   os << "rr_level " << (rr_level_ ? 1 : 0) << '\n';
   if (rr_level_) save_level(*rr_level_);
-  // v3 trailer: training moments (empty vectors when the model has none, so
+  // Trailer: training moments (empty vectors when the model has none, so
   // clone-through-serializer round-trips preserve "no moments" faithfully).
   os << "training_moments " << training_moments_.count << '\n';
   write_vector(os, training_moments_.mean);
   write_vector(os, training_moments_.variance);
-  // v4 trailer: the reject operating point the gates were calibrated at.
+  // Then the reject operating point the gates were calibrated at.
   os << "reject_point " << static_cast<int>(reject_point_) << '\n';
 }
 
-HierarchicalDisassembler HierarchicalDisassembler::load(std::istream& is, int version) {
+HierarchicalDisassembler HierarchicalDisassembler::load(std::istream& is) {
   const auto load_level = [&is]() {
     Level level;
     expect_tag(is, "level");
@@ -405,26 +413,19 @@ HierarchicalDisassembler HierarchicalDisassembler::load(std::istream& is, int ve
   if (read_size(is) != 0) d.rd_level_ = std::make_unique<Level>(load_level());
   expect_tag(is, "rr_level");
   if (read_size(is) != 0) d.rr_level_ = std::make_unique<Level>(load_level());
-  if (version >= 3) {
-    expect_tag(is, "training_moments");
-    d.training_moments_.count = static_cast<std::uint64_t>(read_size(is));
-    d.training_moments_.mean = read_vector(is);
-    d.training_moments_.variance = read_vector(is);
-    if (d.training_moments_.mean.size() != d.training_moments_.variance.size()) {
-      corrupt("training-moments size mismatch");
-    }
+  expect_tag(is, "training_moments");
+  d.training_moments_.count = static_cast<std::uint64_t>(read_size(is));
+  d.training_moments_.mean = read_vector(is);
+  d.training_moments_.variance = read_vector(is);
+  if (d.training_moments_.mean.size() != d.training_moments_.variance.size()) {
+    corrupt("training-moments size mismatch");
   }
-  if (version >= 4) {
-    expect_tag(is, "reject_point");
-    const std::size_t point = read_size(is);
-    if (point > static_cast<std::size_t>(RejectOperatingPoint::kCustom)) {
-      corrupt("unknown reject operating point");
-    }
-    d.reject_point_ = static_cast<RejectOperatingPoint>(point);
-  } else {
-    // Pre-v4 archives never recorded how the gates were calibrated.
-    d.reject_point_ = RejectOperatingPoint::kCustom;
+  expect_tag(is, "reject_point");
+  const std::size_t point = read_size(is);
+  if (point > static_cast<std::size_t>(RejectOperatingPoint::kCustom)) {
+    corrupt("unknown reject operating point");
   }
+  d.reject_point_ = static_cast<RejectOperatingPoint>(point);
   // Archives carry QDA levels, whose label lists recover the posterior
   // support exactly; no format change needed for classify_scored.
   d.finalize_posterior_support();

@@ -36,18 +36,20 @@ ml::Qda load_qda(std::istream& is);
 /// Throws std::invalid_argument when a level holds a different classifier.
 void save_disassembler(std::ostream& os, const HierarchicalDisassembler& model);
 /// Loads a single-channel archive.  Throws std::runtime_error when the
-/// archive holds a fused model (use load_fused_disassembler).
+/// archive holds a fused model (use load_fused_disassembler).  The loaders
+/// read the current format version only and throw std::runtime_error on any
+/// other version, a truncated archive, or a field they cannot parse.
 HierarchicalDisassembler load_disassembler(std::istream& is);
 
-/// Serializes a fused power+EM model (v5): the per-level fusion selections,
+/// Serializes a fused power+EM model: the per-level fusion selections,
 /// both channel models (each with its own pipelines and gates), and the
 /// joint feature heads when trained.  Same QDA-only restriction as
 /// save_disassembler.
 void save_fused_disassembler(std::ostream& os, const FusedDisassembler& model);
-/// Loads any archive as a fused model: v5 fused archives restore the full
-/// fusion state; plain archives (v5 "plain" or any pre-v5 version) load as
-/// a power-only fusion -- score mode, weights (1, 0), no EM channel -- so a
-/// fused serving tier consumes legacy single-channel templates unchanged.
+/// Loads any archive as a fused model: fused archives restore the full
+/// fusion state; plain archives load as a power-only fusion -- score mode,
+/// weights (1, 0), no EM channel -- so a fused serving tier consumes
+/// single-channel templates unchanged.
 FusedDisassembler load_fused_disassembler(std::istream& is);
 
 }  // namespace sidis::core

@@ -78,9 +78,9 @@ void FftPlan::run(ComplexVector& x, bool inverse) const {
   // twiddle (x * n1i == -(x * w1i) exactly) instead of subtracting it.  With
   // an a*b - c*d / a*b + c*d pair on adjacent doubles, GCC 12's SLP add/sub
   // pattern emits vfmaddsub on FMA targets even under -ffp-contract=off, so
-  // this interleaved loop rounded differently from run_batch()'s split one
-  // under -march=native.  Same-sign halves leave nothing to fuse; run_batch()
-  // spells the products identically.
+  // this interleaved loop rounded differently under -march=native than in a
+  // baseline build.  Same-sign halves leave nothing to fuse, so every target
+  // rounds the transform alike.
   const double sign = inverse ? -1.0 : 1.0;
   std::size_t len = 2;
   for (; len * 2 <= n_; len <<= 2) {
@@ -155,116 +155,8 @@ void FftPlan::run(ComplexVector& x, bool inverse) const {
   }
 }
 
-void FftPlan::run_batch(BatchComplex& x, bool inverse) const {
-  if (x.lanes == 0 || x.re.size() != n_ * x.lanes || x.im.size() != x.re.size()) {
-    throw std::invalid_argument("FftPlan: batch buffer/plan size mismatch");
-  }
-  const std::size_t lanes = x.lanes;
-  double* __restrict xr = x.re.data();
-  double* __restrict xi = x.im.data();
-  const double* twd = reinterpret_cast<const double*>(twiddle_.data());
-
-  // Same schedule as the scalar run(), with the lane dimension innermost:
-  // every lane sees the identical sequence of butterflies in the identical
-  // order, so lane l's transform is bit-for-bit the scalar transform of lane
-  // l, while loads of the (shared) twiddles amortize across the batch and
-  // the per-lane loops are plain contiguous streams the compiler vectorizes.
-  for (std::size_t p = 0; p < bitrev_.size(); p += 2) {
-    double* ar = xr + bitrev_[p] * lanes;
-    double* ai = xi + bitrev_[p] * lanes;
-    double* br = xr + bitrev_[p + 1] * lanes;
-    double* bi = xi + bitrev_[p + 1] * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      std::swap(ar[l], br[l]);
-      std::swap(ai[l], bi[l]);
-    }
-  }
-
-  const double sign = inverse ? -1.0 : 1.0;
-  std::size_t len = 2;
-  for (; len * 2 <= n_; len <<= 2) {
-    const std::size_t h = len / 2;
-    const double* w1 = twd + 2 * (h - 1);      // W_{2h}^k, k in [0, h)
-    const double* w2 = twd + 2 * (2 * h - 1);  // W_{4h}^k, k in [0, 2h)
-    for (std::size_t i = 0; i < n_; i += 4 * h) {
-      for (std::size_t k = 0; k < h; ++k) {
-        const double w1r = w1[2 * k], w1i = sign * w1[2 * k + 1];
-        const double w2r = w2[2 * k], w2i = sign * w2[2 * k + 1];
-        const double n1i = -sign * w1[2 * k + 1], n2i = -sign * w2[2 * k + 1];
-        double* __restrict p0r = xr + (i + k) * lanes;
-        double* __restrict p0i = xi + (i + k) * lanes;
-        double* __restrict p1r = xr + (i + h + k) * lanes;
-        double* __restrict p1i = xi + (i + h + k) * lanes;
-        double* __restrict p2r = xr + (i + 2 * h + k) * lanes;
-        double* __restrict p2i = xi + (i + 2 * h + k) * lanes;
-        double* __restrict p3r = xr + (i + 3 * h + k) * lanes;
-        double* __restrict p3i = xi + (i + 3 * h + k) * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double br = p1r[l], bi = p1i[l];
-          const double t1r = br * w1r + bi * n1i;
-          const double t1i = br * w1i + bi * w1r;
-          const double ar = p0r[l], ai = p0i[l];
-          const double ur = ar + t1r, ui = ai + t1i;
-          const double vr = ar - t1r, vi = ai - t1i;
-          const double dr = p3r[l], di = p3i[l];
-          const double t2r = dr * w1r + di * n1i;
-          const double t2i = dr * w1i + di * w1r;
-          const double cr = p2r[l], ci = p2i[l];
-          const double pr = cr + t2r, pi = ci + t2i;
-          const double qr = cr - t2r, qi = ci - t2i;
-          const double s1r = pr * w2r + pi * n2i;
-          const double s1i = pr * w2i + pi * w2r;
-          const double s2r0 = qr * w2r + qi * n2i;
-          const double s2i0 = qr * w2i + qi * w2r;
-          const double s2r = sign * s2i0;
-          const double s2i = -sign * s2r0;
-          p0r[l] = ur + s1r;
-          p0i[l] = ui + s1i;
-          p2r[l] = ur - s1r;
-          p2i[l] = ui - s1i;
-          p1r[l] = vr + s2r;
-          p1i[l] = vi + s2i;
-          p3r[l] = vr - s2r;
-          p3i[l] = vi - s2i;
-        }
-      }
-    }
-  }
-  if (len <= n_) {
-    const std::size_t half = len / 2;
-    const double* tw = twd + 2 * (half - 1);
-    for (std::size_t i = 0; i < n_; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const double wr = tw[2 * k];
-        const double wi = sign * tw[2 * k + 1], nwi = -sign * tw[2 * k + 1];
-        double* __restrict ar_p = xr + (i + k) * lanes;
-        double* __restrict ai_p = xi + (i + k) * lanes;
-        double* __restrict br_p = xr + (i + half + k) * lanes;
-        double* __restrict bi_p = xi + (i + half + k) * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double br = br_p[l], bi = bi_p[l];
-          const double vr = br * wr + bi * nwi;
-          const double vi = br * wi + bi * wr;
-          const double ar = ar_p[l], ai = ai_p[l];
-          ar_p[l] = ar + vr;
-          ai_p[l] = ai + vi;
-          br_p[l] = ar - vr;
-          bi_p[l] = ai - vi;
-        }
-      }
-    }
-  }
-  if (inverse) {
-    const double inv = 1.0 / static_cast<double>(n_);
-    for (std::size_t i = 0; i < n_ * lanes; ++i) xr[i] *= inv;
-    for (std::size_t i = 0; i < n_ * lanes; ++i) xi[i] *= inv;
-  }
-}
-
 void FftPlan::forward(ComplexVector& x) const { run(x, /*inverse=*/false); }
 void FftPlan::inverse(ComplexVector& x) const { run(x, /*inverse=*/true); }
-void FftPlan::forward_batch(BatchComplex& x) const { run_batch(x, /*inverse=*/false); }
-void FftPlan::inverse_batch(BatchComplex& x) const { run_batch(x, /*inverse=*/true); }
 
 const FftPlan& FftPlan::shared(std::size_t n) {
   // Thread-local keeps the cache lock-free; a handful of sizes per thread at

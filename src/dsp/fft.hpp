@@ -1,8 +1,8 @@
 // Minimal FFT machinery.
 //
 // Used for spectral diagnostics of the simulated scope front-end, for fast
-// convolution when CWT kernels get long at large scales, and as the engine
-// behind the spectral CWT path in wavelet.hpp.  Radix-2 iterative
+// convolution, and as the engine behind the spectral path of the full
+// CWT scalogram in wavelet.hpp.  Radix-2 iterative
 // Cooley-Tukey; callers zero-pad to a power of two with `next_pow2`.
 //
 // Hot paths should hold an `FftPlan`: it caches the bit-reversal permutation
@@ -24,27 +24,6 @@ using ComplexVector = std::vector<Complex>;
 /// Smallest power of two >= n (n = 0 maps to 1).
 std::size_t next_pow2(std::size_t n);
 
-/// Struct-of-arrays batch of complex sequences: `lanes` sequences of length
-/// `length`, split into real/imaginary planes with lane-contiguous storage
-/// (element i of lane l lives at [i * lanes + l]).  This is the layout the
-/// batch CWT hot path runs on: every butterfly / spectral-multiply inner loop
-/// walks a contiguous block of `lanes` doubles, which the compiler vectorizes
-/// without any arch-specific intrinsics.
-struct BatchComplex {
-  std::vector<double> re;
-  std::vector<double> im;
-  std::size_t lanes = 0;
-
-  std::size_t length() const { return lanes == 0 ? 0 : re.size() / lanes; }
-
-  /// Resizes to `length` x `lanes` and zero-fills both planes.
-  void assign(std::size_t length, std::size_t num_lanes) {
-    lanes = num_lanes;
-    re.assign(length * num_lanes, 0.0);
-    im.assign(length * num_lanes, 0.0);
-  }
-};
-
 /// Precomputed radix-2 FFT plan for one power-of-two size: bit-reversal
 /// permutation plus stage-concatenated twiddle tables.  Construction is the
 /// only place that touches libm; `forward`/`inverse` are allocation-free and
@@ -63,22 +42,12 @@ class FftPlan {
   /// In-place inverse DFT (includes the 1/N scaling).
   void inverse(ComplexVector& x) const;
 
-  /// SoA batch transforms: every lane of `x` (length must equal `size()`)
-  /// undergoes the same butterfly schedule as the scalar `forward`/`inverse`,
-  /// with the lane dimension innermost, so each lane's result is
-  /// bit-identical to a scalar transform of that lane while the twiddle and
-  /// permutation work amortizes across the whole batch and the inner loops
-  /// vectorize.
-  void forward_batch(BatchComplex& x) const;
-  void inverse_batch(BatchComplex& x) const;
-
   /// Thread-local plan cache keyed by size; the returned reference stays
   /// valid for the lifetime of the calling thread.
   static const FftPlan& shared(std::size_t n);
 
  private:
   void run(ComplexVector& x, bool inverse) const;
-  void run_batch(BatchComplex& x, bool inverse) const;
 
   std::size_t n_ = 0;
   std::vector<std::uint32_t> bitrev_;  ///< permutation, identity-skipping pairs

@@ -20,11 +20,6 @@ constexpr double kMorletOmega0 = 5.0;
 /// substrate; calibrated with bench_throughput's BM_CwtFullGrid* cases.
 constexpr double kSpectralCrossover = 1.5;
 
-/// Sparse extraction computes a full spectral row to serve one scale's
-/// points, without a guaranteed pair to share the inverse FFT, so it needs
-/// twice the work per row before the FFT pays off.
-constexpr double kSparseCrossover = 2.0 * kSpectralCrossover;
-
 double log2d(std::size_t n) { return std::log2(static_cast<double>(n)); }
 
 /// out[f] = a[f] * b[f] on the raw interleaved-double views: std::complex
@@ -76,10 +71,8 @@ struct Cwt::SpectralBank {
   std::size_t fft_size = 0;
   FftPlan plan{1};
   std::vector<PackedPair> pairs;
-  /// Per scale: index into `pairs` (SIZE_MAX = direct scale) and which half
-  /// of the packed inverse transform holds this scale's row.
+  /// Per scale: index into `pairs` (SIZE_MAX = direct scale).
   std::vector<std::size_t> pair_index;
-  std::vector<std::uint8_t> pair_is_imag;
   bool any_spectral = false;
 };
 
@@ -148,7 +141,6 @@ const Cwt::SpectralBank& Cwt::bank_for(std::size_t trace_len) const {
   const std::size_t L = bank->fft_size;
   bank->plan = FftPlan(L);
   bank->pair_index.assign(scales_.size(), SIZE_MAX);
-  bank->pair_is_imag.assign(scales_.size(), 0);
 
   std::vector<std::size_t> spectral_scales;
   for (std::size_t j = 0; j < scales_.size(); ++j) {
@@ -192,7 +184,6 @@ const Cwt::SpectralBank& Cwt::bank_for(std::size_t trace_len) const {
     bank->pair_index[pair.scale_a] = pi;
     if (pair.has_b) {
       bank->pair_index[pair.scale_b] = pi;
-      bank->pair_is_imag[pair.scale_b] = 1;
     }
     bank->pairs.push_back(std::move(pair));
   }
@@ -286,198 +277,19 @@ std::size_t Cwt::marshal(TraceBatch traces, std::vector<double>& soa) {
   return n;
 }
 
-namespace {
-
-/// Batched multiply_spectra: every lane's spectrum times one shared packed
-/// kernel spectrum, identical per-lane arithmetic to the scalar routine.
-void multiply_spectra_batch(const BatchComplex& a, const ComplexVector& b,
-                            BatchComplex& out) {
-  const std::size_t lanes = a.lanes;
-  const std::size_t n = b.size();
-  const double* bd = reinterpret_cast<const double*>(b.data());
-  const double* __restrict are = a.re.data();
-  const double* __restrict aim = a.im.data();
-  double* __restrict ore = out.re.data();
-  double* __restrict oim = out.im.data();
-  for (std::size_t f = 0; f < n; ++f) {
-    const double br = bd[2 * f], bi = bd[2 * f + 1], nbi = -bi;
-    const std::size_t base = f * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double ar = are[base + l], ai = aim[base + l];
-      ore[base + l] = ar * br + ai * nbi;
-      oim[base + l] = ar * bi + ai * br;
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<Scalogram> Cwt::transform_batch(TraceBatch traces,
-                                            CwtBatchWorkspace& ws) const {
-  const std::size_t lanes = traces.size();
-  const std::size_t n = marshal(traces, ws.soa_);
-  std::vector<Scalogram> out;
-  out.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) out.emplace_back(scales_.size(), n, 0.0);
-  if (n == 0) return out;
-
-  const double* __restrict soa = ws.soa_.data();
-
-  // Lane-parallel direct correlation of scale j: the kernel tap streams once
-  // per batch and each tap broadcasts over a tile of lanes, accumulating in
-  // registers (see lanes.hpp) in the same tap order as the scalar direct_row.
-  const auto direct_row_batch = [&](std::size_t j) {
-    const std::vector<double>& k = kernels_[j];
-    const auto radius = static_cast<std::ptrdiff_t>(k.size() / 2);
-    ws.row_.resize(n * lanes);
-    double* __restrict row = ws.row_.data();
-    for (std::size_t t = 0; t < n; ++t) {
-      const auto tt = static_cast<std::ptrdiff_t>(t);
-      const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(-radius, -tt);
-      const std::ptrdiff_t hi =
-          std::min<std::ptrdiff_t>(radius, static_cast<std::ptrdiff_t>(n) - 1 - tt);
-      const std::size_t taps = static_cast<std::size_t>(hi - lo + 1);
-      double* __restrict acc = row + t * lanes;
-      const double* kern_lo = k.data() + (lo + radius);
-      const double* soa_lo = soa + static_cast<std::size_t>(tt + lo) * lanes;
-      linalg::for_each_tile(lanes, [&](auto tile, std::size_t l0) {
-        const double* xp = soa_lo + l0;
-        for (std::size_t d = 0; d < taps; ++d) {
-          tile.mul_add(kern_lo[d], xp);
-          xp += lanes;
-        }
-        tile.store(acc + l0);
-      });
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      auto dst = out[l].row(j);
-      for (std::size_t t = 0; t < n; ++t) dst[t] = row[t * lanes + l];
-    }
-  };
-
-  if (config_.backend == CwtBackend::kDirect) {
-    for (std::size_t j = 0; j < scales_.size(); ++j) direct_row_batch(j);
-    return out;
-  }
-
-  const SpectralBank& bank = bank_for(n);
-  if (bank.any_spectral) {
-    const std::size_t L = bank.fft_size;
-    ws.freq_.assign(L, lanes);
-    for (std::size_t i = 0; i < n; ++i) {
-      double* dst = ws.freq_.re.data() + i * lanes;
-      const double* src = soa + i * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
-    }
-    bank.plan.forward_batch(ws.freq_);
-    ws.work_.assign(L, lanes);
-    for (const PackedPair& pair : bank.pairs) {
-      multiply_spectra_batch(ws.freq_, pair.spec, ws.work_);
-      bank.plan.inverse_batch(ws.work_);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        auto row_a = out[l].row(pair.scale_a);
-        for (std::size_t t = 0; t < n; ++t) row_a[t] = ws.work_.re[t * lanes + l];
-        if (pair.has_b) {
-          auto row_b = out[l].row(pair.scale_b);
-          for (std::size_t t = 0; t < n; ++t) row_b[t] = ws.work_.im[t * lanes + l];
-        }
-      }
-    }
-  }
-  for (std::size_t j = 0; j < scales_.size(); ++j) {
-    if (bank.pair_index[j] == SIZE_MAX) direct_row_batch(j);
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> Cwt::sparse_routes(std::span<const std::size_t> js,
-                                             std::size_t n) const {
-  std::vector<std::uint8_t> routes(scales_.size(), 0);
-  if (config_.backend == CwtBackend::kDirect || n == 0) return routes;
-  std::vector<std::size_t> counts(scales_.size(), 0);
-  for (std::size_t j : js) counts.at(j)++;
-
-  // A sparse scale computes a full spectral row to serve its points, so the
-  // row must beat counts[j] correlations by the sparse crossover.  The
-  // amortized batch FFT must NOT move this line: bit-identity pins every
-  // lane of every batch to the route the one-window path takes.
-  const SpectralBank& bank = bank_for(n);
-  const std::size_t L = bank.fft_size;
-  const bool force = config_.backend == CwtBackend::kSpectral;
-  std::vector<std::uint8_t> want(bank.pairs.size(), 0);
-  for (std::size_t j = 0; j < scales_.size(); ++j) {
-    if (counts[j] == 0 || bank.pair_index[j] == SIZE_MAX) continue;
-    if (force || static_cast<double>(counts[j]) *
-                         static_cast<double>(kernels_[j].size()) >
-                     kSparseCrossover * static_cast<double>(L) * log2d(L)) {
-      want[bank.pair_index[j]] = 1;
-    }
-  }
-  // Both halves of a packed transform are free once it ran, so the partner
-  // scale's points read the row too.
-  for (std::size_t j = 0; j < scales_.size(); ++j) {
-    if (bank.pair_index[j] != SIZE_MAX) routes[j] = want[bank.pair_index[j]];
-  }
-  return routes;
-}
-
-const Cwt::SpectralBank* Cwt::spectral_pairs(std::span<const CwtPoint> points,
-                                             std::size_t n,
-                                             std::vector<std::uint8_t>& want) const {
-  if (n == 0 || std::none_of(points.begin(), points.end(),
-                             [](const CwtPoint& p) { return p.spectral; })) {
-    return nullptr;
-  }
-  const SpectralBank& bank = bank_for(n);
-  want.assign(bank.pairs.size(), 0);
-  for (const CwtPoint& p : points) {
-    if (!p.spectral) continue;
-    const std::size_t pair = bank.pair_index.at(p.j);
-    if (pair == SIZE_MAX) {
-      throw std::invalid_argument("Cwt::gather: spectral point on a direct scale");
-    }
-    want[pair] = 1;
-  }
-  return &bank;
-}
-
 void Cwt::gather(const std::vector<double>& trace, std::span<const CwtPoint> points,
-                 std::span<double> out, CwtWorkspace& ws) const {
+                 std::span<double> out) const {
   if (out.size() != points.size()) {
     throw std::invalid_argument("Cwt::gather: output size mismatch");
   }
-  const std::size_t n = trace.size();
   for (std::size_t i = 0; i < points.size(); ++i) {
-    out[i] = points[i].spectral ? 0.0 : coefficient(trace, points[i].j, points[i].k);
-  }
-  std::vector<std::uint8_t> want;
-  const SpectralBank* bank = spectral_pairs(points, n, want);
-  if (bank == nullptr) return;
-  const std::size_t L = bank->fft_size;
-  ws.freq_.assign(L, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < n; ++i) ws.freq_[i] = Complex(trace[i], 0.0);
-  bank->plan.forward(ws.freq_);
-  ws.work_.resize(L);
-  for (std::size_t p = 0; p < bank->pairs.size(); ++p) {
-    if (!want[p]) continue;
-    const PackedPair& pair = bank->pairs[p];
-    multiply_spectra(ws.freq_, pair.spec, ws.work_);
-    bank->plan.inverse(ws.work_);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const CwtPoint& pt = points[i];
-      if (!pt.spectral || pt.k >= n) continue;
-      if (pt.j == pair.scale_a) {
-        out[i] = ws.work_[pt.k].real();
-      } else if (pair.has_b && pt.j == pair.scale_b) {
-        out[i] = ws.work_[pt.k].imag();
-      }
-    }
+    out[i] = coefficient(trace, points[i].j, points[i].k);
   }
 }
 
 void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
                      std::size_t lanes, std::span<const CwtPoint> points,
-                     std::span<double> out, CwtBatchWorkspace& ws) const {
+                     std::span<double> out) const {
   if (soa_block.size() != n * lanes) {
     throw std::invalid_argument("Cwt::gather_soa: block size mismatch");
   }
@@ -486,44 +298,10 @@ void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
   }
   const double* __restrict soa = soa_block.data();
 
-  std::vector<std::uint8_t> want;
-  if (const SpectralBank* bank = spectral_pairs(points, n, want)) {
-    const std::size_t L = bank->fft_size;
-    ws.freq_.assign(L, lanes);
-    for (std::size_t i = 0; i < n; ++i) {
-      double* dst = ws.freq_.re.data() + i * lanes;
-      const double* src = soa + i * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
-    }
-    bank->plan.forward_batch(ws.freq_);
-    ws.work_.assign(L, lanes);
-    for (std::size_t p = 0; p < bank->pairs.size(); ++p) {
-      if (!want[p]) continue;
-      const PackedPair& pair = bank->pairs[p];
-      multiply_spectra_batch(ws.freq_, pair.spec, ws.work_);
-      bank->plan.inverse_batch(ws.work_);
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        const CwtPoint& pt = points[i];
-        if (!pt.spectral || pt.k >= n) continue;
-        const double* src = nullptr;
-        if (pt.j == pair.scale_a) {
-          src = ws.work_.re.data() + pt.k * lanes;
-        } else if (pair.has_b && pt.j == pair.scale_b) {
-          src = ws.work_.im.data() + pt.k * lanes;
-        } else {
-          continue;
-        }
-        double* dst = out.data() + i * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
-      }
-    }
-  }
-
-  // Direct points: one lane-parallel correlation per point, each lane
-  // accumulating its own sum in scalar tap order (bit-identical to
-  // Cwt::coefficient on that lane).  Every tile of lanes rides in registers
-  // across the whole tap loop (see lanes.hpp for why that beats memory
-  // accumulators).
+  // One lane-parallel correlation per point, each lane accumulating its own
+  // sum in scalar tap order (bit-identical to Cwt::coefficient on that
+  // lane).  Every tile of lanes rides in registers across the whole tap
+  // loop (see lanes.hpp for why that beats memory accumulators).
   for (std::size_t i = 0; i < points.size(); ++i) {
     double* __restrict dst = out.data() + i * lanes;
     const CwtPoint& pt = points[i];
@@ -533,12 +311,12 @@ void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
     const auto radius = static_cast<std::ptrdiff_t>(kern.size() / 2);
     const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(-radius, -t);
     const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(radius, nn - 1 - t);
-    // A spectral point past the row end, and a direct one whose kernel
-    // misses the window, read 0 -- as on the one-window path.
-    if (pt.spectral ? pt.k >= n : hi < lo) {
-      for (std::size_t l = 0; l < lanes; ++l) dst[l] = 0.0;
+    // A point whose kernel misses the window reads 0, as on the one-window
+    // path.
+    if (hi < lo) {
+      std::fill_n(dst, lanes, 0.0);
+      continue;
     }
-    if (pt.spectral || hi < lo) continue;
     const std::size_t taps = static_cast<std::size_t>(hi - lo + 1);
     const double* kern_lo = kern.data() + (lo + radius);
     const double* soa_lo = soa + static_cast<std::size_t>(t + lo) * lanes;
@@ -553,32 +331,18 @@ void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
   }
 }
 
-namespace {
-
-/// The points (js[i], ks[i]), each on its scale's route.
-std::vector<CwtPoint> routed_points(std::span<const std::size_t> js,
-                                    std::span<const std::size_t> ks,
-                                    const std::vector<std::uint8_t>& routes) {
-  if (js.size() != ks.size()) {
-    throw std::invalid_argument("Cwt::coefficients: js/ks length mismatch");
-  }
-  std::vector<CwtPoint> points(js.size());
-  for (std::size_t i = 0; i < js.size(); ++i) {
-    points[i] = {js[i], ks[i], routes.at(js[i]) != 0};
-  }
-  return points;
-}
-
-}  // namespace
-
 linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa, std::size_t n,
                                      std::size_t lanes,
                                      std::span<const std::size_t> js,
                                      std::span<const std::size_t> ks,
-                                     CwtBatchWorkspace& ws) const {
-  const std::vector<CwtPoint> points = routed_points(js, ks, sparse_routes(js, n));
+                                     CwtBatchWorkspace& /*ws*/) const {
+  if (js.size() != ks.size()) {
+    throw std::invalid_argument("Cwt::coefficients: js/ks length mismatch");
+  }
+  std::vector<CwtPoint> points(js.size());
+  for (std::size_t i = 0; i < js.size(); ++i) points[i] = {js[i], ks[i]};
   linalg::Matrix out(js.size(), lanes);
-  gather_soa(soa, n, lanes, points, out.data(), ws);
+  gather_soa(soa, n, lanes, points, out.data());
   return out;
 }
 
@@ -599,12 +363,12 @@ double Cwt::coefficient(const std::vector<double>& trace, std::size_t j,
 
 linalg::Vector Cwt::coefficients(const std::vector<double>& trace,
                                  std::span<const std::size_t> js,
-                                 std::span<const std::size_t> ks,
-                                 CwtWorkspace& ws) const {
-  const std::vector<CwtPoint> points =
-      routed_points(js, ks, sparse_routes(js, trace.size()));
+                                 std::span<const std::size_t> ks) const {
+  if (js.size() != ks.size()) {
+    throw std::invalid_argument("Cwt::coefficients: js/ks length mismatch");
+  }
   linalg::Vector out(js.size());
-  gather(trace, points, out, ws);
+  for (std::size_t i = 0; i < js.size(); ++i) out[i] = coefficient(trace, js[i], ks[i]);
   return out;
 }
 

@@ -5,17 +5,12 @@
 // A GatherPlan is the union of their points, built once when the model is
 // trained or loaded; a GatherBatch computes each union coefficient of a
 // length bucket once and lets every level read its feature rows from there.
-//
-// Routing stays per level: a level alone sends a scale down the direct or
-// the spectral route by how many of its own points sit on it
-// (dsp::Cwt::sparse_routes), and the two routes round differently.  So the
-// union keys an entry by (scale, time, route), and a point two levels route
-// differently is computed both ways.  Every level's features stay
+// Every point is one direct kernel correlation, whichever level asks for
+// it, so each union point is computed once and every level's features stay
 // bit-identical to its own FeaturePipeline::transform_prepared.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,15 +24,14 @@ namespace sidis::features {
 /// window, and a slot of a higher tier gathers only the rest of its points,
 /// for the windows it runs on.  Holds copies of the points (no pointers into
 /// the pipelines), so it survives a move of whatever owns them.  Immutable
-/// apart from an internal per-length layout cache; const members are
-/// thread-safe, and copies share the cache.
+/// once built, so const members are thread-safe.
 class GatherPlan {
  public:
-  /// Where one trace length's union coefficients live.
+  /// Where the union coefficients live.
   struct Layout {
-    /// The union of the slots' points, each once per route a slot takes it
-    /// by.  An entry belongs to the lowest tier of a slot that reads it;
-    /// entries run tier by tier, (scale, time, route)-sorted within a tier.
+    /// The union of the slots' points, each once.  An entry belongs to the
+    /// lowest tier of a slot that reads it; entries run tier by tier,
+    /// (scale, time)-sorted within a tier.
     std::vector<dsp::CwtPoint> entries;
     /// entries[0, tier_end[t]) is the union of the slots of tiers <= t.
     std::vector<std::size_t> tier_end;
@@ -58,30 +52,20 @@ class GatherPlan {
   GatherPlan(std::span<const FeaturePipeline* const> pipelines,
              std::span<const std::size_t> tiers);
 
-  /// The layout for windows of `n` samples.  Built once per length at which
-  /// some slot routes a scale spectrally; every other length shares the
-  /// all-direct layout.  Throws std::logic_error on an empty plan.
-  const Layout& layout(std::size_t n) const;
+  /// The union layout, built with the plan; it serves windows of any
+  /// length.  Throws std::logic_error on an empty plan.
+  const Layout& layout() const;
 
-  std::size_t slots() const { return js_.size(); }
+  std::size_t slots() const { return layout_.rows.size(); }
   /// The filter bank every slot gathers with.
   const dsp::Cwt& cwt() const { return cwt_; }
   /// Whether the slots read per-trace-normalized windows.
   bool normalize() const { return normalize_; }
 
  private:
-  /// The layout for per-slot per-scale routes (empty: all direct).
-  std::shared_ptr<const Layout> build(
-      const std::vector<std::vector<std::uint8_t>>& routes) const;
-
   dsp::Cwt cwt_;
   bool normalize_ = false;
-  std::vector<std::vector<std::size_t>> js_, ks_;  ///< per slot, point order
-  std::vector<std::size_t> tiers_;
-  std::size_t num_tiers_ = 0;
-  std::shared_ptr<const Layout> direct_;
-  struct Routed;  ///< per-length layouts, mutex-guarded
-  std::shared_ptr<Routed> routed_;
+  Layout layout_;
 };
 
 /// One length bucket's shared gather: the union of the every-window tiers,
@@ -120,8 +104,6 @@ class GatherBatch {
   std::size_t n_ = 0;      ///< samples per window
   std::size_t width_ = 0;  ///< windows in the bucket
   std::size_t tier_ = 0;
-  dsp::CwtWorkspace ws_;
-  dsp::CwtBatchWorkspace batch_ws_;
   std::vector<double> soa_;       ///< the bucket, marshalled
   std::vector<double> lane_soa_;  ///< a sub-batch, copied out of soa_
   std::vector<double> g_;         ///< entries x width_: union row e, per window

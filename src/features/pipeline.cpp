@@ -46,16 +46,14 @@ sim::TraceSet preprocess(const sim::TraceSet& traces, bool normalize) {
   return out;
 }
 
-/// Fills out[i] = body(i, workspace-of-lane) for i in [0, n), fanned across
-/// `workers` lanes (0 = auto).  Each lane strides the index range with its
-/// own CwtWorkspace, and every slot is written exactly once, so the result
-/// is identical for any worker count.
+/// Runs body(i) for i in [0, n), fanned across `workers` lanes (0 = auto).
+/// Each lane strides the index range, and every body writes only its own
+/// slot, so the result is identical for any worker count.
 template <typename Body>
 void trace_parallel(std::size_t n, std::size_t workers, Body&& body) {
   const std::size_t lanes = runtime::resolve_workers(workers, n);
-  std::vector<dsp::CwtWorkspace> ws(lanes);
   runtime::parallel_for(lanes, lanes, [&](std::size_t lane) {
-    for (std::size_t i = lane; i < n; i += lanes) body(i, ws[lane]);
+    for (std::size_t i = lane; i < n; i += lanes) body(i);
   });
 }
 
@@ -153,8 +151,8 @@ FeaturePipeline FeaturePipeline::fit(const std::vector<const ClassData*>& classe
     for (const sim::Trace& t : c->preprocessed) samples.push_back(&t.samples);
   }
   std::vector<linalg::Vector> rows(samples.size());
-  trace_parallel(samples.size(), config.workers, [&](std::size_t i, dsp::CwtWorkspace& ws) {
-    rows[i] = extract_features(p.cwt_, *samples[i], p.points_, ws);
+  trace_parallel(samples.size(), config.workers, [&](std::size_t i) {
+    rows[i] = extract_features(p.cwt_, *samples[i], p.points_);
   });
   linalg::Matrix x = linalg::Matrix::from_rows(rows);
 
@@ -210,12 +208,12 @@ FeaturePipeline FeaturePipeline::renormalized(const sim::TraceSet& recal,
   // Selected-point features of the recalibration traces, in the pre-scaler
   // space the original column statistics were fitted in.
   std::vector<linalg::Vector> rows(recal.size());
-  trace_parallel(recal.size(), config_.workers, [&](std::size_t i, dsp::CwtWorkspace& ws) {
+  trace_parallel(recal.size(), config_.workers, [&](std::size_t i) {
     const std::vector<double> prep =
         config_.per_trace_normalization
             ? normalize_window(recal[i].samples, recal[i].meta.gain_estimate)
             : recal[i].samples;
-    rows[i] = extract_features(cwt_, prep, points_, ws);
+    rows[i] = extract_features(cwt_, prep, points_);
   });
   const stats::ColumnScaler observed =
       stats::ColumnScaler::fit(linalg::Matrix::from_rows(rows));
@@ -244,12 +242,9 @@ std::vector<double> FeaturePipeline::preprocess_window(const sim::Trace& trace,
 }
 
 linalg::Vector FeaturePipeline::transform_prepared(const std::vector<double>& prepared,
-                                                   std::size_t components,
-                                                   dsp::CwtWorkspace& ws) const {
+                                                   std::size_t components) const {
   if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
-  // The cached point split (as the batch path uses) instead of
-  // extract_features, which rebuilds it per call.
-  const linalg::Vector v = cwt_.coefficients(prepared, point_js_, point_ks_, ws);
+  const linalg::Vector v = cwt_.coefficients(prepared, point_js_, point_ks_);
   return project(v.data(), 1, own_rows_, components);
 }
 
@@ -363,20 +358,11 @@ linalg::Matrix FeaturePipeline::project_soa(const double* gathered, std::size_t 
   return z;
 }
 
-linalg::Vector FeaturePipeline::transform_one(const sim::Trace& trace,
-                                              std::size_t components,
-                                              dsp::CwtWorkspace& ws) const {
-  if (!config_.per_trace_normalization) {
-    return transform_prepared(trace.samples, components, ws);
-  }
-  return transform_prepared(
-      normalize_window(trace.samples, trace.meta.gain_estimate), components, ws);
-}
-
 linalg::Vector FeaturePipeline::transform(const sim::Trace& trace,
                                           std::size_t components) const {
-  dsp::CwtWorkspace ws;
-  return transform_one(trace, components, ws);
+  if (!config_.per_trace_normalization) return transform_prepared(trace.samples, components);
+  return transform_prepared(normalize_window(trace.samples, trace.meta.gain_estimate),
+                            components);
 }
 
 linalg::Vector FeaturePipeline::transform(const std::vector<double>& samples,
@@ -397,9 +383,8 @@ ml::Dataset FeaturePipeline::transform(const LabeledTraces& input,
     }
   }
   std::vector<linalg::Vector> rows(flat.size());
-  trace_parallel(flat.size(), config_.workers, [&](std::size_t i, dsp::CwtWorkspace& ws) {
-    rows[i] = transform_one(*flat[i], components, ws);
-  });
+  trace_parallel(flat.size(), config_.workers,
+                 [&](std::size_t i) { rows[i] = transform(*flat[i], components); });
   out.x = linalg::Matrix::from_rows(rows);
   return out;
 }
@@ -409,9 +394,8 @@ ml::Dataset FeaturePipeline::transform(const sim::TraceSet& traces, int label,
   ml::Dataset out;
   out.y.assign(traces.size(), label);
   std::vector<linalg::Vector> rows(traces.size());
-  trace_parallel(traces.size(), config_.workers, [&](std::size_t i, dsp::CwtWorkspace& ws) {
-    rows[i] = transform_one(traces[i], components, ws);
-  });
+  trace_parallel(traces.size(), config_.workers,
+                 [&](std::size_t i) { rows[i] = transform(traces[i], components); });
   out.x = linalg::Matrix::from_rows(rows);
   return out;
 }

@@ -119,15 +119,12 @@ class FeaturePipeline {
   linalg::Vector transform(const sim::Trace& trace,
                            std::size_t components = SIZE_MAX) const;
 
-  /// Scratch-reusing variant for batch callers: identical output to
-  /// transform(trace), but the spectral scratch comes from the caller, so one
-  /// grow-once workspace serves a whole batch instead of a fresh allocation
-  /// per window.  `prepared` must be the output of preprocess_window for this
-  /// pipeline's per_trace_normalization setting.  The two steps are public:
-  /// gathering this pipeline's points (Cwt::coefficients), then project().
+  /// transform(trace) on a window already preprocessed: `prepared` must be
+  /// the output of preprocess_window for this pipeline's
+  /// per_trace_normalization setting.  The two steps are public: gathering
+  /// this pipeline's points (Cwt::coefficients), then project().
   linalg::Vector transform_prepared(const std::vector<double>& prepared,
-                                    std::size_t components,
-                                    dsp::CwtWorkspace& ws) const;
+                                    std::size_t components) const;
 
   /// The per-trace preprocessing transform_prepared expects: mean removal +
   /// gain division when `per_trace_normalization`, the raw samples verbatim
@@ -205,9 +202,6 @@ class FeaturePipeline {
   std::size_t grid_size() const { return grid_size_; }
 
  private:
-  linalg::Vector transform_one(const sim::Trace& trace, std::size_t components,
-                               dsp::CwtWorkspace& ws) const;
-
   /// Splits points_ into the (js, ks) index arrays the Cwt entry points
   /// take, plus the identity row map project() reads this pipeline's own
   /// gather through, so the hot path reads them instead of rebuilding them

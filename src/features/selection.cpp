@@ -230,23 +230,14 @@ std::vector<stats::GridPoint> unify_points(
 
 linalg::Vector extract_features(const dsp::Cwt& cwt, const std::vector<double>& samples,
                                 const std::vector<stats::GridPoint>& points) {
-  dsp::CwtWorkspace ws;
-  return extract_features(cwt, samples, points, ws);
-}
-
-linalg::Vector extract_features(const dsp::Cwt& cwt, const std::vector<double>& samples,
-                                const std::vector<stats::GridPoint>& points,
-                                dsp::CwtWorkspace& ws) {
   // Sparse extraction: O(points x kernel) instead of the full grid, which is
   // what makes real-time classification plausible (Sec. 5.4's variable-count
-  // discussion).  Cwt::coefficients groups the points by scale and upgrades
-  // point-dense scales to one spectral row each.
-  std::vector<std::size_t> js(points.size()), ks(points.size());
+  // discussion).
+  linalg::Vector out(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    js[i] = points[i].j;
-    ks[i] = points[i].k;
+    out[i] = cwt.coefficient(samples, points[i].j, points[i].k);
   }
-  return cwt.coefficients(samples, js, ks, ws);
+  return out;
 }
 
 }  // namespace sidis::features

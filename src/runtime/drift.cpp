@@ -29,7 +29,7 @@ DriftMonitor::DriftMonitor(std::shared_ptr<const core::HierarchicalDisassembler>
     : model_(std::move(model)), config_(config) {
   if (model_ == nullptr || !model_->has_training_moments()) {
     throw std::invalid_argument(
-        "DriftMonitor: model carries no training moments (serialize v3)");
+        "DriftMonitor: model carries no training moments");
   }
   const core::FeatureMoments& m = model_->training_moments();
   train_mean_ = m.mean;

@@ -14,7 +14,7 @@
 // monitor feature space (core::HierarchicalDisassembler::monitor_features,
 // the post-pipeline vectors of its monitor level) and folded into per-feature
 // EWMA mean/variance estimates initialized at the training moments persisted
-// with the model (serialize v3).  Two complementary statistics compare the
+// with the model.  Two complementary statistics compare the
 // estimates against training:
 //
 //  * z_rms: root-mean-square over features of the EWMA-mean z-score.  An
@@ -106,7 +106,7 @@ class DriftMonitor {
   /// moments it is compared against; the monitor shares ownership so a
   /// hot-swap elsewhere can never leave it dangling.  Throws
   /// std::invalid_argument when the model carries no training moments
-  /// (pre-v3 archive, or every level trivial).
+  /// (every level trivial).
   explicit DriftMonitor(std::shared_ptr<const core::HierarchicalDisassembler> model,
                         DriftConfig config = {});
 

@@ -47,7 +47,7 @@ namespace sidis::runtime {
 /// Classification stage entry points.  The scalar one classifies a window;
 /// the batched one classifies N windows in one call and returns exactly N
 /// results in input order (core::HierarchicalDisassembler::classify_batch
-/// amortizes workspace setup and per-window normalization this way).
+/// shares one CWT gather across the windows this way).
 using ClassifyFn = std::function<core::Disassembly(const sim::Trace&)>;
 using BatchClassifyFn =
     std::function<std::vector<core::Disassembly>(const sim::TraceSet&)>;

@@ -2,7 +2,7 @@
 // path.  Every batch primitive vectorizes ONLY across the window/lane
 // dimension and keeps the scalar per-window accumulation order, so its
 // output must equal the scalar path's to the last bit -- at every layer:
-// FFT, CWT (full transform and sparse extraction), fused feature transform,
+// CWT sparse extraction, fused feature transform,
 // blocked Mahalanobis/QDA scoring (each kernel at every lane count 1..33),
 // and the full hierarchical classify_batch across batch sizes, mixed
 // content, mixed trace lengths, and streaming worker counts.
@@ -16,6 +16,7 @@
 #include <numeric>
 #include <sstream>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +24,6 @@
 #include "core/csa.hpp"
 #include "core/hierarchical.hpp"
 #include "core/serialize.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/wavelet.hpp"
 #include "features/gather_plan.hpp"
 #include "features/pipeline.hpp"
@@ -48,85 +48,9 @@ std::vector<double> random_signal(std::size_t n, std::mt19937_64& rng) {
   return out;
 }
 
-// -- FFT ---------------------------------------------------------------------
-
-TEST(FftBatch, ForwardAndInverseMatchScalarLaneForLane) {
-  std::mt19937_64 rng(7);
-  for (const std::size_t n : {std::size_t{8}, std::size_t{64}, std::size_t{512}}) {
-    const dsp::FftPlan plan(n);
-    for (const std::size_t lanes :
-         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{16}}) {
-      // Independent random complex content per lane.
-      std::vector<dsp::ComplexVector> scalar(lanes, dsp::ComplexVector(n));
-      dsp::BatchComplex batch;
-      batch.assign(n, lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto v = dsp::Complex(random_signal(1, rng)[0], random_signal(1, rng)[0]);
-          scalar[l][i] = v;
-          batch.re[i * lanes + l] = v.real();
-          batch.im[i * lanes + l] = v.imag();
-        }
-      }
-      plan.forward_batch(batch);
-      for (std::size_t l = 0; l < lanes; ++l) plan.forward(scalar[l]);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(batch.re[i * lanes + l], scalar[l][i].real())
-              << "fwd n=" << n << " lane " << l << " bin " << i;
-          ASSERT_EQ(batch.im[i * lanes + l], scalar[l][i].imag())
-              << "fwd n=" << n << " lane " << l << " bin " << i;
-        }
-      }
-      plan.inverse_batch(batch);
-      for (std::size_t l = 0; l < lanes; ++l) plan.inverse(scalar[l]);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(batch.re[i * lanes + l], scalar[l][i].real())
-              << "inv n=" << n << " lane " << l << " bin " << i;
-          ASSERT_EQ(batch.im[i * lanes + l], scalar[l][i].imag())
-              << "inv n=" << n << " lane " << l << " bin " << i;
-        }
-      }
-    }
-  }
-}
-
 // -- CWT ---------------------------------------------------------------------
 
 class CwtBatchTest : public ::testing::TestWithParam<dsp::CwtBackend> {};
-
-TEST_P(CwtBatchTest, TransformBatchMatchesScalarTransforms) {
-  std::mt19937_64 rng(11);
-  dsp::CwtConfig cfg;
-  cfg.num_scales = 12;  // spans both sides of the direct/spectral crossover
-  cfg.backend = GetParam();
-  const dsp::Cwt cwt(cfg);
-  dsp::CwtBatchWorkspace bws;
-  for (const std::size_t n : {std::size_t{315}, std::size_t{200}}) {
-    for (std::size_t lanes = 1; lanes <= kMaxSweepWidth; ++lanes) {
-      std::vector<std::vector<double>> traces;
-      for (std::size_t l = 0; l < lanes; ++l) traces.push_back(random_signal(n, rng));
-      std::vector<const std::vector<double>*> ptrs;
-      for (const auto& t : traces) ptrs.push_back(&t);
-
-      const std::vector<dsp::Scalogram> batch =
-          cwt.transform_batch({ptrs.data(), ptrs.size()}, bws);
-      ASSERT_EQ(batch.size(), lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const dsp::Scalogram ref = cwt.transform(traces[l]);
-        ASSERT_EQ(batch[l].rows(), ref.rows());
-        ASSERT_EQ(batch[l].cols(), ref.cols());
-        for (std::size_t j = 0; j < ref.rows(); ++j) {
-          for (std::size_t k = 0; k < ref.cols(); ++k) {
-            ASSERT_EQ(batch[l](j, k), ref(j, k))
-                << "n=" << n << " lane " << l << " scale " << j << " t " << k;
-          }
-        }
-      }
-    }
-  }
-}
 
 TEST_P(CwtBatchTest, CoefficientsBatchMatchesScalarColumns) {
   std::mt19937_64 rng(13);
@@ -134,12 +58,11 @@ TEST_P(CwtBatchTest, CoefficientsBatchMatchesScalarColumns) {
   cfg.num_scales = 12;
   cfg.backend = GetParam();
   const dsp::Cwt cwt(cfg);
-  dsp::CwtWorkspace sws;
   dsp::CwtBatchWorkspace bws;
   const std::size_t n = 315;
 
-  // Point pattern mixing a dense scale (enough points to cross into the
-  // spectral row path), sparse scales, duplicates, and out-of-order indices.
+  // Point pattern mixing a dense scale, sparse scales, duplicates, and
+  // out-of-order indices.
   std::vector<std::size_t> js, ks;
   for (std::size_t k = 0; k < 40; ++k) {
     js.push_back(3);
@@ -164,9 +87,9 @@ TEST_P(CwtBatchTest, CoefficientsBatchMatchesScalarColumns) {
     ASSERT_EQ(batch.rows(), js.size());
     ASSERT_EQ(batch.cols(), lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
-      const linalg::Vector ref = cwt.coefficients(traces[l], js, ks, sws);
       for (std::size_t i = 0; i < js.size(); ++i) {
-        ASSERT_EQ(batch(i, l), ref[i]) << "lane " << l << " point " << i;
+        ASSERT_EQ(batch(i, l), cwt.coefficient(traces[l], js[i], ks[i]))
+            << "lane " << l << " point " << i;
       }
     }
   }
@@ -178,13 +101,14 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, CwtBatchTest,
                                            dsp::CwtBackend::kSpectral));
 
 TEST(CwtBatch, RejectsEmptyAndMixedLengthBatches) {
-  const dsp::Cwt cwt;
-  dsp::CwtBatchWorkspace ws;
-  EXPECT_THROW(cwt.transform_batch({}, ws), std::invalid_argument);
+  std::vector<double> soa;
+  EXPECT_THROW(dsp::Cwt::marshal({}, soa), std::invalid_argument);
   const std::vector<double> a(100, 0.0), b(101, 0.0);
   const std::vector<const std::vector<double>*> mixed{&a, &b};
-  EXPECT_THROW(cwt.transform_batch({mixed.data(), mixed.size()}, ws),
+  EXPECT_THROW(dsp::Cwt::marshal({mixed.data(), mixed.size()}, soa),
                std::invalid_argument);
+  const std::vector<const std::vector<double>*> null{&a, nullptr};
+  EXPECT_THROW(dsp::Cwt::marshal({null.data(), null.size()}, soa), std::invalid_argument);
 }
 
 // -- linalg / stats / ml ------------------------------------------------------
@@ -332,14 +256,13 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
         t, cfg.per_trace_normalization));
   }
 
-  dsp::CwtWorkspace sws;
   dsp::CwtBatchWorkspace bws;
   const std::size_t fitted = pipeline.max_components();
   ASSERT_GE(fitted, 2u);
   for (const std::size_t components : {fitted, fitted - 1}) {
     std::vector<linalg::Vector> refs;
     for (const std::vector<double>& w : prepared) {
-      refs.push_back(pipeline.transform_prepared(w, components, sws));
+      refs.push_back(pipeline.transform_prepared(w, components));
       ASSERT_EQ(refs.back().size(), components);
     }
     // Every prefix width of the windows.
@@ -364,10 +287,9 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
 
 // -- shared gather -------------------------------------------------------------
 
-/// A pipeline with hand-placed feature points, so a test can put a level
-/// across the sparse crossover at a scale where another level stays below
-/// it.  The scaler and PCA are fitted on random rows of the right width, so
-/// the projection is a real one.
+/// A pipeline with hand-placed feature points, so a test can make levels
+/// share points across tiers.  The scaler and PCA are fitted on random rows
+/// of the right width, so the projection is a real one.
 features::FeaturePipeline placed_pipeline(const features::PipelineConfig& cfg,
                                           std::vector<stats::GridPoint> points,
                                           std::mt19937_64& rng) {
@@ -388,10 +310,9 @@ void place(std::vector<stats::GridPoint>& out, std::size_t j, std::size_t count,
 }
 
 /// The levels of a small model (fitted group, instruction and register
-/// pipelines) plus hand-placed ones: at 315 samples under kAuto, the
-/// tier-0 placed level routes scale 49 spectrally (70 points), the tier-1
-/// one reads five of the same points directly, and the tier-2 one routes
-/// scale 49 spectrally on points both of them hold.
+/// pipelines) plus hand-placed ones: the tier-0 placed level holds 70
+/// points on scale 49, the tier-1 one five of the same points, and the
+/// tier-2 one points both of them hold.
 class GatherPlanTest : public ::testing::TestWithParam<dsp::CwtBackend> {
  protected:
   static const std::vector<features::FeaturePipeline>& base() {
@@ -474,20 +395,19 @@ TEST_P(GatherPlanTest, EveryLevelReadsItsOwnFeaturesFromTheUnion) {
   const std::vector<std::size_t> tiers{0, 0, 1, 1, 1, 1, 2, 2};
   const features::GatherPlan plan(slots, tiers);
 
-  if (GetParam() == dsp::CwtBackend::kAuto) {
-    // Non-vacuous: some point is in the union once per route.
-    const std::vector<dsp::CwtPoint>& e = plan.layout(315).entries;
-    std::size_t dual = 0;
-    for (std::size_t i = 0; i + 1 < e.size(); ++i) {
-      for (std::size_t k = i + 1; k < e.size(); ++k) {
-        if (e[i].j == e[k].j && e[i].k == e[k].k) ++dual;
-      }
-    }
-    EXPECT_GT(dual, 0u) << "no point is routed two ways";
+  // Each union point appears once, and points shared across tiers exist.
+  const std::vector<dsp::CwtPoint>& e = plan.layout().entries;
+  std::set<std::pair<std::size_t, std::size_t>> seen;
+  for (const dsp::CwtPoint& p : e) {
+    EXPECT_TRUE(seen.emplace(p.j, p.k).second) << "(" << p.j << ", " << p.k << ") twice";
   }
+  std::size_t asked = 0;
+  for (const features::FeaturePipeline* p : slots) {
+    if (p != nullptr) asked += p->unified_points().size();
+  }
+  EXPECT_LT(e.size(), asked) << "no point is shared";
 
   const std::vector<std::vector<double>> pool = windows(64);
-  dsp::CwtWorkspace ws;
   features::GatherBatch batch;
   for (const std::size_t n : {std::size_t{315}, std::size_t{250}, std::size_t{40},
                               std::size_t{0}}) {
@@ -498,7 +418,7 @@ TEST_P(GatherPlanTest, EveryLevelReadsItsOwnFeaturesFromTheUnion) {
     for (std::size_t s = 0; s < slots.size(); ++s) {
       if (slots[s] == nullptr) continue;
       for (const std::vector<double>& w : cut) {
-        alone[s].push_back(slots[s]->transform_prepared(w, SIZE_MAX, ws));
+        alone[s].push_back(slots[s]->transform_prepared(w, SIZE_MAX));
       }
     }
     for (const std::size_t tier : {std::size_t{0}, std::size_t{1}}) {

@@ -133,18 +133,22 @@ TEST_F(DriftFixture, MomentsSurviveSerializeRoundTripBitExactly) {
   }
 }
 
-TEST_F(DriftFixture, V2ArchiveLoadsWithEmptyMoments) {
+TEST_F(DriftFixture, ArchiveWithoutMomentsIsRefused) {
   std::stringstream ss;
   core::save_disassembler(ss, *model());
-  std::string archive = ss.str();
-  // Rewrite the header version (dropping the v5 kind line); the v2 reader
-  // stops before the moments trailer, which then simply goes unread.
-  const std::string current_header = "sidis-template 5\nkind plain\n";
-  ASSERT_EQ(archive.rfind(current_header, 0), 0u);
-  archive.replace(0, current_header.size(), "sidis-template 2\n");
-  std::stringstream old(archive);
-  const core::HierarchicalDisassembler loaded = core::load_disassembler(old);
-  EXPECT_FALSE(loaded.has_training_moments());
+  const std::string archive = ss.str();
+  // A trained model never loads without its moments: neither from a v2
+  // archive, which predates them, nor from one cut before its trailer.
+  std::string v2 = archive;
+  const std::string current_header = "sidis-template 5\n";
+  ASSERT_EQ(v2.rfind(current_header, 0), 0u);
+  v2.replace(0, current_header.size(), "sidis-template 2\n");
+  std::stringstream old(v2);
+  EXPECT_THROW(core::load_disassembler(old), std::runtime_error);
+  const std::size_t trailer = archive.find("training_moments");
+  ASSERT_NE(trailer, std::string::npos);
+  std::stringstream cut(archive.substr(0, trailer));
+  EXPECT_THROW(core::load_disassembler(cut), std::runtime_error);
 }
 
 TEST_F(DriftFixture, SingleClassModelHasNoMomentsAndMonitorRefusesIt) {

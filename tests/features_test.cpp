@@ -153,20 +153,6 @@ TEST(Selection, ExtractFeaturesMatchesGrid) {
   EXPECT_NEAR(f[1], s(20, 250), 1e-12);
 }
 
-TEST(Selection, ExtractFeaturesWorkspaceOverloadAgrees) {
-  std::mt19937_64 rng(22);
-  const sim::Trace t = synthetic_trace(1, 2, rng);
-  const dsp::Cwt cwt{dsp::CwtConfig{}};
-  std::vector<stats::GridPoint> pts;
-  for (std::size_t k = 5; k < 300; k += 3) pts.push_back({17, k, 0.0});  // dense scale
-  pts.push_back({3, 80, 0.0});
-  const linalg::Vector plain = extract_features(cwt, t.samples, pts);
-  dsp::CwtWorkspace ws;
-  const linalg::Vector with_ws = extract_features(cwt, t.samples, pts, ws);
-  ASSERT_EQ(plain.size(), with_ws.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) EXPECT_EQ(plain[i], with_ws[i]);
-}
-
 class PipelineFixture : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -3,6 +3,7 @@
 
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "core/csa.hpp"
 #include "core/serialize.hpp"
@@ -33,6 +34,22 @@ TEST(Serialize, CorruptArchivesThrow) {
   EXPECT_THROW(read_matrix(tag), std::runtime_error);
   std::stringstream neg("mat -1 2");
   EXPECT_THROW(read_matrix(neg), std::runtime_error);
+  std::stringstream junk("vec 3 0x1p+0 zz 0x1p+1");  // a field that is no number
+  EXPECT_THROW(read_vector(junk), std::runtime_error);
+  std::stringstream overflow("mat 4294967296 4294967296");  // rows * cols wraps to 0
+  EXPECT_THROW(read_matrix(overflow), std::runtime_error);
+  // Declared counts far beyond what the archive holds fail as truncated,
+  // without allocating the count first.
+  std::stringstream huge_vec("vec 1000000000000 0x1p+0");
+  EXPECT_THROW(read_vector(huge_vec), std::runtime_error);
+  std::stringstream huge_mat("mat 1000000 1000000 0x1p+0");
+  EXPECT_THROW(read_matrix(huge_mat), std::runtime_error);
+  std::stringstream huge_qda("qda 1000000000000 class 0 0x1p+0");
+  EXPECT_THROW(load_qda(huge_qda), std::runtime_error);
+  std::stringstream huge_points(
+      "pipeline pipeline_config 0 50 0x1p+1 0x1p+6 1 0x1p+2 0x1p-8 5 1 1 1 64 1 "
+      "grid 15750 points 1000000000000 1 2 0x1p+0");
+  EXPECT_THROW(load_pipeline(huge_points), std::runtime_error);
 }
 
 TEST(Serialize, QdaRoundTripPredictsIdentically) {
@@ -63,6 +80,16 @@ TEST(Serialize, QdaRoundTripPredictsIdentically) {
     const linalg::Vector sb = restored.scores(x);
     for (std::size_t c = 0; c < sa.size(); ++c) EXPECT_NEAR(sb[c], sa[c], 1e-9);
   }
+}
+
+/// A current-version archive relabelled as format `version`.
+std::string with_version(std::string archive, int version) {
+  const std::string current = "sidis-template 5\n";
+  EXPECT_EQ(archive.rfind(current, 0), 0u);
+  std::string header = "sidis-template ";
+  header += std::to_string(version);
+  header += '\n';
+  return archive.replace(0, current.size(), header);
 }
 
 class SerializeFixture : public ::testing::Test {
@@ -106,7 +133,7 @@ TEST_F(SerializeFixture, DisassemblerRoundTripClassifiesIdentically) {
   cfg.group_components = 8;
   cfg.instruction_components = 8;
   auto original = HierarchicalDisassembler::train(data, cfg);
-  // v2 archives carry the reject-gate thresholds; calibrate so the gates are
+  // Archives carry the reject-gate thresholds; calibrate so the gates are
   // armed with non-trivial floors before the round trip.
   original.calibrate_reject(data);
   ASSERT_TRUE(original.reject_calibrated());
@@ -162,18 +189,12 @@ TEST_F(SerializeFixture, RejectOperatingPointRoundTripsAndDowngradesToCustom) {
   EXPECT_EQ(load_disassembler(cs).reject_operating_point(),
             RejectOperatingPoint::kCustom);
 
-  // A pre-v4 archive has no operating-point trailer: the gates still arm,
-  // the point downgrades to kCustom (we cannot know which preset, if any,
-  // produced the stored floors).  Pre-v5 archives also carry no "kind" line,
-  // so the downgrade strips it along with the version.
-  std::string archive = ss.str();
-  const std::string current_header = "sidis-template 5\nkind plain\n";
-  ASSERT_EQ(archive.rfind(current_header, 0), 0u);
-  archive.replace(0, current_header.size(), "sidis-template 3\n");
-  std::stringstream old(archive);
-  const auto legacy = load_disassembler(old);
-  EXPECT_TRUE(legacy.reject_calibrated());
-  EXPECT_EQ(legacy.reject_operating_point(), RejectOperatingPoint::kCustom);
+  // Archives from before the operating point was recorded are refused, not
+  // downgraded to kCustom.
+  for (const int version : {2, 3}) {
+    std::stringstream old(with_version(ss.str(), version));
+    EXPECT_THROW(load_disassembler(old), std::runtime_error) << "version " << version;
+  }
 }
 
 TEST_F(SerializeFixture, NonQdaModelRefusesToPersist) {
@@ -196,7 +217,7 @@ TEST(Serialize, BadMagicRejected) {
   EXPECT_THROW(load_disassembler(ss), std::runtime_error);
 }
 
-/// Paired power+EM corpus and per-channel models for the v5 fused archives.
+/// Paired power+EM corpus and per-channel models for the fused archives.
 class FusedSerializeFixture : public ::testing::Test {
  protected:
   FusedSerializeFixture() {
@@ -276,7 +297,7 @@ TEST_F(FusedSerializeFixture, PlainArchiveLoadsAsPowerOnlyFusion) {
   save_disassembler(ss, *power_);
   std::string archive = ss.str();
 
-  // v5 plain archive -> power-only fusion, bit-identical to the plain model.
+  // Plain archive -> power-only fusion, bit-identical to the plain model.
   std::stringstream v5(archive);
   const FusedDisassembler fused = load_fused_disassembler(v5);
   EXPECT_EQ(fused.em_model(), nullptr);
@@ -290,14 +311,12 @@ TEST_F(FusedSerializeFixture, PlainArchiveLoadsAsPowerOnlyFusion) {
     EXPECT_EQ(a.margin_headroom, b.margin_headroom);
   }
 
-  // Previous-version archive (no "kind" line) -> same power-only wrap.
-  const std::string current_header = "sidis-template 5\nkind plain\n";
-  ASSERT_EQ(archive.rfind(current_header, 0), 0u);
-  archive.replace(0, current_header.size(), "sidis-template 4\n");
-  std::stringstream v4(archive);
-  const FusedDisassembler legacy = load_fused_disassembler(v4);
-  EXPECT_EQ(legacy.em_model(), nullptr);
-  EXPECT_TRUE(legacy.degenerate_to(sim::Channel::kPower));
+  // The previous version and a future one are refused.
+  for (const int version : {4, 6}) {
+    std::stringstream other(with_version(archive, version));
+    EXPECT_THROW(load_fused_disassembler(other), std::runtime_error)
+        << "version " << version;
+  }
 }
 
 TEST_F(FusedSerializeFixture, PlainLoaderRejectsFusedArchive) {
