@@ -6,8 +6,8 @@
 //      ModelRegistry bundle (checksummed, atomically written);
 //   3. on the "monitor" side, load the bundle back by name and stream live
 //      per-instruction trace windows through one stream of a one-shard
-//      FleetFrontend -- blocking credit, worker pool, in-order results -- as
-//      a real-time monitor would;
+//      FleetFrontend -- blocking credit, worker pool, in-order results, a
+//      drift monitor -- as a real-time monitor would;
 //   4. print the recovered listing and the fleet's latency telemetry.
 #include <cstdio>
 #include <filesystem>
@@ -82,7 +82,11 @@ int main() {
   fcfg.stream_credit = 32;
   fcfg.admission = runtime::AdmissionPolicy::kBlock;
   runtime::FleetFrontend fleet(model, fcfg);
-  const auto monitor = fleet.open_stream();
+  // The stream watches its own acquisition chain for drift: the monitor
+  // folds the features the classify walk already projected.
+  runtime::StreamOptions options;
+  options.monitor_drift = true;
+  const auto monitor = fleet.open_stream(options);
 
   std::printf("\nstreaming 20 executions of the monitored firmware...\n");
   std::vector<core::Disassembly> recovered;

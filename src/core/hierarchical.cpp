@@ -424,7 +424,8 @@ template <class Fold>
 void HierarchicalDisassembler::score_level(const Level& level,
                                            features::GatherBatch& gather,
                                            std::span<const std::size_t> lanes,
-                                           bool surface, Fold&& fold) {
+                                           bool surface, std::vector<linalg::Vector>* kept,
+                                           Fold&& fold) {
   const linalg::Vector none;
   if (level.trivial) {
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -440,13 +441,14 @@ void HierarchicalDisassembler::score_level(const Level& level,
   // walk folds a one-hot factor at their prediction instead.
   surface = surface && !labels.empty();
 
-  // A one-lane SoA pass is pure marshalling overhead (single windows forced
-  // through it ran at 0.31x the scalar kernels), so one lane runs the scalar
-  // kernels.  Both kernel families keep the scalar per-window accumulation
-  // order, so the choice never changes a bit of the result.
+  // A one-lane SoA pass is marshalling overhead (single windows forced
+  // through it ran at 0.92x the scalar kernels in Release), so one lane runs
+  // the scalar kernels.  Both kernel families keep the scalar per-window
+  // accumulation order, so the choice never changes a bit of the result.
   if (lanes.size() == 1) {
     const linalg::Vector x =
         gather.features(level.slot, level.pipeline, lanes[0], level.components);
+    if (kept != nullptr) kept->assign(1, x);
     if (!surface) {
       fold(0, classifier.predict_scored(x), none);
       return;
@@ -457,6 +459,12 @@ void HierarchicalDisassembler::score_level(const Level& level,
   }
   const linalg::Matrix x =
       gather.features(level.slot, level.pipeline, lanes, level.components);
+  if (kept != nullptr) {
+    kept->assign(lanes.size(), linalg::Vector(x.rows()));
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      for (std::size_t c = 0; c < x.rows(); ++c) (*kept)[i][c] = x(c, i);
+    }
+  }
   if (!surface) {
     const std::vector<ml::ScoredPrediction> p = classifier.predict_scored_batch(x);
     for (std::size_t i = 0; i < lanes.size(); ++i) fold(i, p[i], none);
@@ -472,7 +480,7 @@ void HierarchicalDisassembler::score_level(const Level& level,
 
 void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
                                              std::span<Disassembly> out,
-                                             bool scored) const {
+                                             bool scored, bool keep) const {
   // The SoA kernels want equal-length lanes, so windows bucket by trace
   // length first (one CWT/FFT geometry per bucket).  Within a bucket, level 1
   // scores every lane, level 2 the lanes of each predicted group (every lane
@@ -501,6 +509,13 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
   // (lane-major, instruction_levels_ order).
   std::vector<double> group_lp;
   const std::size_t groups = instruction_levels_.size();
+  // classify_monitored(): the monitor level's projected features, per lane
+  // of the level's sub-batch, moved into each lane's result by its fold.
+  const Level* const watch = keep ? monitor_level() : nullptr;
+  std::vector<linalg::Vector> kept;
+  const auto keep_for = [&](const Level& level) {
+    return &level == watch ? &kept : nullptr;
+  };
 
   const auto posterior_index = [&](int label) {
     const auto cls = static_cast<std::size_t>(label);
@@ -539,11 +554,12 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
     // Level 1.  The scored walk keeps each group's log-softmax entry, or a
     // one-hot factor when the level has no score surface.
     if (scored) group_lp.assign(lanes.size() * groups, -kInf);
-    score_level(group_level_, gather, lanes, scored,
+    score_level(group_level_, gather, lanes, scored, keep_for(group_level_),
                 [&](std::size_t i, const ml::ScoredPrediction& p,
                     const linalg::Vector& lp) {
       Disassembly& o = at(lanes[i]);
       o.group = p.label;
+      if (watch == &group_level_) o.monitor_features = std::move(kept[i]);
       fold_gate(o, group_level_.gate, p, /*fatal=*/true);
       if (!scored) return;
       double* row = group_lp.data() + lanes[i] * groups;
@@ -582,10 +598,11 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
         }
         sub = subset;
       }
-      score_level(level, gather, sub, scored,
+      score_level(level, gather, sub, scored, keep_for(level),
                   [&](std::size_t i, const ml::ScoredPrediction& p,
                       const linalg::Vector& lp) {
         Disassembly& o = at(sub[i]);
+        if (watch == &level) o.monitor_features = std::move(kept[i]);
         if (o.group == group) {
           o.class_idx = static_cast<std::size_t>(p.label);
           fold_gate(o, level.gate, p, /*fatal=*/true);
@@ -616,7 +633,7 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
           subset.push_back(lane);
         }
       }
-      score_level(*level, gather, subset, /*surface=*/false,
+      score_level(*level, gather, subset, /*surface=*/false, nullptr,
                   [&](std::size_t i, const ml::ScoredPrediction& p,
                       const linalg::Vector&) {
         Disassembly& o = at(subset[i]);
@@ -650,6 +667,13 @@ std::vector<Disassembly> HierarchicalDisassembler::classify_batch_scored(
     const sim::TraceSet& traces) const {
   std::vector<Disassembly> out(traces.size());
   classify_walk(traces, out, /*scored=*/true);
+  return out;
+}
+
+std::vector<Disassembly> HierarchicalDisassembler::classify_monitored(
+    std::span<const sim::Trace> traces, bool scored) const {
+  std::vector<Disassembly> out(traces.size());
+  classify_walk(traces, out, scored, /*keep=*/true);
   return out;
 }
 

@@ -139,6 +139,11 @@ struct Disassembly {
   /// decoding consumes.
   linalg::Vector log_posterior;
 
+  /// The window's monitor-space features (see monitor_features()), bit for
+  /// bit.  Empty except on the classify_monitored() path, where the walk
+  /// copies them from the monitor level's own projection.
+  linalg::Vector monitor_features;
+
   bool accepted() const { return verdict != Verdict::kRejected; }
 
   /// Best-effort instruction reconstruction (unrecoverable operand fields --
@@ -189,7 +194,7 @@ class HierarchicalDisassembler {
   /// group and level 3 by operand usage, so every classifier invocation
   /// stays a dense sub-batch; such a level gathers only its points outside
   /// the shared union, for its own windows.  One-lane sub-batches take the
-  /// scalar kernels (a one-lane SoA pass is pure marshalling overhead).
+  /// scalar kernels (a one-lane SoA pass is marshalling overhead).
   /// classify() is this walk on a batch of one.  Thread-safe like
   /// classify().
   std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const;
@@ -211,6 +216,17 @@ class HierarchicalDisassembler {
   /// model scores every window here, so the shared gather covers levels 1
   /// and 2 together.  Thread-safe like classify().
   std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const;
+
+  /// classify_batch(), or classify_batch_scored() when `scored`, that also
+  /// keeps every window's Disassembly::monitor_features: the monitor level
+  /// scores every window (it is the group level, or the only trained
+  /// instruction level when the group level is trivial), so the walk copies
+  /// each window's projected column instead of transforming the window a
+  /// second time.  Everything else is bit-identical to the plain forms; the
+  /// features are bit-identical to monitor_features(), and stay empty when
+  /// every level is trivial.  Thread-safe like classify().
+  std::vector<Disassembly> classify_monitored(std::span<const sim::Trace> traces,
+                                              bool scored = false) const;
 
   /// Ascending class indices spanned by Disassembly::log_posterior -- the
   /// classes the model was profiled on.  Sequence decoders index their
@@ -290,11 +306,13 @@ class HierarchicalDisassembler {
 
   /// Projects one trace into the monitor feature space: the post-pipeline
   /// vector of the monitor level.  That level is the group level when it is
-  /// non-trivial, else the first trained instruction level -- the group
-  /// level degenerates to a label constant (no pipeline at all) whenever all
-  /// profiled classes share one instruction group, so drift must then be
-  /// watched where features still exist.  Thread-safe like classify().
-  /// Throws std::runtime_error when every level is trivial.
+  /// non-trivial, else the instruction level of the one profiled group --
+  /// the group level degenerates to a label constant (no pipeline at all)
+  /// whenever all profiled classes share one instruction group, so drift
+  /// must then be watched where features still exist.  A full transform of
+  /// the window; classify_monitored() keeps the same vector from its walk.
+  /// Thread-safe like classify().  Throws std::runtime_error when every
+  /// level is trivial.
   linalg::Vector monitor_features(const sim::Trace& trace) const;
 
   /// Template persistence (QDA levels only); see core/serialize.hpp.  load()
@@ -345,20 +363,23 @@ class HierarchicalDisassembler {
   /// Scores `level` on `lanes` (ascending positions in the bucket `gather`
   /// holds) and calls fold(i, prediction, log_posterior) for each lanes[i].
   /// The log-posterior is the log-softmax over score_labels() when `surface`
-  /// is set and the classifier has a score surface, else empty.  One lane
-  /// runs the scalar kernels, wider sub-batches the SoA ones.
+  /// is set and the classifier has a score surface, else empty.  When `kept`
+  /// is non-null, (*kept)[i] holds lanes[i]'s projected features before the
+  /// folds run.  One lane runs the scalar kernels, wider sub-batches the SoA
+  /// ones.
   template <class Fold>
   static void score_level(const Level& level, features::GatherBatch& gather,
                           std::span<const std::size_t> lanes, bool surface,
-                          Fold&& fold);
+                          std::vector<linalg::Vector>* kept, Fold&& fold);
   /// Numbers the levels' slots and builds plan_ from their pipelines (the
   /// end of train() and load(); feature points never change after that).
   void build_plan();
-  /// The one classify walk behind classify(), classify_scored() and their
-  /// batch forms: out[i] is traces[i]'s recovery; `scored` composes the
-  /// per-class log-posterior.
+  /// The one classify walk behind classify(), classify_scored(), their
+  /// batch forms and classify_monitored(): out[i] is traces[i]'s recovery;
+  /// `scored` composes the per-class log-posterior, `keep` fills
+  /// monitor_features from the monitor level.
   void classify_walk(std::span<const sim::Trace> traces, std::span<Disassembly> out,
-                     bool scored) const;
+                     bool scored, bool keep = false) const;
   /// Rebuilds posterior_classes_ from the trained levels (load path; train()
   /// takes the support straight from the profiling corpus).
   void finalize_posterior_support();

@@ -1,5 +1,6 @@
 #include "runtime/drift.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -47,13 +48,23 @@ void DriftMonitor::observe_features(const linalg::Vector& features, bool rejecte
   if (features.size() != train_mean_.size()) {
     throw std::invalid_argument("DriftMonitor: feature dimension mismatch");
   }
-  const double a = config_.alpha;
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    // Classic EWMA mean/variance pair: the variance update uses the residual
-    // against the *previous* mean, which keeps it unbiased to first order.
-    const double residual = features[i] - ewma_mean_[i];
-    ewma_mean_[i] += a * residual;
-    ewma_var_[i] = (1.0 - a) * (ewma_var_[i] + a * residual * residual);
+  // One non-finite entry folded into the EWMA would leave both statistics
+  // NaN for good, and no comparison with a threshold holds for NaN: such a
+  // vector skips the moment estimates (the window still counts below).
+  const bool finite = std::all_of(features.begin(), features.end(),
+                                  [](double f) { return std::isfinite(f); });
+  if (finite) {
+    const double a = config_.alpha;
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      // Classic EWMA mean/variance pair: the variance update uses the
+      // residual against the *previous* mean, which keeps it unbiased to
+      // first order.
+      const double residual = features[i] - ewma_mean_[i];
+      ewma_mean_[i] += a * residual;
+      ewma_var_[i] = (1.0 - a) * (ewma_var_[i] + a * residual * residual);
+    }
+  } else {
+    ++nonfinite_skipped_;
   }
   reject_rate_ += config_.reject_alpha * ((rejected ? 1.0 : 0.0) - reject_rate_);
   ++observations_;

@@ -3,8 +3,8 @@
 // The paper's CSA section and both follow-ups in PAPERS.md agree on the
 // field failure mode: acquisition conditions drift -- supply, temperature,
 // probe coupling, chip aging -- and templates trained under profiling
-// conditions silently rot.  The streaming runtime can already *publish* a
-// recalibrated model mid-stream (swap_model); this module supplies the
+// conditions silently rot.  The fleet can already *publish* a recalibrated
+// model mid-stream (FleetFrontend::swap_stage); this module supplies the
 // missing trigger: a streaming statistic that says "the features no longer
 // look like training" soon enough to spend the recalibration budget before
 // accuracy craters, while holding a bounded false-alarm rate on stationary
@@ -14,8 +14,12 @@
 // monitor feature space (core::HierarchicalDisassembler::monitor_features,
 // the post-pipeline vectors of its monitor level) and folded into per-feature
 // EWMA mean/variance estimates initialized at the training moments persisted
-// with the model.  Two complementary statistics compare the
-// estimates against training:
+// with the model.  A monitor_drift fleet stream does not project twice: its
+// model's classify walk already computed that vector and keeps it
+// (Disassembly::monitor_features), so the pump folds it with
+// observe_features; observe() re-transforms the window, for any other
+// caller.  Two complementary statistics compare the estimates against
+// training:
 //
 //  * z_rms: root-mean-square over features of the EWMA-mean z-score.  An
 //    EWMA with smoothing alpha over iid samples of variance s^2 has
@@ -115,10 +119,14 @@ class DriftMonitor {
   /// reject-rate estimates.  Call from the consumer loop in emission order.
   void observe(const sim::Trace& trace, const core::Disassembly& result);
 
-  /// Low-level entry point: folds an already-projected feature vector (the
-  /// synthetic-stream tests drive this directly).  `rejected` feeds the
-  /// reject-rate trend.  Throws std::invalid_argument on a dimension
-  /// mismatch with the training moments.
+  /// Folds an already-projected feature vector: the fleet pump's entry point
+  /// (the classify walk's Disassembly::monitor_features) and the
+  /// synthetic-stream tests'.  `rejected` feeds the reject-rate trend.  A
+  /// vector with a non-finite entry leaves the moment estimates as they are
+  /// and is counted in nonfinite_skipped(); the window still counts as an
+  /// observation and feeds the reject-rate trend.  Throws
+  /// std::invalid_argument on a dimension mismatch with the training
+  /// moments.
   void observe_features(const linalg::Vector& features, bool rejected);
 
   /// Returns the pending event, if one fired since the last poll; at most
@@ -141,6 +149,8 @@ class DriftMonitor {
   double reject_rate() const { return reject_rate_; }
   std::uint64_t observations() const { return observations_; }
   std::uint64_t events_raised() const { return events_raised_; }
+  /// Observations whose feature vector held a NaN or infinity.
+  std::uint64_t nonfinite_skipped() const { return nonfinite_skipped_; }
   const DriftConfig& config() const { return config_; }
   const std::shared_ptr<const core::HierarchicalDisassembler>& model() const {
     return model_;
@@ -162,6 +172,7 @@ class DriftMonitor {
   std::uint64_t since_rebase_ = 0;       ///< warmup/cooldown clock
   std::size_t streak_ = 0;
   std::uint64_t events_raised_ = 0;
+  std::uint64_t nonfinite_skipped_ = 0;
   std::optional<DriftEvent> pending_;
 };
 

@@ -217,9 +217,9 @@ AdmitResult FleetFrontend::submit(StreamId stream, sim::Trace trace) {
 
   result.status = status;
   result.stream_sequence = s.next_sequence++;
-  s.pending.push_back(
-      PendingWindow{Job::Route{stream, result.stream_sequence, Clock::now()},
-                    s.stage, std::move(trace)});
+  s.pending.push_back(PendingWindow{
+      Job::Route{stream, result.stream_sequence, Clock::now(), s.monitor != nullptr},
+      s.stage, std::move(trace)});
   ++shard.pending_windows;
   ++s.admitted;
   ++shard.admitted;
@@ -309,6 +309,9 @@ void FleetFrontend::dispatch_locked(Shard& shard) {
 
 void FleetFrontend::pump_locked(Shard& shard) {
   shard.runner.pump([&shard](const Job& job, std::size_t i, Ready ready) {
+    // The walk's monitor features serve this pump only: no ready FIFO or
+    // consumer holds them.
+    const linalg::Vector features = std::move(ready.result.value.monitor_features);
     const auto it = shard.streams.find(job.routes[i].stream);
     if (it == shard.streams.end()) return;
     StreamState& s = it->second;
@@ -317,8 +320,19 @@ void FleetFrontend::pump_locked(Shard& shard) {
       // Per-stream isolation: this stream's monitor sees only this stream's
       // windows, in this stream's delivery order.  The monitor observes the
       // RAW classification, before any lattice smoothing -- drift statistics
-      // must reflect what the model actually said.
-      s.monitor->observe(job.traces[i], ready.result.value);
+      // must reflect what the model actually said.  Features from the
+      // monitor's own model are folded as they are; any other stage (a swap
+      // to another model, a fused or custom stage) has the monitor transform
+      // the window itself.
+      RuntimeStats& stats = shard.runner.stats();
+      if (!features.empty() && job.stage->model == s.monitor->model()) {
+        s.monitor->observe_features(
+            features, ready.result.value.verdict == core::Verdict::kRejected);
+        ++stats.monitor_folds;
+      } else {
+        s.monitor->observe(job.traces[i], ready.result.value);
+        ++stats.monitor_retransforms;
+      }
       if (auto event = s.monitor->poll_event()) {
         s.events.push_back(*event);
         ++s.drift_events;

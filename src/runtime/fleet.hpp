@@ -64,9 +64,16 @@
 //
 // Drift isolation.  A stream opened with monitor_drift gets its OWN
 // DriftMonitor bound to its own model; observations are fed in delivery
-// order during result pump-back, straight from the finished job's window,
-// so one drifting device raises its own events (poll_drift_event) and never
-// contaminates a neighbor's statistics.
+// order during result pump-back, so one drifting device raises its own
+// events (poll_drift_event) and never contaminates a neighbor's statistics.
+// The classify walk of a model-backed stage keeps each window's
+// monitor-space features, and the pump folds them with one EWMA step when
+// the stage's model is the monitor's (RuntimeStats::monitor_folds).  After a
+// swap_stage to another model, or on a fused or custom stage, the monitor
+// transforms the finished job's window itself
+// (RuntimeStats::monitor_retransforms).  No delivered result keeps its
+// features: workers drop those of unmonitored streams (Job::Route::
+// monitored), and the pump those it folded.
 //
 // Thread-safety contract: every public method is safe from any thread; the
 // shard mutex serializes internally.  Submissions to ONE stream should come
@@ -334,7 +341,8 @@ class FleetFrontend {
     return *shards_[stream % shards_.size()];
   }
   /// Pumps finished jobs into per-stream delivery queues, feeding drift
-  /// monitors along the way.  Caller holds the shard mutex.
+  /// monitors along the way and dropping every result's monitor features.
+  /// Caller holds the shard mutex.
   void pump_locked(Shard& shard);
   /// Coalesces pending windows into stage-homogeneous jobs while the shard
   /// has credit.  Caller holds the shard mutex.

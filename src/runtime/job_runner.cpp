@@ -17,11 +17,23 @@ std::uint64_t elapsed_nanos(Clock::time_point from, Clock::time_point to) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
 
-/// One stage over either model type: both expose the same four classify
-/// entry points.
-template <class Model>
-StageRef model_stage(std::shared_ptr<const Model> model, std::uint64_t stamp,
-                     bool scored) {
+}  // namespace
+
+StageRef make_stage(std::shared_ptr<const core::HierarchicalDisassembler> model,
+                    std::uint64_t stamp, bool scored) {
+  if (model == nullptr) throw std::invalid_argument("make_stage: null model");
+  return std::make_shared<const Stage>(Stage{
+      [model, scored](const sim::Trace& t) {
+        return std::move(model->classify_monitored({&t, 1}, scored).front());
+      },
+      [model, scored](const sim::TraceSet& ts) {
+        return model->classify_monitored(ts, scored);
+      },
+      stamp, model});
+}
+
+StageRef make_stage(std::shared_ptr<const core::FusedDisassembler> model,
+                    std::uint64_t stamp, bool scored) {
   if (model == nullptr) throw std::invalid_argument("make_stage: null model");
   return std::make_shared<const Stage>(Stage{
       [model, scored](const sim::Trace& t) {
@@ -30,19 +42,7 @@ StageRef model_stage(std::shared_ptr<const Model> model, std::uint64_t stamp,
       [model, scored](const sim::TraceSet& ts) {
         return scored ? model->classify_batch_scored(ts) : model->classify_batch(ts);
       },
-      stamp});
-}
-
-}  // namespace
-
-StageRef make_stage(std::shared_ptr<const core::HierarchicalDisassembler> model,
-                    std::uint64_t stamp, bool scored) {
-  return model_stage(std::move(model), stamp, scored);
-}
-
-StageRef make_stage(std::shared_ptr<const core::FusedDisassembler> model,
-                    std::uint64_t stamp, bool scored) {
-  return model_stage(std::move(model), stamp, scored);
+      stamp, nullptr});
 }
 
 JobRunner::JobRunner(std::mutex& mutex, std::size_t workers) : mutex_(mutex) {
@@ -112,6 +112,12 @@ void JobRunner::work() {
           failed[i] = 1;
         }
       }
+    }
+    // Features no monitor reads are freed here, by the thread that
+    // allocated them: freed on the polling thread instead, they cost it
+    // enough to starve the workers and halve batch coalescing (bench_fleet).
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!job.routes[i].monitored) job.results[i].monitor_features = linalg::Vector();
     }
     const Clock::time_point finished = Clock::now();
 

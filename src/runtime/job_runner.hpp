@@ -59,20 +59,27 @@ struct Stage {
   ClassifyFn fn;
   BatchClassifyFn batch;
   std::uint64_t stamp = 0;
+  /// The model whose classify walk produces the results, which then carry
+  /// its Disassembly::monitor_features; null for fused and custom stages.
+  std::shared_ptr<const core::HierarchicalDisassembler> model = nullptr;
 };
 /// Stages are immutable once published and shared between the publisher,
 /// the streams serving them and every job pinned to them.
 using StageRef = std::shared_ptr<const Stage>;
 
-/// Model-backed stage: classify + classify_batch closures, or
-/// classify_scored + classify_batch_scored when `scored`, so every result
-/// carries the per-class log-posterior a SequenceDecoder needs.  The
-/// closures co-own the model, so it lives as long as any job can run it.
+/// Model-backed stage: classify_monitored closures, scored when `scored` so
+/// every result carries the per-class log-posterior a SequenceDecoder
+/// needs, and every result carries its monitor-space features for a drift
+/// monitor of the same model (a fleet folds them into a monitored stream's
+/// monitor and drops them before delivery).
+/// The stage records the model, and the closures co-own it, so it lives as
+/// long as any job can run it.
 StageRef make_stage(std::shared_ptr<const core::HierarchicalDisassembler> model,
                     std::uint64_t stamp = 0, bool scored = false);
 /// Multimodal stage backed by a core::FusedDisassembler: each window is a
 /// paired power+EM window (Trace::em_samples); one without an EM half
-/// degrades to the power channel per the fusion contract.
+/// degrades to the power channel per the fusion contract.  Its results carry
+/// no monitor features, and Stage::model stays null.
 StageRef make_stage(std::shared_ptr<const core::FusedDisassembler> model,
                     std::uint64_t stamp = 0, bool scored = false);
 
@@ -81,6 +88,8 @@ StageRef make_stage(std::shared_ptr<const core::FusedDisassembler> model,
 /// ascending per stream).
 struct FleetResult {
   std::uint64_t stream_sequence = 0;
+  /// The recovery; its monitor_features are always empty (the worker drops
+  /// those no monitor reads, the pump those it folded).
   core::Disassembly value;
   /// Stamp of the stage that classified this window (pinned with the stage
   /// function, so it always names the exact model that produced the result).
@@ -108,6 +117,9 @@ struct Job {
     std::uint64_t stream = 0;    ///< fleet stream id
     std::uint64_t sequence = 0;  ///< FleetResult::stream_sequence
     Clock::time_point admitted_at;
+    /// The stream has a drift monitor, so the pump reads this window's
+    /// Disassembly::monitor_features; otherwise the worker drops them.
+    bool monitored = false;
   };
   sim::TraceSet traces;
   std::vector<Route> routes;  ///< aligned with traces

@@ -76,6 +76,8 @@ void RuntimeStats::merge(const RuntimeStats& other) {
   scalar_classified_windows += other.scalar_classified_windows;
   windows_decoded += other.windows_decoded;
   windows_smoothed += other.windows_smoothed;
+  monitor_folds += other.monitor_folds;
+  monitor_retransforms += other.monitor_retransforms;
   windows_shed += other.windows_shed;
   windows_rejected += other.windows_rejected;
   queue_depth_high_water = std::max(queue_depth_high_water, other.queue_depth_high_water);
@@ -139,6 +141,10 @@ std::string RuntimeStats::report() const {
   if (windows_decoded != 0) {
     out += "  sequence decode: " + std::to_string(windows_decoded) +
            " windows, smoothed=" + std::to_string(windows_smoothed) + "\n";
+  }
+  if (monitor_folds != 0 || monitor_retransforms != 0) {
+    out += "  drift monitor: monitor_folds=" + std::to_string(monitor_folds) +
+           " monitor_retransforms=" + std::to_string(monitor_retransforms) + "\n";
   }
   if (windows_shed != 0 || windows_rejected != 0) {
     out += "  admission: shed=" + std::to_string(windows_shed) +

@@ -108,6 +108,12 @@ struct RuntimeStats {
   /// rewritten by the transition prior.
   std::uint64_t windows_decoded = 0;
   std::uint64_t windows_smoothed = 0;
+  /// Drift-monitor telemetry (monitor_drift streams), one count per observed
+  /// window: folded straight from the classify walk's monitor features, or
+  /// re-transformed by the monitor because the window's stage was not the
+  /// monitor's own model.
+  std::uint64_t monitor_folds = 0;
+  std::uint64_t monitor_retransforms = 0;
   /// Admission-control outcomes (a kBlock stream never sheds or refuses --
   /// it waits): windows shed after admission (kShedOldest reclaiming credit)
   /// and submissions refused outright (kRejectNew, or nothing sheddable).

@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -79,6 +81,26 @@ class DriftFixture : public ::testing::Test {
   }
 
   static const core::FeatureMoments& moments() { return model()->training_moments(); }
+
+  /// Add/Adc/Sub share one instruction group, so the group level of this
+  /// model degenerates to a constant and its monitor level is the
+  /// instruction level.
+  static std::shared_ptr<const core::HierarchicalDisassembler> same_group_model() {
+    static const std::shared_ptr<const core::HierarchicalDisassembler> m = [] {
+      sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                        sim::SessionContext::make(0)};
+      std::mt19937_64 rng{37};
+      core::ProfilingData data;
+      for (avr::Mnemonic mn :
+           {avr::Mnemonic::kAdd, avr::Mnemonic::kAdc, avr::Mnemonic::kSub}) {
+        data.classes[*avr::class_index(mn)] =
+            campaign.capture_class(*avr::class_index(mn), 20, 3, rng);
+      }
+      return std::make_shared<const core::HierarchicalDisassembler>(
+          core::HierarchicalDisassembler::train(data, small_config()));
+    }();
+    return m;
+  }
 
   /// Draws one iid Gaussian feature vector from the training moments, with a
   /// per-feature mean shift of `shift_sigma` training sigmas and the
@@ -166,22 +188,111 @@ TEST_F(DriftFixture, SingleClassModelHasNoMomentsAndMonitorRefusesIt) {
 }
 
 TEST_F(DriftFixture, SameGroupModelFallsBackToInstructionLevelMoments) {
-  // Add/Adc/Sub share one instruction group, so the group level degenerates
-  // to a constant; the moments must come from the instruction level instead.
+  // The group level degenerates to a constant; the moments must come from
+  // the instruction level instead.
+  ASSERT_TRUE(same_group_model()->has_training_moments());
+  EXPECT_EQ(same_group_model()->training_moments().mean.size(),
+            small_config().instruction_components);
+}
+
+TEST_F(DriftFixture, ClassifyMonitoredKeepsMonitorFeaturesBitForBit) {
+  // The walk's kept features are monitor_features() to the last bit, whether
+  // the monitor level is the group level or (single-group model) the
+  // instruction level, on one window and on a batch, plain and scored; every
+  // other field matches the plain entry points, which keep no features.
   sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
                                     sim::SessionContext::make(0)};
-  std::mt19937_64 rng{37};
-  core::ProfilingData data;
-  for (avr::Mnemonic mn :
-       {avr::Mnemonic::kAdd, avr::Mnemonic::kAdc, avr::Mnemonic::kSub}) {
-    data.classes[*avr::class_index(mn)] =
-        campaign.capture_class(*avr::class_index(mn), 20, 3, rng);
+  std::mt19937_64 rng{43};
+  sim::TraceSet windows;
+  for (avr::Mnemonic mn : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi, avr::Mnemonic::kCom,
+                           avr::Mnemonic::kAdc, avr::Mnemonic::kSub}) {
+    for (sim::Trace& t : campaign.capture_class(*avr::class_index(mn), 3, 2, rng)) {
+      windows.push_back(std::move(t));
+    }
   }
-  const core::HierarchicalDisassembler same_group =
-      core::HierarchicalDisassembler::train(data, small_config());
-  ASSERT_TRUE(same_group.has_training_moments());
-  EXPECT_EQ(same_group.training_moments().mean.size(),
-            small_config().instruction_components);
+  const auto same_bits = [](const linalg::Vector& a, const linalg::Vector& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  };
+  for (const auto& m : {model(), same_group_model()}) {
+    for (const bool scored : {false, true}) {
+      SCOPED_TRACE(scored ? "scored" : "plain");
+      const std::vector<core::Disassembly> kept = m->classify_monitored(windows, scored);
+      const std::vector<core::Disassembly> plain =
+          scored ? m->classify_batch_scored(windows) : m->classify_batch(windows);
+      ASSERT_EQ(kept.size(), windows.size());
+      for (std::size_t i = 0; i < windows.size(); ++i) {
+        const linalg::Vector want = m->monitor_features(windows[i]);
+        ASSERT_EQ(want.size(), m->training_moments().mean.size());
+        EXPECT_TRUE(same_bits(kept[i].monitor_features, want)) << "batch window " << i;
+        const core::Disassembly one = m->classify_monitored({&windows[i], 1}, scored).front();
+        EXPECT_TRUE(same_bits(one.monitor_features, want)) << "single window " << i;
+        EXPECT_TRUE(plain[i].monitor_features.empty());
+        EXPECT_EQ(kept[i].class_idx, plain[i].class_idx);
+        EXPECT_EQ(kept[i].group, plain[i].group);
+        EXPECT_EQ(kept[i].verdict, plain[i].verdict);
+        EXPECT_TRUE(same_bits({kept[i].margin_headroom}, {plain[i].margin_headroom}));
+        EXPECT_TRUE(same_bits({kept[i].score_headroom}, {plain[i].score_headroom}));
+        EXPECT_TRUE(same_bits(kept[i].log_posterior, plain[i].log_posterior));
+      }
+    }
+  }
+}
+
+TEST_F(DriftFixture, SameGroupModelFleetStreamFoldsTheWalkFeatures) {
+  // A monitor_drift stream of the single-group model folds the instruction
+  // level's walk features: no window is re-transformed, and the events match
+  // a reference monitor that re-transforms every delivered window.
+  sim::DeviceModel aged = sim::DeviceModel::make(0);
+  aged.aging_gain_drift = 0.35;
+  const sim::AcquisitionCampaign drifting{aged, sim::SessionContext::make(0)};
+  std::mt19937_64 rng{47};
+  sim::TraceSet windows;
+  const std::vector<avr::Mnemonic> mnemonics = {avr::Mnemonic::kAdd, avr::Mnemonic::kAdc,
+                                                avr::Mnemonic::kSub};
+  for (std::size_t i = 0; i < 200; ++i) {
+    const std::size_t cls = *avr::class_index(mnemonics[i % mnemonics.size()]);
+    windows.push_back(drifting.capture_trace(avr::random_instance(cls, rng, {}),
+                                             sim::ProgramContext::make(0), rng,
+                                             static_cast<double>(i) / 199.0));
+  }
+  FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = 2;
+  cfg.stream_credit = 16;
+  cfg.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(same_group_model(), cfg);
+  StreamOptions options;
+  options.monitor_drift = true;
+  const auto id = fleet.open_stream(options);
+  DriftMonitor reference(same_group_model());
+  std::vector<std::uint64_t> fleet_events, reference_events;
+  std::size_t delivered = 0;
+  const auto deliver = [&](const FleetResult& r) {
+    EXPECT_TRUE(r.value.monitor_features.empty());
+    reference.observe(windows[r.stream_sequence], r.value);
+    if (auto e = reference.poll_event()) reference_events.push_back(e->observation);
+    ++delivered;
+  };
+  for (const sim::Trace& t : windows) {
+    ASSERT_TRUE(fleet.submit(id, t).accepted());
+    while (auto r = fleet.poll(id)) deliver(*r);
+    while (auto e = fleet.poll_drift_event(id)) fleet_events.push_back(e->observation);
+  }
+  while (delivered < windows.size()) {
+    if (auto r = fleet.poll(id)) {
+      deliver(*r);
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  while (auto e = fleet.poll_drift_event(id)) fleet_events.push_back(e->observation);
+  fleet.close_stream(id);
+  EXPECT_FALSE(reference_events.empty()) << "no drift event: test proves nothing";
+  EXPECT_EQ(fleet_events, reference_events);
+  const RuntimeStats stats = fleet.stats().runtime;
+  EXPECT_EQ(stats.monitor_folds, windows.size());
+  EXPECT_EQ(stats.monitor_retransforms, 0u);
 }
 
 // -- synthetic-stream statistics --------------------------------------------
@@ -353,6 +464,37 @@ TEST_F(DriftFixture, RejectRateTrendTriggersWhenEnabled) {
   EXPECT_EQ(event->trigger, DriftTrigger::kRejectRate);
   EXPECT_GE(event->reject_rate, cfg.reject_rate_threshold);
   EXPECT_LE(fired_at, 200);
+}
+
+TEST_F(DriftFixture, NonFiniteFeaturesDoNotBlindTheMonitor) {
+  // A hard mean shift from observation 100 on.  One window at 60 carries a
+  // NaN and an infinity (a corrupt sample spreads through the CWT): folded
+  // into the EWMA, it would leave z_rms and the KL statistic NaN for good,
+  // and no threshold comparison holds for NaN.  It skips the moments, still
+  // feeds the reject-rate trend, and the shift is still detected.
+  DriftMonitor monitor(model());
+  std::mt19937_64 rng{0xbad5a};
+  std::size_t events = 0;
+  for (int i = 0; i < 400; ++i) {
+    linalg::Vector v = synthetic_vector(rng, i >= 100 ? 3.0 : 0.0, 1.0);
+    const bool poisoned = i == 60;
+    if (poisoned) {
+      v[0] = std::numeric_limits<double>::quiet_NaN();
+      v[1] = std::numeric_limits<double>::infinity();
+    }
+    const double z_before = monitor.z_rms();
+    monitor.observe_features(v, /*rejected=*/poisoned);
+    if (poisoned) {
+      EXPECT_EQ(monitor.z_rms(), z_before) << "moments moved on a non-finite vector";
+      EXPECT_EQ(monitor.reject_rate(), monitor.config().reject_alpha);
+    }
+    if (monitor.poll_event()) ++events;
+  }
+  EXPECT_EQ(monitor.nonfinite_skipped(), 1u);
+  EXPECT_EQ(monitor.observations(), 400u);
+  EXPECT_TRUE(std::isfinite(monitor.z_rms()));
+  EXPECT_TRUE(std::isfinite(monitor.symmetric_kl()));
+  EXPECT_GE(events, 1u) << "one NaN window blinded the monitor";
 }
 
 TEST_F(DriftFixture, FeatureDimensionMismatchThrows) {

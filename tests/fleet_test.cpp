@@ -14,9 +14,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -760,6 +762,183 @@ TEST_F(FleetModelFixture, DriftMonitorsAreIsolatedPerStream) {
   EXPECT_EQ(clean_events, 0u)
       << "clean stream caught its neighbor's drift -- monitors not isolated";
   EXPECT_EQ(stats.drift_events, drifted_events + clean_events);
+}
+
+// -- drift monitors fold the walk's features ---------------------------------
+
+/// Bitwise double equality: drift statistics must match to the last bit.
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_same_events(const std::vector<DriftEvent>& got,
+                        const std::vector<DriftEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    EXPECT_EQ(got[e].ordinal, want[e].ordinal) << "event " << e;
+    EXPECT_EQ(got[e].observation, want[e].observation) << "event " << e;
+    EXPECT_EQ(got[e].trigger, want[e].trigger) << "event " << e;
+    EXPECT_TRUE(same_bits(got[e].z_rms, want[e].z_rms)) << "event " << e;
+    EXPECT_TRUE(same_bits(got[e].symmetric_kl, want[e].symmetric_kl)) << "event " << e;
+    EXPECT_TRUE(same_bits(got[e].reject_rate, want[e].reject_rate)) << "event " << e;
+  }
+}
+
+/// One monitor_drift stream's run beside an external reference monitor.
+struct MonitoredRun {
+  std::vector<DriftEvent> fleet_events;
+  std::vector<DriftEvent> reference_events;
+  RuntimeStats runtime;
+  std::size_t delivered = 0;
+  std::size_t carrying_features = 0;  ///< delivered results with features,
+                                      ///< on either stream
+};
+
+/// Streams `windows` through one monitor_drift stream of `model` (one
+/// shard, kBlock), swapping the stream to `swap_to` just before window
+/// `swap_at` is admitted when `swap_to` is set.  A reference DriftMonitor of
+/// `model`, never rebound, observes every delivered (trace, result) in
+/// delivery order the way an external monitor does.  An unmonitored
+/// neighbor stream on the same stage gets the same windows, so batches mix
+/// windows whose features are folded with windows whose features are not.
+void run_monitored(std::shared_ptr<const core::HierarchicalDisassembler> model,
+                   const sim::TraceSet& windows, std::size_t batch_max,
+                   std::size_t workers, StageRef swap_to, std::size_t swap_at,
+                   MonitoredRun& run) {
+  FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = workers;
+  cfg.batch_max = batch_max;
+  cfg.stream_credit = 16;
+  cfg.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(model, cfg);
+  StreamOptions options;
+  options.monitor_drift = true;
+  const auto id = fleet.open_stream(options);
+  const auto neighbor = fleet.open_stream();
+  DriftMonitor reference(model);
+  std::size_t neighbor_delivered = 0;
+  const auto deliver = [&](const FleetResult& r) {
+    if (!r.value.monitor_features.empty()) ++run.carrying_features;
+    reference.observe(windows[r.stream_sequence], r.value);
+    if (auto event = reference.poll_event()) run.reference_events.push_back(*event);
+    ++run.delivered;
+  };
+  const auto deliver_neighbor = [&](const FleetResult& r) {
+    if (!r.value.monitor_features.empty()) ++run.carrying_features;
+    ++neighbor_delivered;
+  };
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    if (swap_to != nullptr && i == swap_at) fleet.swap_stage(id, swap_to);
+    ASSERT_TRUE(fleet.submit(id, windows[i]).accepted());
+    ASSERT_TRUE(fleet.submit(neighbor, windows[i]).accepted());
+    while (auto r = fleet.poll(id)) deliver(*r);
+    while (auto r = fleet.poll(neighbor)) deliver_neighbor(*r);
+    while (auto event = fleet.poll_drift_event(id)) run.fleet_events.push_back(*event);
+  }
+  while (run.delivered < windows.size() || neighbor_delivered < windows.size()) {
+    bool progressed = false;
+    if (auto r = fleet.poll(id)) {
+      deliver(*r);
+      progressed = true;
+    }
+    if (auto r = fleet.poll(neighbor)) {
+      deliver_neighbor(*r);
+      progressed = true;
+    }
+    if (!progressed) std::this_thread::sleep_for(100us);
+  }
+  while (auto event = fleet.poll_drift_event(id)) run.fleet_events.push_back(*event);
+  EXPECT_FALSE(fleet.poll_drift_event(neighbor).has_value());
+  EXPECT_TRUE(fleet.close_stream(id).empty());
+  EXPECT_TRUE(fleet.close_stream(neighbor).empty());
+  run.runtime = fleet.stats().runtime;
+}
+
+/// 80 clean windows, then 160 from a hard-aged acquisition chain: drift
+/// events fire in the second part.
+class FleetDriftFixture : public FleetModelFixture {
+ protected:
+  static const sim::TraceSet& clean_then_drifted() {
+    static const sim::TraceSet windows = [] {
+      sim::TraceSet out = clean_windows(80, 0xc1ea);
+      sim::DeviceModel aged = sim::DeviceModel::make(0);
+      aged.aging_gain_drift = 0.35;
+      const sim::AcquisitionCampaign drifting{aged, sim::SessionContext::make(0)};
+      for (sim::Trace& t : windows_on(drifting, 160, 0xd1f7, 1.0)) {
+        out.push_back(std::move(t));
+      }
+      return out;
+    }();
+    return windows;
+  }
+};
+
+TEST_F(FleetDriftFixture, MonitoredStreamFoldsMatchAReferenceMonitor) {
+  // The stream's monitor folds the walk's own features; an external monitor
+  // re-transforms every delivered window.  Same events, bit for bit, at any
+  // batch width and worker count.
+  const sim::TraceSet& windows = clean_then_drifted();
+  for (const std::size_t batch_max : {std::size_t{1}, std::size_t{16}}) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE("batch_max=" + std::to_string(batch_max) +
+                   " workers=" + std::to_string(workers));
+      MonitoredRun run;
+      run_monitored(model(), windows, batch_max, workers, nullptr, 0, run);
+      ASSERT_EQ(run.delivered, windows.size());
+      EXPECT_FALSE(run.reference_events.empty()) << "no drift event: test proves nothing";
+      expect_same_events(run.fleet_events, run.reference_events);
+      EXPECT_EQ(run.runtime.monitor_folds, windows.size());
+      EXPECT_EQ(run.runtime.monitor_retransforms, 0u);
+      EXPECT_EQ(run.carrying_features, 0u) << "a delivered result kept its features";
+      EXPECT_NE(run.runtime.report().find("monitor_folds=240 monitor_retransforms=0"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST_F(FleetDriftFixture, MonitoredStreamReTransformsAfterASwapToAnotherModel) {
+  // A swap_stage to a recalibrated copy leaves the in-fleet monitor bound to
+  // the original model, like the reference: windows admitted after the swap
+  // come from another model's walk, so their features are not the monitor's
+  // and the monitor transforms those windows itself.
+  const sim::TraceSet& windows = clean_then_drifted();
+  auto copy = std::make_shared<core::HierarchicalDisassembler>([] {
+    std::stringstream ss;
+    model()->save(ss);
+    return core::HierarchicalDisassembler::load(ss);
+  }());
+  copy->recalibrate(sim::TraceSet(windows.end() - 30, windows.end()));
+  const StageRef recalibrated = make_stage(copy, 7);
+  constexpr std::size_t kSwapAt = 120;
+  for (const std::size_t batch_max : {std::size_t{1}, std::size_t{16}}) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE("batch_max=" + std::to_string(batch_max) +
+                   " workers=" + std::to_string(workers));
+      MonitoredRun run;
+      run_monitored(model(), windows, batch_max, workers, recalibrated, kSwapAt, run);
+      ASSERT_EQ(run.delivered, windows.size());
+      EXPECT_FALSE(run.reference_events.empty()) << "no drift event: test proves nothing";
+      expect_same_events(run.fleet_events, run.reference_events);
+      EXPECT_EQ(run.runtime.monitor_folds, kSwapAt);
+      EXPECT_EQ(run.runtime.monitor_retransforms, windows.size() - kSwapAt);
+      EXPECT_EQ(run.carrying_features, 0u) << "a delivered result kept its features";
+      EXPECT_EQ(run.runtime.model_swaps, 1u);
+    }
+  }
+}
+
+TEST_F(FleetDriftFixture, MonitoredStreamOnACustomStageReTransforms) {
+  // A custom stage names no model, so its results carry no features and
+  // every window is re-transformed; the events still match.
+  const sim::TraceSet& windows = clean_then_drifted();
+  const auto m = model();
+  const StageRef custom = std::make_shared<const Stage>(
+      Stage{[m](const sim::Trace& t) { return m->classify(t); }, nullptr, 3});
+  MonitoredRun run;
+  run_monitored(m, windows, 16, 2, custom, 0, run);
+  ASSERT_EQ(run.delivered, windows.size());
+  expect_same_events(run.fleet_events, run.reference_events);
+  EXPECT_EQ(run.runtime.monitor_folds, 0u);
+  EXPECT_EQ(run.runtime.monitor_retransforms, windows.size());
 }
 
 // -- failure and churn --------------------------------------------------------
