@@ -4,7 +4,7 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "runtime/thread_pool.hpp"
+#include "runtime/parallel_for.hpp"
 
 namespace sidis::core {
 

@@ -25,8 +25,8 @@ struct ProfilerConfig {
   /// Skip register profiling entirely (opcode-only disassembler).
   bool profile_registers = true;
   /// Worker threads for the campaign (0 = hardware concurrency, 1 = inline).
-  /// Campaign items are independent captures, so they parallelize over a
-  /// runtime::ThreadPool; each item draws from its own RNG stream derived
+  /// Campaign items are independent captures, so they fan out through
+  /// runtime::parallel_for; each item draws from its own RNG stream derived
   /// from the caller's `rng`, making the corpus bit-identical for a fixed
   /// seed at ANY worker count.
   std::size_t workers = 0;

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "runtime/thread_pool.hpp"
+#include "runtime/parallel_for.hpp"
 #include "sim/hash.hpp"
 
 namespace sidis::core {

@@ -83,27 +83,46 @@ struct Cwt::BankCache {
 
 Cwt::Cwt(CwtConfig config) : config_(config), banks_(std::make_shared<BankCache>()) {
   if (config_.num_scales == 0) throw std::invalid_argument("Cwt: num_scales must be > 0");
-  if (!(config_.min_scale > 0.0) || config_.max_scale < config_.min_scale) {
+  if (config_.num_scales > kMaxKernelTaps) {
+    throw std::invalid_argument("Cwt: num_scales exceeds the kernel tap ceiling");
+  }
+  if (!std::isfinite(config_.min_scale) || !std::isfinite(config_.max_scale) ||
+      !(config_.min_scale > 0.0) || config_.max_scale < config_.min_scale) {
     throw std::invalid_argument("Cwt: invalid scale range");
   }
-  scales_.resize(config_.num_scales);
-  if (config_.num_scales == 1) {
-    scales_[0] = config_.min_scale;
-  } else if (config_.log_spacing) {
-    const double ratio = std::pow(config_.max_scale / config_.min_scale,
-                                  1.0 / static_cast<double>(config_.num_scales - 1));
-    double s = config_.min_scale;
-    for (auto& v : scales_) {
-      v = s;
-      s *= ratio;
-    }
-  } else {
-    const double step = (config_.max_scale - config_.min_scale) /
-                        static_cast<double>(config_.num_scales - 1);
-    for (std::size_t j = 0; j < scales_.size(); ++j) {
-      scales_[j] = config_.min_scale + step * static_cast<double>(j);
-    }
+  if (!std::isfinite(config_.kernel_radius) || !(config_.kernel_radius > 0.0)) {
+    throw std::invalid_argument("Cwt: kernel_radius must be finite and > 0");
   }
+  // The scale progression, run once to size the bank before anything is
+  // allocated and once to record it.
+  const auto each_scale = [&](auto&& f) {
+    if (config_.num_scales == 1) {
+      f(std::size_t{0}, config_.min_scale);
+    } else if (config_.log_spacing) {
+      const double ratio = std::pow(config_.max_scale / config_.min_scale,
+                                    1.0 / static_cast<double>(config_.num_scales - 1));
+      double s = config_.min_scale;
+      for (std::size_t j = 0; j < config_.num_scales; ++j) {
+        f(j, s);
+        s *= ratio;
+      }
+    } else {
+      const double step = (config_.max_scale - config_.min_scale) /
+                          static_cast<double>(config_.num_scales - 1);
+      for (std::size_t j = 0; j < config_.num_scales; ++j) {
+        f(j, config_.min_scale + step * static_cast<double>(j));
+      }
+    }
+  };
+  double taps = 0.0;
+  each_scale([&](std::size_t, double s) {
+    taps += 2.0 * std::ceil(config_.kernel_radius * s) + 1.0;
+  });
+  if (!(taps <= static_cast<double>(kMaxKernelTaps))) {
+    throw std::invalid_argument("Cwt: kernel bank exceeds the kernel tap ceiling");
+  }
+  scales_.resize(config_.num_scales);
+  each_scale([&](std::size_t j, double s) { scales_[j] = s; });
 
   kernels_.resize(scales_.size());
   for (std::size_t j = 0; j < scales_.size(); ++j) {

@@ -98,9 +98,17 @@ class CwtWorkspace {
 /// features::FeaturePipeline::transform_soa_batch) keep their signatures.
 class CwtBatchWorkspace {};
 
+/// Ceiling on a bank's total kernel taps, sum over scales of 2*ceil(r*s)+1.
+/// The default config needs about 7.4k; a corrupt archive's radius or scale
+/// range must not size a multi-GB bank.
+inline constexpr std::size_t kMaxKernelTaps = std::size_t{1} << 24;
+
 /// Precomputed CWT filter bank.
 class Cwt {
  public:
+  /// Throws std::invalid_argument on an empty, non-finite or inverted scale
+  /// range, a non-finite or non-positive kernel_radius, or a bank above
+  /// kMaxKernelTaps (checked before anything is allocated).
   explicit Cwt(CwtConfig config = {});
 
   /// Transforms a trace into its scalogram (num_scales x trace.size()).

@@ -7,7 +7,7 @@
 
 #include "dsp/signal.hpp"
 #include "linalg/lanes.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/parallel_for.hpp"
 #include "sim/acq_config.hpp"
 
 namespace sidis::features {
@@ -44,17 +44,6 @@ sim::TraceSet preprocess(const sim::TraceSet& traces, bool normalize) {
     t.samples = normalize_window(t.samples, t.meta.gain_estimate);
   }
   return out;
-}
-
-/// Runs body(i) for i in [0, n), fanned across `workers` lanes (0 = auto).
-/// Each lane strides the index range, and every body writes only its own
-/// slot, so the result is identical for any worker count.
-template <typename Body>
-void trace_parallel(std::size_t n, std::size_t workers, Body&& body) {
-  const std::size_t lanes = runtime::resolve_workers(workers, n);
-  runtime::parallel_for(lanes, lanes, [&](std::size_t lane) {
-    for (std::size_t i = lane; i < n; i += lanes) body(i);
-  });
 }
 
 }  // namespace
@@ -118,8 +107,8 @@ FeaturePipeline FeaturePipeline::fit(const std::vector<const ClassData*>& classe
   p.cwt_ = dsp::Cwt(config.cwt);
   p.grid_size_ = classes.front()->moments.pooled.mean.data().size();
 
-  // Per-pair DNVP extraction, fanned across the pool into slots laid out in
-  // (a, b) lexicographic order, then unification (Sec. 3.1).
+  // Per-pair DNVP extraction, fanned out by parallel_for into slots laid
+  // out in (a, b) lexicographic order, then unification (Sec. 3.1).
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t a = 0; a < classes.size(); ++a) {
     for (std::size_t b = a + 1; b < classes.size(); ++b) pairs.emplace_back(a, b);
@@ -142,16 +131,16 @@ FeaturePipeline FeaturePipeline::fit(const std::vector<const ClassData*>& classe
     p.points_.resize(config.max_unified_points);  // already KL-ranked
   }
 
-  // Pass 2: extract selected coefficients for every training trace, fanned
-  // across the pool.  Rows land in their trace-order slots and every row is
-  // computed independently, so the fitted scaler/PCA never depend on the
-  // worker count.
+  // Pass 2: extract selected coefficients for every training trace, one
+  // parallel_for index per trace.  Rows land in their trace-order slots and
+  // every row is computed independently, so the fitted scaler/PCA never
+  // depend on the worker count.
   std::vector<const std::vector<double>*> samples;
   for (const ClassData* c : classes) {
     for (const sim::Trace& t : c->preprocessed) samples.push_back(&t.samples);
   }
   std::vector<linalg::Vector> rows(samples.size());
-  trace_parallel(samples.size(), config.workers, [&](std::size_t i) {
+  runtime::parallel_for(samples.size(), config.workers, [&](std::size_t i) {
     rows[i] = extract_features(p.cwt_, *samples[i], p.points_);
   });
   linalg::Matrix x = linalg::Matrix::from_rows(rows);
@@ -208,7 +197,7 @@ FeaturePipeline FeaturePipeline::renormalized(const sim::TraceSet& recal,
   // Selected-point features of the recalibration traces, in the pre-scaler
   // space the original column statistics were fitted in.
   std::vector<linalg::Vector> rows(recal.size());
-  trace_parallel(recal.size(), config_.workers, [&](std::size_t i) {
+  runtime::parallel_for(recal.size(), config_.workers, [&](std::size_t i) {
     const std::vector<double> prep =
         config_.per_trace_normalization
             ? normalize_window(recal[i].samples, recal[i].meta.gain_estimate)
@@ -383,8 +372,8 @@ ml::Dataset FeaturePipeline::transform(const LabeledTraces& input,
     }
   }
   std::vector<linalg::Vector> rows(flat.size());
-  trace_parallel(flat.size(), config_.workers,
-                 [&](std::size_t i) { rows[i] = transform(*flat[i], components); });
+  runtime::parallel_for(flat.size(), config_.workers,
+                        [&](std::size_t i) { rows[i] = transform(*flat[i], components); });
   out.x = linalg::Matrix::from_rows(rows);
   return out;
 }
@@ -394,8 +383,8 @@ ml::Dataset FeaturePipeline::transform(const sim::TraceSet& traces, int label,
   ml::Dataset out;
   out.y.assign(traces.size(), label);
   std::vector<linalg::Vector> rows(traces.size());
-  trace_parallel(traces.size(), config_.workers,
-                 [&](std::size_t i) { rows[i] = transform(traces[i], components); });
+  runtime::parallel_for(traces.size(), config_.workers,
+                        [&](std::size_t i) { rows[i] = transform(traces[i], components); });
   out.x = linalg::Matrix::from_rows(rows);
   return out;
 }

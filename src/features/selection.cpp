@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "runtime/thread_pool.hpp"
+#include "runtime/parallel_for.hpp"
 
 namespace sidis::features {
 
@@ -67,11 +67,12 @@ ClassMoments compute_class_moments(const dsp::Cwt& cwt, const sim::TraceSet& tra
   std::vector<MomentAccumulator> per_program;
   std::vector<int> ids;
 
-  // Scalograms are computed in fixed-size windows fanned across the pool
-  // (each lane strides the window with its own workspace), then accumulated
-  // sequentially in trace order.  The summation order therefore never depends
-  // on the worker count, so the moments are bit-identical at 1 and N workers;
-  // the window also caps peak memory at kWindow scalograms.
+  // Scalograms are computed in fixed-size windows, one parallel_for index
+  // per lane (each lane strides the window with its own CWT workspace),
+  // then accumulated sequentially in trace order.  The summation order
+  // therefore never depends on the worker count, so the moments are
+  // bit-identical at 1 and N workers; the window also caps peak memory at
+  // kWindow scalograms.
   constexpr std::size_t kWindow = 64;
   const std::size_t lanes =
       runtime::resolve_workers(workers, std::min(kWindow, traces.size()));

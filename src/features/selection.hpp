@@ -33,9 +33,9 @@ struct ClassMoments {
 
 /// One pass of CWTs over a trace set, accumulating moments only (memory stays
 /// O(programs x grid + workers x window) regardless of trace count).
-/// `workers` fans the scalogram computation across a thread pool (0 = all
-/// hardware threads); the moment reduction always runs in trace order, so the
-/// result is bit-identical for every worker count.
+/// `workers` fans the scalogram computation out through runtime::parallel_for
+/// (0 = all hardware threads); the moment reduction always runs in trace
+/// order, so the result is bit-identical for every worker count.
 ClassMoments compute_class_moments(const dsp::Cwt& cwt, const sim::TraceSet& traces,
                                    double min_var = 1e-12, std::size_t workers = 1);
 

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "core/fusion.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/parallel_for.hpp"
 
 namespace sidis::runtime {
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <random>
 
@@ -184,6 +185,39 @@ TEST(Cwt, ConfigValidation) {
   bad.min_scale = 10.0;
   bad.max_scale = 2.0;
   EXPECT_THROW(Cwt{bad}, std::invalid_argument);
+  // Non-finite or non-positive fields are refused, not turned into kernels.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double radius : {nan, kInf, 0.0, -1.0}) {
+    bad = {};
+    bad.kernel_radius = radius;
+    EXPECT_THROW(Cwt{bad}, std::invalid_argument) << "kernel_radius=" << radius;
+  }
+  for (const double scale : {nan, kInf}) {
+    bad = {};
+    bad.max_scale = scale;
+    EXPECT_THROW(Cwt{bad}, std::invalid_argument) << "max_scale=" << scale;
+    bad = {};
+    bad.min_scale = scale;
+    EXPECT_THROW(Cwt{bad}, std::invalid_argument) << "min_scale=" << scale;
+  }
+  // A bank above the tap ceiling is refused before it is allocated.
+  for (const double radius : {1e7, 1e300}) {
+    bad = {};
+    bad.kernel_radius = radius;
+    EXPECT_THROW(Cwt{bad}, std::invalid_argument) << "kernel_radius=" << radius;
+  }
+  bad = {};
+  bad.num_scales = kMaxKernelTaps + 1;
+  EXPECT_THROW(Cwt{bad}, std::invalid_argument);
+  bad = {};
+  bad.num_scales = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(Cwt{bad}, std::invalid_argument);
+  bad = {};
+  bad.num_scales = kMaxKernelTaps / 2;  // under the count ceiling, over the taps
+  EXPECT_THROW(Cwt{bad}, std::invalid_argument);
+  // The default bank is far under the ceiling.
+  EXPECT_NO_THROW(Cwt{CwtConfig{}});
 }
 
 TEST(Cwt, OutputShapeMatchesConfig) {

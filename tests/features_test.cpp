@@ -219,6 +219,8 @@ TEST_F(PipelineFixture, FitAndTransformAreWorkerCountInvariant) {
   cfg_.workers = 1;
   const auto seq = FeaturePipeline::fit({{0, 1}, {&a_train_, &b_train_}}, cfg_);
   const ml::Dataset seq_ds = seq.transform({{0, 1}, {&a_test_, &b_test_}});
+  sim::TraceSet recal = a_test_;
+  recal.insert(recal.end(), b_test_.begin(), b_test_.end());
   for (const std::size_t workers : {std::size_t{3}, std::size_t{8}}) {
     cfg_.workers = workers;
     const auto par = FeaturePipeline::fit({{0, 1}, {&a_train_, &b_train_}}, cfg_);
@@ -237,6 +239,16 @@ TEST_F(PipelineFixture, FitAndTransformAreWorkerCountInvariant) {
       ASSERT_EQ(par_ds.x.data()[i], seq_ds.x.data()[i]) << "workers=" << workers;
     }
     EXPECT_EQ(par_ds.y, seq_ds.y);
+    // ...and a bit-identical recalibrated scaler (its rows are extracted
+    // across the workers, then summed in trace order).
+    for (const bool rescale : {false, true}) {
+      const FeaturePipeline seq_re = seq.renormalized(recal, rescale);
+      const FeaturePipeline par_re = par.renormalized(recal, rescale);
+      EXPECT_EQ(par_re.scaler().mean(), seq_re.scaler().mean())
+          << "workers=" << workers << " rescale=" << rescale;
+      EXPECT_EQ(par_re.scaler().stddev(), seq_re.scaler().stddev())
+          << "workers=" << workers << " rescale=" << rescale;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
-// Tests for the runtime's building blocks: queue backpressure, the worker
-// pool, served output equal to serial disassembly, the model registry's
-// round-trip and corruption rejection, and worker-count invariance of the
-// parallel profiler.  The serving contracts themselves live in fleet_test.
+// Tests for the runtime's building blocks: the parallel_for contract, served
+// output equal to serial disassembly, the model registry's round-trip and
+// corruption rejection, and worker-count invariance of the parallel
+// profiler.  The serving contracts themselves live in fleet_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,10 +14,9 @@
 #include "core/csa.hpp"
 #include "core/disassembler.hpp"
 #include "core/profiler.hpp"
-#include "runtime/bounded_queue.hpp"
 #include "runtime/fleet.hpp"
+#include "runtime/parallel_for.hpp"
 #include "runtime/registry.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/acquisition.hpp"
 
 namespace sidis::runtime {
@@ -25,69 +24,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// -- BoundedQueue ------------------------------------------------------------
-
-TEST(BoundedQueue, FifoAndHighWater) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  EXPECT_EQ(q.size(), 5u);
-  EXPECT_EQ(q.high_water(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop(), i);
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.high_water(), 5u);  // sticky
-}
-
-TEST(BoundedQueue, BackpressureBlocksProducerAtCapacity) {
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.push(0));
-  ASSERT_TRUE(q.push(1));
-  EXPECT_FALSE(q.try_push(2));  // full
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.push(2);  // must block until a pop makes room
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(50ms);
-  EXPECT_FALSE(pushed.load()) << "push() returned while the queue was full";
-  EXPECT_EQ(q.pop(), 0);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(BoundedQueue, CloseDrainsThenSignalsEnd) {
-  BoundedQueue<int> q(4);
-  q.push(7);
-  q.push(8);
-  q.close();
-  EXPECT_FALSE(q.push(9));          // rejected after close
-  EXPECT_EQ(q.pop(), 7);            // backlog still poppable
-  EXPECT_EQ(q.pop(), 8);
-  EXPECT_EQ(q.pop(), std::nullopt);  // closed + empty
-}
-
-TEST(BoundedQueue, CloseWakesBlockedConsumer) {
-  BoundedQueue<int> q(2);
-  std::thread consumer([&] { EXPECT_EQ(q.pop(), std::nullopt); });
-  std::this_thread::sleep_for(20ms);
-  q.close();
-  consumer.join();
-}
-
-// -- ThreadPool --------------------------------------------------------------
-
-TEST(ThreadPool, RunsAllSubmittedJobs) {
-  std::atomic<int> sum{0};
-  {
-    ThreadPool pool(3, 4);
-    for (int i = 1; i <= 100; ++i) {
-      EXPECT_TRUE(pool.submit([&sum, i] { sum += i; }));
-    }
-  }  // destructor = shutdown barrier
-  EXPECT_EQ(sum.load(), 5050);
-}
+// -- parallel_for ------------------------------------------------------------
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(257);
@@ -96,11 +33,27 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
-  EXPECT_THROW(parallel_for(16, 3,
-                            [](std::size_t i) {
-                              if (i == 7) throw std::runtime_error("boom");
-                            }),
-               std::runtime_error);
+  // A throwing index still leaves every other index run exactly once, and
+  // the throw reaches the caller after the join, at every worker count.
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    std::vector<std::atomic<int>> hits(16);
+    EXPECT_THROW(parallel_for(hits.size(), workers,
+                              [&](std::size_t i) {
+                                ++hits[i];
+                                if (i == 7) throw std::runtime_error("boom");
+                              }),
+                 std::runtime_error)
+        << "workers=" << workers;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " index " << i;
+    }
+  }
+  // An empty range runs nothing and throws nothing.
+  EXPECT_NO_THROW(parallel_for(0, 4, [](std::size_t) { throw std::runtime_error("ran"); }));
+  // workers = 0 resolves to the hardware concurrency and covers every index.
+  std::vector<std::atomic<int>> hits(100);
+  parallel_for(hits.size(), 0, [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // -- end-to-end against the real model --------------------------------------

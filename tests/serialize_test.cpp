@@ -1,9 +1,11 @@
 // Round-trip tests for template persistence (core/serialize.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/csa.hpp"
 #include "core/serialize.hpp"
@@ -50,6 +52,22 @@ TEST(Serialize, CorruptArchivesThrow) {
       "pipeline pipeline_config 0 50 0x1p+1 0x1p+6 1 0x1p+2 0x1p-8 5 1 1 1 64 1 "
       "grid 15750 points 1000000000000 1 2 0x1p+0");
   EXPECT_THROW(load_pipeline(huge_points), std::runtime_error);
+  // A whole saved pipeline whose CWT kernel_radius reads nan: the bank it
+  // sizes is refused when the pipeline is rebuilt.
+  const features::FeaturePipeline pipeline = features::FeaturePipeline::from_parts(
+      {}, {{1, 2, 1.0}}, {},
+      stats::Pca::from_parts({0.0}, {1.0}, linalg::Matrix(1, 1, 1.0), 1.0), 15750);
+  std::stringstream saved;
+  save_pipeline(saved, pipeline);
+  std::vector<std::string> fields;
+  for (std::string f; saved >> f;) fields.push_back(f);
+  const auto config = std::find(fields.begin(), fields.end(), "pipeline_config");
+  ASSERT_NE(config, fields.end());
+  // pipeline_config family num_scales min_scale max_scale log_spacing kernel_radius
+  config[6] = "nan";
+  std::stringstream nan_radius;
+  for (const std::string& f : fields) nan_radius << f << ' ';
+  EXPECT_THROW(load_pipeline(nan_radius), std::invalid_argument);
 }
 
 TEST(Serialize, QdaRoundTripPredictsIdentically) {
