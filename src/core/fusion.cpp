@@ -416,12 +416,12 @@ Disassembly FusedDisassembler::classify_scored(const sim::Trace& paired) const {
 }
 
 std::vector<Disassembly> FusedDisassembler::classify_batch(
-    const sim::TraceSet& traces) const {
+    std::span<const sim::Trace> traces) const {
   return classify_paired(traces, /*scored=*/false);
 }
 
 std::vector<Disassembly> FusedDisassembler::classify_batch_scored(
-    const sim::TraceSet& traces) const {
+    std::span<const sim::Trace> traces) const {
   return classify_paired(traces, /*scored=*/true);
 }
 

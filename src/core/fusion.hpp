@@ -113,8 +113,8 @@ class FusedDisassembler {
   /// per-window fusion math is fuse_window.  Degenerate single-channel
   /// weights delegate to that channel's classify_batch (preserving the
   /// plain-path bit-identity guarantee).
-  std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const;
-  std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const;
+  std::vector<Disassembly> classify_batch(std::span<const sim::Trace> traces) const;
+  std::vector<Disassembly> classify_batch_scored(std::span<const sim::Trace> traces) const;
 
   /// Rebinds one channel to a maintained model (renormalized / refit by the
   /// RecalibrationScheduler) while the other keeps serving.  The replacement

@@ -657,14 +657,14 @@ Disassembly HierarchicalDisassembler::classify_scored(const sim::Trace& trace) c
 }
 
 std::vector<Disassembly> HierarchicalDisassembler::classify_batch(
-    const sim::TraceSet& traces) const {
+    std::span<const sim::Trace> traces) const {
   std::vector<Disassembly> out(traces.size());
   classify_walk(traces, out, /*scored=*/false);
   return out;
 }
 
 std::vector<Disassembly> HierarchicalDisassembler::classify_batch_scored(
-    const sim::TraceSet& traces) const {
+    std::span<const sim::Trace> traces) const {
   std::vector<Disassembly> out(traces.size());
   classify_walk(traces, out, /*scored=*/true);
   return out;

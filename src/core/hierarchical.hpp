@@ -197,7 +197,7 @@ class HierarchicalDisassembler {
   /// scalar kernels (a one-lane SoA pass is marshalling overhead).
   /// classify() is this walk on a batch of one.  Thread-safe like
   /// classify().
-  std::vector<Disassembly> classify_batch(const sim::TraceSet& traces) const;
+  std::vector<Disassembly> classify_batch(std::span<const sim::Trace> traces) const;
 
   /// classify() plus the full per-class log-posterior (see
   /// Disassembly::log_posterior).  Labels, operands, verdicts and headrooms
@@ -215,7 +215,7 @@ class HierarchicalDisassembler {
   /// classify_scored(traces[i]) including the posterior.  Every level-2
   /// model scores every window here, so the shared gather covers levels 1
   /// and 2 together.  Thread-safe like classify().
-  std::vector<Disassembly> classify_batch_scored(const sim::TraceSet& traces) const;
+  std::vector<Disassembly> classify_batch_scored(std::span<const sim::Trace> traces) const;
 
   /// classify_batch(), or classify_batch_scored() when `scored`, that also
   /// keeps every window's Disassembly::monitor_features: the monitor level

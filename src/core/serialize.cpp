@@ -29,6 +29,18 @@ constexpr int kOldestSupported = 5;
   throw std::runtime_error("template archive corrupt: " + what);
 }
 
+/// Runs `rebuild`, a step that assembles loaded parts through their own
+/// validating constructors, and reports a part they refuse
+/// (std::invalid_argument) as the archive fault it is.
+template <class Rebuild>
+auto rebuilt(Rebuild&& rebuild) -> decltype(rebuild()) {
+  try {
+    return rebuild();
+  } catch (const std::invalid_argument& e) {
+    corrupt(e.what());
+  }
+}
+
 void expect_tag(std::istream& is, const std::string& tag) {
   std::string got;
   if (!(is >> got) || got != tag) corrupt("expected '" + tag + "', got '" + got + "'");
@@ -187,12 +199,14 @@ features::FeaturePipeline load_pipeline(std::istream& is) {
   linalg::Matrix comp = read_matrix(is);
   const double total = read_double(is);
 
-  stats::ColumnScaler scaler;
-  if (!sm.empty()) scaler = stats::ColumnScaler::from_parts(std::move(sm), std::move(ss));
-  return features::FeaturePipeline::from_parts(
-      cfg, std::move(points), std::move(scaler),
-      stats::Pca::from_parts(std::move(mean), std::move(eig), std::move(comp), total),
-      grid);
+  return rebuilt([&] {
+    stats::ColumnScaler scaler;
+    if (!sm.empty()) scaler = stats::ColumnScaler::from_parts(std::move(sm), std::move(ss));
+    return features::FeaturePipeline::from_parts(
+        cfg, std::move(points), std::move(scaler),
+        stats::Pca::from_parts(std::move(mean), std::move(eig), std::move(comp), total),
+        grid);
+  });
 }
 
 void save_qda(std::ostream& os, const ml::Qda& qda) {
@@ -218,10 +232,13 @@ ml::Qda load_qda(std::istream& is) {
     priors.push_back(read_double(is));
     linalg::Vector mean = read_vector(is);
     linalg::Matrix cov = read_matrix(is);
-    models.push_back(
-        stats::MultivariateGaussian::from_moments(std::move(mean), std::move(cov), 0.0));
+    models.push_back(rebuilt([&] {
+      return stats::MultivariateGaussian::from_moments(std::move(mean), std::move(cov), 0.0);
+    }));
   }
-  return ml::Qda::from_parts(std::move(labels), std::move(models), std::move(priors));
+  return rebuilt([&] {
+    return ml::Qda::from_parts(std::move(labels), std::move(models), std::move(priors));
+  });
 }
 
 namespace {
@@ -322,7 +339,9 @@ FusedDisassembler load_fused_disassembler(std::istream& is) {
     em = std::make_shared<const HierarchicalDisassembler>(
         HierarchicalDisassembler::load(is));
   }
-  FusedDisassembler fused(std::move(power), std::move(em), group, instruction);
+  FusedDisassembler fused = rebuilt([&] {
+    return FusedDisassembler(std::move(power), std::move(em), group, instruction);
+  });
   expect_tag(is, "group_head");
   if (read_size(is) != 0) {
     fused.group_head_ = std::make_unique<ml::Qda>(load_qda(is));
@@ -428,8 +447,10 @@ HierarchicalDisassembler HierarchicalDisassembler::load(std::istream& is) {
   d.reject_point_ = static_cast<RejectOperatingPoint>(point);
   // Archives carry QDA levels, whose label lists recover the posterior
   // support exactly; no format change needed for classify_scored.
-  d.finalize_posterior_support();
-  d.build_plan();
+  rebuilt([&] {
+    d.finalize_posterior_support();
+    d.build_plan();
+  });
   return d;
 }
 

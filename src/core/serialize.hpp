@@ -38,7 +38,8 @@ void save_disassembler(std::ostream& os, const HierarchicalDisassembler& model);
 /// Loads a single-channel archive.  Throws std::runtime_error when the
 /// archive holds a fused model (use load_fused_disassembler).  The loaders
 /// read the current format version only and throw std::runtime_error on any
-/// other version, a truncated archive, or a field they cannot parse.
+/// other version, a truncated archive, a field they cannot parse, or parts
+/// the rebuilt model refuses (inconsistent shapes, an unusable CWT config).
 HierarchicalDisassembler load_disassembler(std::istream& is);
 
 /// Serializes a fused power+EM model: the per-level fusion selections,

@@ -35,22 +35,16 @@ std::string to_string(AdmissionPolicy policy) {
 FleetFrontend::FleetFrontend(
     std::shared_ptr<const core::HierarchicalDisassembler> default_model,
     FleetConfig config, const ModelRegistry* registry)
-    : config_(config), default_model_(std::move(default_model)) {
-  if (default_model_ == nullptr) {
-    throw std::invalid_argument("FleetFrontend: null default model");
-  }
-  default_stage_ = make_stage(default_model_, 0);
-  if (registry != nullptr) view_ = std::make_unique<RegistryView>(*registry);
-  init_shards();
-}
+    : FleetFrontend(make_stage(std::move(default_model)), config, registry) {}
 
 FleetFrontend::FleetFrontend(StageRef default_stage, FleetConfig config,
                              const ModelRegistry* registry)
-    : config_(config), default_stage_(std::move(default_stage)) {
-  if (default_stage_ == nullptr || !default_stage_->fn) {
+    : config_(config), registry_(registry) {
+  if (default_stage == nullptr || !default_stage->classify) {
     throw std::invalid_argument("FleetFrontend: null default stage");
   }
-  if (registry != nullptr) view_ = std::make_unique<RegistryView>(*registry);
+  models_.emplace(std::make_pair(std::string(), 0),
+                  CachedModel{std::move(default_stage), nullptr});
   init_shards();
 }
 
@@ -73,61 +67,61 @@ void FleetFrontend::init_shards() {
   }
 }
 
-StageRef FleetFrontend::stage_for(const ResolvedModel& resolved, bool scored) {
-  std::lock_guard lock(stage_cache_mutex_);
-  const auto key = std::make_tuple(resolved.name, resolved.version, scored);
-  const auto it = stage_cache_.find(key);
-  if (it != stage_cache_.end()) return it->second;
-  // One StageRef per artifact fleet-wide: stage identity is what lets the
-  // dispatcher coalesce windows of different streams into one batch.  The
-  // scored twin is a distinct stage (decode streams batch with decode
-  // streams of the same artifact, never with plain ones -- emissions must be
-  // all-or-nothing per batch).
-  auto stage = make_stage(resolved.model, resolved.checksum, scored);
-  stage_cache_.emplace(key, stage);
-  return stage;
-}
-
-StageRef FleetFrontend::default_scored_stage() {
-  std::lock_guard lock(stage_cache_mutex_);
-  if (default_scored_stage_ == nullptr) {
-    default_scored_stage_ = make_stage(default_model_, 0, /*scored=*/true);
+StageRef FleetFrontend::resolve_stage(const StreamOptions& options) {
+  const std::string& name = options.model_name;
+  if (!name.empty() && registry_ == nullptr) {
+    throw std::invalid_argument("FleetFrontend: stream requests model '" + name +
+                                "' but the fleet has no registry");
   }
-  return default_scored_stage_;
+  int version = name.empty() ? 0 : options.model_version;
+  std::lock_guard lock(models_mutex_);
+  if (!name.empty() && version == 0) {
+    // Pin "latest" on first resolution; later saves do not retarget it.
+    const auto pinned = latest_.find(name);
+    if (pinned != latest_.end()) {
+      version = pinned->second;
+    } else {
+      version = registry_->latest_version(name);
+      if (version == 0) {
+        throw std::runtime_error("FleetFrontend: no versions of bundle '" + name + "'");
+      }
+      latest_.emplace(name, version);
+    }
+  }
+  auto it = models_.find({name, version});
+  if (it == models_.end()) {
+    // info() checksums the payload before we pay for deserialization, and
+    // its checksum is the stamp every stream serving this artifact reports.
+    const std::uint64_t checksum = registry_->info(name, version).checksum;
+    auto model = std::make_shared<const core::HierarchicalDisassembler>(
+        registry_->load(name, version));
+    it = models_.emplace(std::make_pair(name, version),
+                         CachedModel{make_stage(std::move(model), checksum), nullptr})
+             .first;
+  }
+  CachedModel& cached = it->second;
+  if (!options.decode_sequence) return cached.plain;
+  if (cached.plain->model == nullptr) {
+    throw std::invalid_argument(
+        "FleetFrontend: decode_sequence requires a model-backed stream "
+        "(the lattice needs the model's posterior support and emissions)");
+  }
+  if (cached.scored == nullptr) {
+    cached.scored = make_stage(cached.plain->model, cached.plain->stamp, /*scored=*/true);
+  }
+  return cached.scored;
 }
 
 FleetFrontend::StreamId FleetFrontend::open_stream(StreamOptions options) {
-  StageRef stage;
-  std::shared_ptr<const core::HierarchicalDisassembler> model;
-  if (!options.model_name.empty()) {
-    if (view_ == nullptr) {
-      throw std::invalid_argument(
-          "FleetFrontend: stream requests model '" + options.model_name +
-          "' but the fleet has no registry");
-    }
-    const ResolvedModel resolved =
-        view_->resolve(options.model_name, options.model_version);
-    model = resolved.model;
-    stage = stage_for(resolved, options.decode_sequence);
-  } else if (options.decode_sequence) {
-    if (default_model_ == nullptr) {
-      throw std::invalid_argument(
-          "FleetFrontend: decode_sequence requires a model-backed stream "
-          "(the lattice needs the model's posterior support and emissions)");
-    }
-    stage = default_scored_stage();
-    model = default_model_;
-  } else {
-    stage = default_stage_;
-    model = default_model_;
-  }
+  StageRef stage = resolve_stage(options);
+  const std::shared_ptr<const core::HierarchicalDisassembler>& model = stage->model;
 
   std::unique_ptr<DriftMonitor> monitor;
   if (options.monitor_drift) {
     if (model == nullptr) {
       throw std::invalid_argument(
           "FleetFrontend: monitor_drift requires a model-backed stream "
-          "(stage-backed fleets can only monitor registry-resolved streams)");
+          "(fused and custom stages name no model to project features through)");
     }
     monitor = std::make_unique<DriftMonitor>(model, options.drift);
   }
@@ -408,8 +402,8 @@ std::vector<FleetResult> FleetFrontend::close_stream(StreamId stream) {
 }
 
 void FleetFrontend::swap_stage(StreamId stream, StageRef stage) {
-  if (stage == nullptr || !stage->fn) {
-    throw std::invalid_argument("FleetFrontend: null or scalar-less stage");
+  if (stage == nullptr || !stage->classify) {
+    throw std::invalid_argument("FleetFrontend: null stage or no classify function");
   }
   Shard& shard = shard_of(stream);
   std::lock_guard lock(shard.mutex);
@@ -451,7 +445,10 @@ FleetStats FleetFrontend::stats() const {
   }
   out.windows_shed = out.runtime.windows_shed;
   out.windows_rejected = out.runtime.windows_rejected;
-  if (view_ != nullptr) out.models_cached = view_->models_cached();
+  {
+    std::lock_guard lock(models_mutex_);
+    out.models_cached = models_.size() - 1;  // the default stage is no artifact
+  }
   return out;
 }
 

@@ -95,12 +95,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "runtime/drift.hpp"
 #include "runtime/job_runner.hpp"
-#include "runtime/registry_view.hpp"
+#include "runtime/registry.hpp"
 #include "sim/acq_config.hpp"
 
 namespace sidis::runtime {
@@ -136,7 +136,10 @@ struct StreamOptions {
   /// Registry bundle to serve ("" = the fleet's default model).  Requires
   /// the fleet to have been built with a registry.
   std::string model_name;
-  /// Bundle version (0 = latest at first resolution, see RegistryView).
+  /// Bundle version (0 = the bundle's latest version when the fleet first
+  /// resolves it; later saves do not move that pin, so a fleet never flips
+  /// the model under a "latest" stream -- roll out by opening new streams or
+  /// through swap_stage).
   int model_version = 0;
   /// Arm a per-stream DriftMonitor (needs a model with training moments).
   bool monitor_drift = false;
@@ -200,7 +203,7 @@ struct FleetStats {
   std::uint64_t windows_shed = 0;
   std::uint64_t windows_rejected = 0;
   std::uint64_t drift_events = 0;
-  std::size_t models_cached = 0;  ///< distinct artifacts in the registry view
+  std::size_t models_cached = 0;  ///< distinct registry artifacts loaded
   /// Every shard's runtime record summed: dispatch, classify, decode and
   /// admission counters (windows_shed / windows_rejected above are read
   /// from it).
@@ -215,14 +218,15 @@ class FleetFrontend {
  public:
   using StreamId = std::uint64_t;
 
-  /// Model-backed fleet: `default_model` serves streams opened without a
-  /// model_name.  `registry`, when non-null, must outlive the frontend and
-  /// enables per-stream model resolution by name/version.
+  /// Model-backed fleet: the stage-backed fleet of make_stage(default_model).
   FleetFrontend(std::shared_ptr<const core::HierarchicalDisassembler> default_model,
                 FleetConfig config = {}, const ModelRegistry* registry = nullptr);
-  /// Stage-backed fleet (tests, alternative backends): streams opened
-  /// without a model_name run `default_stage`; monitor_drift requires a
-  /// model-backed stream, so it only works with a registry here.
+  /// Streams opened without a model_name run `default_stage`.  `registry`,
+  /// when non-null, must outlive the frontend and enables per-stream model
+  /// resolution by name/version.  monitor_drift and decode_sequence need a
+  /// model-backed stream (Stage::model non-null): a default stage built by
+  /// make_stage(model), or any registry-resolved one; fused and custom
+  /// default stages serve plain streams only.
   FleetFrontend(StageRef default_stage, FleetConfig config = {},
                 const ModelRegistry* registry = nullptr);
 
@@ -270,7 +274,8 @@ class FleetFrontend {
   /// under, so every result names (FleetResult::model_stamp) the one model
   /// that produced it.  The stream's drift monitor is left as it is.
   /// Counted in RuntimeStats::model_swaps; no effect on an unknown stream.
-  /// Throws std::invalid_argument on a null or scalar-less stage.
+  /// Throws std::invalid_argument on a null stage or one without a classify
+  /// function.
   void swap_stage(StreamId stream, StageRef stage);
 
   /// Telemetry of one stream (zeros for unknown streams).
@@ -350,22 +355,28 @@ class FleetFrontend {
   /// Hands one ready result to the caller, closing its ledger entry.
   /// Caller holds the shard mutex.
   static FleetResult deliver_locked(Shard& shard, StreamState& s, Ready ready);
-  /// Per-(bundle, version, scored) stage cache so streams serving the same
-  /// artifact share one StageRef -- stage identity is what lets the
-  /// dispatcher batch them together.  `scored` selects the posterior-scoring
-  /// entry points (decode_sequence streams).
-  StageRef stage_for(const ResolvedModel& resolved, bool scored);
-  /// Scored twin of the fleet's default stage, built lazily (model-backed
-  /// fleets only).
-  StageRef default_scored_stage();
+  /// The stage a new stream with `options` serves, from the one model
+  /// cache: loads a registry artifact on its first use and builds an
+  /// artifact's scored stage on its first decode_sequence stream.
+  StageRef resolve_stage(const StreamOptions& options);
+
+  /// One artifact's stages.  Streams of one artifact share them -- stage
+  /// identity is what lets the dispatcher batch their windows together --
+  /// and the scored twin (decode_sequence streams) is a distinct stage, so
+  /// plain and scored windows never share a batch.
+  struct CachedModel {
+    StageRef plain;
+    StageRef scored;  ///< built at the artifact's first decode_sequence stream
+  };
 
   FleetConfig config_;
-  std::shared_ptr<const core::HierarchicalDisassembler> default_model_;
-  StageRef default_stage_;
-  std::unique_ptr<RegistryView> view_;  ///< null without a registry
-  std::mutex stage_cache_mutex_;
-  std::map<std::tuple<std::string, int, bool>, StageRef> stage_cache_;
-  StageRef default_scored_stage_;  ///< lazy, under cache mutex
+  const ModelRegistry* registry_;  ///< null: only the default stage serves
+  mutable std::mutex models_mutex_;
+  /// (bundle, concrete version) -> stages; the fleet's default stage is the
+  /// ("", 0) entry.  Stamps are the artifacts' checksums.
+  std::map<std::pair<std::string, int>, CachedModel> models_;
+  /// Bundle -> the version "latest" (0) resolved to at its first use.
+  std::map<std::string, int> latest_;
   std::atomic<StreamId> next_stream_id_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 };

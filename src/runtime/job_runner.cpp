@@ -23,10 +23,7 @@ StageRef make_stage(std::shared_ptr<const core::HierarchicalDisassembler> model,
                     std::uint64_t stamp, bool scored) {
   if (model == nullptr) throw std::invalid_argument("make_stage: null model");
   return std::make_shared<const Stage>(Stage{
-      [model, scored](const sim::Trace& t) {
-        return std::move(model->classify_monitored({&t, 1}, scored).front());
-      },
-      [model, scored](const sim::TraceSet& ts) {
+      [model, scored](std::span<const sim::Trace> ts) {
         return model->classify_monitored(ts, scored);
       },
       stamp, model});
@@ -36,10 +33,7 @@ StageRef make_stage(std::shared_ptr<const core::FusedDisassembler> model,
                     std::uint64_t stamp, bool scored) {
   if (model == nullptr) throw std::invalid_argument("make_stage: null model");
   return std::make_shared<const Stage>(Stage{
-      [model, scored](const sim::Trace& t) {
-        return scored ? model->classify_scored(t) : model->classify(t);
-      },
-      [model, scored](const sim::TraceSet& ts) {
+      [model, scored](std::span<const sim::Trace> ts) {
         return scored ? model->classify_batch_scored(ts) : model->classify_batch(ts);
       },
       stamp, nullptr});
@@ -87,31 +81,18 @@ void JobRunner::work() {
     const Clock::time_point picked_up = Clock::now();
     lock.unlock();
 
-    // The only place a stage runs.  A serving layer must not lose a worker
-    // (its shard would wait forever), so on any throw the window gets a
-    // default-constructed placeholder and counts as failed.
+    // The only place a stage runs: one call per job.  A serving layer must
+    // not lose a worker (its shard would wait forever), so on any throw
+    // every window of the job gets a default-constructed placeholder and
+    // counts as failed.
     const std::size_t n = job.traces.size();
-    const Stage& stage = *job.stage;
-    std::vector<unsigned char> failed(n, 0);
-    const bool batched = n > 1 && stage.batch != nullptr;
-    if (batched) {
-      try {
-        job.results = stage.batch(job.traces);
-        if (job.results.size() != n) throw std::runtime_error("batch size mismatch");
-      } catch (...) {
-        job.results.assign(n, core::Disassembly{});
-        failed.assign(n, 1);
-      }
-    } else {
-      job.results.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        try {
-          job.results.push_back(stage.fn(job.traces[i]));
-        } catch (...) {
-          job.results.emplace_back();
-          failed[i] = 1;
-        }
-      }
+    bool failed = false;
+    try {
+      job.results = job.stage->classify(job.traces);
+      if (job.results.size() != n) throw std::runtime_error("stage result count mismatch");
+    } catch (...) {
+      job.results.assign(n, core::Disassembly{});
+      failed = true;
     }
     // Features no monitor reads are freed here, by the thread that
     // allocated them: freed on the polling thread instead, they cost it
@@ -125,10 +106,11 @@ void JobRunner::work() {
     // Batch cost is amortized: each window is charged 1/n of the pass, so
     // the classify histogram reports effective per-window service time and
     // single vs batched passes share one record.  The batch-vs-scalar split
-    // and the realized lanes per batched pass are the amortization telemetry.
+    // (by job size) and the realized lanes per batched pass are the
+    // amortization telemetry.
     const std::uint64_t pass_nanos = elapsed_nanos(picked_up, finished);
     const std::uint64_t waited = elapsed_nanos(job.dispatched_at, picked_up);
-    if (batched) {
+    if (n > 1) {
       stats_.windows_per_batch.record(n);
       stats_.batch_classify_nanos += pass_nanos;
       stats_.batch_classified_windows += n;
@@ -139,7 +121,7 @@ void JobRunner::work() {
     for (std::size_t i = 0; i < n; ++i) {
       stats_.queue_wait.record(waited);
       stats_.classify.record(pass_nanos / n);
-      if (failed[i] != 0) {
+      if (failed) {
         ++stats_.traces_failed;
       } else if (job.results[i].verdict == core::Verdict::kRejected) {
         ++stats_.traces_rejected;

@@ -29,6 +29,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -44,20 +45,13 @@ class FusedDisassembler;
 
 namespace sidis::runtime {
 
-/// Classification stage entry points.  The scalar one classifies a window;
-/// the batched one classifies N windows in one call and returns exactly N
-/// results in input order (core::HierarchicalDisassembler::classify_batch
-/// shares one CWT gather across the windows this way).
-using ClassifyFn = std::function<core::Disassembly(const sim::Trace&)>;
-using BatchClassifyFn =
-    std::function<std::vector<core::Disassembly>(const sim::TraceSet&)>;
-
 /// A classification stage and its identity stamp, published and pinned as
-/// one unit.  `fn` is required; `batch`, when absent, falls back to looping
-/// `fn` per window.
+/// one unit.  `classify` takes one job's windows and returns exactly one
+/// result per window, in input order (core::HierarchicalDisassembler's batch
+/// forms share one CWT gather across the windows this way); a job of one
+/// window is a span of one.
 struct Stage {
-  ClassifyFn fn;
-  BatchClassifyFn batch;
+  std::function<std::vector<core::Disassembly>(std::span<const sim::Trace>)> classify;
   std::uint64_t stamp = 0;
   /// The model whose classify walk produces the results, which then carry
   /// its Disassembly::monitor_features; null for fused and custom stages.
@@ -67,12 +61,12 @@ struct Stage {
 /// the streams serving them and every job pinned to them.
 using StageRef = std::shared_ptr<const Stage>;
 
-/// Model-backed stage: classify_monitored closures, scored when `scored` so
+/// Model-backed stage: a classify_monitored closure, scored when `scored` so
 /// every result carries the per-class log-posterior a SequenceDecoder
 /// needs, and every result carries its monitor-space features for a drift
 /// monitor of the same model (a fleet folds them into a monitored stream's
 /// monitor and drops them before delivery).
-/// The stage records the model, and the closures co-own it, so it lives as
+/// The stage records the model, and the closure co-owns it, so it lives as
 /// long as any job can run it.
 StageRef make_stage(std::shared_ptr<const core::HierarchicalDisassembler> model,
                     std::uint64_t stamp = 0, bool scored = false);

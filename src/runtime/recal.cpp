@@ -131,11 +131,10 @@ RecalOutcome RecalibrationScheduler::on_drift(const DriftEvent& event,
     stamp = ++local_stamp_;
   }
 
-  // Publish: the stage closures co-own the clone, so the model lives exactly
-  // as long as some worker can still pin its stage, and make_stage installs
-  // classify AND classify_batch, keeping the batched serving path hot across
-  // the swap.  A custom publisher (fused deployments rebinding one channel)
-  // replaces the swap, not the telemetry.
+  // Publish: the stage's closure co-owns the clone, so the model lives
+  // exactly as long as some worker can still pin its stage, and it runs the
+  // same batched walk as the stage it replaces.  A custom publisher (fused
+  // deployments rebinding one channel) replaces the swap, not the telemetry.
   std::shared_ptr<const core::HierarchicalDisassembler> published = clone;
   if (publisher_) {
     publisher_(published, stamp);

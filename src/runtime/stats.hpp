@@ -92,7 +92,7 @@ struct RuntimeStats {
   /// SoA hot path -- one sample per pass of more than one window, value =
   /// windows; single-window passes are not sampled), and how classify
   /// wall-time splits between batched passes and scalar ones (single-window
-  /// passes, or every pass of a stage without a batch path).  So the mean of
+  /// passes).  So the mean of
   /// windows_per_batch describes the batched passes only; the share of
   /// windows that ran scalar is scalar_classified_windows over both counts,
   /// and report() prints it.  batch_classify_nanos /

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -818,11 +819,7 @@ TEST_F(BatchModelFixture, StreamingBatchesAreWorkerCountInvariant) {
     cfg.stream_credit = pool.size();
     runtime::FleetFrontend fleet(
         std::make_shared<const runtime::Stage>(runtime::Stage{
-            [&](const sim::Trace& t) {
-              hold();
-              return model().classify(t);
-            },
-            [&](const sim::TraceSet& ts) {
+            [&](std::span<const sim::Trace> ts) {
               hold();
               return model().classify_batch(ts);
             },

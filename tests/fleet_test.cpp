@@ -5,8 +5,8 @@
 // grouping is a scheduling accident, classification is not), admission
 // control accounting (delivered + shed == admitted, both policies),
 // per-stream drift-monitor isolation, registry-resolved model sharing with
-// coherent result stamps, and actual coalescing through the batched stage
-// entry point.  The one-stream section pins what a single live monitor
+// coherent result stamps and a "latest" pin that later saves never move,
+// and actual coalescing into multi-window stage calls.  The one-stream section pins what a single live monitor
 // relies on: the blocking credit, cancellation by close_stream, hot swaps
 // that never reach windows admitted before them, and the acquisition-stamp
 // check.
@@ -16,14 +16,20 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <random>
+#include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "avr/grouping.hpp"
+#include "avr/isa.hpp"
 #include "core/csa.hpp"
+#include "core/sequence.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/registry.hpp"
 #include "sim/acquisition.hpp"
@@ -42,15 +48,24 @@ sim::Trace tagged_trace(int tag) {
   return t;
 }
 
-/// Scalar-only stage (the runner loops it over a batch), stamped `stamp`.
-StageRef scalar_stage(ClassifyFn fn, std::uint64_t stamp = 0) {
-  return std::make_shared<const Stage>(Stage{std::move(fn), nullptr, stamp});
+/// Stage that runs `fn` on each window of a job in turn, stamped `stamp`
+/// (a throw fails the whole job, like any stage's).
+StageRef per_window_stage(std::function<core::Disassembly(const sim::Trace&)> fn,
+                          std::uint64_t stamp = 0) {
+  return std::make_shared<const Stage>(Stage{
+      [fn = std::move(fn)](std::span<const sim::Trace> ts) {
+        std::vector<core::Disassembly> out;
+        out.reserve(ts.size());
+        for (const sim::Trace& t : ts) out.push_back(fn(t));
+        return out;
+      },
+      stamp});
 }
 
 /// Stage that echoes the window's tag into class_idx after an adversarial,
 /// order-inverting delay -- late submissions finish first.
 StageRef echo_stage() {
-  return scalar_stage([](const sim::Trace& t) {
+  return per_window_stage([](const sim::Trace& t) {
     const auto tag = static_cast<std::size_t>(t.meta.program_id);
     std::this_thread::sleep_for(std::chrono::microseconds(100 * (7 - tag % 7)));
     core::Disassembly d;
@@ -63,7 +78,7 @@ StageRef echo_stage() {
 /// test wedge the shard's workers and exercise admission control on a
 /// backlog that cannot drain.
 StageRef gated_stage(std::atomic<bool>* release) {
-  return scalar_stage([release](const sim::Trace& t) {
+  return per_window_stage([release](const sim::Trace& t) {
     while (!release->load()) std::this_thread::sleep_for(1ms);
     core::Disassembly d;
     d.class_idx = static_cast<std::size_t>(t.meta.program_id);
@@ -145,6 +160,46 @@ class FleetModelFixture : public ::testing::Test {
     }
   }
 };
+
+/// A prior over the fixture's classes with an ADD -> LDI -> COM cadence.
+std::shared_ptr<const core::TransitionPrior> cadence_prior() {
+  auto prior = std::make_shared<core::BigramPrior>(avr::num_instruction_classes());
+  const std::size_t add = *avr::class_index(avr::Mnemonic::kAdd);
+  const std::size_t ldi = *avr::class_index(avr::Mnemonic::kLdi);
+  const std::size_t com = *avr::class_index(avr::Mnemonic::kCom);
+  for (int i = 0; i < 20; ++i) {
+    prior->add_transition(add, ldi);
+    prior->add_transition(ldi, com);
+    prior->add_transition(com, add);
+  }
+  return prior;
+}
+
+/// Checks a closed decode_sequence stream's delivery, window for window,
+/// against `model`'s classify_batch_scored over `windows` fed through a bare
+/// SequenceDecoder with the same prior.
+void expect_decoded_like_reference(const std::vector<FleetResult>& got,
+                                   const core::HierarchicalDisassembler& model,
+                                   const sim::TraceSet& windows,
+                                   std::shared_ptr<const core::TransitionPrior> prior) {
+  SequenceDecoder decoder(model.posterior_classes(), std::move(prior));
+  std::vector<SmoothedWindow> want;
+  for (core::Disassembly& d : model.classify_batch_scored(windows)) {
+    decoder.push(std::move(d));
+    while (auto w = decoder.poll()) want.push_back(std::move(*w));
+  }
+  for (SmoothedWindow& w : decoder.flush()) want.push_back(std::move(w));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].stream_sequence, i);
+    EXPECT_EQ(got[i].value.class_idx, want[i].value.class_idx) << "window " << i;
+    EXPECT_EQ(got[i].value.verdict, want[i].value.verdict) << "window " << i;
+    EXPECT_EQ(got[i].value.margin_headroom, want[i].value.margin_headroom)
+        << "window " << i;
+    EXPECT_EQ(got[i].smoothed, want[i].smoothed) << "window " << i;
+    EXPECT_EQ(got[i].sequence_confidence, want[i].confidence) << "window " << i;
+  }
+}
 
 // -- multi-stream ordering ---------------------------------------------------
 
@@ -446,7 +501,7 @@ TEST(Streaming, ExpectedAcquisitionStampIsEnforcedAtSubmit) {
   // captured under another: rate, resolution and window length are all part
   // of the contract, and a refused submission consumes no sequence number.
   const sim::AcquisitionConfig acq = sim::AcquisitionConfig::half_rate();
-  FleetFrontend fleet(scalar_stage([](const sim::Trace&) { return core::Disassembly{}; }),
+  FleetFrontend fleet(per_window_stage([](const sim::Trace&) { return core::Disassembly{}; }),
                       one_stream(1, 8));
   StreamOptions opts;
   opts.expected_acquisition = acq;
@@ -488,7 +543,7 @@ TEST(Streaming, CampaignStampsSatisfyTheMatchingExpectation) {
   const sim::TraceSet windows = campaign.capture_class(
       *avr::class_index(avr::Mnemonic::kAdd), 3, 2, rng);
 
-  FleetFrontend fleet(scalar_stage([](const sim::Trace&) { return core::Disassembly{}; }),
+  FleetFrontend fleet(per_window_stage([](const sim::Trace&) { return core::Disassembly{}; }),
                       one_stream(1, 8));
   StreamOptions opts;
   opts.expected_acquisition = acq;
@@ -566,13 +621,13 @@ TEST(Streaming, DrainAfterCancelLosesAndDuplicatesNothing) {
 }
 
 TEST(Streaming, WorkerExceptionEmitsDefaultResultAndCounts) {
-  ClassifyFn fn = [](const sim::Trace& t) -> core::Disassembly {
+  const auto fn = [](const sim::Trace& t) -> core::Disassembly {
     if (t.meta.program_id == 1) throw std::runtime_error("model blew up");
     core::Disassembly d;
     d.class_idx = 42;
     return d;
   };
-  FleetFrontend fleet(scalar_stage(std::move(fn)), one_stream(2, 8));
+  FleetFrontend fleet(per_window_stage(std::move(fn)), one_stream(2, 8));
   const auto id = fleet.open_stream();
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(fleet.submit(id, tagged_trace(i)).accepted());
   const std::vector<FleetResult> out = fleet.close_stream(id);
@@ -587,13 +642,13 @@ TEST(Streaming, VerdictAndFaultCountersAggregate) {
   // Stub model: program_id selects the verdict, so the expected counter
   // values are exact.  Faulted windows are marked by their ground-truth
   // severity stamp, which the workers read off TraceMeta.
-  ClassifyFn fn = [](const sim::Trace& t) {
+  const auto fn = [](const sim::Trace& t) {
     core::Disassembly d;
     if (t.meta.program_id % 3 == 1) d.verdict = core::Verdict::kRejected;
     if (t.meta.program_id % 3 == 2) d.verdict = core::Verdict::kDegraded;
     return d;
   };
-  FleetFrontend fleet(scalar_stage(std::move(fn)), one_stream(2, 16));
+  FleetFrontend fleet(per_window_stage(std::move(fn)), one_stream(2, 16));
   const auto id = fleet.open_stream();
   for (int i = 0; i < 9; ++i) {
     sim::Trace t = tagged_trace(i);
@@ -621,7 +676,7 @@ TEST(Streaming, SwapStampStaysCoherentWithItsStageUnderConcurrentSwaps) {
   // up as a stamp/class mismatch -- and TSan (this test runs in the TSan CI
   // job too) would flag the unsynchronized read.
   const auto stage_k = [](std::uint64_t k) {
-    return scalar_stage(
+    return per_window_stage(
         [k](const sim::Trace&) {
           std::this_thread::sleep_for(std::chrono::microseconds(200));
           core::Disassembly d;
@@ -674,7 +729,7 @@ TEST(Streaming, WindowsAdmittedBeforeASwapKeepTheirStage) {
   // admitted under.
   std::atomic<bool> release{false};
   const auto stage = [&release](std::uint64_t stamp) {
-    return scalar_stage(
+    return per_window_stage(
         [&release, stamp](const sim::Trace&) {
           while (!release.load()) std::this_thread::sleep_for(1ms);
           core::Disassembly d;
@@ -932,7 +987,7 @@ TEST_F(FleetDriftFixture, MonitoredStreamOnACustomStageReTransforms) {
   const sim::TraceSet& windows = clean_then_drifted();
   const auto m = model();
   const StageRef custom = std::make_shared<const Stage>(
-      Stage{[m](const sim::Trace& t) { return m->classify(t); }, nullptr, 3});
+      Stage{[m](std::span<const sim::Trace> ts) { return m->classify_batch(ts); }, 3});
   MonitoredRun run;
   run_monitored(m, windows, 16, 2, custom, 0, run);
   ASSERT_EQ(run.delivered, windows.size());
@@ -941,23 +996,62 @@ TEST_F(FleetDriftFixture, MonitoredStreamOnACustomStageReTransforms) {
   EXPECT_EQ(run.runtime.monitor_retransforms, windows.size());
 }
 
+TEST_F(FleetModelFixture, StageBackedDefaultStreamsMonitorAndDecode) {
+  // A stage-backed fleet whose default stage is make_stage(model) is the
+  // model-backed fleet: its default streams monitor (folding every window
+  // from the walk's own features) and decode sequences.
+  FleetConfig cfg;
+  cfg.shards = 2;
+  cfg.workers_per_shard = 2;
+  cfg.batch_max = 4;
+  cfg.stream_credit = 64;
+  cfg.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(make_stage(model()), cfg);
+
+  StreamOptions monitored;
+  monitored.monitor_drift = true;
+  StreamOptions decoded;
+  decoded.decode_sequence = true;
+  decoded.decode_prior = cadence_prior();
+  const auto watch = fleet.open_stream(monitored);
+  const auto first = fleet.open_stream(decoded);
+  const auto second = fleet.open_stream(decoded);
+
+  const sim::TraceSet windows = clean_windows(24, 0x5a6e);
+  for (const sim::Trace& t : windows) {
+    for (const auto id : {watch, first, second}) {
+      ASSERT_TRUE(fleet.submit(id, t).accepted());
+    }
+  }
+  EXPECT_EQ(fleet.close_stream(watch).size(), windows.size());
+  expect_decoded_like_reference(fleet.close_stream(first), *model(), windows,
+                                decoded.decode_prior);
+  expect_decoded_like_reference(fleet.close_stream(second), *model(), windows,
+                                decoded.decode_prior);
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.runtime.monitor_folds, windows.size());
+  EXPECT_EQ(stats.runtime.monitor_retransforms, 0u);
+  EXPECT_EQ(stats.runtime.windows_decoded, 2 * windows.size());
+  EXPECT_EQ(stats.models_cached, 0u);  // the default stage is no artifact
+}
+
 // -- failure and churn --------------------------------------------------------
 
 TEST(Fleet, ThrowingBatchEntryDeliversPlaceholdersInOrderAndCounts) {
-  // The batched entry point blows up; the scalar one works.  Wedge the one
-  // worker on a singleton so the backlog leaves as multi-window batches,
-  // every one of which throws: those windows must come back as
-  // default-constructed placeholders, in per-stream order, counted as
-  // failed, with the ledger still closed.
+  // The stage blows up on every multi-window job; single windows work.
+  // Wedge the one worker on a singleton so the backlog leaves as
+  // multi-window batches, every one of which throws: those windows must
+  // come back as default-constructed placeholders, in per-stream order,
+  // counted as failed, with the ledger still closed.
   std::atomic<bool> release{false};
-  ClassifyFn fn = [&release](const sim::Trace& t) {
+  const auto classify =
+      [&release](std::span<const sim::Trace> ts) -> std::vector<core::Disassembly> {
+    if (ts.size() > 1) throw std::runtime_error("batched model blew up");
     while (!release.load()) std::this_thread::sleep_for(1ms);
-    core::Disassembly d;
-    d.class_idx = static_cast<std::size_t>(t.meta.program_id);
-    return d;
-  };
-  BatchClassifyFn batch = [](const sim::TraceSet&) -> std::vector<core::Disassembly> {
-    throw std::runtime_error("batched model blew up");
+    std::vector<core::Disassembly> out(1);
+    out[0].class_idx = static_cast<std::size_t>(ts[0].meta.program_id);
+    return out;
   };
   FleetConfig cfg;
   cfg.shards = 1;
@@ -965,7 +1059,7 @@ TEST(Fleet, ThrowingBatchEntryDeliversPlaceholdersInOrderAndCounts) {
   cfg.batch_max = 4;
   cfg.shard_depth = 4;
   cfg.stream_credit = 16;
-  FleetFrontend fleet(std::make_shared<const Stage>(Stage{fn, batch, 0}), cfg);
+  FleetFrontend fleet(std::make_shared<const Stage>(Stage{classify, 0}), cfg);
 
   constexpr std::size_t kStreams = 2;
   constexpr int kWindows = 10;
@@ -1012,7 +1106,7 @@ TEST(Fleet, ThrowingBatchEntryDeliversPlaceholdersInOrderAndCounts) {
 
 TEST(Fleet, ChaosChurnKeepsStreamsOrderedAndTheLedgerClosed) {
   // Several tenant threads hammer one two-shard fleet whose stage finishes
-  // out of order on both entry points.  Each thread opens streams, submits
+  // out of order, for single windows and batches alike.  Each thread opens streams, submits
   // with interleaved polls, and closes every stream while its windows are
   // still in flight.  Per stream: strictly ascending delivery, every result
   // answers its own window, delivered + shed == admitted; fleet-wide the
@@ -1020,13 +1114,7 @@ TEST(Fleet, ChaosChurnKeepsStreamsOrderedAndTheLedgerClosed) {
   const auto delay = [](int tag) {
     std::this_thread::sleep_for(std::chrono::microseconds(40 * (5 - tag % 5)));
   };
-  ClassifyFn fn = [delay](const sim::Trace& t) {
-    delay(t.meta.program_id);
-    core::Disassembly d;
-    d.class_idx = static_cast<std::size_t>(t.meta.program_id);
-    return d;
-  };
-  BatchClassifyFn batch = [delay](const sim::TraceSet& ts) {
+  const auto classify = [delay](std::span<const sim::Trace> ts) {
     delay(ts.front().meta.program_id);
     std::vector<core::Disassembly> out(ts.size());
     for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -1034,7 +1122,7 @@ TEST(Fleet, ChaosChurnKeepsStreamsOrderedAndTheLedgerClosed) {
     }
     return out;
   };
-  const StageRef stage = std::make_shared<const Stage>(Stage{fn, batch, 0});
+  const StageRef stage = std::make_shared<const Stage>(Stage{classify, 0});
 
   for (const AdmissionPolicy policy :
        {AdmissionPolicy::kRejectNew, AdmissionPolicy::kShedOldest}) {
@@ -1127,6 +1215,23 @@ class FleetRegistryFixture : public FleetModelFixture {
     std::filesystem::remove_all(root);
     return root;
   }
+
+  /// A distinct artifact: the fixture model recalibrated on its own windows.
+  static core::HierarchicalDisassembler variant(std::uint64_t seed) {
+    std::stringstream ss;
+    model()->save(ss);
+    core::HierarchicalDisassembler copy = core::HierarchicalDisassembler::load(ss);
+    copy.recalibrate(clean_windows(12, seed));
+    return copy;
+  }
+
+  /// Closes `id` and returns the stamps of its results.
+  static std::vector<std::uint64_t> close_stamps(FleetFrontend& fleet,
+                                                 FleetFrontend::StreamId id) {
+    std::vector<std::uint64_t> stamps;
+    for (const FleetResult& r : fleet.close_stream(id)) stamps.push_back(r.model_stamp);
+    return stamps;
+  }
 };
 
 TEST_F(FleetRegistryFixture, StreamsShareOneModelPerArtifactAndStampResults) {
@@ -1176,6 +1281,165 @@ TEST_F(FleetRegistryFixture, StreamsShareOneModelPerArtifactAndStampResults) {
   EXPECT_THROW(fleet.open_stream(unknown), std::runtime_error);
 }
 
+TEST_F(FleetRegistryFixture, LatestStaysPinnedAcrossLaterSaves) {
+  ModelRegistry registry(fresh_root("pin"));
+  registry.save("tenant-model", *model());       // v1
+  registry.save("tenant-model", variant(0x71));  // v2
+  FleetConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = 1;
+  FleetFrontend fleet(model(), cfg, &registry);
+
+  StreamOptions latest;
+  latest.model_name = "tenant-model";
+  const auto first = fleet.open_stream(latest);  // pins latest -> v2
+  ASSERT_EQ(registry.save("tenant-model", variant(0x72)), 3);
+  const std::uint64_t v2 = registry.info("tenant-model", 2).checksum;
+  const std::uint64_t v3 = registry.info("tenant-model", 3).checksum;
+  ASSERT_NE(v2, v3) << "the versions must be distinct artifacts";
+  const auto later = fleet.open_stream(latest);
+  StreamOptions explicit_v3 = latest;
+  explicit_v3.model_version = 3;
+  const auto newest = fleet.open_stream(explicit_v3);
+
+  const sim::Trace probe = clean_windows(1, 0x9e9).front();
+  for (const auto id : {first, later, newest}) {
+    ASSERT_TRUE(fleet.submit(id, probe).accepted());
+  }
+  EXPECT_EQ(close_stamps(fleet, first), std::vector<std::uint64_t>{v2});
+  EXPECT_EQ(close_stamps(fleet, later), std::vector<std::uint64_t>{v2})
+      << "a later save moved the latest pin";
+  EXPECT_EQ(close_stamps(fleet, newest), std::vector<std::uint64_t>{v3});
+  EXPECT_EQ(fleet.stats().models_cached, 2u);
+}
+
+TEST_F(FleetRegistryFixture, RegistryStreamsMonitorAndDecode) {
+  // The default stage names no model, so only registry streams can monitor
+  // and decode here; they do so exactly like a model-backed default stream.
+  ModelRegistry registry(fresh_root("serve"));
+  registry.save("tenant-model", *model());
+  const std::uint64_t checksum = registry.info("tenant-model", 1).checksum;
+  const core::HierarchicalDisassembler loaded = registry.load("tenant-model", 1);
+  FleetConfig cfg;
+  cfg.shards = 2;
+  cfg.workers_per_shard = 2;
+  cfg.batch_max = 4;
+  cfg.stream_credit = 64;
+  cfg.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(echo_stage(), cfg, &registry);
+
+  StreamOptions monitored;
+  monitored.model_name = "tenant-model";
+  monitored.monitor_drift = true;
+  StreamOptions decoded;
+  decoded.model_name = "tenant-model";
+  decoded.decode_sequence = true;
+  decoded.decode_prior = cadence_prior();
+  const auto watch = fleet.open_stream(monitored);
+  const auto first = fleet.open_stream(decoded);
+  const auto second = fleet.open_stream(decoded);
+
+  const sim::TraceSet windows = clean_windows(24, 0x7e57);
+  for (const sim::Trace& t : windows) {
+    for (const auto id : {watch, first, second}) {
+      ASSERT_TRUE(fleet.submit(id, t).accepted());
+    }
+  }
+  const std::vector<std::uint64_t> watched = close_stamps(fleet, watch);
+  EXPECT_EQ(watched, std::vector<std::uint64_t>(windows.size(), checksum));
+  for (const auto id : {first, second}) {
+    const std::vector<FleetResult> got = fleet.close_stream(id);
+    expect_decoded_like_reference(got, loaded, windows, decoded.decode_prior);
+    for (const FleetResult& r : got) EXPECT_EQ(r.model_stamp, checksum);
+  }
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.runtime.monitor_folds, windows.size());
+  EXPECT_EQ(stats.runtime.monitor_retransforms, 0u);
+  EXPECT_EQ(stats.runtime.windows_decoded, 2 * windows.size());
+  EXPECT_EQ(stats.models_cached, 1u);
+}
+
+TEST_F(FleetRegistryFixture, ConcurrentOpensKeepOneLatestPinUnderVersionSkew) {
+  // Registry version skew: tenant threads open streams on {a latest, a v1,
+  // b latest} while a writer publishes new versions of both bundles.  Every
+  // "latest" stream of a bundle serves the one version the fleet pinned
+  // first; explicit streams serve their own version.
+  ModelRegistry registry(fresh_root("skew"));
+  registry.save("a", *model());
+  registry.save("b", *model());
+  const std::uint64_t a_v1 = registry.info("a", 1).checksum;
+  std::vector<core::HierarchicalDisassembler> releases;
+  for (std::uint64_t k = 0; k < 3; ++k) releases.push_back(variant(0x5e00 + k));
+
+  FleetConfig cfg;
+  cfg.shards = 2;
+  cfg.workers_per_shard = 1;
+  cfg.batch_max = 4;
+  cfg.stream_credit = 8;
+  cfg.admission = AdmissionPolicy::kBlock;
+  FleetFrontend fleet(model(), cfg, &registry);
+
+  std::vector<StreamOptions> kinds(3);
+  kinds[0].model_name = "a";
+  kinds[1].model_name = "a";
+  kinds[1].model_version = 1;
+  kinds[2].model_name = "b";
+  const sim::TraceSet probes = clean_windows(2, 0x5e5e);
+
+  constexpr int kThreads = 4;
+  constexpr int kStreamsPerThread = 6;
+  std::mutex mutex;
+  std::vector<std::set<std::uint64_t>> stamps(kinds.size());
+  std::atomic<std::uint64_t> admitted{0}, delivered{0};
+  std::thread writer([&] {
+    for (const core::HierarchicalDisassembler& release : releases) {
+      registry.save("a", release);
+      registry.save("b", release);
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  std::vector<std::thread> tenants;
+  for (int t = 0; t < kThreads; ++t) {
+    tenants.emplace_back([&, t] {
+      for (int i = 0; i < kStreamsPerThread; ++i) {
+        const std::size_t kind = static_cast<std::size_t>(t + i) % kinds.size();
+        const auto id = fleet.open_stream(kinds[kind]);
+        for (const sim::Trace& w : probes) {
+          if (fleet.submit(id, w).accepted()) ++admitted;
+        }
+        const std::vector<std::uint64_t> got = close_stamps(fleet, id);
+        delivered += got.size();
+        std::lock_guard lock(mutex);
+        stamps[kind].insert(got.begin(), got.end());
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& th : tenants) th.join();
+
+  const auto checksums_of = [&](const std::string& name) {
+    std::set<std::uint64_t> out;
+    for (const int v : registry.versions(name)) out.insert(registry.info(name, v).checksum);
+    return out;
+  };
+  ASSERT_EQ(stamps[0].size(), 1u) << "latest streams of bundle a serve different artifacts";
+  ASSERT_EQ(stamps[2].size(), 1u) << "latest streams of bundle b serve different artifacts";
+  EXPECT_EQ(checksums_of("a").count(*stamps[0].begin()), 1u);
+  EXPECT_EQ(checksums_of("b").count(*stamps[2].begin()), 1u);
+  EXPECT_EQ(stamps[1], std::set<std::uint64_t>{a_v1});
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(admitted.load(), std::uint64_t{kThreads * kStreamsPerThread} * probes.size());
+  EXPECT_EQ(stats.windows_admitted, admitted.load());
+  EXPECT_EQ(stats.windows_delivered, delivered.load());
+  EXPECT_EQ(stats.windows_delivered + stats.windows_shed, stats.windows_admitted);
+  EXPECT_EQ(stats.streams_closed, stats.streams_opened);
+  EXPECT_EQ(stats.streams_live, 0u);
+  EXPECT_GE(stats.models_cached, 2u);
+  EXPECT_LE(stats.models_cached, 3u);
+}
+
 TEST(Fleet, OpenStreamRejectsUnresolvableOptions) {
   FleetFrontend fleet(echo_stage(), {});
   // Named model without a registry: nothing to resolve against.
@@ -1187,6 +1451,11 @@ TEST(Fleet, OpenStreamRejectsUnresolvableOptions) {
   StreamOptions monitored;
   monitored.monitor_drift = true;
   EXPECT_THROW(fleet.open_stream(monitored), std::invalid_argument);
+  // Sequence decoding on it: no posterior support for the lattice.
+  StreamOptions decoded;
+  decoded.decode_sequence = true;
+  decoded.decode_prior = cadence_prior();
+  EXPECT_THROW(fleet.open_stream(decoded), std::invalid_argument);
 }
 
 }  // namespace

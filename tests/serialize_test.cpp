@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <random>
 #include <sstream>
 #include <string>
@@ -52,8 +53,9 @@ TEST(Serialize, CorruptArchivesThrow) {
       "pipeline pipeline_config 0 50 0x1p+1 0x1p+6 1 0x1p+2 0x1p-8 5 1 1 1 64 1 "
       "grid 15750 points 1000000000000 1 2 0x1p+0");
   EXPECT_THROW(load_pipeline(huge_points), std::runtime_error);
-  // A whole saved pipeline whose CWT kernel_radius reads nan: the bank it
-  // sizes is refused when the pipeline is rebuilt.
+  // Whole saved pipelines edited field by field: each parses, but the
+  // rebuilt pipeline refuses it, and the loader reports that as a corrupt
+  // archive like every other fault.
   const features::FeaturePipeline pipeline = features::FeaturePipeline::from_parts(
       {}, {{1, 2, 1.0}}, {},
       stats::Pca::from_parts({0.0}, {1.0}, linalg::Matrix(1, 1, 1.0), 1.0), 15750);
@@ -61,13 +63,28 @@ TEST(Serialize, CorruptArchivesThrow) {
   save_pipeline(saved, pipeline);
   std::vector<std::string> fields;
   for (std::string f; saved >> f;) fields.push_back(f);
-  const auto config = std::find(fields.begin(), fields.end(), "pipeline_config");
-  ASSERT_NE(config, fields.end());
-  // pipeline_config family num_scales min_scale max_scale log_spacing kernel_radius
-  config[6] = "nan";
-  std::stringstream nan_radius;
-  for (const std::string& f : fields) nan_radius << f << ' ';
-  EXPECT_THROW(load_pipeline(nan_radius), std::invalid_argument);
+  const auto edited = [&fields](const std::string& field, std::size_t from,
+                                std::size_t erase, std::vector<std::string> insert) {
+    std::vector<std::string> out = fields;
+    const auto at = std::find(out.begin(), out.end(), field);
+    EXPECT_NE(at, out.end()) << field;
+    const auto pos = out.erase(at + static_cast<std::ptrdiff_t>(from),
+                               at + static_cast<std::ptrdiff_t>(from + erase));
+    out.insert(pos, insert.begin(), insert.end());
+    std::string archive;
+    for (const std::string& f : out) archive += f + ' ';
+    return archive;
+  };
+  // pipeline_config family num_scales min_scale max_scale log_spacing
+  // kernel_radius: a nan radius sizes no CWT bank.
+  std::stringstream nan_radius(edited("pipeline_config", 6, 1, {"nan"}));
+  EXPECT_THROW(load_pipeline(nan_radius), std::runtime_error);
+  // pca vec 1 <mean>: a two-entry mean beside a one-column basis.
+  std::stringstream pca_shape(edited("pca", 2, 1, {"2", "0x0p+0"}));
+  EXPECT_THROW(load_pipeline(pca_shape), std::runtime_error);
+  // points 1 <j k value>: a pipeline without feature points.
+  std::stringstream no_points(edited("points", 1, 4, {"0"}));
+  EXPECT_THROW(load_pipeline(no_points), std::runtime_error);
 }
 
 TEST(Serialize, QdaRoundTripPredictsIdentically) {
