@@ -399,11 +399,19 @@ std::vector<Disassembly> FusedDisassembler::classify_paired(
   // and scored paths are the same computation (the posterior rides along).
   const sim::TraceSet pviews = views(fused_idx, sim::Channel::kPower);
   const sim::TraceSet eviews = views(fused_idx, sim::Channel::kEm);
-  const std::vector<Disassembly> p = power_->classify_batch_scored(pviews);
-  const std::vector<Disassembly> e = em_->classify_batch_scored(eviews);
+  const std::vector<Disassembly> p = exact_scored(*power_, pviews);
+  const std::vector<Disassembly> e = exact_scored(*em_, eviews);
   for (std::size_t k = 0; k < fused_idx.size(); ++k) {
     out[fused_idx[k]] = fuse_window(pviews[k], eviews[k], p[k], e[k]);
   }
+  return out;
+}
+
+std::vector<Disassembly> FusedDisassembler::exact_scored(
+    const HierarchicalDisassembler& model, std::span<const sim::Trace> traces) {
+  std::vector<Disassembly> out(traces.size());
+  model.classify_walk(traces, out, /*scored=*/true, /*keep=*/false,
+                      /*reach=*/std::numeric_limits<double>::infinity());
   return out;
 }
 
@@ -441,8 +449,8 @@ double FusedDisassembler::calibrate_fusion(const sim::TraceSet& heldout,
   // Channel posteriors once; every candidate only re-mixes them.
   const sim::TraceSet pviews = sim::channel_views(heldout, sim::Channel::kPower);
   const sim::TraceSet eviews = sim::channel_views(heldout, sim::Channel::kEm);
-  const std::vector<Disassembly> p = power_->classify_batch_scored(pviews);
-  const std::vector<Disassembly> e = em_->classify_batch_scored(eviews);
+  const std::vector<Disassembly> p = exact_scored(*power_, pviews);
+  const std::vector<Disassembly> e = exact_scored(*em_, eviews);
 
   std::vector<LevelFusion> group_candidates, instr_candidates;
   for (double w : cal.weight_grid) {

@@ -174,6 +174,12 @@ class FusedDisassembler {
   /// paths so they stay bit-identical by construction.
   Disassembly fuse_window(const sim::Trace& pview, const sim::Trace& eview,
                           const Disassembly& p, const Disassembly& e) const;
+  /// One channel's scored results with the exact posterior: the group skip
+  /// off.  A group one channel puts out of reach can still become the fused
+  /// best group when the other channel outvotes it, so fusion recombines
+  /// every group's within-group conditionals.
+  static std::vector<Disassembly> exact_scored(const HierarchicalDisassembler& model,
+                                               std::span<const sim::Trace> traces);
   /// Degrade to one surviving channel's result (other channel rejected).
   static Disassembly degrade_to(const Disassembly& survivor,
                                 const Disassembly& rejected);

@@ -1,6 +1,7 @@
 #include "core/hierarchical.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -412,11 +413,14 @@ void HierarchicalDisassembler::build_plan() {
   };
   add(group_level_, kGroupTier);
   for (auto& [group, level] : instruction_levels_) {
-    (void)group;
-    add(level, kInstructionTier);
+    add(level, kOwnRowsTier);
+    level.members.clear();
+    for (std::size_t i = 0; i < posterior_classes_.size(); ++i) {
+      if (avr::group_of_class(posterior_classes_[i]) == group) level.members.push_back(i);
+    }
   }
-  if (rd_level_) add(*rd_level_, kRegisterTier);
-  if (rr_level_) add(*rr_level_, kRegisterTier);
+  if (rd_level_) add(*rd_level_, kOwnRowsTier);
+  if (rr_level_) add(*rr_level_, kOwnRowsTier);
   plan_ = features::GatherPlan(pipelines, tiers);
 }
 
@@ -480,12 +484,13 @@ void HierarchicalDisassembler::score_level(const Level& level,
 
 void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
                                              std::span<Disassembly> out,
-                                             bool scored, bool keep) const {
+                                             bool scored, bool keep,
+                                             double reach) const {
   // The SoA kernels want equal-length lanes, so windows bucket by trace
   // length first (one CWT/FFT geometry per bucket).  Within a bucket, level 1
-  // scores every lane, level 2 the lanes of each predicted group (every lane
-  // under every trained group when scored), level 3 the lanes whose class
-  // uses the operand.
+  // scores every lane, level 2 the lanes of each predicted group (scored,
+  // also every lane whose group is within `reach` of its best), level 3 the
+  // lanes whose class uses the operand.
   //
   // Every classify() call is a one-window walk, so the index bookkeeping is
   // one allocation: the length-sorted window order, then the identity lane
@@ -506,8 +511,9 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
     throw std::runtime_error("level not trained");
   }
   // Scored walk: log P(group | x) of every lane under every trained group
-  // (lane-major, instruction_levels_ order).
+  // (lane-major, instruction_levels_ order), and each lane's best.
   std::vector<double> group_lp;
+  std::vector<double> best_lp;
   const std::size_t groups = instruction_levels_.size();
   // classify_monitored(): the monitor level's projected features, per lane
   // of the level's sub-batch, moved into each lane's result by its fold.
@@ -536,8 +542,8 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
 
     // Every level of the model reads the window the same way (GatherPlan
     // holds them to one normalization setting), so each is prepared once.
-    // Then the union of the levels that score every lane -- level 1, plus
-    // level 2 when scored -- is gathered once for the whole bucket.
+    // Then level 1, which scores every lane, is gathered once for the whole
+    // bucket.
     prepared.clear();
     if (plan_.normalize()) {
       normalized.resize(windows.size());
@@ -549,11 +555,14 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
     } else {
       for (const std::size_t w : windows) prepared.push_back(&traces[w].samples);
     }
-    gather.begin(plan_, prepared, scored ? kInstructionTier : kGroupTier);
+    gather.begin(plan_, prepared, kGroupTier);
 
     // Level 1.  The scored walk keeps each group's log-softmax entry, or a
     // one-hot factor when the level has no score surface.
-    if (scored) group_lp.assign(lanes.size() * groups, -kInf);
+    if (scored) {
+      group_lp.assign(lanes.size() * groups, -kInf);
+      best_lp.assign(lanes.size(), -kInf);
+    }
     score_level(group_level_, gather, lanes, scored, keep_for(group_level_),
                 [&](std::size_t i, const ml::ScoredPrediction& p,
                     const linalg::Vector& lp) {
@@ -574,6 +583,7 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
             *row = lp[static_cast<std::size_t>(it - labels.begin())];
           }
         }
+        best_lp[lanes[i]] = std::max(best_lp[lanes[i]], *row);
         ++row;
       }
     });
@@ -584,20 +594,33 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
       if (scored) at(lane).log_posterior.assign(posterior_classes_.size(), -kInf);
     }
 
-    // Level 2.  Scored, every trained group runs on every lane, so the
-    // posterior keeps honest mass outside the predicted group; only the
+    // Level 2.  Each group runs on the lanes that predicted it; scored, also
+    // on every lane where it is within `reach` of the best group, so the
+    // posterior keeps honest mass outside the predicted group.  A group out
+    // of reach spreads its exact mass evenly over its classes.  Only the
     // predicted group's prediction sets the class and drives the verdict.
     std::size_t group_index = 0;
     for (const auto& [group, level] : instruction_levels_) {
       const std::size_t gi = group_index++;
-      std::span<const std::size_t> sub = lanes;
-      if (!scored) {
-        subset.clear();
-        for (const std::size_t lane : lanes) {
-          if (at(lane).group == group) subset.push_back(lane);
+      const double log_members =
+          scored ? std::log(static_cast<double>(level.members.size())) : 0.0;
+      subset.clear();
+      for (const std::size_t lane : lanes) {
+        if (at(lane).group == group) {
+          subset.push_back(lane);
+          continue;
         }
-        sub = subset;
+        if (!scored) continue;
+        const double g_lp = group_lp[lane * groups + gi];
+        if (g_lp >= best_lp[lane] - reach) {
+          subset.push_back(lane);
+          continue;
+        }
+        for (const std::size_t c : level.members) {
+          at(lane).log_posterior[c] = g_lp - log_members;
+        }
       }
+      const std::span<const std::size_t> sub = subset;
       score_level(level, gather, sub, scored, keep_for(level),
                   [&](std::size_t i, const ml::ScoredPrediction& p,
                       const linalg::Vector& lp) {

@@ -133,10 +133,13 @@ struct Disassembly {
   /// Normalized per-class log-posterior over the model's posterior_classes()
   /// support, composed across the hierarchy: log P(class | x) =
   /// log P(group | x) + log P(class | group, x), each factor a log-softmax
-  /// over its level's score surface.  Empty on the plain classify() path --
-  /// only classify_scored()/classify_batch_scored() pay for it.  exp() of the
-  /// entries sums to 1 up to rounding; this is the emission row sequence
-  /// decoding consumes.
+  /// over its level's score surface.  A group whose log P(group | x) lies
+  /// more than HierarchicalDisassembler::kGroupReach below the best group's
+  /// spreads that mass evenly over its classes instead, log P(group | x) -
+  /// log |group|, so every group's marginal stays exact.  Empty on the plain
+  /// classify() path -- only classify_scored()/classify_batch_scored() pay
+  /// for it.  exp() of the entries sums to 1 up to rounding; this is the
+  /// emission row sequence decoding consumes.
   linalg::Vector log_posterior;
 
   /// The window's monitor-space features (see monitor_features()), bit for
@@ -203,19 +206,27 @@ class HierarchicalDisassembler {
   /// Disassembly::log_posterior).  Labels, operands, verdicts and headrooms
   /// are bit-identical to classify() -- the reject gates consume the exact
   /// same level scores; the posterior is composed from them, not the other
-  /// way round.  Every trained level-2 model runs on every window (an honest
-  /// joint posterior needs mass outside the predicted group), so this path
-  /// costs roughly one level-2 evaluation per trained group.  Levels whose
-  /// classifier exposes no score surface (SVM votes, kNN) contribute a
-  /// one-hot factor at their prediction.  Thread-safe like classify().
+  /// way round.  Besides the predicted group's, a level-2 model runs only
+  /// where its group is in reach (within kGroupReach of the best group), so
+  /// on a confident group level this path costs about what classify() does.
+  /// Levels whose classifier exposes no score surface (SVM votes, kNN)
+  /// contribute a one-hot factor at their prediction.  Thread-safe like
+  /// classify().
   Disassembly classify_scored(const sim::Trace& trace) const;
 
   /// Batched scored classification: classify_batch's lane-vectorized hot
   /// path with the score surfaces kept, so out[i] is bit-identical to
-  /// classify_scored(traces[i]) including the posterior.  Every level-2
-  /// model scores every window here, so the shared gather covers levels 1
-  /// and 2 together.  Thread-safe like classify().
+  /// classify_scored(traces[i]) including the posterior.  The shared gather
+  /// covers level 1; each level-2 model gathers its own rows for its
+  /// predicted-group and in-reach windows.  Thread-safe like classify().
   std::vector<Disassembly> classify_batch_scored(std::span<const sim::Trace> traces) const;
+
+  /// How far, in nats, a group's log P(group | x) may lie below the best
+  /// group's before the scored walk skips its level-2 model on that window
+  /// (see Disassembly::log_posterior).  A skipped class then sits more than
+  /// kGroupReach - log 24 below the window's best class, which is what lets
+  /// runtime::SequenceDecoder prove that no decoded label moves.
+  static constexpr double kGroupReach = 40.0;
 
   /// classify_batch(), or classify_batch_scored() when `scored`, that also
   /// keeps every window's Disassembly::monitor_features: the monitor level
@@ -331,7 +342,8 @@ class HierarchicalDisassembler {
  private:
   /// The multimodal fusion layer reads the trained levels directly (per-level
   /// pipelines for joint-feature heads, register levels for operand
-  /// recovery); see core/fusion.hpp.
+  /// recovery) and runs the scored walk without the group skip; see
+  /// core/fusion.hpp.
   friend class FusedDisassembler;
 
   struct Level {
@@ -342,14 +354,16 @@ class HierarchicalDisassembler {
     bool trivial = false;     ///< single-class level: no classifier needed
     LevelGate gate;           ///< reject thresholds (inactive until calibrated)
     std::size_t slot = 0;     ///< this level's slot in plan_
+    /// Instruction levels: the positions in posterior_classes_ of the
+    /// group's classes, over which a skipped group spreads its mass.
+    std::vector<std::size_t> members;
   };
 
-  /// GatherPlan tiers: the group level scores every window in both walks,
-  /// the instruction levels every window in the scored walk, the register
-  /// levels only the windows whose class uses the operand.
+  /// GatherPlan tiers: the group level scores every window and is gathered
+  /// once per bucket; every other level gathers its own rows for the
+  /// windows it runs on.
   static constexpr std::size_t kGroupTier = 0;
-  static constexpr std::size_t kInstructionTier = 1;
-  static constexpr std::size_t kRegisterTier = 2;
+  static constexpr std::size_t kOwnRowsTier = 1;
 
   static Level train_level_precomputed(
       const std::vector<const features::FeaturePipeline::ClassData*>& data,
@@ -371,15 +385,19 @@ class HierarchicalDisassembler {
   static void score_level(const Level& level, features::GatherBatch& gather,
                           std::span<const std::size_t> lanes, bool surface,
                           std::vector<linalg::Vector>* kept, Fold&& fold);
-  /// Numbers the levels' slots and builds plan_ from their pipelines (the
-  /// end of train() and load(); feature points never change after that).
+  /// Numbers the levels' slots, lists each instruction level's members and
+  /// builds plan_ from the pipelines (the end of train() and load(); feature
+  /// points and the posterior support never change after that).
   void build_plan();
   /// The one classify walk behind classify(), classify_scored(), their
   /// batch forms and classify_monitored(): out[i] is traces[i]'s recovery;
-  /// `scored` composes the per-class log-posterior, `keep` fills
-  /// monitor_features from the monitor level.
+  /// `scored` composes the per-class log-posterior, skipping the level-2
+  /// model of every non-predicted group more than `reach` nats behind the
+  /// best group; `keep` fills monitor_features from the monitor level.
+  /// FusedDisassembler passes reach = +inf for the exact posterior.
   void classify_walk(std::span<const sim::Trace> traces, std::span<Disassembly> out,
-                     bool scored, bool keep = false) const;
+                     bool scored, bool keep = false,
+                     double reach = kGroupReach) const;
   /// Rebuilds posterior_classes_ from the trained levels (load path; train()
   /// takes the support straight from the profiling corpus).
   void finalize_posterior_support();

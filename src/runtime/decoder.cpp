@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <span>
+#include <sstream>
 #include <stdexcept>
 
 #include "avr/grouping.hpp"
@@ -235,6 +237,32 @@ SequenceDecoder::SequenceDecoder(std::vector<std::size_t> classes,
   }
   order_.resize(n);
   std::iota(order_.begin(), order_.end(), std::size_t{0});
+
+  // The exchange bound (see exchange_margin()): the largest spread of a row
+  // (one source, any two destinations) and of a column (one destination,
+  // any two sources) of the weighted prior.
+  double row_spread = 0.0, col_spread = 0.0;
+  for (std::size_t a = 0; a < n; ++a) {
+    const auto row = log_trans_.row(a);
+    const auto col = log_trans_t_.row(a);
+    const auto [row_min, row_max] = std::minmax_element(row.begin(), row.end());
+    const auto [col_min, col_max] = std::minmax_element(col.begin(), col.end());
+    row_spread = std::max(row_spread, *row_max - *row_min);
+    col_spread = std::max(col_spread, *col_max - *col_min);
+  }
+  const std::span<const int> sizes = avr::expected_group_sizes();
+  const double skip_gap = core::HierarchicalDisassembler::kGroupReach -
+                          std::log(*std::max_element(sizes.begin(), sizes.end()));
+  exchange_margin_ = skip_gap - (row_spread + col_spread);
+  if (!(exchange_margin_ > 0.0)) {
+    std::ostringstream why;
+    why << "SequenceDecoder: the weighted prior's row spread " << row_spread
+        << " + column spread " << col_spread << " nats reach the "
+        << skip_gap << " nats a skipped group's classes sit below the best class "
+        << "(kGroupReach - log 24), so the scored walk's group skip could move "
+        << "a decoded label; lower prior_weight or smooth the prior";
+    throw std::invalid_argument(why.str());
+  }
 }
 
 void SequenceDecoder::advance(Node& node, const Node* prev) {

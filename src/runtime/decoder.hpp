@@ -20,6 +20,13 @@
 // decode-equivalence battery in sequence_test pins this, and flush() finishes
 // any tail with a full offline pass.
 //
+// The model's scored walk skips the level-2 model of every group more than
+// HierarchicalDisassembler::kGroupReach nats behind a window's best group
+// and spreads that group's mass evenly over its classes.  The decoder
+// refuses, at construction, a weighted prior whose spreads could let such a
+// class matter (see exchange_margin()), so the skip moves no decoded label,
+// backpointer or converged flag.
+//
 // Windows without a usable posterior (plain classify() results, windows
 // outside the decoder's class support, or a log_posterior holding a NaN, a
 // +inf, or no finite entry) flush the lattice and pass through unsmoothed, so
@@ -98,7 +105,9 @@ class SequenceDecoder {
   /// `classes` is the ascending posterior support the emissions are indexed
   /// by (core::HierarchicalDisassembler::posterior_classes()); `prior` must
   /// cover every class in it.  Throws std::invalid_argument on an empty
-  /// support, a null prior, or a support the prior does not cover.
+  /// support, a null prior, a support the prior does not cover, or a
+  /// weighted prior that leaves no exchange margin (exchange_margin() <= 0),
+  /// with the spreads in the message.
   SequenceDecoder(std::vector<std::size_t> classes,
                   std::shared_ptr<const core::TransitionPrior> prior,
                   SequenceDecoderConfig config = {});
@@ -124,6 +133,16 @@ class SequenceDecoder {
 
   /// Windows whose class the decoder has rewritten so far.
   std::uint64_t smoothed_count() const { return smoothed_count_; }
+
+  /// M = kGroupReach - log 24 - prior_weight * (row spread + column spread)
+  /// of the prior over the support, in nats.  A class the scored walk
+  /// skipped sits more than kGroupReach - log 24 below its window's best
+  /// class (24 is the largest Table-2 group), and swapping one for the other
+  /// moves a path score by at most the weighted spreads.  So with M > 0 no
+  /// Viterbi path, backpointer or converged flag passes through a skipped
+  /// class, before or after the skip, and a confidence moves only where it
+  /// is >= M both ways.  Always > 0 on a constructed decoder.
+  double exchange_margin() const { return exchange_margin_; }
 
  private:
   /// FIFO over reused slots: pop_front() keeps a slot's buffers for the next
@@ -203,6 +222,7 @@ class SequenceDecoder {
   /// (flush, pass-through) -- a fresh stream starts unconditioned.
   std::optional<std::size_t> last_committed_;
   std::uint64_t smoothed_count_ = 0;
+  double exchange_margin_ = 0.0;
 };
 
 }  // namespace sidis::runtime

@@ -8,11 +8,15 @@
 // content, mixed trace lengths, and streaming worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <sstream>
 #include <random>
@@ -541,9 +545,70 @@ class BatchModelFixture : public ::testing::Test {
     return data;
   }
 
+  /// Two classes per group where the profiled set allows (ADD/AND in group
+  /// 1, COM/LSR in group 3, LDI alone in group 2), so a group the scored
+  /// walk skips spreads its mass differently from its level-2 model.
+  static const core::ProfilingData& grouped_data() {
+    static const core::ProfilingData data = [] {
+      sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                        sim::SessionContext::make(0)};
+      std::mt19937_64 rng{59};
+      core::ProfilingData d;
+      for (const std::size_t c : grouped_classes()) {
+        d.classes[c] = campaign.capture_class(c, 50, 5, rng);
+      }
+      return d;
+    }();
+    return data;
+  }
+
+  static std::vector<std::size_t> grouped_classes() {
+    std::vector<std::size_t> out;
+    for (avr::Mnemonic mn : {avr::Mnemonic::kAdd, avr::Mnemonic::kAnd, avr::Mnemonic::kLdi,
+                             avr::Mnemonic::kCom, avr::Mnemonic::kLsr}) {
+      out.push_back(*avr::class_index(mn));
+    }
+    return out;
+  }
+
+  static const core::HierarchicalDisassembler& grouped_model() {
+    static const core::HierarchicalDisassembler m =
+        train(ml::ClassifierKind::kQda, dsp::CwtBackend::kAuto, grouped_data());
+    return m;
+  }
+
+  /// Windows of grouped_classes() in two length buckets, clean and from an
+  /// off-distribution corner, with every third window an even blend of two
+  /// classes from different groups: blends leave a second group within
+  /// reach of the best, clean windows put every other group far out.
+  static sim::TraceSet grouped_windows(std::size_t n) {
+    sim::AcquisitionCampaign clean{sim::DeviceModel::make(0), sim::SessionContext::make(0)};
+    sim::AcquisitionCampaign corner{sim::DeviceModel::make(7), sim::SessionContext::make(3)};
+    const std::vector<std::size_t> classes = grouped_classes();
+    std::mt19937_64 rng{61};
+    const auto capture = [&](std::size_t i, std::size_t c) {
+      sim::AcquisitionCampaign& campaign = i % 5 == 4 ? corner : clean;
+      return campaign.capture_trace(avr::random_instance(c, rng),
+                                    sim::ProgramContext::make(static_cast<int>(i % 6)), rng);
+    };
+    sim::TraceSet out;
+    for (std::size_t i = 0; i < n; ++i) {
+      sim::Trace t = capture(i, classes[i % classes.size()]);
+      if (i % 3 == 2) {
+        const sim::Trace other = capture(i, classes[(i + 2) % classes.size()]);
+        for (std::size_t k = 0; k < t.samples.size(); ++k) {
+          t.samples[k] = 0.5 * (t.samples[k] + other.samples[k]);
+        }
+      }
+      if (i % 4 == 1) t.samples.resize(250);
+      out.push_back(std::move(t));
+    }
+    return out;
+  }
+
   static core::HierarchicalDisassembler train(
-      ml::ClassifierKind kind, dsp::CwtBackend backend = dsp::CwtBackend::kAuto) {
-    const core::ProfilingData& data = profiling_data();
+      ml::ClassifierKind kind, dsp::CwtBackend backend = dsp::CwtBackend::kAuto,
+      const core::ProfilingData& data = profiling_data()) {
     core::HierarchicalConfig cfg;
     cfg.pipeline = core::csa_config();
     cfg.pipeline.cwt.backend = backend;
@@ -797,6 +862,66 @@ TEST_F(BatchModelFixture, GatherPlanOutlivesMovesReloadsAndRecalibration) {
     SCOPED_TRACE("refit");
     expect_walks_match_levels(refit, pool);
   }
+}
+
+TEST_F(BatchModelFixture, GroupSkipKeepsScoredBatchEqualToScalarInMixedBuckets) {
+  const core::HierarchicalDisassembler& m = grouped_model();
+  const sim::TraceSet pool = grouped_windows(64);
+  const std::vector<core::Disassembly> scored = m.classify_batch_scored(pool);
+  const std::vector<std::size_t>& support = m.posterior_classes();
+  ASSERT_EQ(support.size(), 5u);
+
+  // Per window and group: the marginal log P(group | x) read back from the
+  // posterior, and whether the group's entries are all one value.
+  std::map<std::size_t, std::pair<std::size_t, std::size_t>> by_length;  // reach, skip
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const linalg::Vector& lp = scored[i].log_posterior;
+    ASSERT_EQ(lp.size(), support.size());
+    std::map<int, std::vector<double>> members;
+    double total = 0.0;
+    for (std::size_t c = 0; c < support.size(); ++c) {
+      members[avr::group_of_class(support[c])].push_back(lp[c]);
+      total += std::exp(lp[c]);
+    }
+    EXPECT_NEAR(total, 1.0, 1e-9) << "window " << i;
+    std::map<int, double> marginal;
+    double best = -std::numeric_limits<double>::infinity();
+    for (const auto& [g, v] : members) {
+      double mass = 0.0;
+      for (const double x : v) mass += std::exp(x - v.front());
+      marginal[g] = v.front() + std::log(mass);
+      best = std::max(best, marginal[g]);
+    }
+    bool reach = false, skip = false;
+    for (const auto& [g, v] : members) {
+      if (v.size() < 2) continue;
+      const double gap = best - marginal[g];
+      const bool uniform = std::all_of(v.begin(), v.end(), [&](double x) {
+        return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(v.front());
+      });
+      // A group out of reach of the best spreads its mass evenly; one in
+      // reach carries its level-2 model's conditionals.
+      const bool out_of_reach = gap > core::HierarchicalDisassembler::kGroupReach;
+      if (std::abs(gap - core::HierarchicalDisassembler::kGroupReach) > 1e-9) {
+        EXPECT_EQ(uniform, out_of_reach) << "window " << i << " group " << g << " gap " << gap;
+      }
+      if (g != scored[i].group) (out_of_reach ? skip : reach) = true;
+    }
+    auto& [reached, skipped] = by_length[pool[i].samples.size()];
+    reached += reach ? 1 : 0;
+    skipped += skip ? 1 : 0;
+  }
+  // Some length bucket mixes lanes that run a second level-2 model with
+  // lanes that skip a two-class group.
+  bool mixed = false;
+  for (const auto& [length, counts] : by_length) {
+    mixed = mixed || (counts.first > 0 && counts.second > 0);
+  }
+  EXPECT_TRUE(mixed);
+
+  // Scored batch == scored scalar bit for bit at every width, and the scored
+  // labels, verdicts and headrooms are the plain walk's.
+  expect_batches_match(m, pool);
 }
 
 TEST_F(BatchModelFixture, StreamingBatchesAreWorkerCountInvariant) {

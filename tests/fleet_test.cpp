@@ -1236,10 +1236,13 @@ class FleetRegistryFixture : public FleetModelFixture {
 
 TEST_F(FleetRegistryFixture, StreamsShareOneModelPerArtifactAndStampResults) {
   ModelRegistry registry(fresh_root("share"));
-  registry.save("tenant-model", *model());  // v1
-  registry.save("tenant-model", *model());  // v2 (same content, distinct artifact)
+  registry.save("tenant-model", *model());       // v1
+  registry.save("tenant-model", variant(0x73));  // v2, a distinct model
   const std::uint64_t v1_checksum = registry.info("tenant-model", 1).checksum;
   const std::uint64_t v2_checksum = registry.info("tenant-model", 2).checksum;
+  // The checksum covers the payload only: equal models would stamp alike,
+  // and the v1/v2 stamp checks below would prove nothing.
+  ASSERT_NE(v1_checksum, v2_checksum) << "the versions must be distinct artifacts";
 
   FleetConfig cfg;
   cfg.shards = 2;

@@ -11,6 +11,9 @@
 //    drift monitor attributes drift to the channel that actually moved.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <memory>
 #include <random>
 #include <vector>
@@ -168,6 +171,34 @@ TEST(FusionEquivalence, MixedPresenceBatchMatchesScalar) {
       ADD_FAILURE() << "bare power window must be flagged degraded";
     }
   }
+}
+
+TEST(FusionEquivalence, FusedPosteriorsKeepTheConditionalsOfGroupsOutOfReach) {
+  // A channel's public scored walk spreads a group far behind its best
+  // evenly over the group's classes.  Fusion must not see that spread: the
+  // other channel can outvote a group one channel put out of reach, so the
+  // fused posterior recombines every group's own within-group conditionals.
+  // ADD/AND and COM/LSR are the two-class groups here.
+  const FusedDisassembler fused = balanced_fused();
+  const std::vector<std::size_t>& support = fused.posterior_classes();
+  std::size_t out_of_reach = 0;
+  for (const Disassembly& d : fused.classify_batch_scored(world().probes)) {
+    ASSERT_EQ(d.log_posterior.size(), support.size());
+    std::map<int, std::vector<double>> members;
+    for (std::size_t c = 0; c < support.size(); ++c) {
+      members[avr::group_of_class(support[c])].push_back(d.log_posterior[c]);
+    }
+    const double best =
+        *std::max_element(d.log_posterior.begin(), d.log_posterior.end());
+    for (const auto& [group, v] : members) {
+      if (v.size() < 2 || !std::isfinite(v[0])) continue;
+      EXPECT_NE(v[0], v[1]) << "group " << group << " spread evenly";
+      if (std::max(v[0], v[1]) < best - HierarchicalDisassembler::kGroupReach) {
+        ++out_of_reach;
+      }
+    }
+  }
+  EXPECT_GT(out_of_reach, 0u);
 }
 
 std::vector<Disassembly> fleet_all(std::size_t shards, std::size_t workers) {

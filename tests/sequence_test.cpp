@@ -18,6 +18,9 @@
 #include <numeric>
 #include <optional>
 #include <random>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "avr/assembler.hpp"
 #include "avr/grouping.hpp"
@@ -956,6 +959,160 @@ TEST(SequenceDecoderTest, SteadyStatePushAllocatesNothing) {
   }
 }
 
+// -- the group-skip exchange bound -------------------------------------------
+
+constexpr double kReach = core::HierarchicalDisassembler::kGroupReach;
+
+/// One 112-class emission row composed as the scored walk composes it, a
+/// log-softmax over the Table-2 groups plus one within each group, in two
+/// forms: `exact` runs every group's within-group factor, `skipped` gives
+/// each class of a group more than kReach behind the best group
+/// log P(group) - log |group|, as the walk does.  Group gaps come from near
+/// ties, a middle band, a band around kReach and far beyond, so rows both
+/// keep and skip groups close to the line.
+struct GroupedRow {
+  linalg::Vector exact;
+  linalg::Vector skipped;
+};
+
+GroupedRow grouped_row(std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> kind(0, 4);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const std::span<const int> sizes = avr::expected_group_sizes();
+  linalg::Vector group_scores(sizes.size());
+  for (double& g : group_scores) {
+    switch (kind(rng)) {
+      case 0: g = -6.0 * unit(rng); break;                  // near tie
+      case 1: g = -(6.0 + 14.0 * unit(rng)); break;          // middle band
+      case 2: g = -(kReach - 2.0 + 4.0 * unit(rng)); break;  // around the line
+      case 3: g = -(kReach + 2.0 + 200.0 * unit(rng)); break;
+      default: g = -1000.0; break;
+    }
+  }
+  group_scores[static_cast<std::size_t>(rng() % sizes.size())] = 0.0;
+  const linalg::Vector group_lp = core::log_softmax(group_scores);
+  const double best = *std::max_element(group_lp.begin(), group_lp.end());
+
+  GroupedRow row{linalg::Vector(avr::num_instruction_classes()),
+                 linalg::Vector(avr::num_instruction_classes())};
+  for (std::size_t gi = 0; gi < sizes.size(); ++gi) {
+    const std::vector<std::size_t> members = avr::classes_in_group(static_cast<int>(gi) + 1);
+    linalg::Vector within(members.size());
+    for (double& w : within) w = -8.0 * unit(rng);
+    within = core::log_softmax(within);
+    const bool reached = group_lp[gi] >= best - kReach;
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      row.exact[members[k]] = group_lp[gi] + within[k];
+      row.skipped[members[k]] =
+          reached ? row.exact[members[k]]
+                  : group_lp[gi] - std::log(static_cast<double>(members.size()));
+    }
+  }
+  return row;
+}
+
+/// A BigramPrior over the whole class table with random sparse evidence.
+std::shared_ptr<core::BigramPrior> random_bigram(std::mt19937_64& rng) {
+  const std::size_t n = avr::num_instruction_classes();
+  auto prior = std::make_shared<core::BigramPrior>(n);
+  std::uniform_int_distribution<std::size_t> cls(0, n - 1);
+  std::uniform_int_distribution<int> reps(1, 40);
+  for (std::size_t k = 0; k < 3 * n; ++k) {
+    const std::size_t from = cls(rng), to = cls(rng);
+    for (int r = reps(rng); r > 0; --r) prior->add_transition(from, to);
+  }
+  return prior;
+}
+
+std::vector<SmoothedWindow> decode_rows(const std::vector<linalg::Vector>& rows,
+                                        std::shared_ptr<const core::TransitionPrior> prior,
+                                        const SequenceDecoderConfig& cfg) {
+  std::vector<std::size_t> support(avr::num_instruction_classes());
+  std::iota(support.begin(), support.end(), std::size_t{0});
+  SequenceDecoder dec(support, std::move(prior), cfg);
+  std::vector<SmoothedWindow> out;
+  for (const linalg::Vector& row : rows) {
+    dec.push(make_window(row, support));
+    while (auto w = dec.poll()) out.push_back(std::move(*w));
+  }
+  for (auto& w : dec.flush()) out.push_back(std::move(w));
+  return out;
+}
+
+TEST(GroupSkipBound, SkippedGroupsMoveNoDecodedLabel) {
+  const std::size_t len = 120;
+  std::vector<std::size_t> support(avr::num_instruction_classes());
+  std::iota(support.begin(), support.end(), std::size_t{0});
+  std::size_t smoothed = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::mt19937_64 rng{seed};
+    std::vector<linalg::Vector> exact, skipped;
+    linalg::Matrix exact_m(len, avr::num_instruction_classes());
+    linalg::Matrix skipped_m(len, avr::num_instruction_classes());
+    for (std::size_t t = 0; t < len; ++t) {
+      GroupedRow row = grouped_row(rng);
+      for (std::size_t c = 0; c < row.exact.size(); ++c) {
+        exact_m(t, c) = row.exact[c];
+        skipped_m(t, c) = row.skipped[c];
+      }
+      exact.push_back(std::move(row.exact));
+      skipped.push_back(std::move(row.skipped));
+    }
+    const std::shared_ptr<core::BigramPrior> bigram = random_bigram(rng);
+    const auto isa = std::make_shared<const core::IsaPrior>(*bigram);
+    for (const std::shared_ptr<const core::TransitionPrior>& prior :
+         {std::shared_ptr<const core::TransitionPrior>(bigram),
+          std::shared_ptr<const core::TransitionPrior>(isa)}) {
+      for (const double w : {0.0, 1.0}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " isa " +
+                     std::to_string(prior == isa) + " weight " + std::to_string(w));
+        EXPECT_EQ(core::viterbi_decode(exact_m, *prior, w),
+                  core::viterbi_decode(skipped_m, *prior, w));
+        for (const auto& [lag, beam] : {std::pair{std::size_t{0}, std::size_t{0}},
+                                       std::pair{std::size_t{6}, std::size_t{0}},
+                                       std::pair{std::size_t{6}, std::size_t{16}},
+                                       std::pair{len, std::size_t{0}}}) {
+          SequenceDecoderConfig cfg;
+          cfg.lag = lag;
+          cfg.beam = beam;
+          cfg.prior_weight = w;
+          const double margin = SequenceDecoder(support, prior, cfg).exchange_margin();
+          ASSERT_GT(margin, 0.0);
+          const std::vector<SmoothedWindow> a = decode_rows(exact, prior, cfg);
+          const std::vector<SmoothedWindow> b = decode_rows(skipped, prior, cfg);
+          ASSERT_EQ(a.size(), len);
+          ASSERT_EQ(b.size(), len);
+          for (std::size_t t = 0; t < len; ++t) {
+            SCOPED_TRACE("lag " + std::to_string(lag) + " beam " + std::to_string(beam) +
+                         " t " + std::to_string(t));
+            EXPECT_EQ(a[t].value.class_idx, b[t].value.class_idx);
+            EXPECT_EQ(a[t].smoothed, b[t].smoothed);
+            EXPECT_EQ(a[t].converged, b[t].converged);
+            if (bits_of(a[t].confidence) != bits_of(b[t].confidence)) {
+              EXPECT_GE(a[t].confidence, margin);
+              EXPECT_GE(b[t].confidence, margin);
+            }
+            smoothed += a[t].smoothed ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  // The battery must see the prior overrule emissions.
+  EXPECT_GT(smoothed, 0u);
+}
+
+TEST(GroupSkipBound, DecoderRefusesAPriorThatBreaksTheBound) {
+  std::mt19937_64 rng{4};
+  const auto isa = std::make_shared<const core::IsaPrior>(*random_bigram(rng));
+  std::vector<std::size_t> support(avr::num_instruction_classes());
+  std::iota(support.begin(), support.end(), std::size_t{0});
+  SequenceDecoderConfig cfg;
+  EXPECT_GT(SequenceDecoder(support, isa, cfg).exchange_margin(), 0.0);
+  cfg.prior_weight = 10.0;
+  EXPECT_THROW(SequenceDecoder(support, isa, cfg), std::invalid_argument);
+}
+
 // -- model-backed battery ----------------------------------------------------
 
 constexpr std::size_t kSeqSeed = 20260806;
@@ -1133,6 +1290,24 @@ TEST(DecodeEquivalence, FleetIsShardCountInvariant) {
       expect_fleet_matches_reference(f, cfg, reference, shards, workers);
     }
   }
+}
+
+TEST(GroupSkipBound, OpenStreamRefusesAPriorThatBreaksTheBound) {
+  const DecodeFixture& f = fixture();
+  FleetConfig fc;
+  fc.shards = 1;
+  fc.workers_per_shard = 1;
+  FleetFrontend fleet(f.model, fc);
+  StreamOptions so;
+  so.decode_sequence = true;
+  so.decode_prior = f.prior;
+  so.decode.prior_weight = 10.0;
+  EXPECT_THROW(fleet.open_stream(so), std::invalid_argument);
+  EXPECT_EQ(fleet.stats().streams_opened, 0u);
+  so.decode.prior_weight = 1.0;
+  const auto id = fleet.open_stream(so);
+  EXPECT_EQ(fleet.stats().streams_live, 1u);
+  EXPECT_TRUE(fleet.close_stream(id).empty());
 }
 
 TEST(DecodeEquivalence, PlainStagePassesThroughUndecoded) {
