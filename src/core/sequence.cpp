@@ -310,54 +310,6 @@ bool IsaPrior::structurally_plausible(std::size_t from, std::size_t to) const {
   return plausible_[from * n + to] != 0;
 }
 
-std::vector<std::size_t> viterbi_decode(const linalg::Matrix& emissions,
-                                        const TransitionPrior& prior,
-                                        double prior_weight) {
-  const std::size_t t_max = emissions.rows();
-  const std::size_t n = emissions.cols();
-  if (t_max == 0) return {};
-  if (n != prior.num_classes()) {
-    throw std::invalid_argument("viterbi_decode: class-count mismatch");
-  }
-
-  // Precompute the weighted log-transition matrix once.
-  linalg::Matrix log_trans(n, n);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      log_trans(a, b) = prior_weight * prior.log_prob(a, b);
-    }
-  }
-
-  linalg::Matrix score(t_max, n);
-  std::vector<std::vector<std::size_t>> back(t_max, std::vector<std::size_t>(n, 0));
-  for (std::size_t c = 0; c < n; ++c) score(0, c) = emissions(0, c);
-
-  for (std::size_t t = 1; t < t_max; ++t) {
-    for (std::size_t c = 0; c < n; ++c) {
-      double best = -1e300;
-      std::size_t best_prev = 0;
-      for (std::size_t p = 0; p < n; ++p) {
-        const double v = score(t - 1, p) + log_trans(p, c);
-        if (v > best) {
-          best = v;
-          best_prev = p;
-        }
-      }
-      score(t, c) = best + emissions(t, c);
-      back[t][c] = best_prev;
-    }
-  }
-
-  std::vector<std::size_t> path(t_max);
-  std::size_t best_end = 0;
-  for (std::size_t c = 1; c < n; ++c) {
-    if (score(t_max - 1, c) > score(t_max - 1, best_end)) best_end = c;
-  }
-  path[t_max - 1] = best_end;
-  for (std::size_t t = t_max - 1; t > 0; --t) path[t - 1] = back[t][path[t]];
-  return path;
-}
-
 bool ends_basic_block(std::size_t class_idx) {
   const auto& classes = avr::instruction_classes();
   if (class_idx >= classes.size()) throw std::out_of_range("ends_basic_block");

@@ -151,16 +151,6 @@ class IsaPrior : public TransitionPrior {
   std::vector<std::uint8_t> plausible_;  ///< row-major n x n, 0/1
 };
 
-/// Viterbi decoding of a window sequence.
-///
-/// `emissions` holds one row per window; entry (t, c) is the classifier's
-/// log-posterior (or any log-score) of class c for window t.  Returns the
-/// maximum-a-posteriori class index sequence under the transition prior,
-/// weighting the prior by `prior_weight` (0 = pure per-window argmax).
-std::vector<std::size_t> viterbi_decode(const linalg::Matrix& emissions,
-                                        const TransitionPrior& prior,
-                                        double prior_weight = 1.0);
-
 // -- basic-block recovery -----------------------------------------------
 //
 // A smoothed class stream segments into basic blocks at control-flow

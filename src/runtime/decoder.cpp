@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +16,11 @@ namespace sidis::runtime {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Headroom of the state support's reach over the prior's spreads, about
+/// -log DBL_EPSILON: a pruned state trails the window's best by more than
+/// this on every path, far beyond any rounding of the recursion's sums.
+constexpr double kRoundingNats = 37.0;
 
 /// First index of the maximum (ties break low, matching scored_from_scores).
 std::size_t argmax_first(const linalg::Vector& v) {
@@ -66,12 +70,13 @@ double margin(const linalg::Vector& delta, const linalg::Vector& beta,
 
 // -- max-plus kernels ---------------------------------------------------------
 //
-// Both kernels put DESTINATION states in SIMD lanes and run the reduction
-// over source states outermost, in the scalar loop's order, with the scalar
-// loop's strict `>`.  Every lane therefore performs exactly the additions and
-// comparisons of the per-destination scalar loop -- only their interleaving
-// across lanes changes -- so results are bit-identical to it, first-index tie
-// break included.  Each kernel keeps a register tile of lanes live across the
+// Both kernels put all n DESTINATION states in SIMD lanes and run the
+// reduction over a list of source states -- a window's ascending support --
+// outermost, in the scalar loop's order, with the scalar loop's strict `>`.
+// Every lane therefore performs exactly the additions and comparisons of the
+// per-destination scalar loop -- only their interleaving across lanes
+// changes -- so results are bit-identical to it, first-index tie break
+// included.  Each kernel keeps a register tile of lanes live across the
 // whole reduction (see linalg/lanes.hpp for why); lanes left over by the
 // tiles run the same arithmetic one at a time.
 
@@ -126,11 +131,13 @@ void argmax_tile(const double* src, const std::size_t* preds, std::size_t count,
 }
 
 template <std::size_t V>
-void max_tile(const double* trans_t, std::size_t n, const double* e, const double* beta,
-              std::size_t c0, double* out) {
+void max_tile(const double* trans_t, std::size_t n, const std::size_t* srcs,
+              std::size_t count, const double* e, const double* beta, std::size_t c0,
+              double* out) {
   lanes::LaneVec best[V];
   for (std::size_t v = 0; v < V; ++v) best[v] = lanes::splat(-kInf);
-  for (std::size_t c2 = 0; c2 < n; ++c2) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t c2 = srcs[i];
     const lanes::LaneVec ev = lanes::splat(e[c2]);
     const lanes::LaneVec bv = lanes::splat(beta[c2]);
     const double* row = trans_t + c2 * n + c0;
@@ -177,24 +184,25 @@ void max_plus_argmax(const double* src, const std::size_t* preds, std::size_t co
   }
 }
 
-/// Kernel (b), the backward (beta) step: out[c] = max over c2 of
-/// (trans_t(c2, c) + e[c2]) + beta[c2], with trans_t the transposed
-/// transition matrix (so destinations are contiguous) and -inf when nothing
-/// beats it.
-void max_plus(const double* trans_t, std::size_t n, const double* e, const double* beta,
-              double* out) {
+/// Kernel (b), the backward (beta) step: for every destination c, out[c] =
+/// max over c2 in srcs[0..count) of (trans_t(c2, c) + e[c2]) + beta[c2],
+/// with trans_t the n x n transposed transition matrix (so destinations are
+/// contiguous) and -inf when nothing beats it.
+void max_plus(const double* trans_t, std::size_t n, const std::size_t* srcs,
+              std::size_t count, const double* e, const double* beta, double* out) {
   std::size_t c = 0;
 #ifdef SIDIS_LANE_VEC
   for (; c + kMaxTile <= n; c += kMaxTile) {
-    max_tile<kMaxTile / lanes::kVecWidth>(trans_t, n, e, beta, c, out);
+    max_tile<kMaxTile / lanes::kVecWidth>(trans_t, n, srcs, count, e, beta, c, out);
   }
   for (; c + lanes::kVecWidth <= n; c += lanes::kVecWidth) {
-    max_tile<1>(trans_t, n, e, beta, c, out);
+    max_tile<1>(trans_t, n, srcs, count, e, beta, c, out);
   }
 #endif
   for (; c < n; ++c) {
     double b = -kInf;
-    for (std::size_t c2 = 0; c2 < n; ++c2) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t c2 = srcs[i];
       const double v = trans_t[c2 * n + c] + e[c2] + beta[c2];
       if (v > b) b = v;
     }
@@ -235,9 +243,6 @@ SequenceDecoder::SequenceDecoder(std::vector<std::size_t> classes,
       log_trans_t_(b, a) = log_trans_(a, b);
     }
   }
-  order_.resize(n);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
-
   // The exchange bound (see exchange_margin()): the largest spread of a row
   // (one source, any two destinations) and of a column (one destination,
   // any two sources) of the weighted prior.
@@ -263,6 +268,10 @@ SequenceDecoder::SequenceDecoder(std::vector<std::size_t> classes,
         << "a decoded label; lower prior_weight or smooth the prior";
     throw std::invalid_argument(why.str());
   }
+  // The state support (see decoder.hpp): a state more than the two spreads
+  // below its window's best emission loses to the best state on every path,
+  // through any predecessor and into any successor.
+  support_reach_ = row_spread + col_spread + kRoundingNats;
 }
 
 void SequenceDecoder::advance(Node& node, const Node* prev) {
@@ -283,26 +292,10 @@ void SequenceDecoder::advance(Node& node, const Node* prev) {
     normalize_shift(node.delta);
     return;
   }
-  std::size_t count = n;
-  if (config_.beam > 0 && config_.beam < n) {
-    // Highest predecessor score first, index-ascending on ties -- the order
-    // a stable sort by score gives -- so pruning is deterministic.  A NaN
-    // score ranks last.
-    const auto key = [&](std::size_t p) {
-      return std::isnan(prev->delta[p]) ? -kInf : prev->delta[p];
-    };
-    count = config_.beam;
-    std::iota(order_.begin(), order_.end(), std::size_t{0});
-    std::partial_sort(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(count),
-                      order_.end(), [&](std::size_t a, std::size_t b) {
-                        const double ka = key(a), kb = key(b);
-                        return ka > kb || (ka == kb && a < b);
-                      });
-  }
   node.delta.resize(n);
   node.backptr.resize(n);
-  max_plus_argmax(prev->delta.data(), order_.data(), count, log_trans_.data().data(), n,
-                  node.delta.data(), node.backptr.data());
+  max_plus_argmax(prev->delta.data(), prev->support.data(), prev->support.size(),
+                  log_trans_.data().data(), n, node.delta.data(), node.backptr.data());
   for (std::size_t c = 0; c < n; ++c) node.delta[c] += emissions[c];
   // Keep scores bounded over unbounded streams; a uniform shift changes no
   // path decision and no confidence margin.
@@ -316,8 +309,8 @@ void SequenceDecoder::backward_pass() {
     const Node& next = lattice_[t];
     Node& cur = lattice_[t - 1];
     cur.beta.resize(n);
-    max_plus(log_trans_t_.data().data(), n, next.window.log_posterior.data(),
-             next.beta.data(), cur.beta.data());
+    max_plus(log_trans_t_.data().data(), n, next.support.data(), next.support.size(),
+             next.window.log_posterior.data(), next.beta.data(), cur.beta.data());
   }
 }
 
@@ -425,6 +418,16 @@ void SequenceDecoder::push(core::Disassembly window) {
   }
   Node& node = lattice_.push_back();
   node.window = std::move(window);
+  // The window's support, inclusive at the boundary.  Reserving n up front
+  // keeps a reused slot from reallocating when a later window's support is
+  // wider than any it held before.
+  const linalg::Vector& emissions = node.window.log_posterior;
+  const double floor = emissions[argmax_first(emissions)] - support_reach_;
+  node.support.reserve(emissions.size());
+  node.support.clear();
+  for (std::size_t c = 0; c < emissions.size(); ++c) {
+    if (emissions[c] >= floor) node.support.push_back(c);
+  }
   advance(node, lattice_.size() == 1 ? nullptr : &lattice_[lattice_.size() - 2]);
   if (lattice_.size() > config_.lag) commit_front();
 }

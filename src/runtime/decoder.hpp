@@ -1,15 +1,15 @@
 // Bounded-lag Viterbi smoothing over one stream's in-order delivery -- the
 // runtime half of probabilistic sequence decoding.
 //
-// core::viterbi_decode needs the whole sequence before it can emit anything;
-// a serving tier cannot wait for a stream to end.  The SequenceDecoder keeps
-// a sliding lattice of the last `lag + 1` windows: every push() extends the
-// Viterbi recursion one step (optionally beam-pruned), and once the lattice
-// exceeds the lag the oldest window is *committed* -- its state taken from
-// the backtrace of the current frontier argmax -- and emitted with a
-// max-marginal sequence confidence.  After a commit the lattice is rebased by
-// conditioning on the committed state, so consecutive emissions always form a
-// connected path under the transition prior.
+// Offline Viterbi needs the whole sequence before it can emit anything; a
+// serving tier cannot wait for a stream to end.  The SequenceDecoder keeps a
+// sliding lattice of the last `lag + 1` windows: every push() extends the
+// Viterbi recursion one step, and once the lattice exceeds the lag the oldest
+// window is *committed* -- its state taken from the backtrace of the current
+// frontier argmax -- and emitted with a max-marginal sequence confidence.
+// After a commit the lattice is rebased by conditioning on the committed
+// state, so consecutive emissions always form a connected path under the
+// transition prior.
 //
 // Latency is bounded by construction (a window waits at most `lag` successor
 // windows), and every commit on which the frontier paths already agree is
@@ -17,8 +17,23 @@
 // the emitted prefix is *exactly* what offline Viterbi would emit (after a
 // forced commit the decoder solves the problem conditioned on that prefix,
 // which is the right objective for a stream that must keep its word).  The
-// decode-equivalence battery in sequence_test pins this, and flush() finishes
-// any tail with a full offline pass.
+// decode-equivalence battery in sequence_test pins this against a dense
+// offline Viterbi, and flush() finishes any tail with a full offline pass.
+//
+// Exact state support: each window keeps the ascending list of states whose
+// emission lies within Δ_s of its best one, where Δ_s is the weighted prior's
+// row spread + column spread over the support + 37 nats.  A state further
+// down is never the max or the first-index argmax of any step: swapping it
+// for the window's best state raises every path through it by more than
+// Δ_s minus the spreads, i.e. by more than 37 nats (about -log DBL_EPSILON),
+// a gap no double rounding of the recursion's sums can bridge.  So each
+// recursion step reduces only over a support -- predecessors forward,
+// successors backward -- at about (lag + 1) * k * n work per window instead
+// of (lag + 1) * n^2, with k about 2 on real posteriors.  Destinations stay
+// dense: every node still holds all n scores, backpointers and suffix
+// scores, so the converged check (all n backpointers), the rebase and the
+// max-marginal runner-up (often a state outside the support) are exactly
+// what the dense recursion computes.
 //
 // The model's scored walk skips the level-2 model of every group more than
 // HierarchicalDisassembler::kGroupReach nats behind a window's best group
@@ -37,8 +52,8 @@
 // lanes (DESIGN.md, sequence decoding): each lane performs the scalar loop's
 // operations in the scalar loop's order, so every decision, backpointer and
 // confidence bit matches a plain per-state loop.  Steady-state push() and the
-// commits it triggers allocate nothing: lattice nodes, beta rows, the beam
-// and the rebase snapshot are reused buffers.
+// commits it triggers allocate nothing: lattice nodes, their supports, beta
+// rows and the rebase snapshot are reused buffers.
 //
 // Thread-safety: none.  One decoder belongs to one stream's single consumer
 // (a FleetFrontend shard, under its lock, for decode_sequence streams),
@@ -64,9 +79,6 @@ struct SequenceDecoderConfig {
   /// seen.  0 decodes greedily (commit on push, conditioned on the previous
   /// commit); a lag >= the stream length reproduces offline Viterbi exactly.
   std::size_t lag = 8;
-  /// Beam width: predecessors considered per recursion step (0 = all states,
-  /// exact).  Pruning bounds the per-window cost at beam * classes.
-  std::size_t beam = 0;
   /// Weight on the transition prior (0 = per-window argmax of the posterior).
   double prior_weight = 1.0;
   /// kOk windows whose sequence confidence falls below this are downgraded
@@ -188,6 +200,9 @@ class SequenceDecoder {
     linalg::Vector delta;              ///< Viterbi scores, max-normalized per step
     std::vector<std::size_t> backptr;  ///< empty at the lattice front
     linalg::Vector beta;               ///< best suffix score per state (commit/flush)
+    /// Ascending states within support_reach_ of the best emission: the
+    /// only states a recursion step reduces over.  Reserved to n once.
+    std::vector<std::size_t> support;
   };
 
   /// Extends the recursion: fills node.delta/backptr from `prev` (nullptr at
@@ -206,12 +221,14 @@ class SequenceDecoder {
   /// state index and max-marginal confidence.
   void emit(Node& node, std::size_t state, double confidence, bool converged);
 
+  /// Reads the lattice (scores, backpointers, supports), so the
+  /// decode-equivalence tests can hold every node to a dense recursion.
+  friend class SequenceDecoderProbe;
+
   std::vector<std::size_t> classes_;
   SequenceDecoderConfig config_;
   linalg::Matrix log_trans_;    ///< prior_weight * log P(b|a) over the support
   linalg::Matrix log_trans_t_;  ///< its transpose: rows are destination states
-  std::vector<std::size_t> order_;  ///< predecessors visited per step: 0..n-1,
-                                    ///< or the beam's best-first prefix
   Ring<Node> lattice_;
   Ring<SmoothedWindow> out_;
   linalg::Vector snapshot_delta_;  ///< a rebased node's pre-rebase scores
@@ -223,6 +240,10 @@ class SequenceDecoder {
   std::optional<std::size_t> last_committed_;
   std::uint64_t smoothed_count_ = 0;
   double exchange_margin_ = 0.0;
+  /// Δ_s: row spread + column spread of the weighted prior + 37 nats.  A
+  /// state whose emission lies more than this below its window's best is on
+  /// no Viterbi path and is no step's argmax.
+  double support_reach_ = 0.0;
 };
 
 }  // namespace sidis::runtime

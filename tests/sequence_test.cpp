@@ -19,8 +19,10 @@
 #include <optional>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "avr/assembler.hpp"
 #include "avr/grouping.hpp"
@@ -73,6 +75,61 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 
 namespace sidis::core {
 namespace {
+
+/// Viterbi decoding of a window sequence -- the dense offline oracle the
+/// runtime decoder is checked against.
+///
+/// `emissions` holds one row per window; entry (t, c) is the classifier's
+/// log-posterior (or any log-score) of class c for window t.  Returns the
+/// maximum-a-posteriori class index sequence under the transition prior,
+/// weighting the prior by `prior_weight` (0 = pure per-window argmax).
+std::vector<std::size_t> viterbi_decode(const linalg::Matrix& emissions,
+                                        const TransitionPrior& prior,
+                                        double prior_weight = 1.0) {
+  const std::size_t t_max = emissions.rows();
+  const std::size_t n = emissions.cols();
+  if (t_max == 0) return {};
+  if (n != prior.num_classes()) {
+    throw std::invalid_argument("viterbi_decode: class-count mismatch");
+  }
+
+  // Precompute the weighted log-transition matrix once.
+  linalg::Matrix log_trans(n, n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      log_trans(a, b) = prior_weight * prior.log_prob(a, b);
+    }
+  }
+
+  linalg::Matrix score(t_max, n);
+  std::vector<std::vector<std::size_t>> back(t_max, std::vector<std::size_t>(n, 0));
+  for (std::size_t c = 0; c < n; ++c) score(0, c) = emissions(0, c);
+
+  for (std::size_t t = 1; t < t_max; ++t) {
+    for (std::size_t c = 0; c < n; ++c) {
+      double best = -1e300;
+      std::size_t best_prev = 0;
+      for (std::size_t p = 0; p < n; ++p) {
+        const double v = score(t - 1, p) + log_trans(p, c);
+        if (v > best) {
+          best = v;
+          best_prev = p;
+        }
+      }
+      score(t, c) = best + emissions(t, c);
+      back[t][c] = best_prev;
+    }
+  }
+
+  std::vector<std::size_t> path(t_max);
+  std::size_t best_end = 0;
+  for (std::size_t c = 1; c < n; ++c) {
+    if (score(t_max - 1, c) > score(t_max - 1, best_end)) best_end = c;
+  }
+  path[t_max - 1] = best_end;
+  for (std::size_t t = t_max - 1; t > 0; --t) path[t - 1] = back[t][path[t]];
+  return path;
+}
 
 TEST(BigramPrior, LaplaceSmoothingGivesUniformStart) {
   const BigramPrior prior(4);
@@ -388,6 +445,22 @@ TEST(BasicBlocks, RecoveryRateCountsExactBlockMatches) {
 // -- runtime battery: bounded-lag decoder, scored paths, invariance ----------
 
 namespace sidis::runtime {
+
+/// Read access to a SequenceDecoder's lattice, front (oldest window) first.
+class SequenceDecoderProbe {
+ public:
+  static std::size_t depth(const SequenceDecoder& d) { return d.lattice_.size(); }
+  static const linalg::Vector& delta(const SequenceDecoder& d, std::size_t t) {
+    return d.lattice_[t].delta;
+  }
+  static const std::vector<std::size_t>& backptr(const SequenceDecoder& d, std::size_t t) {
+    return d.lattice_[t].backptr;
+  }
+  static const std::vector<std::size_t>& support(const SequenceDecoder& d, std::size_t t) {
+    return d.lattice_[t].support;
+  }
+};
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -406,16 +479,23 @@ core::Disassembly make_window(const linalg::Vector& log_posterior,
   return w;
 }
 
-/// The decoder's recursions as plain per-destination scalar loops: a verbatim
-/// copy of the scalar implementation the lane kernels replaced, kept as the
-/// bit-identity reference.  Decides only (state, converged, confidence);
-/// every input row must carry a finite entry and no NaN.
+/// The decoder's recursions as plain per-destination scalar loops over all
+/// n x n state pairs: a verbatim copy of the scalar implementation the lane
+/// kernels replaced, kept as the dense bit-identity reference (it never
+/// prunes a state).  Decides only (state, converged, confidence); every
+/// input row must carry a finite entry and no NaN.
 class ScalarReferenceDecoder {
  public:
   struct Decision {
     std::size_t state = 0;
     bool converged = true;
     double confidence = kInf;
+  };
+
+  struct Node {
+    linalg::Vector emissions;
+    linalg::Vector delta;
+    std::vector<std::size_t> backptr;
   };
 
   ScalarReferenceDecoder(std::size_t n, const core::TransitionPrior& prior,
@@ -483,13 +563,10 @@ class ScalarReferenceDecoder {
     return std::move(out_);
   }
 
- private:
-  struct Node {
-    linalg::Vector emissions;
-    linalg::Vector delta;
-    std::vector<std::size_t> backptr;
-  };
+  /// The live lattice, front (oldest window) first.
+  const std::deque<Node>& lattice() const { return lattice_; }
 
+ private:
   static std::size_t argmax_first(const linalg::Vector& v) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < v.size(); ++i) {
@@ -520,34 +597,14 @@ class ScalarReferenceDecoder {
       return;
     }
     node.backptr.assign(n, 0);
-    std::vector<std::size_t> beam;
-    const bool pruned = config_.beam > 0 && config_.beam < n;
-    if (pruned) {
-      beam.resize(n);
-      std::iota(beam.begin(), beam.end(), std::size_t{0});
-      std::stable_sort(beam.begin(), beam.end(), [&](std::size_t a, std::size_t b) {
-        return prev->delta[a] > prev->delta[b];
-      });
-      beam.resize(config_.beam);
-    }
     for (std::size_t c = 0; c < n; ++c) {
       double best = -kInf;
-      std::size_t bp = pruned ? beam[0] : 0;
-      if (pruned) {
-        for (const std::size_t p : beam) {
-          const double v = prev->delta[p] + log_trans_(p, c);
-          if (v > best) {
-            best = v;
-            bp = p;
-          }
-        }
-      } else {
-        for (std::size_t p = 0; p < n; ++p) {
-          const double v = prev->delta[p] + log_trans_(p, c);
-          if (v > best) {
-            best = v;
-            bp = p;
-          }
+      std::size_t bp = 0;
+      for (std::size_t p = 0; p < n; ++p) {
+        const double v = prev->delta[p] + log_trans_(p, c);
+        if (v > best) {
+          best = v;
+          bp = p;
         }
       }
       node.delta[c] = best + node.emissions[c];
@@ -772,37 +829,6 @@ TEST(DecodeEquivalence, BoundedLagAgreesWithOfflineViterbi) {
   }
 }
 
-TEST(DecodeEquivalence, BeamedDecoderStaysExactWhenBeamCoversTheStates) {
-  const std::size_t n = 4;
-  const std::vector<std::size_t> support = {0, 1, 2, 3};
-  std::mt19937_64 rng{5};
-  std::uniform_real_distribution<double> em(-5.0, 0.0);
-  auto prior = std::make_shared<core::BigramPrior>(n);
-  const auto run = [&](std::size_t beam, const linalg::Matrix& emissions) {
-    SequenceDecoderConfig cfg;
-    cfg.lag = 4;
-    cfg.beam = beam;
-    SequenceDecoder dec(support, prior, cfg);
-    std::vector<std::size_t> classes;
-    std::vector<SmoothedWindow> out;
-    for (std::size_t t = 0; t < emissions.rows(); ++t) {
-      linalg::Vector row(n);
-      for (std::size_t c = 0; c < n; ++c) row[c] = emissions(t, c);
-      dec.push(make_window(row, support));
-      while (auto w = dec.poll()) out.push_back(std::move(*w));
-    }
-    for (auto& w : dec.flush()) out.push_back(std::move(w));
-    for (const SmoothedWindow& w : out) classes.push_back(w.value.class_idx);
-    return classes;
-  };
-  linalg::Matrix emissions(24, n);
-  for (std::size_t t = 0; t < 24; ++t) {
-    for (std::size_t c = 0; c < n; ++c) emissions(t, c) = em(rng);
-  }
-  // beam == n is exhaustive by definition; beam 0 means "all".
-  EXPECT_EQ(run(0, emissions), run(n, emissions));
-}
-
 TEST(SequenceDecoderTest, MalformedPosteriorBreaksTheChainInsteadOfPoisoningIt) {
   // Sharp windows under a flat prior decode to their own argmax.  One
   // malformed row among them must pass through unsmoothed and leave every
@@ -889,42 +915,39 @@ TEST(DecodeEquivalence, IsaScaleKernelsMatchScalarReference) {
   const std::vector<linalg::Vector> rows = isa_scale_rows(n, 2000, 20261017);
 
   for (const std::size_t lag : {std::size_t{0}, std::size_t{2}, std::size_t{6}}) {
-    for (const std::size_t beam : {std::size_t{0}, std::size_t{16}}) {
-      SequenceDecoderConfig cfg;
-      cfg.lag = lag;
-      cfg.beam = beam;
-      SequenceDecoder dec(support, prior, cfg);
-      ScalarReferenceDecoder ref(n, *prior, cfg);
-      std::vector<SmoothedWindow> out;
-      for (const linalg::Vector& row : rows) {
-        dec.push(make_window(row, support));
-        ref.push(row);
-        while (auto w = dec.poll()) out.push_back(std::move(*w));
+    SequenceDecoderConfig cfg;
+    cfg.lag = lag;
+    SequenceDecoder dec(support, prior, cfg);
+    ScalarReferenceDecoder ref(n, *prior, cfg);
+    std::vector<SmoothedWindow> out;
+    for (const linalg::Vector& row : rows) {
+      dec.push(make_window(row, support));
+      ref.push(row);
+      while (auto w = dec.poll()) out.push_back(std::move(*w));
+    }
+    for (auto& w : dec.flush()) out.push_back(std::move(w));
+    const std::vector<ScalarReferenceDecoder::Decision> expected = ref.flush();
+    ASSERT_EQ(out.size(), rows.size()) << "lag " << lag;
+    ASSERT_EQ(expected.size(), rows.size());
+    std::size_t mismatches = 0, converged = 0;
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      const bool same = out[t].value.class_idx == support[expected[t].state] &&
+                        out[t].converged == expected[t].converged &&
+                        bits_of(out[t].confidence) == bits_of(expected[t].confidence);
+      if (!same && mismatches++ == 0) {
+        ADD_FAILURE() << "lag " << lag << " window " << t << ": class "
+                      << out[t].value.class_idx << " vs " << expected[t].state
+                      << ", converged " << out[t].converged << " vs "
+                      << expected[t].converged << ", confidence " << out[t].confidence
+                      << " vs " << expected[t].confidence;
       }
-      for (auto& w : dec.flush()) out.push_back(std::move(w));
-      const std::vector<ScalarReferenceDecoder::Decision> expected = ref.flush();
-      ASSERT_EQ(out.size(), rows.size()) << "lag " << lag << " beam " << beam;
-      ASSERT_EQ(expected.size(), rows.size());
-      std::size_t mismatches = 0, converged = 0;
-      for (std::size_t t = 0; t < rows.size(); ++t) {
-        const bool same = out[t].value.class_idx == support[expected[t].state] &&
-                          out[t].converged == expected[t].converged &&
-                          bits_of(out[t].confidence) == bits_of(expected[t].confidence);
-        if (!same && mismatches++ == 0) {
-          ADD_FAILURE() << "lag " << lag << " beam " << beam << " window " << t
-                        << ": class " << out[t].value.class_idx << " vs "
-                        << expected[t].state << ", converged " << out[t].converged
-                        << " vs " << expected[t].converged << ", confidence "
-                        << out[t].confidence << " vs " << expected[t].confidence;
-        }
-        converged += out[t].converged ? 1 : 0;
-      }
-      EXPECT_EQ(mismatches, 0u) << "lag " << lag << " beam " << beam;
-      // The battery must exercise both commit kinds.
-      if (lag > 0) {
-        EXPECT_GT(converged, 0u) << "lag " << lag << " beam " << beam;
-        EXPECT_LT(converged, rows.size()) << "lag " << lag << " beam " << beam;
-      }
+      converged += out[t].converged ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "lag " << lag;
+    // The battery must exercise both commit kinds.
+    if (lag > 0) {
+      EXPECT_GT(converged, 0u) << "lag " << lag;
+      EXPECT_LT(converged, rows.size()) << "lag " << lag;
     }
   }
 }
@@ -934,29 +957,48 @@ TEST(SequenceDecoderTest, SteadyStatePushAllocatesNothing) {
   const std::size_t n = prior->num_classes();
   std::vector<std::size_t> support(n);
   std::iota(support.begin(), support.end(), std::size_t{0});
-  const std::vector<linalg::Vector> rows = isa_scale_rows(n, 400, 7);
-  for (const std::size_t beam : {std::size_t{0}, std::size_t{16}}) {
-    SequenceDecoderConfig cfg;
-    cfg.lag = 6;
-    cfg.beam = beam;
-    SequenceDecoder dec(support, prior, cfg);
-    std::vector<core::Disassembly> windows;
-    for (const linalg::Vector& row : rows) windows.push_back(make_window(row, support));
-    std::vector<SmoothedWindow> sink;
-    sink.reserve(windows.size());
-    const std::size_t warm = 100;
-    for (std::size_t i = 0; i < warm; ++i) {
-      dec.push(std::move(windows[i]));
-      while (auto w = dec.poll()) sink.push_back(std::move(*w));
-    }
-    const std::size_t before = t_allocations;
-    for (std::size_t i = warm; i < windows.size(); ++i) {
-      dec.push(std::move(windows[i]));
-      while (auto w = dec.poll()) sink.push_back(std::move(*w));
-    }
-    EXPECT_EQ(t_allocations - before, 0u) << "beam " << beam;
-    EXPECT_EQ(sink.size() + dec.pending(), windows.size());
+  // Warm-up rows hold one state, or an exact two-way tie (so commits both
+  // fuse and rebase), with every other state far out of reach: no support
+  // exceeds two states.  The measured ISA-scale rows that follow reach all n
+  // states (every 29th is flat), so a slot's support must grow in place.
+  const std::size_t warm = 100;
+  std::mt19937_64 rng{7};
+  std::uniform_int_distribution<std::size_t> cls(0, n - 1);
+  std::vector<linalg::Vector> rows;
+  for (std::size_t t = 0; t < warm; ++t) {
+    linalg::Vector row(n, -1e4);
+    row[cls(rng)] = 0.0;
+    if (t % 2 == 1) row[cls(rng)] = 0.0;
+    rows.push_back(std::move(row));
   }
+  for (linalg::Vector& row : isa_scale_rows(n, 300, 7)) rows.push_back(std::move(row));
+
+  SequenceDecoderConfig cfg;
+  cfg.lag = 6;
+  SequenceDecoder dec(support, prior, cfg);
+  std::vector<core::Disassembly> windows;
+  for (const linalg::Vector& row : rows) windows.push_back(make_window(row, support));
+  std::vector<SmoothedWindow> sink;
+  sink.reserve(windows.size());
+  std::size_t widest = 0;
+  const auto push = [&](std::size_t i) {
+    dec.push(std::move(windows[i]));
+    const std::size_t depth = SequenceDecoderProbe::depth(dec);
+    if (depth > 0) {
+      widest = std::max(widest, SequenceDecoderProbe::support(dec, depth - 1).size());
+    }
+    while (auto w = dec.poll()) sink.push_back(std::move(*w));
+  };
+  for (std::size_t i = 0; i < warm; ++i) push(i);
+  EXPECT_LE(widest, 2u);
+  EXPECT_TRUE(std::any_of(sink.begin(), sink.end(),
+                          [](const SmoothedWindow& w) { return !w.converged; }))
+      << "the warm-up must rebase the lattice";
+  const std::size_t before = t_allocations;
+  for (std::size_t i = warm; i < windows.size(); ++i) push(i);
+  EXPECT_EQ(t_allocations - before, 0u);
+  EXPECT_EQ(widest, n);
+  EXPECT_EQ(sink.size() + dec.pending(), windows.size());
 }
 
 // -- the group-skip exchange bound -------------------------------------------
@@ -1068,13 +1110,9 @@ TEST(GroupSkipBound, SkippedGroupsMoveNoDecodedLabel) {
                      std::to_string(prior == isa) + " weight " + std::to_string(w));
         EXPECT_EQ(core::viterbi_decode(exact_m, *prior, w),
                   core::viterbi_decode(skipped_m, *prior, w));
-        for (const auto& [lag, beam] : {std::pair{std::size_t{0}, std::size_t{0}},
-                                       std::pair{std::size_t{6}, std::size_t{0}},
-                                       std::pair{std::size_t{6}, std::size_t{16}},
-                                       std::pair{len, std::size_t{0}}}) {
+        for (const std::size_t lag : {std::size_t{0}, std::size_t{6}, len}) {
           SequenceDecoderConfig cfg;
           cfg.lag = lag;
-          cfg.beam = beam;
           cfg.prior_weight = w;
           const double margin = SequenceDecoder(support, prior, cfg).exchange_margin();
           ASSERT_GT(margin, 0.0);
@@ -1083,8 +1121,7 @@ TEST(GroupSkipBound, SkippedGroupsMoveNoDecodedLabel) {
           ASSERT_EQ(a.size(), len);
           ASSERT_EQ(b.size(), len);
           for (std::size_t t = 0; t < len; ++t) {
-            SCOPED_TRACE("lag " + std::to_string(lag) + " beam " + std::to_string(beam) +
-                         " t " + std::to_string(t));
+            SCOPED_TRACE("lag " + std::to_string(lag) + " t " + std::to_string(t));
             EXPECT_EQ(a[t].value.class_idx, b[t].value.class_idx);
             EXPECT_EQ(a[t].smoothed, b[t].smoothed);
             EXPECT_EQ(a[t].converged, b[t].converged);
@@ -1111,6 +1148,323 @@ TEST(GroupSkipBound, DecoderRefusesAPriorThatBreaksTheBound) {
   EXPECT_GT(SequenceDecoder(support, isa, cfg).exchange_margin(), 0.0);
   cfg.prior_weight = 10.0;
   EXPECT_THROW(SequenceDecoder(support, isa, cfg), std::invalid_argument);
+}
+
+// -- the exact state support --------------------------------------------------
+//
+// Each lattice step reduces only over the states within Δ_s of a window's
+// best emission.  These cases hold the decoder to the dense n x n reference
+// at its edges: supports of all n states and of one, supports that swing
+// between the two, entries exactly on the boundary, exact ties, states a
+// hair inside the spreads that still decide, and a zero prior weight.
+
+/// The weighted prior's largest row spread (one source, any two
+/// destinations) and column spread (one destination, any two sources).
+struct Spreads {
+  double row = 0.0;
+  double col = 0.0;
+};
+
+Spreads weighted_spreads(const core::TransitionPrior& prior, double weight) {
+  const std::size_t n = prior.num_classes();
+  Spreads s;
+  for (std::size_t a = 0; a < n; ++a) {
+    double row_min = kInf, row_max = -kInf, col_min = kInf, col_max = -kInf;
+    for (std::size_t b = 0; b < n; ++b) {
+      const double r = weight * prior.log_prob(a, b);
+      const double c = weight * prior.log_prob(b, a);
+      row_min = std::min(row_min, r);
+      row_max = std::max(row_max, r);
+      col_min = std::min(col_min, c);
+      col_max = std::max(col_max, c);
+    }
+    s.row = std::max(s.row, row_max - row_min);
+    s.col = std::max(s.col, col_max - col_min);
+  }
+  return s;
+}
+
+/// Δ_s as the decoder derives it over the full class table.
+double support_reach(const core::TransitionPrior& prior, double weight) {
+  const Spreads s = weighted_spreads(prior, weight);
+  return s.row + s.col + 37.0;
+}
+
+/// Decodes `rows` over the full class table with the SequenceDecoder and the
+/// dense ScalarReferenceDecoder side by side.  After every push, each
+/// lattice node's scores and backpointers must match the reference's bit
+/// for bit, and the newest node's support must be exactly the states within
+/// `reach` of its best emission (boundary included); at the end, every
+/// emission's state, converged flag and confidence must match.  With the
+/// whole stream inside the lag, the states must also equal offline Viterbi's.
+/// Returns the decoder's emissions and each pushed window's support size.
+struct SupportRun {
+  std::vector<SmoothedWindow> out;
+  std::vector<std::size_t> support_sizes;
+};
+
+SupportRun expect_dense_equivalent(const std::vector<linalg::Vector>& rows,
+                                   const std::shared_ptr<const core::TransitionPrior>& prior,
+                                   const SequenceDecoderConfig& cfg, double reach) {
+  const std::size_t n = prior->num_classes();
+  std::vector<std::size_t> support(n);
+  std::iota(support.begin(), support.end(), std::size_t{0});
+  SequenceDecoder dec(support, prior, cfg);
+  ScalarReferenceDecoder ref(n, *prior, cfg);
+  SupportRun run;
+  std::size_t lattice_mismatches = 0, support_mismatches = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const linalg::Vector& row = rows[i];
+    dec.push(make_window(row, support));
+    ref.push(row);
+    const std::size_t depth = SequenceDecoderProbe::depth(dec);
+    if (depth != ref.lattice().size()) {
+      ADD_FAILURE() << "window " << i << ": lattice depth " << depth << " vs "
+                    << ref.lattice().size();
+      ++lattice_mismatches;
+      continue;
+    }
+    for (std::size_t t = 0; t < depth; ++t) {
+      const linalg::Vector& delta = SequenceDecoderProbe::delta(dec, t);
+      const ScalarReferenceDecoder::Node& expected = ref.lattice()[t];
+      bool same = delta.size() == expected.delta.size() &&
+                  SequenceDecoderProbe::backptr(dec, t) == expected.backptr;
+      for (std::size_t c = 0; same && c < delta.size(); ++c) {
+        same = bits_of(delta[c]) == bits_of(expected.delta[c]);
+      }
+      if (!same && lattice_mismatches++ == 0) {
+        ADD_FAILURE() << "window " << i << ": lattice node " << t
+                      << " differs from the dense recursion";
+      }
+    }
+    const double floor = *std::max_element(row.begin(), row.end()) - reach;
+    std::vector<std::size_t> within;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (row[c] >= floor) within.push_back(c);
+    }
+    if (depth > 0) {
+      if (SequenceDecoderProbe::support(dec, depth - 1) != within &&
+          support_mismatches++ == 0) {
+        ADD_FAILURE() << "window " << i << ": support of "
+                      << SequenceDecoderProbe::support(dec, depth - 1).size()
+                      << " states, expected " << within.size();
+      }
+    }
+    run.support_sizes.push_back(within.size());
+    while (auto w = dec.poll()) run.out.push_back(std::move(*w));
+  }
+  for (auto& w : dec.flush()) run.out.push_back(std::move(w));
+  EXPECT_EQ(lattice_mismatches, 0u);
+  EXPECT_EQ(support_mismatches, 0u);
+
+  const std::vector<ScalarReferenceDecoder::Decision> expected = ref.flush();
+  EXPECT_EQ(run.out.size(), rows.size());
+  EXPECT_EQ(expected.size(), rows.size());
+  std::size_t mismatches = 0;
+  for (std::size_t t = 0; t < std::min(run.out.size(), expected.size()); ++t) {
+    const SmoothedWindow& w = run.out[t];
+    const bool same = w.value.class_idx == expected[t].state &&
+                      w.converged == expected[t].converged &&
+                      bits_of(w.confidence) == bits_of(expected[t].confidence);
+    if (!same && mismatches++ == 0) {
+      ADD_FAILURE() << "window " << t << ": class " << w.value.class_idx << " vs "
+                    << expected[t].state << ", converged " << w.converged << " vs "
+                    << expected[t].converged << ", confidence " << w.confidence << " vs "
+                    << expected[t].confidence;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  if (cfg.lag >= rows.size() && run.out.size() == rows.size()) {
+    linalg::Matrix emissions(rows.size(), n);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      for (std::size_t c = 0; c < n; ++c) emissions(t, c) = rows[t][c];
+    }
+    const std::vector<std::size_t> offline =
+        core::viterbi_decode(emissions, *prior, cfg.prior_weight);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      EXPECT_EQ(run.out[t].value.class_idx, offline[t]) << "window " << t;
+    }
+  }
+  return run;
+}
+
+/// The lags every support case runs at: greedy, the serving default of the
+/// benchmark, and the whole stream (offline Viterbi).
+std::vector<std::size_t> support_lags(std::size_t len) { return {0, 6, len}; }
+
+TEST(DecodeEquivalence, FlatPosteriorSupportsEveryState) {
+  const auto prior = std::make_shared<const core::IsaPrior>();
+  const std::size_t n = prior->num_classes();
+  ASSERT_EQ(n, 112u);
+  const std::size_t len = 40;
+  const std::vector<linalg::Vector> rows(len, linalg::Vector(n, -std::log(112.0)));
+  for (const double w : {1.0, 0.0}) {
+    for (const std::size_t lag : support_lags(len)) {
+      SCOPED_TRACE("weight " + std::to_string(w) + " lag " + std::to_string(lag));
+      SequenceDecoderConfig cfg;
+      cfg.lag = lag;
+      cfg.prior_weight = w;
+      const SupportRun run = expect_dense_equivalent(rows, prior, cfg, support_reach(*prior, w));
+      for (const std::size_t k : run.support_sizes) EXPECT_EQ(k, n);
+    }
+  }
+}
+
+TEST(DecodeEquivalence, OneStateSupportsKeepAFiniteRunnerUp) {
+  // One state at 0 per row.  The rest sit at -inf in even rows and, in odd
+  // rows, far below the reach (but finite): every support is one state, and
+  // the runner-up of an odd row's confidence lies outside it.
+  const auto prior = std::make_shared<const core::IsaPrior>();
+  const std::size_t n = prior->num_classes();
+  const std::size_t len = 48;
+  std::mt19937_64 rng{27};
+  std::uniform_int_distribution<std::size_t> cls(0, n - 1);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const double w : {1.0, 0.0}) {
+    const double reach = support_reach(*prior, w);
+    std::vector<linalg::Vector> rows;
+    for (std::size_t t = 0; t < len; ++t) {
+      linalg::Vector row(n, -kInf);
+      if (t % 2 == 1) {
+        for (double& x : row) x = -reach - 1.0 - 50.0 * unit(rng);
+      }
+      row[cls(rng)] = 0.0;
+      rows.push_back(std::move(row));
+    }
+    for (const std::size_t lag : support_lags(len)) {
+      SCOPED_TRACE("weight " + std::to_string(w) + " lag " + std::to_string(lag));
+      SequenceDecoderConfig cfg;
+      cfg.lag = lag;
+      cfg.prior_weight = w;
+      const SupportRun run = expect_dense_equivalent(rows, prior, cfg, reach);
+      for (const std::size_t k : run.support_sizes) EXPECT_EQ(k, 1u);
+      std::size_t finite = 0;
+      for (const SmoothedWindow& out : run.out) {
+        finite += std::isfinite(out.confidence) ? 1 : 0;
+      }
+      EXPECT_GT(finite, 0u);
+    }
+  }
+}
+
+TEST(DecodeEquivalence, SupportsSwingAcrossTheReachBoundary) {
+  // Rows cycle through one state in reach, all states in reach (one at 0,
+  // the rest at -1) and a mixed row whose entries sit at exact ties with
+  // the best, exactly on the boundary (max - Δ_s, kept), one double below it
+  // (dropped), inside and beyond the reach, and at -inf.  Supports swing
+  // between 1 and 112 from one step to the next.
+  const std::shared_ptr<const core::TransitionPrior> isa =
+      std::make_shared<const core::IsaPrior>();
+  const std::size_t n = isa->num_classes();
+  std::mt19937_64 rng{2718};
+  const std::shared_ptr<const core::TransitionPrior> bigram = random_bigram(rng);
+  const std::size_t len = 60;
+  std::uniform_int_distribution<std::size_t> cls(0, n - 1);
+  std::uniform_int_distribution<int> kind(0, 6);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const std::shared_ptr<const core::TransitionPrior>& prior : {isa, bigram}) {
+    for (const double w : {1.0, 0.0}) {
+      const double reach = support_reach(*prior, w);
+      std::vector<linalg::Vector> rows;
+      for (std::size_t t = 0; t < len; ++t) {
+        linalg::Vector row(n);
+        for (double& x : row) {
+          switch (t % 3 == 2 ? kind(rng) : 0) {
+            case 0: x = -reach - 10.0; break;
+            case 1: x = 0.0; break;
+            case 2: x = -reach; break;
+            case 3: x = std::nextafter(-reach, -kInf); break;
+            case 4: x = -reach * unit(rng); break;
+            case 5: x = -kInf; break;
+            default: x = -reach - 1.0 - 100.0 * unit(rng); break;
+          }
+        }
+        if (t % 3 == 1) row.assign(n, -1.0);
+        row[cls(rng)] = 0.0;
+        rows.push_back(std::move(row));
+      }
+      for (const std::size_t lag : support_lags(len)) {
+        SCOPED_TRACE("bigram " + std::to_string(prior == bigram) + " weight " +
+                     std::to_string(w) + " lag " + std::to_string(lag));
+        SequenceDecoderConfig cfg;
+        cfg.lag = lag;
+        cfg.prior_weight = w;
+        const SupportRun run = expect_dense_equivalent(rows, prior, cfg, reach);
+        for (std::size_t t = 0; t < len; ++t) {
+          const std::size_t k = run.support_sizes[t];
+          switch (t % 3) {
+            case 0: EXPECT_EQ(k, 1u) << "window " << t; break;
+            case 1: EXPECT_EQ(k, n) << "window " << t; break;
+            default:
+              EXPECT_GT(k, 1u) << "window " << t;
+              EXPECT_LT(k, n) << "window " << t;
+              break;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DecodeEquivalence, StatesInsideTheSpreadsStillDecide) {
+  // Swapping the middle state of a path p -> x -> c for y changes its score
+  // by D = [T(p, x) - T(p, y)] + [T(x, c) - T(y, c)] - g, where g is how far
+  // x's emission sits below y's; D is at most the row plus the column spread
+  // minus g.  Take the ISA prior's largest such gain and put x g nats below
+  // y, g halfway between the spreads minus one nat and the gain: the
+  // decoder must route through x, and a reach one nat short of the spreads
+  // would drop it.
+  const auto prior = std::make_shared<const core::IsaPrior>();
+  const std::size_t n = prior->num_classes();
+  std::size_t p = 0, x = 0, y = 0, c = 0;
+  double gain = -kInf;
+  for (std::size_t xi = 0; xi < n; ++xi) {
+    for (std::size_t yi = 0; yi < n; ++yi) {
+      std::size_t pi = 0, ci = 0;
+      for (std::size_t k = 1; k < n; ++k) {
+        const auto into = [&](std::size_t q) {
+          return prior->log_prob(q, xi) - prior->log_prob(q, yi);
+        };
+        const auto out_of = [&](std::size_t q) {
+          return prior->log_prob(xi, q) - prior->log_prob(yi, q);
+        };
+        if (into(k) > into(pi)) pi = k;
+        if (out_of(k) > out_of(ci)) ci = k;
+      }
+      const double d = prior->log_prob(pi, xi) - prior->log_prob(pi, yi) +
+                       (prior->log_prob(xi, ci) - prior->log_prob(yi, ci));
+      if (d > gain) {
+        gain = d;
+        p = pi;
+        x = xi;
+        y = yi;
+        c = ci;
+      }
+    }
+  }
+  const Spreads spreads = weighted_spreads(*prior, 1.0);
+  const double narrowed = spreads.row + spreads.col - 1.0;
+  ASSERT_GT(gain, narrowed) << "the prior leaves no band between the spreads and the gain";
+  const double g = 0.5 * (gain + narrowed);
+
+  const std::size_t len = 12;
+  std::vector<linalg::Vector> rows(len, linalg::Vector(n, -std::log(112.0)));
+  for (std::size_t t = 0; t < 3; ++t) rows[t].assign(n, -kInf);
+  rows[0][p] = 0.0;
+  rows[1][y] = 0.0;
+  rows[1][x] = -g;
+  rows[2][c] = 0.0;
+  for (const std::size_t lag : {std::size_t{6}, len}) {
+    SCOPED_TRACE("lag " + std::to_string(lag));
+    SequenceDecoderConfig cfg;
+    cfg.lag = lag;
+    const SupportRun run =
+        expect_dense_equivalent(rows, prior, cfg, support_reach(*prior, 1.0));
+    EXPECT_EQ(run.support_sizes[1], 2u);
+    ASSERT_EQ(run.out.size(), len);
+    EXPECT_EQ(run.out[1].value.class_idx, x);
+  }
 }
 
 // -- model-backed battery ----------------------------------------------------
