@@ -31,6 +31,31 @@ double low_quantile(std::vector<double> v, double q) {
   return v[idx];
 }
 
+/// Windows scored at once when calibrating a level: one full 16-lane tile,
+/// with a marshalled block and gather a quarter the size of a 64-window
+/// serving chunk's.
+constexpr std::size_t kCalibrationChunk = 16;
+
+/// Points prepared[i] at window(i) as every level of the model reads it
+/// (GatherPlan holds the levels to one normalization setting): a
+/// per-trace-normalized copy kept in `normalized`, or its own samples.
+template <class Window>
+void prepare_windows(std::size_t count, Window&& window, bool normalize,
+                     std::vector<std::vector<double>>& normalized,
+                     std::vector<const std::vector<double>*>& prepared) {
+  prepared.clear();
+  if (normalize) normalized.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const sim::Trace& trace = window(i);
+    if (!normalize) {
+      prepared.push_back(&trace.samples);
+      continue;
+    }
+    normalized[i] = features::FeaturePipeline::preprocess_window(trace, true);
+    prepared.push_back(&normalized[i]);
+  }
+}
+
 /// Folds one level's calibrated gate into the window's verdict and
 /// headrooms.  `fatal` gates (group/instruction) reject the window; register
 /// gates only degrade it -- the opcode is still trusted, the operand is not.
@@ -161,37 +186,6 @@ int HierarchicalDisassembler::predict_level(const Level& level,
   // the classifier saw at fit time, so overrides only make sense on levels
   // evaluated standalone; the benches refit per sweep point instead.
   return level.classifier->predict(level.pipeline.transform(trace, k));
-}
-
-ml::ScoredPrediction HierarchicalDisassembler::predict_level_scored(
-    const Level& level, const sim::Trace& trace, std::size_t components) {
-  if (level.trivial) return {level.only_label, kInf, kInf};
-  if (level.classifier == nullptr) throw std::runtime_error("level not trained");
-  const std::size_t k = components == SIZE_MAX ? level.components : components;
-  return level.classifier->predict_scored(level.pipeline.transform(trace, k));
-}
-
-void HierarchicalDisassembler::calibrate_level(Level& level,
-                                               const features::LabeledTraces& input,
-                                               const RejectConfig& config) {
-  if (level.trivial) return;
-  std::vector<double> margins;
-  std::vector<double> scores;
-  for (const sim::TraceSet* set : input.sets) {
-    for (const sim::Trace& trace : *set) {
-      const ml::ScoredPrediction p = predict_level_scored(level, trace, SIZE_MAX);
-      margins.push_back(p.margin);
-      scores.push_back(p.top_score);
-    }
-  }
-  if (margins.empty()) return;
-  level.gate.margin_floor = low_quantile(margins, config.margin_quantile);
-  const double q = low_quantile(scores, config.score_quantile);
-  const double median = low_quantile(scores, 0.5);
-  // Widen the outlier floor below the clean quantile; the spread to the
-  // median scales the slack to the level's own score dispersion.
-  level.gate.score_floor = q - config.score_slack * std::max(0.0, median - q);
-  level.gate.active = true;
 }
 
 void HierarchicalDisassembler::calibrate_reject(const ProfilingData& clean,
@@ -482,6 +476,56 @@ void HierarchicalDisassembler::score_level(const Level& level,
   }
 }
 
+void HierarchicalDisassembler::calibrate_level(Level& level,
+                                               const features::LabeledTraces& input,
+                                               const RejectConfig& config) {
+  if (level.trivial) return;
+  // The clean corpus runs through the walk's own kernels: windows bucket by
+  // length, and each chunk of a bucket is gathered once and scored as one
+  // sub-batch.  The gates read only the sorted margins and scores, so the
+  // order the windows are scored in does not matter.
+  std::vector<const sim::Trace*> windows;
+  for (const sim::TraceSet* set : input.sets) {
+    for (const sim::Trace& trace : *set) windows.push_back(&trace);
+  }
+  if (windows.empty()) return;
+  std::stable_sort(windows.begin(), windows.end(),
+                   [](const sim::Trace* a, const sim::Trace* b) {
+                     return a->samples.size() < b->samples.size();
+                   });
+  std::vector<double> margins;
+  std::vector<double> scores;
+  features::GatherBatch gather;
+  std::vector<std::vector<double>> normalized;
+  std::vector<const std::vector<double>*> prepared;
+  std::vector<std::size_t> lanes;
+  for (std::size_t begin = 0, end = 0; begin < windows.size(); begin = end) {
+    const std::size_t length = windows[begin]->samples.size();
+    while (end < windows.size() && end - begin < kCalibrationChunk &&
+           windows[end]->samples.size() == length) {
+      ++end;
+    }
+    const std::span<const sim::Trace* const> chunk(windows.data() + begin, end - begin);
+    prepare_windows(chunk.size(), [&](std::size_t i) -> const sim::Trace& { return *chunk[i]; },
+                    plan_.normalize(), normalized, prepared);
+    lanes.resize(chunk.size());
+    std::iota(lanes.begin(), lanes.end(), std::size_t{0});
+    gather.begin(plan_, prepared, kGroupTier);
+    score_level(level, gather, lanes, /*surface=*/false, nullptr,
+                [&](std::size_t, const ml::ScoredPrediction& p, const linalg::Vector&) {
+      margins.push_back(p.margin);
+      scores.push_back(p.top_score);
+    });
+  }
+  level.gate.margin_floor = low_quantile(margins, config.margin_quantile);
+  const double q = low_quantile(scores, config.score_quantile);
+  const double median = low_quantile(scores, 0.5);
+  // Widen the outlier floor below the clean quantile; the spread to the
+  // median scales the slack to the level's own score dispersion.
+  level.gate.score_floor = q - config.score_slack * std::max(0.0, median - q);
+  level.gate.active = true;
+}
+
 void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
                                              std::span<Disassembly> out,
                                              bool scored, bool keep,
@@ -544,17 +588,9 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
     // holds them to one normalization setting), so each is prepared once.
     // Then level 1, which scores every lane, is gathered once for the whole
     // bucket.
-    prepared.clear();
-    if (plan_.normalize()) {
-      normalized.resize(windows.size());
-      for (std::size_t i = 0; i < windows.size(); ++i) {
-        normalized[i] =
-            features::FeaturePipeline::preprocess_window(traces[windows[i]], true);
-        prepared.push_back(&normalized[i]);
-      }
-    } else {
-      for (const std::size_t w : windows) prepared.push_back(&traces[w].samples);
-    }
+    prepare_windows(windows.size(),
+                    [&](std::size_t i) -> const sim::Trace& { return traces[windows[i]]; },
+                    plan_.normalize(), normalized, prepared);
     gather.begin(plan_, prepared, kGroupTier);
 
     // Level 1.  The scored walk keeps each group's log-softmax entry, or a

@@ -371,9 +371,6 @@ class HierarchicalDisassembler {
       std::size_t components);
   static int predict_level(const Level& level, const sim::Trace& trace,
                            std::size_t components);
-  static ml::ScoredPrediction predict_level_scored(const Level& level,
-                                                   const sim::Trace& trace,
-                                                   std::size_t components);
   /// Scores `level` on `lanes` (ascending positions in the bucket `gather`
   /// holds) and calls fold(i, prediction, log_posterior) for each lanes[i].
   /// The log-posterior is the log-softmax over score_labels() when `surface`
@@ -401,8 +398,10 @@ class HierarchicalDisassembler {
   /// Rebuilds posterior_classes_ from the trained levels (load path; train()
   /// takes the support straight from the profiling corpus).
   void finalize_posterior_support();
-  static void calibrate_level(Level& level, const features::LabeledTraces& input,
-                              const RejectConfig& config);
+  /// Arms `level`'s gate from its scores on the clean corpus `input`, run
+  /// through the walk's kernels (score_level) in length-bucketed chunks.
+  void calibrate_level(Level& level, const features::LabeledTraces& input,
+                       const RejectConfig& config);
   /// The level whose pipeline defines the monitor feature space (nullptr
   /// when every level is trivial).
   const Level* monitor_level() const;

@@ -3,6 +3,7 @@
 #include "linalg/lanes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <mutex>
 #include <numbers>
@@ -38,6 +39,36 @@ void multiply_spectra(const ComplexVector& a, const ComplexVector& b,
     od[f] = ar * br + ai * nbi;
     od[f + 1] = ar * bi + ai * br;
   }
+}
+
+/// One point's taps inside the window: its kernel slice and the first SoA
+/// row that slice meets.  A kernel that misses the window has no taps
+/// (Taps{}).  No member initializers: gather_soa's block of them is filled
+/// before it is read, and zeroing it would cost every call.
+struct Taps {
+  const double* kern;
+  const double* x;
+  std::size_t count;
+};
+
+/// Correlates R points on the tile of lanes [l0, l0 + T::kLanes): over the
+/// taps all R share side by side, then each point's remaining taps alone.
+/// Every lane's sum runs in scalar tap order.
+template <class T, std::size_t R>
+void correlate(const Taps* p, std::size_t lanes, std::size_t l0, double* dst) {
+  T acc[R];
+  std::size_t common = p[0].count;
+  for (std::size_t r = 1; r < R; ++r) common = std::min(common, p[r].count);
+  for (std::size_t d = 0; d < common; ++d) {
+    linalg::unrolled<R>(
+        [&](std::size_t r) { acc[r].mul_add(p[r].kern[d], p[r].x + d * lanes + l0); });
+  }
+  linalg::unrolled<R>([&](std::size_t r) {
+    for (std::size_t d = common; d < p[r].count; ++d) {
+      acc[r].mul_add(p[r].kern[d], p[r].x + d * lanes + l0);
+    }
+    acc[r].store(dst + r * lanes + l0);
+  });
 }
 }  // namespace
 
@@ -315,39 +346,43 @@ void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
   if (out.size() != points.size() * lanes) {
     throw std::invalid_argument("Cwt::gather_soa: output size mismatch");
   }
-  const double* __restrict soa = soa_block.data();
+  const double* soa = soa_block.data();
 
   // One lane-parallel correlation per point, each lane accumulating its own
   // sum in scalar tap order (bit-identical to Cwt::coefficient on that
   // lane).  Every tile of lanes rides in registers across the whole tap
-  // loop (see lanes.hpp for why that beats memory accumulators).
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    double* __restrict dst = out.data() + i * lanes;
-    const CwtPoint& pt = points[i];
-    const auto nn = static_cast<std::ptrdiff_t>(n);
-    const auto t = static_cast<std::ptrdiff_t>(pt.k);
-    const std::vector<double>& kern = kernels_.at(pt.j);
-    const auto radius = static_cast<std::ptrdiff_t>(kern.size() / 2);
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(-radius, -t);
-    const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(radius, nn - 1 - t);
-    // A point whose kernel misses the window reads 0, as on the one-window
-    // path.
-    if (hi < lo) {
-      std::fill_n(dst, lanes, 0.0);
-      continue;
-    }
-    const std::size_t taps = static_cast<std::size_t>(hi - lo + 1);
-    const double* kern_lo = kern.data() + (lo + radius);
-    const double* soa_lo = soa + static_cast<std::size_t>(t + lo) * lanes;
-    linalg::for_each_tile(lanes, [&](auto acc, std::size_t l0) {
-      const double* x = soa_lo + l0;
-      for (std::size_t d = 0; d < taps; ++d) {
-        acc.mul_add(kern_lo[d], x);
-        x += lanes;
+  // loop (see lanes.hpp for why that beats memory accumulators), and runs
+  // T::kInterleave points side by side.  A point whose kernel misses the
+  // window has no taps and reads 0, as on the one-window path.  Points
+  // resolve their taps a fixed block at a time.
+  constexpr std::size_t kBlock = 64;
+  std::array<Taps, kBlock> block;
+  linalg::dispatch_lanes([&]<std::size_t VB>() {
+    for (std::size_t b = 0; b < points.size(); b += kBlock) {
+      const std::size_t count = std::min(kBlock, points.size() - b);
+      for (std::size_t i = 0; i < count; ++i) {
+        const CwtPoint& pt = points[b + i];
+        const auto nn = static_cast<std::ptrdiff_t>(n);
+        const auto t = static_cast<std::ptrdiff_t>(pt.k);
+        const std::vector<double>& kern = kernels_.at(pt.j);
+        const auto radius = static_cast<std::ptrdiff_t>(kern.size() / 2);
+        const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(-radius, -t);
+        const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(radius, nn - 1 - t);
+        block[i] = hi < lo ? Taps{}
+                           : Taps{kern.data() + (lo + radius),
+                                  soa + static_cast<std::size_t>(t + lo) * lanes,
+                                  static_cast<std::size_t>(hi - lo + 1)};
       }
-      acc.store(dst + l0);
-    });
-  }
+      double* dst = out.data() + b * lanes;
+      linalg::for_each_tile<VB>(lanes, [&]<class T>(std::size_t l0) {
+        std::size_t i = 0;
+        for (; i + T::kInterleave <= count; i += T::kInterleave) {
+          correlate<T, T::kInterleave>(block.data() + i, lanes, l0, dst + i * lanes);
+        }
+        for (; i < count; ++i) correlate<T, 1>(block.data() + i, lanes, l0, dst + i * lanes);
+      });
+    }
+  });
 }
 
 linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa, std::size_t n,

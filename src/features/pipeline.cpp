@@ -46,6 +46,23 @@ sim::TraceSet preprocess(const sim::TraceSet& traces, bool normalize) {
   return out;
 }
 
+/// R components' projections on the tile of lanes [l0, l0 + T::kLanes) of
+/// the centred features f (np rows of m lanes): component c0 + r sums
+/// f * axes(., c0 + r) over points in ascending order, the R sums sharing
+/// each load of f.
+template <class T, std::size_t R>
+void project_tile(const linalg::Matrix& axes, std::size_t c0, const double* f,
+                  std::size_t np, std::size_t m, std::size_t l0, linalg::Matrix& z) {
+  T acc[R];
+  for (std::size_t p = 0; p < np; ++p) {
+    T x;
+    x.load(f + p * m + l0);
+    const double* a = axes.row(p).data() + c0;
+    linalg::unrolled<R>([&](std::size_t r) { acc[r].mul_add(a[r], x); });
+  }
+  linalg::unrolled<R>([&](std::size_t r) { acc[r].store(z.row(c0 + r).data() + l0); });
+}
+
 }  // namespace
 
 std::vector<FeaturePipeline::ClassData> FeaturePipeline::precompute(
@@ -325,25 +342,26 @@ linalg::Matrix FeaturePipeline::project_soa(const double* gathered, std::size_t 
     for (std::size_t l = 0; l < m; ++l) frow[l] -= pm;
   }
 
-  // PCA projection, component-outer with register-tiled lanes.  Each output
-  // row c accumulates centered-f * axis over points in ascending order --
-  // the scalar Pca::transform reduction -- but each linalg::Tile of lanes
-  // rides in registers across the whole point loop, so the row costs zero
-  // stores per point instead of one per (point, lane).  Tiling picks which
-  // lane runs when; each lane's sum order is untouched, so columns stay
-  // bit-identical to the scalar pipeline.
+  // PCA projection with register-tiled lanes.  Each output row c
+  // accumulates centered-f * axis over points in ascending order -- the
+  // scalar Pca::transform reduction -- but each linalg::Tile of lanes rides
+  // in registers across the whole point loop, so the row costs zero stores
+  // per point instead of one per (point, lane), and T::kInterleave rows run
+  // side by side on one load of f.  Tiling picks which lane and row run
+  // when; each lane's sum order is untouched, so columns stay bit-identical
+  // to the scalar pipeline.
   const linalg::Matrix& axes = pca_.components();
-  const double* __restrict fbase = f.data().data();
-  linalg::Matrix z(k, m, 0.0);
-  for (std::size_t c = 0; c < k; ++c) {
-    double* __restrict zrow = z.row(c).data();
-    linalg::for_each_tile(m, [&](auto acc, std::size_t l0) {
-      for (std::size_t p = 0; p < np; ++p) {
-        acc.mul_add(axes(p, c), fbase + p * m + l0);
+  const double* fbase = f.data().data();
+  linalg::Matrix z(k, m);
+  linalg::dispatch_lanes([&]<std::size_t VB>() {
+    linalg::for_each_tile<VB>(m, [&]<class T>(std::size_t l0) {
+      std::size_t c = 0;
+      for (; c + T::kInterleave <= k; c += T::kInterleave) {
+        project_tile<T, T::kInterleave>(axes, c, fbase, np, m, l0, z);
       }
-      acc.store(zrow + l0);
+      for (; c < k; ++c) project_tile<T, 1>(axes, c, fbase, np, m, l0, z);
     });
-  }
+  });
   return z;
 }
 

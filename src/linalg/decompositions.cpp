@@ -87,19 +87,24 @@ void Cholesky::mahalanobis_squared_batch(const Matrix& x_cols, std::span<double>
   // sum accumulates through `out` once per row i, which is cheap at that
   // frequency.
   for (std::size_t l2 = 0; l2 < lanes; ++l2) out[l2] = 0.0;
-  for_each_tile(lanes, [&](auto tile, std::size_t l0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto v = tile;
-      v.load(x_cols.row(i).data() + l0);
-      for (std::size_t k = 0; k < i; ++k) {
-        v.mul_sub(l(i, k), y.row(k).data() + l0);
+  dispatch_lanes([&]<std::size_t VB>() {
+    for_each_tile<VB>(lanes, [&]<class T>(std::size_t l0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        T v;
+        v.load(x_cols.row(i).data() + l0);
+        for (std::size_t k = 0; k < i; ++k) {
+          v.mul_sub(l(i, k), y.row(k).data() + l0);
+        }
+        v.div(l(i, i));
+        double* __restrict yrow = y.row(i).data() + l0;
+        v.store(yrow);
+        double* __restrict orow = out.data() + l0;
+        for (std::size_t u = 0; u < T::kLanes; ++u) {
+          const double sq = yrow[u] * yrow[u];
+          orow[u] += sq;
+        }
       }
-      v.div(l(i, i));
-      double* __restrict yrow = y.row(i).data() + l0;
-      v.store(yrow);
-      double* __restrict orow = out.data() + l0;
-      for (std::size_t u = 0; u < v.kLanes; ++u) orow[u] += yrow[u] * yrow[u];
-    }
+    });
   });
 }
 

@@ -32,6 +32,7 @@
 #include "dsp/wavelet.hpp"
 #include "features/gather_plan.hpp"
 #include "features/pipeline.hpp"
+#include "linalg/lanes.hpp"
 #include "ml/discriminant.hpp"
 #include "runtime/fleet.hpp"
 #include "sim/acquisition.hpp"
@@ -45,6 +46,33 @@ namespace {
 /// (linalg::for_each_tile).  Widths 1..kMaxSweepWidth run every remainder
 /// split behind zero, one and two full tiles.
 constexpr std::size_t kMaxSweepWidth = 33;
+
+/// The kernel sweeps' lane counts: 1..kMaxSweepWidth, and a serving chunk.
+std::vector<std::size_t> sweep_lanes() {
+  std::vector<std::size_t> out(kMaxSweepWidth);
+  std::iota(out.begin(), out.end(), std::size_t{1});
+  out.push_back(64);
+  return out;
+}
+
+/// Every vector width (bytes) the lane kernels run at on this CPU: the
+/// build's own, and 32 when the CPU has AVX2 and the build's are narrower.
+std::vector<std::size_t> lane_widths() {
+  std::vector<std::size_t> out{linalg::lane_detail::kBuildBytes};
+  if (linalg::lane_detail::widest_bytes() != out.front()) {
+    out.push_back(linalg::lane_detail::widest_bytes());
+  }
+  return out;
+}
+
+/// Holds linalg::dispatch_lanes to `bytes` for one scope.
+class LaneWidth {
+ public:
+  explicit LaneWidth(std::size_t bytes) { linalg::lane_detail::width_cap.store(bytes); }
+  ~LaneWidth() { linalg::lane_detail::width_cap.store(SIZE_MAX); }
+  LaneWidth(const LaneWidth&) = delete;
+  LaneWidth& operator=(const LaneWidth&) = delete;
+};
 
 std::vector<double> random_signal(std::size_t n, std::mt19937_64& rng) {
   std::normal_distribution<double> dist(0.0, 1.0);
@@ -116,6 +144,53 @@ TEST(CwtBatch, RejectsEmptyAndMixedLengthBatches) {
   EXPECT_THROW(dsp::Cwt::marshal({null.data(), null.size()}, soa), std::invalid_argument);
 }
 
+TEST(CwtBatch, GatherSoaMatchesCoefficientAtEveryLaneWidth) {
+  std::mt19937_64 rng(71);
+  dsp::CwtConfig cfg;
+  cfg.num_scales = 12;
+  const dsp::Cwt cwt(cfg);
+  const std::size_t n = 120;
+
+  // 135 points: more than one 64-point block and a count no interleave
+  // divides.  Neighbours alternate a fine and a coarse scale (different tap
+  // counts), some sit on the window edges (cut taps), and the late ones lie
+  // past the widest kernel's reach (radius 4 * 64 samples), so they miss the
+  // window altogether (no taps, read 0).
+  std::vector<dsp::CwtPoint> points;
+  for (std::size_t i = 0; i < 133; ++i) {
+    const std::size_t j = i % 2 == 0 ? 1 + i % 5 : cfg.num_scales - 1 - i % 4;
+    const std::size_t k = i < 120 ? (i * 37) % n : n + 300 + 7 * (i - 120);
+    points.push_back({j, k});
+  }
+  points.push_back({cfg.num_scales - 1, 0});
+  points.push_back({cfg.num_scales - 1, n - 1});
+
+  for (const std::size_t bytes : lane_widths()) {
+    const LaneWidth width(bytes);
+    for (const std::size_t lanes : sweep_lanes()) {
+      std::vector<std::vector<double>> traces;
+      for (std::size_t l = 0; l < lanes; ++l) traces.push_back(random_signal(n, rng));
+      std::vector<const std::vector<double>*> ptrs;
+      for (const auto& t : traces) ptrs.push_back(&t);
+      std::vector<double> soa;
+      ASSERT_EQ(dsp::Cwt::marshal({ptrs.data(), ptrs.size()}, soa), n);
+      std::vector<double> out(points.size() * lanes);
+      cwt.gather_soa(soa, n, lanes, points, out);
+      std::size_t missed = 0;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const double ref = cwt.coefficient(traces[l], points[i].j, points[i].k);
+          missed += l == 0 && points[i].k >= n + 300 ? 1 : 0;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i * lanes + l]),
+                    std::bit_cast<std::uint64_t>(ref))
+              << "width " << bytes << " lanes " << lanes << " point " << i << " lane " << l;
+        }
+      }
+      ASSERT_GT(missed, 0u);
+    }
+  }
+}
+
 // -- linalg / stats / ml ------------------------------------------------------
 
 TEST(LinalgBatch, MahalanobisBatchMatchesScalar) {
@@ -137,17 +212,22 @@ TEST(LinalgBatch, MahalanobisBatchMatchesScalar) {
   ASSERT_TRUE(chol.valid);
 
   linalg::Matrix scratch;
-  for (std::size_t lanes = 1; lanes <= kMaxSweepWidth; ++lanes) {
-    linalg::Matrix x_cols(dim, lanes);
-    for (std::size_t r = 0; r < dim; ++r) {
-      for (std::size_t l = 0; l < lanes; ++l) x_cols(r, l) = random_signal(1, rng)[0];
-    }
-    std::vector<double> out(lanes);
-    chol.mahalanobis_squared_batch(x_cols, out, scratch);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      linalg::Vector x(dim);
-      for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
-      ASSERT_EQ(out[l], chol.mahalanobis_squared(x)) << "lanes " << lanes << " lane " << l;
+  for (const std::size_t bytes : lane_widths()) {
+    const LaneWidth width(bytes);
+    for (const std::size_t lanes : sweep_lanes()) {
+      linalg::Matrix x_cols(dim, lanes);
+      for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t l = 0; l < lanes; ++l) x_cols(r, l) = random_signal(1, rng)[0];
+      }
+      std::vector<double> out(lanes);
+      chol.mahalanobis_squared_batch(x_cols, out, scratch);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        linalg::Vector x(dim);
+        for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[l]),
+                  std::bit_cast<std::uint64_t>(chol.mahalanobis_squared(x)))
+            << "width " << bytes << " lanes " << lanes << " lane " << l;
+      }
     }
   }
 }
@@ -194,27 +274,31 @@ TEST(MlBatch, QdaPredictScoredBatchMatchesScalar) {
   qda.fit(train);
 
   linalg::Matrix x_cols;
-  for (std::size_t lanes = 1; lanes <= kMaxSweepWidth; ++lanes) {
-    x_cols = linalg::Matrix(dim, lanes);
-    for (std::size_t r = 0; r < dim; ++r) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        x_cols(r, l) = random_signal(1, rng)[0] + 2.0 * (l % 3);
+  for (const std::size_t bytes : lane_widths()) {
+    const LaneWidth width(bytes);
+    for (const std::size_t lanes : sweep_lanes()) {
+      x_cols = linalg::Matrix(dim, lanes);
+      for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          x_cols(r, l) = random_signal(1, rng)[0] + 2.0 * (l % 3);
+        }
       }
-    }
-    const std::vector<ml::ScoredPrediction> batch = qda.predict_scored_batch(x_cols);
-    const linalg::Matrix scores = qda.scores_batch(x_cols);
-    ASSERT_EQ(batch.size(), lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      SCOPED_TRACE("lanes " + std::to_string(lanes) + " lane " + std::to_string(l));
-      linalg::Vector x(dim);
-      for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
-      const ml::ScoredPrediction ref = qda.predict_scored(x);
-      ASSERT_EQ(batch[l].label, ref.label);
-      ASSERT_EQ(batch[l].top_score, ref.top_score);
-      ASSERT_EQ(batch[l].margin, ref.margin);
-      const linalg::Vector sref = qda.scores(x);
-      for (std::size_t c = 0; c < sref.size(); ++c) {
-        ASSERT_EQ(scores(c, l), sref[c]) << "class " << c;
+      const std::vector<ml::ScoredPrediction> batch = qda.predict_scored_batch(x_cols);
+      const linalg::Matrix scores = qda.scores_batch(x_cols);
+      ASSERT_EQ(batch.size(), lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        SCOPED_TRACE("width " + std::to_string(bytes) + " lanes " + std::to_string(lanes) +
+                     " lane " + std::to_string(l));
+        linalg::Vector x(dim);
+        for (std::size_t r = 0; r < dim; ++r) x[r] = x_cols(r, l);
+        const ml::ScoredPrediction ref = qda.predict_scored(x);
+        ASSERT_EQ(batch[l].label, ref.label);
+        ASSERT_EQ(batch[l].top_score, ref.top_score);
+        ASSERT_EQ(batch[l].margin, ref.margin);
+        const linalg::Vector sref = qda.scores(x);
+        for (std::size_t c = 0; c < sref.size(); ++c) {
+          ASSERT_EQ(scores(c, l), sref[c]) << "class " << c;
+        }
       }
     }
   }
@@ -495,6 +579,61 @@ TEST(GatherPlan, RejectsLevelsThatReadTheWindowDifferently) {
   }
 }
 
+TEST(FeaturesBatch, ProjectSoaMatchesProjectAtEveryLaneWidth) {
+  std::mt19937_64 rng(73);
+  std::vector<stats::GridPoint> points;
+  place(points, 3, 9, 10, 5);
+  place(points, 7, 4, 2, 11);
+  for (const bool standardize : {true, false}) {
+    features::PipelineConfig cfg;
+    cfg.column_standardization = standardize;
+    const features::FeaturePipeline pipeline = placed_pipeline(cfg, points, rng);
+    const std::size_t fitted = pipeline.max_components();
+    ASSERT_EQ(fitted, 6u);
+    // The pipeline's points sit at scattered rows of a wider gathered block.
+    const std::size_t block_rows = 2 * points.size() + 3;
+    std::vector<std::size_t> rows;
+    for (std::size_t p = 0; p < points.size(); ++p) rows.push_back(block_rows - 1 - 2 * p);
+
+    for (const std::size_t bytes : lane_widths()) {
+      const LaneWidth width(bytes);
+      for (const std::size_t lanes : sweep_lanes()) {
+        std::vector<double> gathered(block_rows * lanes);
+        for (double& g : gathered) g = random_signal(1, rng)[0];
+        std::vector<std::size_t> odd;
+        for (std::size_t i = 1; i < lanes; i += 2) odd.push_back(i);
+        std::vector<std::size_t> all(lanes);
+        std::iota(all.begin(), all.end(), std::size_t{0});
+        // Every component count: 1..6 run every remainder of a 2-, 4- and
+        // 8-row interleave.
+        for (std::size_t components = 1; components <= fitted; ++components) {
+          for (const std::vector<std::size_t>& pick : {all, odd}) {
+            if (pick.empty()) continue;
+            const linalg::Matrix z = pipeline.project_soa(
+                gathered.data(), lanes, rows,
+                pick.size() == lanes ? std::span<const std::size_t>{}
+                                     : std::span<const std::size_t>(pick),
+                components);
+            ASSERT_EQ(z.rows(), components);
+            ASSERT_EQ(z.cols(), pick.size());
+            for (std::size_t i = 0; i < pick.size(); ++i) {
+              const linalg::Vector ref =
+                  pipeline.project(gathered.data() + pick[i], lanes, rows, components);
+              for (std::size_t c = 0; c < components; ++c) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(z(c, i)),
+                          std::bit_cast<std::uint64_t>(ref[c]))
+                    << "standardize " << standardize << " width " << bytes << " lanes "
+                    << lanes << " components " << components << " column " << pick[i]
+                    << " component " << c;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // -- hierarchical classify_batch ----------------------------------------------
 
 class BatchModelFixture : public ::testing::Test {
@@ -768,7 +907,11 @@ TEST_F(BatchModelFixture, BitIdenticalAcrossBatchSizes) {
   }
   EXPECT_GT(with_rd, 0u) << "eval pool never reached the register level";
 
-  expect_batches_match(model(), pool);
+  for (const std::size_t bytes : lane_widths()) {
+    SCOPED_TRACE("lane width " + std::to_string(bytes));
+    const LaneWidth width(bytes);
+    expect_batches_match(model(), pool);
+  }
 }
 
 TEST_F(BatchModelFixture, KnnModelBitIdenticalAcrossBatchSizes) {

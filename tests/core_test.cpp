@@ -2,6 +2,8 @@
 // voting, malware detection and the baselines, on small simulated corpora.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <random>
 
 #include <stdexcept>
@@ -212,6 +214,57 @@ TEST_F(CoreFixture, NamedRejectOperatingPointsNestMonotonically) {
   // kCustom names the absence of a preset -- it has no quantiles to hand out.
   EXPECT_THROW(reject_config_for(RejectOperatingPoint::kCustom),
                std::invalid_argument);
+}
+
+TEST_F(CoreFixture, CalibrationScoresCleanWindowsOfEveryLength) {
+  // Classes of one instruction group: the group level is trivial and the
+  // one level-2 model scores every window, so a window's headrooms are that
+  // level's margin and score minus its floors.
+  const avr::Mnemonic classes[] = {avr::Mnemonic::kAdd, avr::Mnemonic::kAnd,
+                                   avr::Mnemonic::kEor};
+  ProfilingData data;
+  ProfilingData clean;
+  for (const avr::Mnemonic m : classes) {
+    ASSERT_EQ(avr::group_of_class(*avr::class_index(m)),
+              avr::group_of_class(*avr::class_index(classes[0])));
+    data.classes[*avr::class_index(m)] = capture(m, 60);
+    // A calibration corpus of two window lengths: every third window cut.
+    sim::TraceSet held = capture(m, 30);
+    for (std::size_t i = 0; i < held.size(); i += 3) held[i].samples.resize(250);
+    clean.classes[*avr::class_index(m)] = std::move(held);
+  }
+  HierarchicalConfig cfg;
+  cfg.pipeline = csa_config();
+  cfg.pipeline.pca_components = 10;
+  cfg.instruction_components = 8;
+  auto model = HierarchicalDisassembler::train(data, cfg);
+  // Quantile 0 and no slack put each floor on the corpus minimum.
+  model.calibrate_reject(clean, RejectConfig{0.0, 0.0, 0.0});
+
+  // Calibration scores each window as the walk does, bit for bit, so every
+  // calibration window clears both floors and some window sits on each
+  // exactly.  A length bucket left out, or scored any other way, shows as
+  // negative headroom or as a floor no window attains.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double margin = kInf, score = kInf, cut_margin = kInf, cut_score = kInf;
+  for (const auto& [cls, traces] : clean.classes) {
+    for (const sim::Trace& t : traces) {
+      const Disassembly d = model.classify(t);
+      EXPECT_GE(d.margin_headroom, 0.0) << "class " << cls;
+      EXPECT_GE(d.score_headroom, 0.0) << "class " << cls;
+      margin = std::min(margin, d.margin_headroom);
+      score = std::min(score, d.score_headroom);
+      if (t.samples.size() == 250) {
+        cut_margin = std::min(cut_margin, d.margin_headroom);
+        cut_score = std::min(cut_score, d.score_headroom);
+      }
+    }
+  }
+  EXPECT_EQ(margin, 0.0);
+  EXPECT_EQ(score, 0.0);
+  // The cut windows fall off the training distribution, so they set a floor.
+  EXPECT_TRUE(cut_margin == 0.0 || cut_score == 0.0)
+      << "cut windows' headrooms " << cut_margin << " / " << cut_score;
 }
 
 TEST_F(CoreFixture, TrainRejectsEmptyCorpus) {
