@@ -11,8 +11,9 @@
 // across lanes in register tiles of every width (linalg/lanes.hpp), and
 // per-window allocations disappear into grow-once workspaces.  Batches of 2,
 // 4 and 8 are the widths a serving fleet coalesces and the hierarchy's
-// level-2 split produces; batch 1 is a one-lane SoA walk and should track
-// the scalar path.
+// level-2 split produces.  classify() is classify_batch() on one window, so
+// the scalar loop and batch 1 run the same one-lane SoA walk and batch 1's
+// speedup reads 1 up to noise.
 //
 // Each speedup is the median over alternated scalar/batch leg pairs after
 // one untimed warm-up of each, so a background-load spike dents one pair,

@@ -7,10 +7,14 @@
 // the sparse-vs-full CWT ablation that justifies per-point extraction.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
+#include <vector>
 
 #include "core/csa.hpp"
 #include "features/pipeline.hpp"
+#include "linalg/decompositions.hpp"
 #include "ml/factory.hpp"
 #include "sim/acquisition.hpp"
 
@@ -145,6 +149,125 @@ void BM_EndToEndClassifyTrace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EndToEndClassifyTrace);
+
+// One lane through each struct-of-arrays kernel against its scalar twin.
+// classify() runs the SoA kernels on a batch of one, so each OneLane case
+// should cost about what its Scalar twin does.  Read them pinned, as the
+// minimum over repetitions: `taskset -c 2 bench_throughput
+// --benchmark_filter=Lane --benchmark_repetitions=9
+// --benchmark_enable_random_interleaving=true
+// --benchmark_report_aggregates_only=true`, then compare the `_min` rows.
+double min_of(const std::vector<double>& v) { return *std::min_element(v.begin(), v.end()); }
+
+linalg::Cholesky random_cholesky(std::size_t n) {
+  std::mt19937_64 rng(n);
+  std::normal_distribution<double> dist;
+  linalg::Matrix b(n, n), a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = dist(rng);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double s = i == j ? static_cast<double>(n) : 0.0;
+      for (std::size_t k = 0; k < n; ++k) s += b(i, k) * b(j, k);
+      a(i, j) = s;
+    }
+  }
+  return linalg::Cholesky::compute(a);
+}
+
+void BM_MahalanobisScalarLane(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const linalg::Cholesky chol = random_cholesky(n);
+  const linalg::Vector x(n, 0.5);
+  for (auto _ : state) benchmark::DoNotOptimize(chol.mahalanobis_squared(x));
+}
+void BM_MahalanobisOneLane(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const linalg::Cholesky chol = random_cholesky(n);
+  const linalg::Matrix x(n, 1, 0.5);
+  linalg::Matrix y(n, 1);
+  double out = 0.0;
+  for (auto _ : state) {
+    chol.mahalanobis_squared_batch(x, {&out, 1}, y);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_MahalanobisScalarLane)->Arg(20)->Arg(40)->Arg(50)->ComputeStatistics("min", min_of);
+BENCHMARK(BM_MahalanobisOneLane)->Arg(20)->Arg(40)->Arg(50)->ComputeStatistics("min", min_of);
+
+// The fixture pipeline's points, and their coefficients on the first probe.
+struct FixtureGather {
+  std::vector<dsp::CwtPoint> points;
+  std::vector<double> g;
+  std::vector<std::size_t> rows;
+
+  FixtureGather() {
+    const Fixture& fx = Fixture::instance();
+    for (const stats::GridPoint& p : fx.pipeline.unified_points()) points.push_back({p.j, p.k});
+    for (const dsp::CwtPoint& p : points) {
+      g.push_back(fx.cwt.coefficient(fx.probes.front().samples, p.j, p.k));
+    }
+    rows.resize(points.size());
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+  }
+};
+
+void BM_GatherScalarLane(benchmark::State& state) {
+  const Fixture& fx = Fixture::instance();
+  const std::vector<dsp::CwtPoint> points = FixtureGather().points;
+  const std::vector<double>& w = fx.probes.front().samples;
+  std::vector<double> out(points.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      out[i] = fx.cwt.coefficient(w, points[i].j, points[i].k);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+void BM_GatherOneLane(benchmark::State& state) {  // the marshal included
+  const Fixture& fx = Fixture::instance();
+  const std::vector<dsp::CwtPoint> points = FixtureGather().points;
+  const std::vector<double>* w = &fx.probes.front().samples;
+  std::vector<double> soa, out(points.size());
+  for (auto _ : state) {
+    const std::size_t n = dsp::Cwt::marshal({&w, 1}, soa);
+    fx.cwt.gather_soa(soa, n, 1, points, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_GatherScalarLane)->ComputeStatistics("min", min_of);
+BENCHMARK(BM_GatherOneLane)->ComputeStatistics("min", min_of);
+
+void BM_ProjectScalarLane(benchmark::State& state) {
+  const FixtureGather fg;
+  const features::FeaturePipeline& pipeline = Fixture::instance().pipeline;
+  for (auto _ : state) benchmark::DoNotOptimize(pipeline.project(fg.g.data(), 1, fg.rows, SIZE_MAX));
+}
+void BM_ProjectOneLane(benchmark::State& state) {
+  const FixtureGather fg;
+  const features::FeaturePipeline& pipeline = Fixture::instance().pipeline;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline.project_soa(fg.g.data(), 1, fg.rows, {}, SIZE_MAX));
+  }
+}
+BENCHMARK(BM_ProjectScalarLane)->ComputeStatistics("min", min_of);
+BENCHMARK(BM_ProjectOneLane)->ComputeStatistics("min", min_of);
+
+void BM_QdaScoredScalarLane(benchmark::State& state) {
+  const Fixture& fx = Fixture::instance();
+  const linalg::Vector z = fx.pipeline.transform(fx.probes.front());
+  for (auto _ : state) benchmark::DoNotOptimize(fx.qda->predict_scored(z));
+}
+void BM_QdaScoredOneLane(benchmark::State& state) {
+  const Fixture& fx = Fixture::instance();
+  const linalg::Vector z = fx.pipeline.transform(fx.probes.front());
+  linalg::Matrix x(z.size(), 1);
+  for (std::size_t c = 0; c < z.size(); ++c) x(c, 0) = z[c];
+  for (auto _ : state) benchmark::DoNotOptimize(fx.qda->predict_scored_batch(x));
+}
+BENCHMARK(BM_QdaScoredScalarLane)->ComputeStatistics("min", min_of);
+BENCHMARK(BM_QdaScoredOneLane)->ComputeStatistics("min", min_of);
 
 }  // namespace
 

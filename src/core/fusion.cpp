@@ -96,30 +96,6 @@ bool FusedDisassembler::degenerate_to(sim::Channel channel) const {
   return group_.power_weight == 0.0 && instruction_.power_weight == 0.0;
 }
 
-void FusedDisassembler::rebind_power(
-    std::shared_ptr<const HierarchicalDisassembler> power) {
-  if (power == nullptr) {
-    throw std::invalid_argument("rebind_power: model is null");
-  }
-  if (power->posterior_classes() != power_->posterior_classes()) {
-    throw std::invalid_argument("rebind_power: class support changed");
-  }
-  power_ = std::move(power);
-  // The joint heads were fit on the old power pipelines' output space.
-  group_head_.reset();
-  instruction_heads_.clear();
-}
-
-void FusedDisassembler::rebind_em(
-    std::shared_ptr<const HierarchicalDisassembler> em) {
-  if (em != nullptr && em->posterior_classes() != power_->posterior_classes()) {
-    throw std::invalid_argument("rebind_em: class support changed");
-  }
-  em_ = std::move(em);
-  group_head_.reset();
-  instruction_heads_.clear();
-}
-
 linalg::Vector FusedDisassembler::joint_features(int group,
                                                  const sim::Trace& pview,
                                                  const sim::Trace& eview) const {
@@ -219,9 +195,7 @@ void FusedDisassembler::train_feature_heads(
   }
 }
 
-Disassembly FusedDisassembler::degrade_to(const Disassembly& survivor,
-                                          const Disassembly& rejected) {
-  (void)rejected;
+Disassembly FusedDisassembler::degrade_to(const Disassembly& survivor) {
   Disassembly out = survivor;
   out.verdict = std::max(out.verdict, Verdict::kDegraded);
   return out;
@@ -348,8 +322,8 @@ Disassembly FusedDisassembler::fuse_window(const sim::Trace& pview,
     out.score_headroom = std::min(p.score_headroom, e.score_headroom);
     return out;
   }
-  if (!e.accepted()) return degrade_to(p, e);
-  if (!p.accepted()) return degrade_to(e, p);
+  if (!e.accepted()) return degrade_to(p);
+  if (!p.accepted()) return degrade_to(e);
   return fuse(pview, eview, p, e);
 }
 

@@ -116,14 +116,6 @@ class FusedDisassembler {
   std::vector<Disassembly> classify_batch(std::span<const sim::Trace> traces) const;
   std::vector<Disassembly> classify_batch_scored(std::span<const sim::Trace> traces) const;
 
-  /// Rebinds one channel to a maintained model (renormalized / refit by the
-  /// RecalibrationScheduler) while the other keeps serving.  The replacement
-  /// must keep the class support; joint feature heads are invalidated when
-  /// the corresponding channel pipelines changed, so deployments that
-  /// hot-swap channels should run score fusion (the calibrated default).
-  void rebind_power(std::shared_ptr<const HierarchicalDisassembler> power);
-  void rebind_em(std::shared_ptr<const HierarchicalDisassembler> em);
-
   const std::shared_ptr<const HierarchicalDisassembler>& power_model() const {
     return power_;
   }
@@ -181,8 +173,7 @@ class FusedDisassembler {
   static std::vector<Disassembly> exact_scored(const HierarchicalDisassembler& model,
                                                std::span<const sim::Trace> traces);
   /// Degrade to one surviving channel's result (other channel rejected).
-  static Disassembly degrade_to(const Disassembly& survivor,
-                                const Disassembly& rejected);
+  static Disassembly degrade_to(const Disassembly& survivor);
 
   std::shared_ptr<const HierarchicalDisassembler> power_;
   std::shared_ptr<const HierarchicalDisassembler> em_;

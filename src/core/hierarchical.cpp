@@ -439,22 +439,10 @@ void HierarchicalDisassembler::score_level(const Level& level,
   // walk folds a one-hot factor at their prediction instead.
   surface = surface && !labels.empty();
 
-  // A one-lane SoA pass is marshalling overhead (single windows forced
-  // through it ran at 0.92x the scalar kernels in Release), so one lane runs
-  // the scalar kernels.  Both kernel families keep the scalar per-window
-  // accumulation order, so the choice never changes a bit of the result.
-  if (lanes.size() == 1) {
-    const linalg::Vector x =
-        gather.features(level.slot, level.pipeline, lanes[0], level.components);
-    if (kept != nullptr) kept->assign(1, x);
-    if (!surface) {
-      fold(0, classifier.predict_scored(x), none);
-      return;
-    }
-    const linalg::Vector s = classifier.class_scores(x);
-    fold(0, ml::scored_from_scores(s, labels), log_softmax(s));
-    return;
-  }
+  // Every sub-batch, one lane included, runs the SoA kernels: a one-lane
+  // tile is one plain double per step (see lanes.hpp), so a batch of one
+  // costs what the scalar kernels do, and each lane keeps the scalar
+  // per-window accumulation order, so no bit depends on the lane count.
   const linalg::Matrix x =
       gather.features(level.slot, level.pipeline, lanes, level.components);
   if (kept != nullptr) {

@@ -196,10 +196,9 @@ class HierarchicalDisassembler {
   /// scoring (Qda::predict_scored_batch).  Level 2 re-batches by predicted
   /// group and level 3 by operand usage, so every classifier invocation
   /// stays a dense sub-batch; such a level gathers only its points outside
-  /// the shared union, for its own windows.  One-lane sub-batches take the
-  /// scalar kernels (a one-lane SoA pass is marshalling overhead).
-  /// classify() is this walk on a batch of one.  Thread-safe like
-  /// classify().
+  /// the shared union, for its own windows.  A one-lane sub-batch runs the
+  /// same SoA kernels, and classify() is this walk on a batch of one.
+  /// Thread-safe like classify().
   std::vector<Disassembly> classify_batch(std::span<const sim::Trace> traces) const;
 
   /// classify() plus the full per-class log-posterior (see
@@ -376,8 +375,7 @@ class HierarchicalDisassembler {
   /// The log-posterior is the log-softmax over score_labels() when `surface`
   /// is set and the classifier has a score surface, else empty.  When `kept`
   /// is non-null, (*kept)[i] holds lanes[i]'s projected features before the
-  /// folds run.  One lane runs the scalar kernels, wider sub-batches the SoA
-  /// ones.
+  /// folds run.  Every lane count, one included, runs the SoA kernels.
   template <class Fold>
   static void score_level(const Level& level, features::GatherBatch& gather,
                           std::span<const std::size_t> lanes, bool surface,

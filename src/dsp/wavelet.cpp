@@ -327,16 +327,6 @@ std::size_t Cwt::marshal(TraceBatch traces, std::vector<double>& soa) {
   return n;
 }
 
-void Cwt::gather(const std::vector<double>& trace, std::span<const CwtPoint> points,
-                 std::span<double> out) const {
-  if (out.size() != points.size()) {
-    throw std::invalid_argument("Cwt::gather: output size mismatch");
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    out[i] = coefficient(trace, points[i].j, points[i].k);
-  }
-}
-
 void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
                      std::size_t lanes, std::span<const CwtPoint> points,
                      std::span<double> out) const {
@@ -353,7 +343,7 @@ void Cwt::gather_soa(std::span<const double> soa_block, std::size_t n,
   // lane).  Every tile of lanes rides in registers across the whole tap
   // loop (see lanes.hpp for why that beats memory accumulators), and runs
   // T::kInterleave points side by side.  A point whose kernel misses the
-  // window has no taps and reads 0, as on the one-window path.  Points
+  // window has no taps and reads 0, as coefficient() does.  Points
   // resolve their taps a fixed block at a time.
   constexpr std::size_t kBlock = 64;
   std::array<Taps, kBlock> block;

@@ -21,7 +21,7 @@
 //
 // Sparse extraction -- the few hundred selected points classification reads
 // -- always computes each point as one direct kernel correlation
-// (`coefficient`, `gather`, `gather_soa`), whatever the backend.
+// (`coefficient`, `gather_soa`), whatever the backend.
 #pragma once
 
 #include <compare>
@@ -134,11 +134,6 @@ class Cwt {
                               std::span<const std::size_t> js,
                               std::span<const std::size_t> ks) const;
 
-  /// out[i] = coefficient(trace, points[i].j, points[i].k).  Throws
-  /// std::invalid_argument unless out.size() == points.size().
-  void gather(const std::vector<double>& trace, std::span<const CwtPoint> points,
-              std::span<double> out) const;
-
   /// Batch of same-length traces, addressed by pointer.
   using TraceBatch = std::span<const std::vector<double>* const>;
 
@@ -152,12 +147,13 @@ class Cwt {
   /// instead of paying the marshal per pipeline.
   static std::size_t marshal(TraceBatch traces, std::vector<double>& soa);
 
-  /// gather() across a pre-marshalled SoA block (`soa` holds `n * lanes`
-  /// doubles, layout of marshal): out holds points.size() rows of `lanes`
-  /// doubles, row i = point i, so out[i * lanes + l] is bit-identical to
-  /// gather() on lane l.  The kernel taps load once per batch instead of
-  /// once per window, and every inner loop runs lane-contiguous.  Throws
-  /// std::invalid_argument on a block or output of the wrong size.
+  /// The coefficients at `points` across a pre-marshalled SoA block (`soa`
+  /// holds `n * lanes` doubles, layout of marshal): out holds points.size()
+  /// rows of `lanes` doubles, row i = point i, so out[i * lanes + l] is
+  /// bit-identical to coefficient(trace l, points[i].j, points[i].k).  The
+  /// kernel taps load once per batch instead of once per window, and every
+  /// inner loop runs lane-contiguous.  Throws std::invalid_argument on a
+  /// block or output of the wrong size.
   void gather_soa(std::span<const double> soa, std::size_t n, std::size_t lanes,
                   std::span<const CwtPoint> points, std::span<double> out) const;
 

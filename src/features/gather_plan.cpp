@@ -89,10 +89,6 @@ void GatherBatch::begin(const GatherPlan& plan,
   const std::size_t shared = tiers == 0 ? 0 : layout_->tier_end[tier_];
   const std::span<const dsp::CwtPoint> points(layout_->entries.data(), shared);
   g_.resize(layout_->entries.size() * width_);
-  if (width_ == 1) {
-    plan.cwt().gather(*windows.front(), points, {g_.data(), shared});
-    return;
-  }
   dsp::Cwt::marshal(windows, soa_);
   plan.cwt().gather_soa(soa_, n_, width_, points, {g_.data(), shared * width_});
 }
@@ -104,9 +100,7 @@ void GatherBatch::gather_own(std::size_t slot, std::span<const std::size_t> lane
   for (std::size_t r = 0; r < own.size(); ++r) points_[r] = layout_->entries[own[r]];
   const std::size_t m = lanes.size();
   own_.resize(own.size() * m);
-  if (m == 1) {
-    plan_->cwt().gather(*windows_[lanes[0]], points_, own_);
-  } else if (m == width_) {
+  if (m == width_) {
     plan_->cwt().gather_soa(soa_, n_, m, points_, own_);
   } else {
     // The sub-batch's columns of the bucket block, row-contiguous copies.
@@ -133,12 +127,6 @@ linalg::Matrix GatherBatch::features(std::size_t slot, const FeaturePipeline& pi
                               lanes.size() == width_ ? std::span<const std::size_t>{}
                                                      : lanes,
                               components);
-}
-
-linalg::Vector GatherBatch::features(std::size_t slot, const FeaturePipeline& pipeline,
-                                     std::size_t lane, std::size_t components) {
-  gather_own(slot, {&lane, 1});
-  return pipeline.project(g_.data() + lane, width_, layout_->rows.at(slot), components);
 }
 
 }  // namespace sidis::features

@@ -76,22 +76,19 @@ class GatherBatch {
  public:
   /// Starts a bucket of `windows` (all one length, preprocessed per
   /// plan.normalize(); the pointers must outlive the bucket) and gathers
-  /// the union of the slots of tiers <= `tier` for every window: on the
-  /// scalar kernels for one window, struct-of-arrays for more.
+  /// the union of the slots of tiers <= `tier` for every window, on the
+  /// struct-of-arrays kernels whatever the width (a bucket of one is a
+  /// one-lane pass, as cheap as the scalar gather; see linalg/lanes.hpp).
   void begin(const GatherPlan& plan, std::span<const std::vector<double>* const> windows,
              std::size_t tier);
 
   /// Features of slot `slot` (whose pipeline is `pipeline`) on the bucket
-  /// windows `lanes` (ascending, two or more): the slot's rows in the shared
+  /// windows `lanes` (ascending, one or more): the slot's rows in the shared
   /// union are read from it, the others gathered for these windows only.
   /// (components x lanes), column i bit-identical to
   /// pipeline.transform_prepared(window lanes[i], components).
   linalg::Matrix features(std::size_t slot, const FeaturePipeline& pipeline,
                           std::span<const std::size_t> lanes, std::size_t components);
-
-  /// The one-window form, on the scalar kernels.
-  linalg::Vector features(std::size_t slot, const FeaturePipeline& pipeline,
-                          std::size_t lane, std::size_t components);
 
  private:
   /// Gathers `slot`'s rows outside the shared union for `lanes` into their

@@ -83,12 +83,11 @@ void Cholesky::mahalanobis_squared_batch(const Matrix& x_cols, std::span<double>
   // x[i], subtracts l(i,k) * y[k] in ascending k, divides by the diagonal,
   // and squares into the running sum -- the identical operation sequence, so
   // each lane's result matches the scalar call.  Each tile keeps row i's
-  // partial sums in registers across the k loop (see lanes.hpp); the squared
-  // sum accumulates through `out` once per row i, which is cheap at that
-  // frequency.
-  for (std::size_t l2 = 0; l2 < lanes; ++l2) out[l2] = 0.0;
+  // partial sums in registers across the k loop (see lanes.hpp), and the
+  // squared sum in registers across the rows.
   dispatch_lanes([&]<std::size_t VB>() {
     for_each_tile<VB>(lanes, [&]<class T>(std::size_t l0) {
+      T sum;
       for (std::size_t i = 0; i < n; ++i) {
         T v;
         v.load(x_cols.row(i).data() + l0);
@@ -96,14 +95,10 @@ void Cholesky::mahalanobis_squared_batch(const Matrix& x_cols, std::span<double>
           v.mul_sub(l(i, k), y.row(k).data() + l0);
         }
         v.div(l(i, i));
-        double* __restrict yrow = y.row(i).data() + l0;
-        v.store(yrow);
-        double* __restrict orow = out.data() + l0;
-        for (std::size_t u = 0; u < T::kLanes; ++u) {
-          const double sq = yrow[u] * yrow[u];
-          orow[u] += sq;
-        }
+        v.store(y.row(i).data() + l0);
+        sum.add_square(v);
       }
+      sum.store(out.data() + l0);
     });
   });
 }

@@ -160,17 +160,17 @@ struct Tile {
   Vec v[kChains] = {};
 
   void load(const double* p) {
-    unrolled<kChains>([&](std::size_t i) { std::memcpy(&v[i], p + i * kVecLanes, sizeof(Vec)); });
+    unrolled<kChains>([&](std::size_t i) { read(v[i], p + i * kVecLanes); });
   }
   void store(double* p) const {
-    unrolled<kChains>([&](std::size_t i) { std::memcpy(p + i * kVecLanes, &v[i], sizeof(Vec)); });
+    unrolled<kChains>([&](std::size_t i) { write(p + i * kVecLanes, v[i]); });
   }
 
   /// v[l] += s * x[l] for each lane l.
   void mul_add(double s, const double* x) {
     unrolled<kChains>([&](std::size_t i) {
       Vec xi;
-      std::memcpy(&xi, x + i * kVecLanes, sizeof(xi));
+      read(xi, x + i * kVecLanes);
       const Vec p = s * xi;
       v[i] += p;
     });
@@ -184,11 +184,19 @@ struct Tile {
     });
   }
 
+  /// v[l] += x.v[l] * x.v[l] for each lane l.
+  void add_square(const Tile& x) {
+    unrolled<kChains>([&](std::size_t i) {
+      const Vec p = x.v[i] * x.v[i];
+      v[i] += p;
+    });
+  }
+
   /// v[l] -= s * x[l] for each lane l.
   void mul_sub(double s, const double* x) {
     unrolled<kChains>([&](std::size_t i) {
       Vec xi;
-      std::memcpy(&xi, x + i * kVecLanes, sizeof(xi));
+      read(xi, x + i * kVecLanes);
       const Vec p = s * xi;
       v[i] -= p;
     });
@@ -198,6 +206,30 @@ struct Tile {
   /// multiplying by a reciprocal would round differently).
   void div(double s) {
     unrolled<kChains>([&](std::size_t i) { v[i] /= s; });
+  }
+
+ private:
+  /// One vector's lanes from memory, and back (out-parameters: returning a
+  /// 32-byte vector by value from code built without AVX changes the ABI).
+  /// A one-lane vector is a plain double access, not a memcpy: GCC 12 keeps
+  /// the target of an 8-byte memcpy in a general-purpose register, so a
+  /// one-lane tile's running sum round-tripped through one on every step
+  /// (vmovq %rax,%xmm; vsubsd; vmovq %xmm,%rax) and a one-lane Mahalanobis
+  /// pass cost about twice the scalar loop.  Wider vectors keep the memcpy:
+  /// their lanes are only double-aligned.
+  static void read(Vec& x, const double* p) {
+    if constexpr (kVecLanes == 1) {
+      x = *p;
+    } else {
+      std::memcpy(&x, p, sizeof(x));
+    }
+  }
+  static void write(double* p, const Vec& x) {
+    if constexpr (kVecLanes == 1) {
+      *p = x;
+    } else {
+      std::memcpy(p, &x, sizeof(x));
+    }
   }
 };
 

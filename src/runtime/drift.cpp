@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/fusion.hpp"
-
 namespace sidis::runtime {
 
 namespace {
@@ -159,59 +157,6 @@ void DriftMonitor::rebind(std::shared_ptr<const core::HierarchicalDisassembler> 
   train_mean_ = m.mean;
   train_var_ = m.variance;
   rebase();
-}
-
-namespace {
-
-std::shared_ptr<const core::HierarchicalDisassembler> require_power(
-    const std::shared_ptr<const core::FusedDisassembler>& fused) {
-  if (fused == nullptr) {
-    throw std::invalid_argument("FusedDriftMonitor: null fused model");
-  }
-  return fused->power_model();
-}
-
-}  // namespace
-
-FusedDriftMonitor::FusedDriftMonitor(
-    std::shared_ptr<const core::FusedDisassembler> fused, DriftConfig config)
-    : power_(require_power(fused), config) {
-  if (fused->em_model() != nullptr) {
-    em_ = std::make_unique<DriftMonitor>(fused->em_model(), config);
-  }
-}
-
-void FusedDriftMonitor::observe(const sim::Trace& trace,
-                                const core::Disassembly& result) {
-  power_.observe(sim::channel_view(trace, sim::Channel::kPower), result);
-  if (em_ != nullptr && trace.has_em()) {
-    em_->observe(sim::channel_view(trace, sim::Channel::kEm), result);
-  }
-}
-
-std::optional<ChannelDriftEvent> FusedDriftMonitor::poll_event() {
-  if (auto e = power_.poll_event()) {
-    return ChannelDriftEvent{sim::Channel::kPower, *e};
-  }
-  if (em_ != nullptr) {
-    if (auto e = em_->poll_event()) {
-      return ChannelDriftEvent{sim::Channel::kEm, *e};
-    }
-  }
-  return std::nullopt;
-}
-
-void FusedDriftMonitor::rebind_power(
-    std::shared_ptr<const core::HierarchicalDisassembler> model) {
-  power_.rebind(std::move(model));
-}
-
-void FusedDriftMonitor::rebind_em(
-    std::shared_ptr<const core::HierarchicalDisassembler> model) {
-  if (em_ == nullptr) {
-    throw std::logic_error("FusedDriftMonitor::rebind_em: no EM channel");
-  }
-  em_->rebind(std::move(model));
 }
 
 }  // namespace sidis::runtime

@@ -54,10 +54,6 @@
 #include "core/hierarchical.hpp"
 #include "sim/trace.hpp"
 
-namespace sidis::core {
-class FusedDisassembler;
-}
-
 namespace sidis::runtime {
 
 struct DriftConfig {
@@ -174,55 +170,6 @@ class DriftMonitor {
   std::uint64_t events_raised_ = 0;
   std::uint64_t nonfinite_skipped_ = 0;
   std::optional<DriftEvent> pending_;
-};
-
-/// A DriftEvent attributed to one acquisition channel of a fused deployment.
-struct ChannelDriftEvent {
-  sim::Channel channel = sim::Channel::kPower;
-  DriftEvent event;
-};
-
-/// Per-channel drift tracking for a multimodal (power+EM) deployment: one
-/// DriftMonitor per channel model, each fed that channel's view of every
-/// paired window.  The channels drift under *independent* covariate-shift
-/// processes (power gain/thermal drift vs. EM probe misalignment), so a
-/// shared statistic would smear an alarm across both and the scheduler could
-/// not tell which channel to recalibrate.  Events carry the channel, so the
-/// RecalibrationScheduler renorms/refits exactly the rotten model while the
-/// other channel keeps serving.  Same single-thread contract as DriftMonitor.
-class FusedDriftMonitor {
- public:
-  /// Builds one monitor per channel of `fused` (the EM monitor only when the
-  /// fused model carries an EM channel).  Throws like DriftMonitor when a
-  /// channel model has no training moments.
-  explicit FusedDriftMonitor(std::shared_ptr<const core::FusedDisassembler> fused,
-                             DriftConfig config = {});
-
-  /// Folds one classified paired window into both channels' statistics: the
-  /// power monitor sees channel_view(trace, kPower), the EM monitor (when
-  /// present, and the window carries an EM half) sees the kEm view.  The
-  /// fused verdict feeds both reject-rate trends -- a fused rejection means
-  /// the *deployment* refused the window, whichever channel caused it.
-  void observe(const sim::Trace& trace, const core::Disassembly& result);
-
-  /// Pending event from either channel, power channel polled first (its
-  /// model is the primary operating curve the degradation gate pins).
-  std::optional<ChannelDriftEvent> poll_event();
-
-  /// Rebinds one channel's monitor onto a recalibrated successor and rebases
-  /// it; the other channel's streak/cooldown state is untouched.
-  void rebind_power(std::shared_ptr<const core::HierarchicalDisassembler> model);
-  void rebind_em(std::shared_ptr<const core::HierarchicalDisassembler> model);
-
-  DriftMonitor& power_monitor() { return power_; }
-  const DriftMonitor& power_monitor() const { return power_; }
-  /// Null when the fused model carries no EM channel.
-  DriftMonitor* em_monitor() { return em_ ? em_.get() : nullptr; }
-  const DriftMonitor* em_monitor() const { return em_ ? em_.get() : nullptr; }
-
- private:
-  DriftMonitor power_;
-  std::unique_ptr<DriftMonitor> em_;
 };
 
 }  // namespace sidis::runtime

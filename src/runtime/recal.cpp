@@ -133,8 +133,9 @@ RecalOutcome RecalibrationScheduler::on_drift(const DriftEvent& event,
 
   // Publish: the stage's closure co-owns the clone, so the model lives
   // exactly as long as some worker can still pin its stage, and it runs the
-  // same batched walk as the stage it replaces.  A custom publisher (fused
-  // deployments rebinding one channel) replaces the swap, not the telemetry.
+  // same batched walk as the stage it replaces.  A custom publisher (a fused
+  // deployment republishing one recalibrated channel) replaces the swap, not
+  // the telemetry.
   std::shared_ptr<const core::HierarchicalDisassembler> published = clone;
   if (publisher_) {
     publisher_(published, stamp);

@@ -167,11 +167,13 @@ class RecalibrationScheduler {
 
   /// How the recalibrated model reaches the serving tier.  Default:
   /// fleet.swap_stage(stream, make_stage(model, stamp)) (single-channel
-  /// deployment).  A fused deployment overrides this to rebind ONE channel
-  /// of a FusedDisassembler and republish a fused stage -- the other channel
-  /// keeps serving untouched; the scheduler itself stays channel-agnostic
-  /// (it maintains whichever channel model it was constructed around, with
-  /// that channel's CalibrationSource, e.g. a ChannelCalibrationSource).
+  /// deployment).  A fused deployment overrides this to build a new
+  /// FusedDisassembler from the recalibrated channel model and the other,
+  /// untouched channel, and publish it as a fused stage.  The scheduler
+  /// itself knows no channels: it maintains the one channel model it was
+  /// constructed around, with that channel's CalibrationSource (e.g. a
+  /// ChannelCalibrationSource), and its events come from a plain
+  /// DriftMonitor on that model.
   using Publisher = std::function<void(
       std::shared_ptr<const core::HierarchicalDisassembler> model,
       std::uint64_t stamp)>;

@@ -48,6 +48,10 @@ namespace {
 constexpr std::size_t kMaxSweepWidth = 33;
 
 /// The kernel sweeps' lane counts: 1..kMaxSweepWidth, and a serving chunk.
+/// Lane count 1 is the scalar anchor: classify() is classify_batch on one
+/// window and runs these same kernels, so every sweep's one-lane case is
+/// what a single window computes, held against the scalar reference
+/// (Cwt::coefficient, FeaturePipeline::project, Qda::predict_scored).
 std::vector<std::size_t> sweep_lanes() {
   std::vector<std::size_t> out(kMaxSweepWidth);
   std::iota(out.begin(), out.end(), std::size_t{1});
@@ -525,18 +529,6 @@ TEST_P(GatherPlanTest, EveryLevelReadsItsOwnFeaturesFromTheUnion) {
             SCOPED_TRACE("n " + std::to_string(n) + " tier " + std::to_string(tier) +
                          " width " + std::to_string(width) + " slot " +
                          std::to_string(s) + " lanes " + std::to_string(lanes.size()));
-            if (lanes.size() == 1) {
-              const linalg::Vector x =
-                  batch.features(s, *slots[s], lanes[0], SIZE_MAX);
-              const linalg::Vector& ref = alone[s][lanes[0]];
-              ASSERT_EQ(x.size(), ref.size());
-              for (std::size_t c = 0; c < ref.size(); ++c) {
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(x[c]),
-                          std::bit_cast<std::uint64_t>(ref[c]))
-                    << "component " << c;
-              }
-              continue;
-            }
             if (lanes.empty()) continue;
             const linalg::Matrix x = batch.features(s, *slots[s], lanes, SIZE_MAX);
             ASSERT_EQ(x.cols(), lanes.size());

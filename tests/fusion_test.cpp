@@ -7,8 +7,7 @@
 //  * fused classify_batch is bit-identical to fused scalar classify across
 //    batch sizes, and served verdicts are shard- and worker-count invariant
 //    (fusion adds no scheduling-dependent arithmetic);
-//  * one channel recalibrates while the other keeps serving, and the fused
-//    drift monitor attributes drift to the channel that actually moved.
+//  * one channel recalibrates while the other keeps serving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -283,18 +282,16 @@ TEST(FusionRuntime, OneChannelRecalibratesWhileTheOtherServes) {
         fleet.swap_stage(id, runtime::make_stage(published, stamp, /*scored=*/true));
       });
 
-  runtime::FusedDriftMonitor monitor{
-      std::shared_ptr<const FusedDisassembler>(current)};
+  runtime::DriftMonitor monitor{world().em};
   runtime::DriftEvent event;
   event.trigger = runtime::DriftTrigger::kFeatureShift;
-  const runtime::RecalOutcome outcome =
-      scheduler.on_drift(event, *monitor.em_monitor());
+  const runtime::RecalOutcome outcome = scheduler.on_drift(event, monitor);
   ASSERT_TRUE(outcome.performed) << outcome.reason;
   ASSERT_NE(published, nullptr);
   // Power channel untouched, EM channel replaced, and the stream serves on.
   EXPECT_EQ(published->power_model(), old_power);
   EXPECT_NE(published->em_model(), old_em);
-  EXPECT_EQ(monitor.em_monitor()->model(), published->em_model());
+  EXPECT_EQ(monitor.model(), published->em_model());
   for (std::size_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(fleet.submit(id, world().probes[i]).accepted());
   }
@@ -304,41 +301,6 @@ TEST(FusionRuntime, OneChannelRecalibratesWhileTheOtherServes) {
   EXPECT_EQ(fleet.stats().runtime.model_swaps, 1u);
   EXPECT_EQ(scheduler.recalibrations(), 1u);
   EXPECT_EQ(scheduler.events(), 1u);
-}
-
-TEST(FusionRuntime, DriftMonitorAttributesProbeDriftToTheEmChannel) {
-  // A fresh campaign whose only covariate-shift process is EM probe
-  // misalignment drift: the power channel is stationary (nominal device and
-  // session), so only the EM statistics may move.
-  sim::AcquisitionOptions opts = paired_options();
-  opts.em.misalignment_drift = 1.6;
-  sim::AcquisitionCampaign drifting(sim::DeviceModel::make(0),
-                                    sim::SessionContext::make(0),
-                                    sim::LeakageConfig{}, sim::ScopeConfig{},
-                                    opts);
-  auto fused = std::make_shared<const FusedDisassembler>(balanced_fused());
-  runtime::DriftConfig cfg;
-  cfg.warmup = 8;
-  cfg.consecutive = 3;
-  cfg.z_threshold = 6.0;
-  runtime::FusedDriftMonitor monitor(fused, cfg);
-  ASSERT_NE(monitor.em_monitor(), nullptr);
-
-  std::mt19937_64 rng(77);
-  for (int i = 0; i < 48; ++i) {
-    const std::size_t c =
-        world().classes[static_cast<std::size_t>(i) % world().classes.size()];
-    // Campaign end state: full misalignment on the probe, nominal power.
-    const sim::Trace t = drifting.capture_trace(
-        avr::random_instance(c, rng), sim::ProgramContext::make(i % 5), rng,
-        /*campaign_progress=*/1.0);
-    monitor.observe(t, fused->classify(t));
-  }
-  EXPECT_GT(monitor.em_monitor()->z_rms(), monitor.power_monitor().z_rms());
-  const auto event = monitor.poll_event();
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->channel, sim::Channel::kEm);
-  EXPECT_EQ(monitor.power_monitor().events_raised(), 0u);
 }
 
 }  // namespace
