@@ -53,7 +53,10 @@ Eval eval_random_points(const features::LabeledTraces& train,
     std::vector<linalg::Vector> rows;
     for (std::size_t c = 0; c < in.sets.size(); ++c) {
       for (const sim::Trace& t : *in.sets[c]) {
-        rows.push_back(features::extract_features(cwt, t.samples, points));
+        linalg::Vector& f = rows.emplace_back(points.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          f[i] = cwt.coefficient(t.samples, points[i].j, points[i].k);
+        }
         out.y.push_back(in.labels[c]);
       }
     }

@@ -81,7 +81,10 @@ int main() {
     std::vector<linalg::Vector> out;
     out.reserve(traces.size());
     for (const sim::Trace& t : traces) {
-      out.push_back(features::extract_features(cwt, t.samples, pts));
+      linalg::Vector& f = out.emplace_back(pts.size());
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        f[i] = cwt.coefficient(t.samples, pts[i].j, pts[i].k);
+      }
     }
     return out;
   };

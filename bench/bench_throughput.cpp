@@ -108,12 +108,16 @@ BENCHMARK(BM_CwtBackend<dsp::CwtBackend::kSpectral>)->Name("BM_CwtSpectral")->CW
 BENCHMARK(BM_CwtBackend<dsp::CwtBackend::kAuto>)->Name("BM_CwtAuto")->CWT_BACKEND_ARGS;
 #undef CWT_BACKEND_ARGS
 
-void BM_FeatureExtractionSparse(benchmark::State& state) {
+void BM_FeatureExtractionSparse(benchmark::State& state) {  // a one-lane gather
   const Fixture& fx = Fixture::instance();
+  std::vector<dsp::CwtPoint> points;
+  for (const stats::GridPoint& p : fx.pipeline.unified_points()) points.push_back({p.j, p.k});
+  std::vector<double> out(points.size());
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(features::extract_features(
-        fx.cwt, fx.probes[i++ % fx.probes.size()].samples, fx.pipeline.unified_points()));
+    const std::vector<double>& w = fx.probes[i++ % fx.probes.size()].samples;
+    fx.cwt.gather_soa(w, w.size(), 1, points, out);
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_FeatureExtractionSparse);
@@ -239,10 +243,12 @@ void BM_GatherOneLane(benchmark::State& state) {  // the marshal included
 BENCHMARK(BM_GatherScalarLane)->ComputeStatistics("min", min_of);
 BENCHMARK(BM_GatherOneLane)->ComputeStatistics("min", min_of);
 
-void BM_ProjectScalarLane(benchmark::State& state) {
+void BM_ProjectScalarLane(benchmark::State& state) {  // ColumnScaler, then Pca
   const FixtureGather fg;
   const features::FeaturePipeline& pipeline = Fixture::instance().pipeline;
-  for (auto _ : state) benchmark::DoNotOptimize(pipeline.project(fg.g.data(), 1, fg.rows, SIZE_MAX));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline.pca().transform(pipeline.scaler().transform(fg.g)));
+  }
 }
 void BM_ProjectOneLane(benchmark::State& state) {
   const FixtureGather fg;

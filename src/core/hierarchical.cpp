@@ -31,11 +31,6 @@ double low_quantile(std::vector<double> v, double q) {
   return v[idx];
 }
 
-/// Windows scored at once when calibrating a level: one full 16-lane tile,
-/// with a marshalled block and gather a quarter the size of a 64-window
-/// serving chunk's.
-constexpr std::size_t kCalibrationChunk = 16;
-
 /// Points prepared[i] at window(i) as every level of the model reads it
 /// (GatherPlan holds the levels to one normalization setting): a
 /// per-trace-normalized copy kept in `normalized`, or its own samples.
@@ -469,9 +464,10 @@ void HierarchicalDisassembler::calibrate_level(Level& level,
                                                const RejectConfig& config) {
   if (level.trivial) return;
   // The clean corpus runs through the walk's own kernels: windows bucket by
-  // length, and each chunk of a bucket is gathered once and scored as one
-  // sub-batch.  The gates read only the sorted margins and scores, so the
-  // order the windows are scored in does not matter.
+  // length, and each chunk of a bucket (at most features::kSoaChunk windows,
+  // one full 16-lane tile) is gathered once and scored as one sub-batch.
+  // The gates read only the sorted margins and scores, so the order the
+  // windows are scored in does not matter.
   std::vector<const sim::Trace*> windows;
   for (const sim::TraceSet* set : input.sets) {
     for (const sim::Trace& trace : *set) windows.push_back(&trace);
@@ -489,7 +485,7 @@ void HierarchicalDisassembler::calibrate_level(Level& level,
   std::vector<std::size_t> lanes;
   for (std::size_t begin = 0, end = 0; begin < windows.size(); begin = end) {
     const std::size_t length = windows[begin]->samples.size();
-    while (end < windows.size() && end - begin < kCalibrationChunk &&
+    while (end < windows.size() && end - begin < features::kSoaChunk &&
            windows[end]->samples.size() == length) {
       ++end;
     }

@@ -308,11 +308,11 @@ std::size_t Cwt::marshal(TraceBatch traces, std::vector<double>& soa) {
   if (traces.empty()) {
     throw std::invalid_argument("Cwt: empty trace batch");
   }
-  const std::size_t n = traces.front()->size();
+  const std::size_t n = traces.front() == nullptr ? 0 : traces.front()->size();
   const std::size_t lanes = traces.size();
   for (const std::vector<double>* t : traces) {
     if (t == nullptr || t->size() != n) {
-      throw std::invalid_argument("Cwt: batch traces must share one length");
+      throw std::invalid_argument("Cwt: batch traces must be non-null and share one length");
     }
   }
   soa.resize(n * lanes);
@@ -381,7 +381,7 @@ linalg::Matrix Cwt::coefficients_soa(std::span<const double> soa, std::size_t n,
                                      std::span<const std::size_t> ks,
                                      CwtBatchWorkspace& /*ws*/) const {
   if (js.size() != ks.size()) {
-    throw std::invalid_argument("Cwt::coefficients: js/ks length mismatch");
+    throw std::invalid_argument("Cwt::coefficients_soa: js/ks length mismatch");
   }
   std::vector<CwtPoint> points(js.size());
   for (std::size_t i = 0; i < js.size(); ++i) points[i] = {js[i], ks[i]};
@@ -403,17 +403,6 @@ double Cwt::coefficient(const std::vector<double>& trace, std::size_t j,
   const double* xp = trace.data() + (t + lo);
   for (std::ptrdiff_t d = lo; d <= hi; ++d) acc += *kp++ * *xp++;
   return acc;
-}
-
-linalg::Vector Cwt::coefficients(const std::vector<double>& trace,
-                                 std::span<const std::size_t> js,
-                                 std::span<const std::size_t> ks) const {
-  if (js.size() != ks.size()) {
-    throw std::invalid_argument("Cwt::coefficients: js/ks length mismatch");
-  }
-  linalg::Vector out(js.size());
-  for (std::size_t i = 0; i < js.size(); ++i) out[i] = coefficient(trace, js[i], ks[i]);
-  return out;
 }
 
 double Cwt::pseudo_frequency(std::size_t j) const {

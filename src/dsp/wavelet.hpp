@@ -120,19 +120,12 @@ class Cwt {
   Scalogram transform(const std::vector<double>& trace, CwtWorkspace& ws) const;
 
   /// Single CWT coefficient at (scale index j, time index k) -- one kernel
-  /// correlation, always time-domain.  The classification path only needs a
-  /// few hundred selected feature points, so this is the hot function at
-  /// inference time.  Past the trace end a point reads the part of the
-  /// kernel that still overlaps the trace (0 once none does).
+  /// correlation, always time-domain.  The scalar definition of a sparse
+  /// point: every lane of gather_soa reproduces it bit for bit.  Past the
+  /// trace end a point reads the part of the kernel that still overlaps the
+  /// trace (0 once none does).
   double coefficient(const std::vector<double>& trace, std::size_t j,
                      std::size_t k) const;
-
-  /// Batched coefficient extraction: coefficient(trace, js[i], ks[i]) for
-  /// every i, in input order.  Throws std::invalid_argument when js and ks
-  /// differ in length.
-  linalg::Vector coefficients(const std::vector<double>& trace,
-                              std::span<const std::size_t> js,
-                              std::span<const std::size_t> ks) const;
 
   /// Batch of same-length traces, addressed by pointer.
   using TraceBatch = std::span<const std::vector<double>* const>;
@@ -141,7 +134,8 @@ class Cwt {
   /// block soa[t * lanes + l] = traces[l][t] (write-contiguous: the lane
   /// loop is innermost, so the reads are `lanes` sequential streams and the
   /// writes one).  Returns the common trace length.  Throws
-  /// std::invalid_argument on an empty batch or mixed trace lengths.
+  /// std::invalid_argument on an empty batch, a null trace pointer or mixed
+  /// trace lengths.
   /// Callers that run several feature pipelines over one batch marshal once
   /// through this and feed the block to gather_soa / coefficients_soa,
   /// instead of paying the marshal per pipeline.
@@ -157,9 +151,10 @@ class Cwt {
   void gather_soa(std::span<const double> soa, std::size_t n, std::size_t lanes,
                   std::span<const CwtPoint> points, std::span<double> out) const;
 
-  /// coefficients() across a pre-marshalled SoA block: the matrix is
-  /// (js.size() x lanes) with *columns* as windows, and column w is
-  /// bit-identical to coefficients(trace w, js, ks).
+  /// gather_soa at the points (js[i], ks[i]), as a (js.size() x lanes)
+  /// matrix with *columns* as windows: entry (i, w) is bit-identical to
+  /// coefficient(trace w, js[i], ks[i]).  Throws std::invalid_argument when
+  /// js and ks differ in length.
   linalg::Matrix coefficients_soa(std::span<const double> soa, std::size_t n,
                                   std::size_t lanes,
                                   std::span<const std::size_t> js,

@@ -7,7 +7,7 @@
 // length bucket once and lets every level read its feature rows from there.
 // Every point is one direct kernel correlation, whichever level asks for
 // it, so each union point is computed once and every level's features stay
-// bit-identical to its own FeaturePipeline::transform_prepared.
+// bit-identical to its own FeaturePipeline::transform_soa_batch.
 #pragma once
 
 #include <cstddef>
@@ -86,7 +86,7 @@ class GatherBatch {
   /// windows `lanes` (ascending, one or more): the slot's rows in the shared
   /// union are read from it, the others gathered for these windows only.
   /// (components x lanes), column i bit-identical to
-  /// pipeline.transform_prepared(window lanes[i], components).
+  /// pipeline.transform_soa_batch on window lanes[i] alone.
   linalg::Matrix features(std::size_t slot, const FeaturePipeline& pipeline,
                           std::span<const std::size_t> lanes, std::size_t components);
 

@@ -46,6 +46,44 @@ sim::TraceSet preprocess(const sim::TraceSet& traces, bool normalize) {
   return out;
 }
 
+/// Cuts `windows` into runs of at most kSoaChunk consecutive windows of one
+/// length and runs body(first, soa, n, lanes) on each, where soa is the run
+/// marshalled (each window per-trace-normalized first when `normalize`), n
+/// its length and first the index of its first window.  The runs fan out
+/// over `workers` threads; each window's result depends only on the window,
+/// so nothing depends on the worker count.
+template <class Body>
+void for_each_block(std::span<const sim::Trace* const> windows, bool normalize,
+                    std::size_t workers, Body&& body) {
+  std::vector<std::size_t> starts;
+  for (std::size_t b = 0, e = 0; b < windows.size(); b = e) {
+    starts.push_back(b);
+    const std::size_t n = windows[b]->samples.size();
+    for (e = b + 1; e < windows.size() && e - b < kSoaChunk &&
+                    windows[e]->samples.size() == n;
+         ++e) {
+    }
+  }
+  starts.push_back(windows.size());
+  runtime::parallel_for(starts.size() - 1, workers, [&](std::size_t c) {
+    const std::size_t first = starts[c], lanes = starts[c + 1] - first;
+    std::vector<std::vector<double>> normalized(normalize ? lanes : 0);
+    std::vector<const std::vector<double>*> prepared(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const sim::Trace& t = *windows[first + l];
+      if (!normalize) {
+        prepared[l] = &t.samples;
+        continue;
+      }
+      normalized[l] = normalize_window(t.samples, t.meta.gain_estimate);
+      prepared[l] = &normalized[l];
+    }
+    std::vector<double> soa;
+    const std::size_t n = dsp::Cwt::marshal(prepared, soa);
+    body(first, std::span<const double>(soa), n, lanes);
+  });
+}
+
 /// R components' projections on the tile of lanes [l0, l0 + T::kLanes) of
 /// the centred features f (np rows of m lanes): component c0 + r sums
 /// f * axes(., c0 + r) over points in ascending order, the R sums sharing
@@ -148,36 +186,29 @@ FeaturePipeline FeaturePipeline::fit(const std::vector<const ClassData*>& classe
     p.points_.resize(config.max_unified_points);  // already KL-ranked
   }
 
-  // Pass 2: extract selected coefficients for every training trace, one
-  // parallel_for index per trace.  Rows land in their trace-order slots and
-  // every row is computed independently, so the fitted scaler/PCA never
-  // depend on the worker count.
-  std::vector<const std::vector<double>*> samples;
+  // Pass 2: the selected coefficients of every training trace, each row
+  // written in its trace-order slot, so the fitted scaler/PCA never depend
+  // on the worker count.
+  p.index_points();
+  std::vector<const sim::Trace*> windows;
   for (const ClassData* c : classes) {
-    for (const sim::Trace& t : c->preprocessed) samples.push_back(&t.samples);
+    for (const sim::Trace& t : c->preprocessed) windows.push_back(&t);
   }
-  std::vector<linalg::Vector> rows(samples.size());
-  runtime::parallel_for(samples.size(), config.workers, [&](std::size_t i) {
-    rows[i] = extract_features(p.cwt_, *samples[i], p.points_);
-  });
-  linalg::Matrix x = linalg::Matrix::from_rows(rows);
+  linalg::Matrix x = p.gather_rows(windows, /*normalize=*/false);
 
   if (config.column_standardization) {
     p.scaler_ = stats::ColumnScaler::fit(x);
     x = p.scaler_.transform(x);
   }
   p.pca_ = stats::Pca::fit(x, config.pca_components);
-  p.index_points();
   return p;
 }
 
 void FeaturePipeline::index_points() {
-  point_js_.resize(points_.size());
-  point_ks_.resize(points_.size());
+  cwt_points_.resize(points_.size());
   own_rows_.resize(points_.size());
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    point_js_[i] = points_[i].j;
-    point_ks_[i] = points_[i].k;
+    cwt_points_[i] = {points_[i].j, points_[i].k};
     own_rows_[i] = i;
   }
 }
@@ -213,16 +244,10 @@ FeaturePipeline FeaturePipeline::renormalized(const sim::TraceSet& recal,
   }
   // Selected-point features of the recalibration traces, in the pre-scaler
   // space the original column statistics were fitted in.
-  std::vector<linalg::Vector> rows(recal.size());
-  runtime::parallel_for(recal.size(), config_.workers, [&](std::size_t i) {
-    const std::vector<double> prep =
-        config_.per_trace_normalization
-            ? normalize_window(recal[i].samples, recal[i].meta.gain_estimate)
-            : recal[i].samples;
-    rows[i] = extract_features(cwt_, prep, points_);
-  });
+  std::vector<const sim::Trace*> windows;
+  for (const sim::Trace& t : recal) windows.push_back(&t);
   const stats::ColumnScaler observed =
-      stats::ColumnScaler::fit(linalg::Matrix::from_rows(rows));
+      stats::ColumnScaler::fit(gather_rows(windows, config_.per_trace_normalization));
 
   // Shrink the re-centring towards the training means when the budget is
   // tiny: with n recalibration traces the observed mean carries O(1/sqrt(n))
@@ -241,50 +266,37 @@ FeaturePipeline FeaturePipeline::renormalized(const sim::TraceSet& recal,
   return out;
 }
 
+linalg::Matrix FeaturePipeline::gather_rows(std::span<const sim::Trace* const> windows,
+                                            bool normalize) const {
+  linalg::Matrix x(windows.size(), cwt_points_.size());
+  for_each_block(windows, normalize, config_.workers,
+                 [&](std::size_t first, std::span<const double> soa, std::size_t n,
+                     std::size_t lanes) {
+                   std::vector<double> g(cwt_points_.size() * lanes);
+                   cwt_.gather_soa(soa, n, lanes, cwt_points_, g);
+                   for (std::size_t l = 0; l < lanes; ++l) {
+                     double* row = x.row(first + l).data();
+                     for (std::size_t p = 0; p < cwt_points_.size(); ++p) {
+                       row[p] = g[p * lanes + l];
+                     }
+                   }
+                 });
+  return x;
+}
+
 std::vector<double> FeaturePipeline::preprocess_window(const sim::Trace& trace,
                                                        bool per_trace_normalization) {
   if (!per_trace_normalization) return trace.samples;
   return normalize_window(trace.samples, trace.meta.gain_estimate);
 }
 
-linalg::Vector FeaturePipeline::transform_prepared(const std::vector<double>& prepared,
-                                                   std::size_t components) const {
-  if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
-  const linalg::Vector v = cwt_.coefficients(prepared, point_js_, point_ks_);
-  return project(v.data(), 1, own_rows_, components);
-}
-
-linalg::Vector FeaturePipeline::project(const double* gathered, std::size_t stride,
-                                        std::span<const std::size_t> rows,
-                                        std::size_t components) const {
-  if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
-  if (rows.size() != points_.size()) {
-    throw std::invalid_argument("FeaturePipeline::project: row map size mismatch");
-  }
-  if (config_.column_standardization && scaler_.dim() != rows.size()) {
-    throw std::invalid_argument("ColumnScaler: dim mismatch");
-  }
-  // The exact (x - m) / s of ColumnScaler::transform, reading x straight
-  // out of the gather.
-  linalg::Vector v(rows.size());
-  if (config_.column_standardization) {
-    const linalg::Vector& smean = scaler_.mean();
-    const linalg::Vector& sstd = scaler_.stddev();
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-      v[p] = (gathered[rows[p] * stride] - smean[p]) / sstd[p];
-    }
-  } else {
-    for (std::size_t p = 0; p < rows.size(); ++p) v[p] = gathered[rows[p] * stride];
-  }
-  return pca_.transform(v, components);
-}
-
 linalg::Matrix FeaturePipeline::transform_soa_batch(
     std::span<const double> soa, std::size_t n, std::size_t lanes,
-    std::size_t components, dsp::CwtBatchWorkspace& ws) const {
+    std::size_t components, dsp::CwtBatchWorkspace& /*ws*/) const {
   if (points_.empty()) throw std::runtime_error("FeaturePipeline: not fitted");
   // F is point-major SoA: F(p, w) = point p of window w.
-  const linalg::Matrix f = cwt_.coefficients_soa(soa, n, lanes, point_js_, point_ks_, ws);
+  linalg::Matrix f(cwt_points_.size(), lanes);
+  cwt_.gather_soa(soa, n, lanes, cwt_points_, f.data());
   return project_soa(f.data().data(), lanes, own_rows_, {}, components);
 }
 
@@ -367,43 +379,33 @@ linalg::Matrix FeaturePipeline::project_soa(const double* gathered, std::size_t 
 
 linalg::Vector FeaturePipeline::transform(const sim::Trace& trace,
                                           std::size_t components) const {
-  if (!config_.per_trace_normalization) return transform_prepared(trace.samples, components);
-  return transform_prepared(normalize_window(trace.samples, trace.meta.gain_estimate),
-                            components);
-}
-
-linalg::Vector FeaturePipeline::transform(const std::vector<double>& samples,
-                                          std::size_t components) const {
-  sim::Trace t;
-  t.samples = samples;
-  return transform(t, components);
+  // A marshalled block of one lane is the window itself.
+  const std::vector<double> window = preprocess_window(trace, config_.per_trace_normalization);
+  dsp::CwtBatchWorkspace ws;
+  const linalg::Matrix z = transform_soa_batch(window, window.size(), 1, components, ws);
+  return {z.data().begin(), z.data().end()};
 }
 
 ml::Dataset FeaturePipeline::transform(const LabeledTraces& input,
                                        std::size_t components) const {
   ml::Dataset out;
-  std::vector<const sim::Trace*> flat;
+  std::vector<const sim::Trace*> windows;
   for (std::size_t c = 0; c < input.sets.size(); ++c) {
     for (const sim::Trace& t : *input.sets[c]) {
-      flat.push_back(&t);
+      windows.push_back(&t);
       out.y.push_back(input.labels[c]);
     }
   }
-  std::vector<linalg::Vector> rows(flat.size());
-  runtime::parallel_for(flat.size(), config_.workers,
-                        [&](std::size_t i) { rows[i] = transform(*flat[i], components); });
-  out.x = linalg::Matrix::from_rows(rows);
-  return out;
-}
-
-ml::Dataset FeaturePipeline::transform(const sim::TraceSet& traces, int label,
-                                       std::size_t components) const {
-  ml::Dataset out;
-  out.y.assign(traces.size(), label);
-  std::vector<linalg::Vector> rows(traces.size());
-  runtime::parallel_for(traces.size(), config_.workers,
-                        [&](std::size_t i) { rows[i] = transform(traces[i], components); });
-  out.x = linalg::Matrix::from_rows(rows);
+  out.x = linalg::Matrix(windows.size(), std::min(components, max_components()));
+  for_each_block(windows, config_.per_trace_normalization, config_.workers,
+                 [&](std::size_t first, std::span<const double> soa, std::size_t n,
+                     std::size_t lanes) {
+                   dsp::CwtBatchWorkspace ws;
+                   const linalg::Matrix z = transform_soa_batch(soa, n, lanes, components, ws);
+                   for (std::size_t l = 0; l < lanes; ++l) {
+                     for (std::size_t c = 0; c < z.rows(); ++c) out.x(first + l, c) = z(c, l);
+                   }
+                 });
   return out;
 }
 

@@ -69,6 +69,11 @@ struct PipelineConfig {
 /// pipeline -- grids of different lengths are never mixed in one fit.
 PipelineConfig configured_for(PipelineConfig base, double samples_per_cycle);
 
+/// Windows one struct-of-arrays pass of a feature pipeline carries: one
+/// full 16-lane tile.  Every batched transform, training included, cuts its
+/// corpus into runs of at most this many consecutive equal-length windows.
+inline constexpr std::size_t kSoaChunk = 16;
+
 /// Labeled input: one TraceSet per class, parallel to `labels`.
 struct LabeledTraces {
   std::vector<int> labels;
@@ -115,43 +120,26 @@ class FeaturePipeline {
 
   /// Projects one trace into the fitted feature space, keeping
   /// `components` PCs (default: all fitted ones).  Uses the trace's
-  /// gain_estimate for per-trace normalization when enabled.
+  /// gain_estimate for per-trace normalization when enabled.  A one-lane
+  /// transform_soa_batch: the window is its own marshalled block.
   linalg::Vector transform(const sim::Trace& trace,
                            std::size_t components = SIZE_MAX) const;
 
-  /// transform(trace) on a window already preprocessed: `prepared` must be
-  /// the output of preprocess_window for this pipeline's
-  /// per_trace_normalization setting.  The two steps are public: gathering
-  /// this pipeline's points (Cwt::coefficients), then project().
-  linalg::Vector transform_prepared(const std::vector<double>& prepared,
-                                    std::size_t components) const;
-
-  /// The per-trace preprocessing transform_prepared expects: mean removal +
-  /// gain division when `per_trace_normalization`, the raw samples verbatim
-  /// otherwise.
+  /// The per-trace preprocessing the batch entry points expect: mean
+  /// removal + gain division when `per_trace_normalization`, the raw
+  /// samples verbatim otherwise.
   static std::vector<double> preprocess_window(const sim::Trace& trace,
                                                bool per_trace_normalization);
 
-  /// Second step of transform_prepared on coefficients someone else
-  /// gathered: point p of this pipeline is gathered[rows[p] * stride], and
-  /// it goes through column standardization (copied out of `gathered` in
-  /// the same pass), PCA centring and the projection onto `components`
-  /// PCs.  Bit-identical to transform_prepared when every coefficient
-  /// matches what this pipeline's own gather computes -- which lets several
-  /// pipelines read one shared gather (see features/gather_plan.hpp).
-  linalg::Vector project(const double* gathered, std::size_t stride,
-                         std::span<const std::size_t> rows,
-                         std::size_t components) const;
-
-  /// Batched, struct-of-arrays variant of transform_prepared on a
-  /// pre-marshalled block (layout of dsp::Cwt::marshal: soa[t * lanes + l] =
-  /// window l, sample t; `soa` must hold n * lanes doubles, each window
-  /// preprocessed for this pipeline's per_trace_normalization setting).
-  /// Sparse feature-point extraction (Cwt::coefficients_soa), then
-  /// project_soa.  Returns (components x lanes) with *columns* as windows;
-  /// column w is bit-identical to transform_prepared on window w --
-  /// per-window reductions keep the scalar accumulation order, only the
-  /// batch dimension is vectorized.
+  /// The feature map on a pre-marshalled block (layout of dsp::Cwt::marshal:
+  /// soa[t * lanes + l] = window l, sample t; `soa` must hold n * lanes
+  /// doubles, each window preprocessed for this pipeline's
+  /// per_trace_normalization setting): this pipeline's points gathered
+  /// (Cwt::gather_soa), then project_soa.  Returns (components x lanes) with
+  /// *columns* as windows.  Every window's reductions keep the scalar
+  /// accumulation order of Cwt::coefficient, ColumnScaler::transform and
+  /// Pca::transform -- only the batch dimension is vectorized -- so a column
+  /// does not depend on the batch it rode in.  `ws` is unused.
   linalg::Matrix transform_soa_batch(std::span<const double> soa, std::size_t n,
                                      std::size_t lanes, std::size_t components,
                                      dsp::CwtBatchWorkspace& ws) const;
@@ -161,20 +149,17 @@ class FeaturePipeline {
   /// gathered[rows[p] * width + lanes[i]], where `lanes` (ascending) picks
   /// the columns and empty means all `width`.  Column standardization
   /// (which does the copy), PCA centring, then the register-tiled
-  /// projection.  (components x lanes), columns bit-identical to project().
+  /// projection.  (components x lanes).  Several pipelines can read one
+  /// shared gather through their row maps (see features/gather_plan.hpp).
   linalg::Matrix project_soa(const double* gathered, std::size_t width,
                              std::span<const std::size_t> rows,
                              std::span<const std::size_t> lanes,
                              std::size_t components) const;
 
-  /// Raw-window variant: assumes unit capture gain (gain_estimate = 1).
-  linalg::Vector transform(const std::vector<double>& samples,
-                           std::size_t components = SIZE_MAX) const;
-
-  /// Projects a whole trace set into a labeled dataset.
+  /// Projects labeled trace sets into a dataset, rows in trace order.  Runs
+  /// of up to kSoaChunk consecutive equal-length windows share one
+  /// transform_soa_batch, the runs spread over config().workers threads.
   ml::Dataset transform(const LabeledTraces& input,
-                        std::size_t components = SIZE_MAX) const;
-  ml::Dataset transform(const sim::TraceSet& traces, int label,
                         std::size_t components = SIZE_MAX) const;
 
   /// CSA re-normalization from a small recalibration corpus captured on a
@@ -202,17 +187,23 @@ class FeaturePipeline {
   std::size_t grid_size() const { return grid_size_; }
 
  private:
-  /// Splits points_ into the (js, ks) index arrays the Cwt entry points
-  /// take, plus the identity row map project() reads this pipeline's own
-  /// gather through, so the hot path reads them instead of rebuilding them
-  /// per call.  Both factory functions call this after setting points_.
+  /// Copies points_ into the CwtPoint list gather_soa takes, plus the
+  /// identity row map project_soa reads this pipeline's own gather through,
+  /// so the hot path reads them instead of rebuilding them per call.  Both
+  /// factory functions call this after setting points_.
   void index_points();
+
+  /// The raw (pre-scaler) coefficients of this pipeline's points on
+  /// `windows`, one row per window, each per-trace-normalized first when
+  /// `normalize`: training pass 2 and renormalized() read these.
+  linalg::Matrix gather_rows(std::span<const sim::Trace* const> windows,
+                             bool normalize) const;
 
   PipelineConfig config_;
   dsp::Cwt cwt_{dsp::CwtConfig{}};
   std::vector<stats::GridPoint> points_;
-  std::vector<std::size_t> point_js_, point_ks_;  ///< points_, split (cache)
-  std::vector<std::size_t> own_rows_;             ///< 0 .. points_.size() - 1
+  std::vector<dsp::CwtPoint> cwt_points_;  ///< points_ as (j, k) (cache)
+  std::vector<std::size_t> own_rows_;      ///< 0 .. points_.size() - 1
   stats::ColumnScaler scaler_;
   stats::Pca pca_;
   std::size_t grid_size_ = 0;

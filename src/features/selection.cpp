@@ -229,16 +229,4 @@ std::vector<stats::GridPoint> unify_points(
   return out;
 }
 
-linalg::Vector extract_features(const dsp::Cwt& cwt, const std::vector<double>& samples,
-                                const std::vector<stats::GridPoint>& points) {
-  // Sparse extraction: O(points x kernel) instead of the full grid, which is
-  // what makes real-time classification plausible (Sec. 5.4's variable-count
-  // discussion).
-  linalg::Vector out(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    out[i] = cwt.coefficient(samples, points[i].j, points[i].k);
-  }
-  return out;
-}
-
 }  // namespace sidis::features

@@ -82,9 +82,4 @@ std::vector<stats::GridPoint> dnvp(const linalg::Matrix& between_map,
 std::vector<stats::GridPoint> unify_points(
     const std::vector<std::vector<stats::GridPoint>>& per_pair);
 
-/// Extracts the CWT values of a trace at the given grid points, each one
-/// direct kernel correlation (Cwt::coefficient).
-linalg::Vector extract_features(const dsp::Cwt& cwt, const std::vector<double>& samples,
-                                const std::vector<stats::GridPoint>& points);
-
 }  // namespace sidis::features

@@ -35,6 +35,7 @@
 #include "linalg/lanes.hpp"
 #include "ml/discriminant.hpp"
 #include "runtime/fleet.hpp"
+#include "scalar_reference.hpp"
 #include "sim/acquisition.hpp"
 #include "stats/gaussian.hpp"
 
@@ -51,7 +52,8 @@ constexpr std::size_t kMaxSweepWidth = 33;
 /// Lane count 1 is the scalar anchor: classify() is classify_batch on one
 /// window and runs these same kernels, so every sweep's one-lane case is
 /// what a single window computes, held against the scalar reference
-/// (Cwt::coefficient, FeaturePipeline::project, Qda::predict_scored).
+/// (Cwt::coefficient, scalar_reference.hpp's feature map,
+/// Qda::predict_scored).
 std::vector<std::size_t> sweep_lanes() {
   std::vector<std::size_t> out(kMaxSweepWidth);
   std::iota(out.begin(), out.end(), std::size_t{1});
@@ -144,8 +146,13 @@ TEST(CwtBatch, RejectsEmptyAndMixedLengthBatches) {
   const std::vector<const std::vector<double>*> mixed{&a, &b};
   EXPECT_THROW(dsp::Cwt::marshal({mixed.data(), mixed.size()}, soa),
                std::invalid_argument);
-  const std::vector<const std::vector<double>*> null{&a, nullptr};
-  EXPECT_THROW(dsp::Cwt::marshal({null.data(), null.size()}, soa), std::invalid_argument);
+  // A null lane anywhere, the first (which sets the batch length) included.
+  for (const std::vector<const std::vector<double>*>& null :
+       {std::vector<const std::vector<double>*>{&a, nullptr},
+        std::vector<const std::vector<double>*>{nullptr, &a},
+        std::vector<const std::vector<double>*>{nullptr}}) {
+    EXPECT_THROW(dsp::Cwt::marshal({null.data(), null.size()}, soa), std::invalid_argument);
+  }
 }
 
 TEST(CwtBatch, GatherSoaMatchesCoefficientAtEveryLaneWidth) {
@@ -355,7 +362,7 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
   for (const std::size_t components : {fitted, fitted - 1}) {
     std::vector<linalg::Vector> refs;
     for (const std::vector<double>& w : prepared) {
-      refs.push_back(pipeline.transform_prepared(w, components));
+      refs.push_back(reference::features_of_prepared(pipeline, w, components));
       ASSERT_EQ(refs.back().size(), components);
     }
     // Every prefix width of the windows.
@@ -370,7 +377,7 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
       ASSERT_EQ(batch.cols(), ptrs.size());
       for (std::size_t w = 0; w < ptrs.size(); ++w) {
         for (std::size_t c = 0; c < components; ++c) {
-          ASSERT_EQ(batch(c, w), refs[w][c])
+          ASSERT_EQ(reference::bits(batch(c, w)), reference::bits(refs[w][c]))
               << "width " << ptrs.size() << " window " << w << " component " << c;
         }
       }
@@ -511,7 +518,7 @@ TEST_P(GatherPlanTest, EveryLevelReadsItsOwnFeaturesFromTheUnion) {
     for (std::size_t s = 0; s < slots.size(); ++s) {
       if (slots[s] == nullptr) continue;
       for (const std::vector<double>& w : cut) {
-        alone[s].push_back(slots[s]->transform_prepared(w, SIZE_MAX));
+        alone[s].push_back(reference::features_of_prepared(*slots[s], w));
       }
     }
     for (const std::size_t tier : {std::size_t{0}, std::size_t{1}}) {
@@ -571,6 +578,99 @@ TEST(GatherPlan, RejectsLevelsThatReadTheWindowDifferently) {
   }
 }
 
+TEST(FeaturesBatch, ChunkedTransformsMatchTheScalarReferenceAcrossLengthChanges) {
+  // Every batched transform cuts its corpus into runs of at most
+  // features::kSoaChunk consecutive equal-length windows.  This corpus
+  // changes length between runs of 1, 15, 16, 17 and 33 windows (none, one
+  // short, exactly one, one past and two past a chunk), then ends with 5
+  // short windows around a zero-length one; its classes split the runs
+  // unevenly.  A chunk that straddled a length change would fail to marshal.
+  sim::AcquisitionCampaign campaign{sim::DeviceModel::make(0),
+                                    sim::SessionContext::make(0)};
+  std::mt19937_64 rng(31);
+  std::vector<sim::TraceSet> profiling;
+  features::LabeledTraces input{{0, 1, 2}, {}};
+  for (avr::Mnemonic m : {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi, avr::Mnemonic::kMov}) {
+    profiling.push_back(campaign.capture_class(*avr::class_index(m), 30, 5, rng));
+  }
+  for (const auto& set : profiling) input.sets.push_back(&set);
+  features::PipelineConfig cfg = core::csa_config();
+  cfg.pca_components = 12;
+  std::vector<features::FeaturePipeline::ClassData> classes =
+      features::FeaturePipeline::precompute(input, cfg);
+
+  std::vector<std::size_t> lengths;
+  const std::size_t runs[] = {1, 15, 16, 17, 33};
+  for (std::size_t r = 0; r < std::size(runs); ++r) {
+    lengths.insert(lengths.end(), runs[r], r % 2 == 0 ? 315 : 250);
+  }
+  for (const std::size_t n : {120, 120, 0, 120, 120}) lengths.push_back(n);
+  std::vector<sim::TraceSet> sets(3);
+  std::normal_distribution<double> noise(0.0, 1.0);
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    sim::Trace t;
+    t.samples.resize(lengths[i]);
+    for (double& v : t.samples) v = noise(rng);
+    t.meta.gain_estimate = 0.5 + 0.01 * static_cast<double>(i);
+    sets[i < 20 ? 0 : i < 70 ? 1 : 2].push_back(std::move(t));
+  }
+  const features::LabeledTraces corpus{{7, 8, 9}, {&sets[0], &sets[1], &sets[2]}};
+  // Training pass 2 reads the classes' preprocessed windows: the corpus.
+  std::vector<const features::FeaturePipeline::ClassData*> fit_input;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    classes[c].preprocessed.clear();
+    for (const sim::Trace& t : sets[c]) {
+      sim::Trace prepared = t;
+      prepared.samples = features::FeaturePipeline::preprocess_window(
+          t, cfg.per_trace_normalization);
+      classes[c].preprocessed.push_back(std::move(prepared));
+    }
+    fit_input.push_back(&classes[c]);
+  }
+
+  for (const std::size_t workers : {1, 3, 8}) {
+    cfg.workers = workers;
+    for (const std::size_t bytes : lane_widths()) {
+      const LaneWidth width(bytes);
+      SCOPED_TRACE("workers " + std::to_string(workers) + " width " + std::to_string(bytes));
+      const features::FeaturePipeline pipeline = features::FeaturePipeline::fit(fit_input, cfg);
+      // fit's scaler against the scalar rows of the same windows.
+      std::vector<linalg::Vector> raw;
+      for (const auto& c : classes) {
+        for (const sim::Trace& t : c.preprocessed) {
+          raw.push_back(
+              reference::raw_features(pipeline.cwt(), t.samples, pipeline.unified_points()));
+        }
+      }
+      const stats::ColumnScaler ref = stats::ColumnScaler::fit(linalg::Matrix::from_rows(raw));
+      ASSERT_EQ(pipeline.scaler().dim(), ref.dim());
+      for (std::size_t p = 0; p < ref.dim(); ++p) {
+        ASSERT_EQ(reference::bits(pipeline.scaler().mean()[p]), reference::bits(ref.mean()[p]))
+            << "point " << p;
+        ASSERT_EQ(reference::bits(pipeline.scaler().stddev()[p]),
+                  reference::bits(ref.stddev()[p]))
+            << "point " << p;
+      }
+
+      const ml::Dataset ds = pipeline.transform(corpus);
+      ASSERT_EQ(ds.size(), lengths.size());
+      std::size_t row = 0;
+      for (std::size_t c = 0; c < sets.size(); ++c) {
+        for (const sim::Trace& t : sets[c]) {
+          const linalg::Vector want = reference::features_of(pipeline, t);
+          ASSERT_EQ(ds.dim(), want.size());
+          ASSERT_EQ(ds.y[row], corpus.labels[c]);
+          for (std::size_t k = 0; k < want.size(); ++k) {
+            ASSERT_EQ(reference::bits(ds.x(row, k)), reference::bits(want[k]))
+                << "window " << row << " (length " << lengths[row] << ") component " << k;
+          }
+          ++row;
+        }
+      }
+    }
+  }
+}
+
 TEST(FeaturesBatch, ProjectSoaMatchesProjectAtEveryLaneWidth) {
   std::mt19937_64 rng(73);
   std::vector<stats::GridPoint> points;
@@ -609,8 +709,11 @@ TEST(FeaturesBatch, ProjectSoaMatchesProjectAtEveryLaneWidth) {
             ASSERT_EQ(z.rows(), components);
             ASSERT_EQ(z.cols(), pick.size());
             for (std::size_t i = 0; i < pick.size(); ++i) {
-              const linalg::Vector ref =
-                  pipeline.project(gathered.data() + pick[i], lanes, rows, components);
+              linalg::Vector raw(rows.size());
+              for (std::size_t p = 0; p < rows.size(); ++p) {
+                raw[p] = gathered[rows[p] * lanes + pick[i]];
+              }
+              const linalg::Vector ref = reference::project(pipeline, raw, components);
               for (std::size_t c = 0; c < components; ++c) {
                 ASSERT_EQ(std::bit_cast<std::uint64_t>(z(c, i)),
                           std::bit_cast<std::uint64_t>(ref[c]))

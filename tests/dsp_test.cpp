@@ -1,7 +1,9 @@
 // Unit tests for the DSP layer: FFT, convolution, CWT, signal utilities.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <random>
@@ -368,25 +370,23 @@ TEST(Cwt, BatchedCoefficientsMatchPerPointAcrossBackends) {
   for (double& v : x) v = d(rng);
 
   // Dense cluster on one scale plus scattered single points; every backend
-  // computes each point as one direct correlation.
-  std::vector<std::size_t> js, ks;
-  for (std::size_t k = 0; k < 300; k += 4) {
-    js.push_back(42);
-    ks.push_back(k);
-  }
-  for (std::size_t j : {0u, 7u, 21u, 49u}) {
-    js.push_back(j);
-    ks.push_back(11 * (j + 1) % 315);
-  }
+  // computes each point as one direct correlation.  A window is its own
+  // one-lane SoA block, the batch a single window's features ride in.
+  std::vector<CwtPoint> points;
+  for (std::size_t k = 0; k < 300; k += 4) points.push_back({42, k});
+  for (std::size_t j : {0u, 7u, 21u, 49u}) points.push_back({j, 11 * (j + 1) % 315});
   for (const CwtBackend backend :
        {CwtBackend::kAuto, CwtBackend::kDirect, CwtBackend::kSpectral}) {
     CwtConfig cfg;
     cfg.backend = backend;
     const Cwt cwt(cfg);
-    const linalg::Vector got = cwt.coefficients(x, js, ks);
-    ASSERT_EQ(got.size(), js.size());
-    for (std::size_t i = 0; i < js.size(); ++i) {
-      EXPECT_EQ(got[i], cwt.coefficient(x, js[i], ks[i]))
+    std::vector<double> got(points.size());
+    cwt.gather_soa(x, x.size(), 1, points, got);
+    EXPECT_THROW(cwt.gather_soa(x, x.size(), 1, points, std::span(got).first(points.size() - 1)),
+                 std::invalid_argument);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(cwt.coefficient(x, points[i].j, points[i].k)))
           << "backend=" << static_cast<int>(backend) << " i=" << i;
     }
   }

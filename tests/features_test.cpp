@@ -7,6 +7,7 @@
 #include "features/pipeline.hpp"
 #include "features/selection.hpp"
 #include "ml/discriminant.hpp"
+#include "scalar_reference.hpp"
 #include "sim/acquisition.hpp"
 
 namespace sidis::features {
@@ -148,9 +149,15 @@ TEST(Selection, ExtractFeaturesMatchesGrid) {
   const dsp::Cwt cwt{dsp::CwtConfig{}};
   const dsp::Scalogram s = cwt.transform(t.samples);
   const std::vector<stats::GridPoint> pts = {{5, 100, 0}, {20, 250, 0}};
-  const linalg::Vector f = extract_features(cwt, t.samples, pts);
+  // The sparse extraction every pipeline runs: a one-lane gather.
+  const std::vector<dsp::CwtPoint> cwt_pts = {{5, 100}, {20, 250}};
+  std::vector<double> f(cwt_pts.size());
+  cwt.gather_soa(t.samples, t.samples.size(), 1, cwt_pts, f);
   EXPECT_NEAR(f[0], s(5, 100), 1e-12);
   EXPECT_NEAR(f[1], s(20, 250), 1e-12);
+  const linalg::Vector ref = reference::raw_features(cwt, t.samples, pts);
+  EXPECT_EQ(reference::bits(f[0]), reference::bits(ref[0]));
+  EXPECT_EQ(reference::bits(f[1]), reference::bits(ref[1]));
 }
 
 class PipelineFixture : public ::testing::Test {
@@ -307,12 +314,15 @@ TEST(PipelineFanOut, MasksPointsAndProjectionAreWorkerCountInvariant) {
 
 TEST_F(PipelineFixture, BatchedTransformMatchesPerTrace) {
   const auto pipe = FeaturePipeline::fit({{0, 1}, {&a_train_, &b_train_}}, cfg_);
-  const ml::Dataset batched = pipe.transform(a_test_, /*label=*/0);
+  const ml::Dataset batched = pipe.transform(LabeledTraces{{0}, {&a_test_}});
   ASSERT_EQ(batched.size(), a_test_.size());
   for (std::size_t i = 0; i < a_test_.size(); ++i) {
     const linalg::Vector one = pipe.transform(a_test_[i]);
+    const linalg::Vector ref = reference::features_of(pipe, a_test_[i]);
+    ASSERT_EQ(one.size(), ref.size());
     for (std::size_t c = 0; c < one.size(); ++c) {
-      EXPECT_EQ(batched.x(i, c), one[c]) << "trace " << i;
+      EXPECT_EQ(reference::bits(batched.x(i, c)), reference::bits(one[c])) << "trace " << i;
+      EXPECT_EQ(reference::bits(one[c]), reference::bits(ref[c])) << "trace " << i;
     }
     EXPECT_EQ(batched.y[i], 0);
   }
