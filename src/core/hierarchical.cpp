@@ -31,26 +31,6 @@ double low_quantile(std::vector<double> v, double q) {
   return v[idx];
 }
 
-/// Points prepared[i] at window(i) as every level of the model reads it
-/// (GatherPlan holds the levels to one normalization setting): a
-/// per-trace-normalized copy kept in `normalized`, or its own samples.
-template <class Window>
-void prepare_windows(std::size_t count, Window&& window, bool normalize,
-                     std::vector<std::vector<double>>& normalized,
-                     std::vector<const std::vector<double>*>& prepared) {
-  prepared.clear();
-  if (normalize) normalized.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const sim::Trace& trace = window(i);
-    if (!normalize) {
-      prepared.push_back(&trace.samples);
-      continue;
-    }
-    normalized[i] = features::FeaturePipeline::preprocess_window(trace, true);
-    prepared.push_back(&normalized[i]);
-  }
-}
-
 /// Folds one level's calibrated gate into the window's verdict and
 /// headrooms.  `fatal` gates (group/instruction) reject the window; register
 /// gates only degrade it -- the opcode is still trusted, the operand is not.
@@ -171,16 +151,10 @@ HierarchicalDisassembler::Level HierarchicalDisassembler::train_level_precompute
   return level;
 }
 
-int HierarchicalDisassembler::predict_level(const Level& level,
-                                            const sim::Trace& trace,
-                                            std::size_t components) {
+int HierarchicalDisassembler::predict_level(const Level& level, const sim::Trace& trace) {
   if (level.trivial) return level.only_label;
   if (level.classifier == nullptr) throw std::runtime_error("level not trained");
-  const std::size_t k = components == SIZE_MAX ? level.components : components;
-  // When the caller overrides the component count we must also truncate what
-  // the classifier saw at fit time, so overrides only make sense on levels
-  // evaluated standalone; the benches refit per sweep point instead.
-  return level.classifier->predict(level.pipeline.transform(trace, k));
+  return level.classifier->predict(level.pipeline.transform(trace, level.components));
 }
 
 void HierarchicalDisassembler::calibrate_reject(const ProfilingData& clean,
@@ -347,30 +321,27 @@ linalg::Vector HierarchicalDisassembler::monitor_features(const sim::Trace& trac
   return level->pipeline.transform(trace, level->components);
 }
 
-int HierarchicalDisassembler::classify_group(const sim::Trace& trace,
-                                             std::size_t components) const {
-  return predict_level(group_level_, trace, components);
+int HierarchicalDisassembler::classify_group(const sim::Trace& trace) const {
+  return predict_level(group_level_, trace);
 }
 
-std::size_t HierarchicalDisassembler::classify_within_group(
-    int group, const sim::Trace& trace, std::size_t components) const {
+std::size_t HierarchicalDisassembler::classify_within_group(int group,
+                                                            const sim::Trace& trace) const {
   const auto it = instruction_levels_.find(group);
   if (it == instruction_levels_.end()) {
     throw std::invalid_argument("classify_within_group: group not trained");
   }
-  return static_cast<std::size_t>(predict_level(it->second, trace, components));
+  return static_cast<std::size_t>(predict_level(it->second, trace));
 }
 
-std::uint8_t HierarchicalDisassembler::classify_rd(const sim::Trace& trace,
-                                                   std::size_t components) const {
+std::uint8_t HierarchicalDisassembler::classify_rd(const sim::Trace& trace) const {
   if (rd_level_ == nullptr) throw std::runtime_error("Rd level not trained");
-  return static_cast<std::uint8_t>(predict_level(*rd_level_, trace, components));
+  return static_cast<std::uint8_t>(predict_level(*rd_level_, trace));
 }
 
-std::uint8_t HierarchicalDisassembler::classify_rr(const sim::Trace& trace,
-                                                   std::size_t components) const {
+std::uint8_t HierarchicalDisassembler::classify_rr(const sim::Trace& trace) const {
   if (rr_level_ == nullptr) throw std::runtime_error("Rr level not trained");
-  return static_cast<std::uint8_t>(predict_level(*rr_level_, trace, components));
+  return static_cast<std::uint8_t>(predict_level(*rr_level_, trace));
 }
 
 void HierarchicalDisassembler::finalize_posterior_support() {
@@ -393,24 +364,24 @@ void HierarchicalDisassembler::finalize_posterior_support() {
 }
 
 void HierarchicalDisassembler::build_plan() {
+  // Slot 0, the plan's shared slot, is the group level: it scores every
+  // window of a bucket.
   std::vector<const features::FeaturePipeline*> pipelines;
-  std::vector<std::size_t> tiers;
-  const auto add = [&](Level& level, std::size_t tier) {
+  const auto add = [&](Level& level) {
     level.slot = pipelines.size();
     pipelines.push_back(level.trivial ? nullptr : &level.pipeline);
-    tiers.push_back(tier);
   };
-  add(group_level_, kGroupTier);
+  add(group_level_);
   for (auto& [group, level] : instruction_levels_) {
-    add(level, kOwnRowsTier);
+    add(level);
     level.members.clear();
     for (std::size_t i = 0; i < posterior_classes_.size(); ++i) {
       if (avr::group_of_class(posterior_classes_[i]) == group) level.members.push_back(i);
     }
   }
-  if (rd_level_) add(*rd_level_, kOwnRowsTier);
-  if (rr_level_) add(*rr_level_, kOwnRowsTier);
-  plan_ = features::GatherPlan(pipelines, tiers);
+  if (rd_level_) add(*rd_level_);
+  if (rr_level_) add(*rr_level_);
+  plan_ = features::GatherPlan(pipelines);
 }
 
 template <class Fold>
@@ -463,43 +434,19 @@ void HierarchicalDisassembler::calibrate_level(Level& level,
                                                const features::LabeledTraces& input,
                                                const RejectConfig& config) {
   if (level.trivial) return;
-  // The clean corpus runs through the walk's own kernels: windows bucket by
-  // length, and each chunk of a bucket (at most features::kSoaChunk windows,
-  // one full 16-lane tile) is gathered once and scored as one sub-batch.
-  // The gates read only the sorted margins and scores, so the order the
+  // The clean corpus takes the path training and refit_classifiers take;
+  // each window's features and scores are bit-identical to the walk's, and
+  // the gates read only the sorted margins and scores, so the order the
   // windows are scored in does not matter.
-  std::vector<const sim::Trace*> windows;
-  for (const sim::TraceSet* set : input.sets) {
-    for (const sim::Trace& trace : *set) windows.push_back(&trace);
-  }
-  if (windows.empty()) return;
-  std::stable_sort(windows.begin(), windows.end(),
-                   [](const sim::Trace* a, const sim::Trace* b) {
-                     return a->samples.size() < b->samples.size();
-                   });
+  const ml::Dataset clean = level.pipeline.transform(input, level.components);
+  if (clean.size() == 0) return;
+  if (level.classifier == nullptr) throw std::runtime_error("level not trained");
   std::vector<double> margins;
   std::vector<double> scores;
-  features::GatherBatch gather;
-  std::vector<std::vector<double>> normalized;
-  std::vector<const std::vector<double>*> prepared;
-  std::vector<std::size_t> lanes;
-  for (std::size_t begin = 0, end = 0; begin < windows.size(); begin = end) {
-    const std::size_t length = windows[begin]->samples.size();
-    while (end < windows.size() && end - begin < features::kSoaChunk &&
-           windows[end]->samples.size() == length) {
-      ++end;
-    }
-    const std::span<const sim::Trace* const> chunk(windows.data() + begin, end - begin);
-    prepare_windows(chunk.size(), [&](std::size_t i) -> const sim::Trace& { return *chunk[i]; },
-                    plan_.normalize(), normalized, prepared);
-    lanes.resize(chunk.size());
-    std::iota(lanes.begin(), lanes.end(), std::size_t{0});
-    gather.begin(plan_, prepared, kGroupTier);
-    score_level(level, gather, lanes, /*surface=*/false, nullptr,
-                [&](std::size_t, const ml::ScoredPrediction& p, const linalg::Vector&) {
-      margins.push_back(p.margin);
-      scores.push_back(p.top_score);
-    });
+  for (const ml::ScoredPrediction& p :
+       level.classifier->predict_scored_batch(clean.x.transposed())) {
+    margins.push_back(p.margin);
+    scores.push_back(p.top_score);
   }
   level.gate.margin_floor = low_quantile(margins, config.margin_quantile);
   const double q = low_quantile(scores, config.score_quantile);
@@ -572,10 +519,18 @@ void HierarchicalDisassembler::classify_walk(std::span<const sim::Trace> traces,
     // holds them to one normalization setting), so each is prepared once.
     // Then level 1, which scores every lane, is gathered once for the whole
     // bucket.
-    prepare_windows(windows.size(),
-                    [&](std::size_t i) -> const sim::Trace& { return traces[windows[i]]; },
-                    plan_.normalize(), normalized, prepared);
-    gather.begin(plan_, prepared, kGroupTier);
+    prepared.clear();
+    if (plan_.normalize()) normalized.resize(windows.size());
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      const sim::Trace& trace = traces[windows[i]];
+      if (!plan_.normalize()) {
+        prepared.push_back(&trace.samples);
+        continue;
+      }
+      normalized[i] = features::FeaturePipeline::preprocess_window(trace, true);
+      prepared.push_back(&normalized[i]);
+    }
+    gather.begin(plan_, prepared);
 
     // Level 1.  The scored walk keeps each group's log-softmax entry, or a
     // one-hot factor when the level has no score surface.

@@ -190,13 +190,13 @@ class HierarchicalDisassembler {
   /// across the batch while each window keeps the scalar accumulation order.
   /// The CWT is gathered once per bucket: the model's GatherPlan (built at
   /// train() and load()) holds the union of every level's feature points,
-  /// the union of the levels that score every window is computed for all of
-  /// them, and each level reads its rows from there (copied into its
+  /// the group level's points, which every window needs, are computed for
+  /// all of them, and each level reads its rows from there (copied into its
   /// column-standardization pass) before the PCA projection and blocked QDA
   /// scoring (Qda::predict_scored_batch).  Level 2 re-batches by predicted
   /// group and level 3 by operand usage, so every classifier invocation
   /// stays a dense sub-batch; such a level gathers only its points outside
-  /// the shared union, for its own windows.  A one-lane sub-batch runs the
+  /// the group level's, for its own windows.  A one-lane sub-batch runs the
   /// same SoA kernels, and classify() is this walk on a batch of one.
   /// Thread-safe like classify().
   std::vector<Disassembly> classify_batch(std::span<const sim::Trace> traces) const;
@@ -245,17 +245,13 @@ class HierarchicalDisassembler {
     return posterior_classes_;
   }
 
-  /// Level-wise entry points (the Fig.-5 benches evaluate levels in
-  /// isolation); `components` overrides the PCA component count, SIZE_MAX
-  /// keeps the configured default.
-  int classify_group(const sim::Trace& trace,
-                     std::size_t components = SIZE_MAX) const;
-  std::size_t classify_within_group(int group, const sim::Trace& trace,
-                                    std::size_t components = SIZE_MAX) const;
-  std::uint8_t classify_rd(const sim::Trace& trace,
-                           std::size_t components = SIZE_MAX) const;
-  std::uint8_t classify_rr(const sim::Trace& trace,
-                           std::size_t components = SIZE_MAX) const;
+  /// Level-wise entry points: one level alone on one window, at the level's
+  /// configured component count.  The tests and perfbench's traced run hold
+  /// each level's label in the walk against these.
+  int classify_group(const sim::Trace& trace) const;
+  std::size_t classify_within_group(int group, const sim::Trace& trace) const;
+  std::uint8_t classify_rd(const sim::Trace& trace) const;
+  std::uint8_t classify_rr(const sim::Trace& trace) const;
 
   /// Calibrates the reject gates on *clean* traces (ideally held out from
   /// training, though in-sample calibration is only mildly optimistic).
@@ -268,7 +264,10 @@ class HierarchicalDisassembler {
   ///   * register-level gate below floor                -> kDegraded
   ///     (the opcode is still trusted; the operand is not)
   ///
-  /// Idempotent; recalibrating replaces the thresholds.
+  /// Each level's corpus is transformed like a training corpus, over the
+  /// pipeline's PipelineConfig::workers threads; the floors, like every
+  /// window's scores, do not depend on the count.  Idempotent;
+  /// recalibrating replaces the thresholds.
   void calibrate_reject(const ProfilingData& clean, const RejectConfig& config = {});
 
   /// Named-operating-point overload: calibrates at the preset's quantiles
@@ -358,18 +357,11 @@ class HierarchicalDisassembler {
     std::vector<std::size_t> members;
   };
 
-  /// GatherPlan tiers: the group level scores every window and is gathered
-  /// once per bucket; every other level gathers its own rows for the
-  /// windows it runs on.
-  static constexpr std::size_t kGroupTier = 0;
-  static constexpr std::size_t kOwnRowsTier = 1;
-
   static Level train_level_precomputed(
       const std::vector<const features::FeaturePipeline::ClassData*>& data,
       const features::LabeledTraces& input, const HierarchicalConfig& config,
       std::size_t components);
-  static int predict_level(const Level& level, const sim::Trace& trace,
-                           std::size_t components);
+  static int predict_level(const Level& level, const sim::Trace& trace);
   /// Scores `level` on `lanes` (ascending positions in the bucket `gather`
   /// holds) and calls fold(i, prediction, log_posterior) for each lanes[i].
   /// The log-posterior is the log-softmax over score_labels() when `surface`
@@ -380,9 +372,10 @@ class HierarchicalDisassembler {
   static void score_level(const Level& level, features::GatherBatch& gather,
                           std::span<const std::size_t> lanes, bool surface,
                           std::vector<linalg::Vector>* kept, Fold&& fold);
-  /// Numbers the levels' slots, lists each instruction level's members and
-  /// builds plan_ from the pipelines (the end of train() and load(); feature
-  /// points and the posterior support never change after that).
+  /// Numbers the levels' slots (the group level first: it is plan_'s shared
+  /// slot), lists each instruction level's members and builds plan_ from the
+  /// pipelines (the end of train() and load(); feature points and the
+  /// posterior support never change after that).
   void build_plan();
   /// The one classify walk behind classify(), classify_scored(), their
   /// batch forms and classify_monitored(): out[i] is traces[i]'s recovery;
@@ -396,8 +389,9 @@ class HierarchicalDisassembler {
   /// Rebuilds posterior_classes_ from the trained levels (load path; train()
   /// takes the support straight from the profiling corpus).
   void finalize_posterior_support();
-  /// Arms `level`'s gate from its scores on the clean corpus `input`, run
-  /// through the walk's kernels (score_level) in length-bucketed chunks.
+  /// Arms `level`'s gate from its scores on the clean corpus `input`: one
+  /// FeaturePipeline::transform of the corpus, then one
+  /// Classifier::predict_scored_batch, as the walk scores each window.
   void calibrate_level(Level& level, const features::LabeledTraces& input,
                        const RejectConfig& config);
   /// The level whose pipeline defines the monitor feature space (nullptr

@@ -12,15 +12,6 @@ namespace sidis::core {
 
 namespace {
 
-/// HierarchicalDisassembler is move-only (levels own their classifiers), so
-/// recalibrated variants are cloned through the template serializer -- the
-/// same round trip a deployed monitor performs when loading templates.
-HierarchicalDisassembler clone_model(const HierarchicalDisassembler& model) {
-  std::stringstream ss;
-  model.save(ss);
-  return HierarchicalDisassembler::load(ss);
-}
-
 std::mt19937_64 stream_rng(std::uint64_t seed, std::uint64_t salt, int device,
                            std::size_t class_idx) {
   const std::uint64_t dev_key =
@@ -66,6 +57,32 @@ std::string to_string(RecalMode mode) {
     case RecalMode::kRefit: return "refit";
   }
   return "unknown";
+}
+
+HierarchicalDisassembler recalibrated_copy(const HierarchicalDisassembler& model,
+                                           const sim::TraceSet& recal, RecalMode mode,
+                                           bool rescale, const ProfilingData* profiling) {
+  if (mode == RecalMode::kRefit && profiling == nullptr) {
+    throw std::invalid_argument("recalibrated_copy: kRefit needs a profiling corpus");
+  }
+  // HierarchicalDisassembler is move-only (levels own their classifiers), so
+  // the copy goes through the template serializer -- the same round trip a
+  // deployed monitor performs when loading templates.
+  std::stringstream ss;
+  model.save(ss);
+  HierarchicalDisassembler m = HierarchicalDisassembler::load(ss);
+  if (recal.empty()) return m;
+  m.recalibrate(recal, rescale);
+  if (mode == RecalMode::kRefit) {
+    // Boundary adaptation: profiling corpus plus the fresh traces, through
+    // the re-normalized pipelines.  The profiling traces anchor the fit
+    // where the fresh corpus is too small to estimate class covariances.
+    ProfilingData aug;
+    aug.classes = profiling->classes;
+    for (const sim::Trace& t : recal) aug.classes[t.meta.class_idx].push_back(t);
+    m.refit_classifiers(aug);
+  }
+  return m;
 }
 
 MultiDeviceResult evaluate_multi_device(const MultiDeviceConfig& md,
@@ -290,21 +307,7 @@ sim::TraceSet TransferEvaluator::budget_slice(const sim::TraceSet& pool,
 
 HierarchicalDisassembler TransferEvaluator::recalibrated(const sim::TraceSet& recal,
                                                          RecalMode mode) const {
-  HierarchicalDisassembler m = clone_model(model_);
-  if (recal.empty()) return m;
-  m.recalibrate(recal, config_.renorm_rescale);
-  if (mode == RecalMode::kRefit) {
-    // Boundary adaptation: profiling corpus plus the budget, through the
-    // re-normalized pipelines.  The profiling traces anchor the fit where
-    // the budget is too small to estimate class covariances alone.
-    ProfilingData aug;
-    aug.classes = profiling_.classes;
-    for (const sim::Trace& t : recal) {
-      aug.classes[t.meta.class_idx].push_back(t);
-    }
-    m.refit_classifiers(aug);
-  }
-  return m;
+  return recalibrated_copy(model_, recal, mode, config_.renorm_rescale, &profiling_);
 }
 
 double TransferEvaluator::accuracy(const HierarchicalDisassembler& model,

@@ -29,6 +29,17 @@ enum class RecalMode {
 
 std::string to_string(RecalMode mode);
 
+/// One recalibration event on a copy of `model`, which is left untouched:
+/// the copy is cloned through the template serializer (QDA levels only; the
+/// round trip a deployed monitor makes when it loads templates), then
+/// recalibrate(recal, rescale), and for kRefit refit_classifiers() on
+/// `*profiling` plus `recal` (each trace under its meta.class_idx).
+/// An empty `recal` returns the plain clone.  `profiling` may be null for
+/// kRenorm; throws std::invalid_argument for a kRefit without it.
+HierarchicalDisassembler recalibrated_copy(const HierarchicalDisassembler& model,
+                                           const sim::TraceSet& recal, RecalMode mode,
+                                           bool rescale, const ProfilingData* profiling);
+
 struct TransferConfig {
   /// Instruction classes in the evaluation matrix (>= 2 required).
   std::vector<std::size_t> classes;

@@ -3,15 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
-#include <utility>
 
 namespace sidis::features {
 
-GatherPlan::GatherPlan(std::span<const FeaturePipeline* const> pipelines,
-                       std::span<const std::size_t> tiers) {
-  if (pipelines.size() != tiers.size()) {
-    throw std::invalid_argument("GatherPlan: one tier per slot");
-  }
+GatherPlan::GatherPlan(std::span<const FeaturePipeline* const> pipelines) {
   const FeaturePipeline* first = nullptr;
   for (const FeaturePipeline* p : pipelines) {
     if (p == nullptr) continue;
@@ -33,39 +28,31 @@ GatherPlan::GatherPlan(std::span<const FeaturePipeline* const> pipelines,
                                    : std::span(pipelines[s]->unified_points());
   };
 
-  // Each entry's tier: the lowest tier of a slot reading it.
-  std::map<dsp::CwtPoint, std::size_t> index;
+  // Every point once, (scale, time)-sorted, marked when slot 0 reads it
+  // (slot 0 is visited first); slot 0's points make the shared prefix.
+  std::map<dsp::CwtPoint, bool> in_shared;
   for (std::size_t s = 0; s < pipelines.size(); ++s) {
-    for (const stats::GridPoint& g : points(s)) {
-      const auto [it, fresh] = index.try_emplace({g.j, g.k}, tiers[s]);
-      if (!fresh) it->second = std::min(it->second, tiers[s]);
+    for (const stats::GridPoint& g : points(s)) in_shared.try_emplace({g.j, g.k}, s == 0);
+  }
+  for (const bool shared : {true, false}) {
+    for (const auto& [pt, mine] : in_shared) {
+      if (mine == shared) layout_.entries.push_back(pt);
     }
+    if (shared) layout_.shared = layout_.entries.size();
   }
-  std::vector<std::pair<std::size_t, dsp::CwtPoint>> order;
-  order.reserve(index.size());
-  for (const auto& [pt, tier] : index) order.emplace_back(tier, pt);
-  std::sort(order.begin(), order.end());
-
-  const std::size_t num_tiers =
-      tiers.empty() ? 0 : *std::max_element(tiers.begin(), tiers.end()) + 1;
-  layout_.tier_end.assign(num_tiers, 0);
-  for (std::size_t e = 0; e < order.size(); ++e) {
-    layout_.entries.push_back(order[e].second);
-    index[order[e].second] = e;
-    for (std::size_t t = order[e].first; t < num_tiers; ++t) layout_.tier_end[t] = e + 1;
-  }
+  std::map<dsp::CwtPoint, std::size_t> index;
+  for (std::size_t e = 0; e < layout_.entries.size(); ++e) index.emplace(layout_.entries[e], e);
   layout_.rows.resize(pipelines.size());
   layout_.own.resize(pipelines.size());
   for (std::size_t s = 0; s < pipelines.size(); ++s) {
     std::vector<std::size_t>& rows = layout_.rows[s];
     for (const stats::GridPoint& g : points(s)) rows.push_back(index.at({g.j, g.k}));
-    std::vector<std::size_t> sorted = rows;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      const auto past = std::lower_bound(sorted.begin(), sorted.end(), layout_.tier_end[t]);
-      layout_.own[s].emplace_back(past, sorted.end());
+    std::vector<std::size_t>& own = layout_.own[s];
+    for (const std::size_t r : rows) {
+      if (r >= layout_.shared) own.push_back(r);
     }
+    std::sort(own.begin(), own.end());
+    own.erase(std::unique(own.begin(), own.end()), own.end());
   }
 }
 
@@ -75,18 +62,14 @@ const GatherPlan::Layout& GatherPlan::layout() const {
 }
 
 void GatherBatch::begin(const GatherPlan& plan,
-                        std::span<const std::vector<double>* const> windows,
-                        std::size_t tier) {
+                        std::span<const std::vector<double>* const> windows) {
   if (windows.empty()) throw std::invalid_argument("GatherBatch: empty bucket");
   plan_ = &plan;
   windows_ = windows;
   n_ = windows.front()->size();
   width_ = windows.size();
   layout_ = &plan.layout();
-  // A plan without the asked-for tier gathers everything it has up front.
-  const std::size_t tiers = layout_->tier_end.size();
-  tier_ = std::min(tier, tiers == 0 ? 0 : tiers - 1);
-  const std::size_t shared = tiers == 0 ? 0 : layout_->tier_end[tier_];
+  const std::size_t shared = layout_->shared;
   const std::span<const dsp::CwtPoint> points(layout_->entries.data(), shared);
   g_.resize(layout_->entries.size() * width_);
   dsp::Cwt::marshal(windows, soa_);
@@ -94,7 +77,7 @@ void GatherBatch::begin(const GatherPlan& plan,
 }
 
 void GatherBatch::gather_own(std::size_t slot, std::span<const std::size_t> lanes) {
-  const std::vector<std::size_t>& own = layout_->own.at(slot).at(tier_);
+  const std::vector<std::size_t>& own = layout_->own.at(slot);
   if (own.empty()) return;
   points_.resize(own.size());
   for (std::size_t r = 0; r < own.size(); ++r) points_[r] = layout_->entries[own[r]];

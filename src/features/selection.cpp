@@ -112,8 +112,7 @@ ClassMoments compute_class_moments(const dsp::Cwt& cwt, const sim::TraceSet& tra
   return out;
 }
 
-linalg::Matrix within_class_kl_map(const ClassMoments& moments, bool symmetric,
-                                   bool use_max) {
+linalg::Matrix within_class_kl_map(const ClassMoments& moments) {
   if (moments.per_program.size() < 2) {
     throw std::invalid_argument("within_class_kl_map: need >= 2 programs");
   }
@@ -127,44 +126,32 @@ linalg::Matrix within_class_kl_map(const ClassMoments& moments, bool symmetric,
   const auto bias = [&](std::size_t a, std::size_t b) {
     const double np = static_cast<double>(moments.per_program_counts[a]);
     const double nq = static_cast<double>(moments.per_program_counts[b]);
-    const double one_way = 1.5 / nq + 0.5 / np;
-    // Symmetric mode sums both directions, so it carries both biases.
-    return symmetric ? one_way + 1.5 / np + 0.5 / nq : one_way;
+    return 1.5 / nq + 0.5 / np;
   };
 
   const auto accumulate = [&](std::size_t a, std::size_t b) {
-    const linalg::Matrix map = stats::kl_map_from_moments(
-        moments.per_program[a], moments.per_program[b], symmetric);
+    const linalg::Matrix map =
+        stats::kl_map_from_moments(moments.per_program[a], moments.per_program[b]);
     const double debias = bias(a, b);
-    for (std::size_t i = 0; i < out.data().size(); ++i) {
-      const double v = map.data()[i] - debias;
-      if (use_max) {
-        out.data()[i] = std::max(out.data()[i], std::max(v, 0.0));
-      } else {
-        out.data()[i] += v;
-      }
-    }
+    for (std::size_t i = 0; i < out.data().size(); ++i) out.data()[i] += map.data()[i] - debias;
     ++num_pairs;
   };
 
   for (std::size_t a = 0; a < moments.per_program.size(); ++a) {
     for (std::size_t b = a + 1; b < moments.per_program.size(); ++b) {
       accumulate(a, b);
-      if (!symmetric) accumulate(b, a);  // directional KL: check both ways
+      accumulate(b, a);  // directional KL: check both ways
     }
   }
-  if (!use_max) {
-    const double inv = 1.0 / static_cast<double>(num_pairs);
-    for (std::size_t i = 0; i < out.data().size(); ++i) {
-      out.data()[i] = std::max(out.data()[i] * inv, 0.0);
-    }
+  const double inv = 1.0 / static_cast<double>(num_pairs);
+  for (std::size_t i = 0; i < out.data().size(); ++i) {
+    out.data()[i] = std::max(out.data()[i] * inv, 0.0);
   }
   return out;
 }
 
-linalg::Matrix between_class_kl_map(const ClassMoments& a, const ClassMoments& b,
-                                    bool symmetric) {
-  return stats::kl_map_from_moments(a.pooled, b.pooled, symmetric);
+linalg::Matrix between_class_kl_map(const ClassMoments& a, const ClassMoments& b) {
+  return stats::kl_map_from_moments(a.pooled, b.pooled);
 }
 
 double within_class_noise_floor(const ClassMoments& moments) {

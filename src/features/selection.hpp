@@ -50,14 +50,11 @@ ClassMoments compute_class_moments(const dsp::Cwt& cwt, const sim::TraceSet& tra
 /// any other scale.  This routine therefore (a) subtracts the analytic bias
 /// per program pair and (b) averages the debiased values over all ordered
 /// pairs (clamping the final mean at 0), which suppresses the remaining
-/// estimator noise by ~1/#pairs.  Set `use_max` for the literal
-/// max-over-pairs statistic (debiased, clamped per pair).
-linalg::Matrix within_class_kl_map(const ClassMoments& moments, bool symmetric = false,
-                                   bool use_max = false);
+/// estimator noise by ~1/#pairs.
+linalg::Matrix within_class_kl_map(const ClassMoments& moments);
 
 /// Between-class KL map D_KL^B from pooled moments.
-linalg::Matrix between_class_kl_map(const ClassMoments& a, const ClassMoments& b,
-                                    bool symmetric = false);
+linalg::Matrix between_class_kl_map(const ClassMoments& a, const ClassMoments& b);
 
 /// Boolean mask (row-major, grid-shaped) of points whose within-class KL
 /// stays below `kl_th` -- the NVP_c set.

@@ -1,6 +1,5 @@
 #include "runtime/recal.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -108,20 +107,9 @@ RecalOutcome RecalibrationScheduler::on_drift(const DriftEvent& event,
     return outcome;
   }
 
-  // Clone through the serializer (the QDA-only template path, same as
-  // core::TransferEvaluator) so the served model is never mutated in place.
-  auto clone = std::make_shared<core::HierarchicalDisassembler>([&] {
-    std::stringstream ss;
-    model_->save(ss);
-    return core::HierarchicalDisassembler::load(ss);
-  }());
-  clone->recalibrate(fresh, policy_.rescale);
-  if (outcome.mode == core::RecalMode::kRefit) {
-    core::ProfilingData aug;
-    aug.classes = refit_base_->classes;
-    for (const sim::Trace& t : fresh) aug.classes[t.meta.class_idx].push_back(t);
-    clone->refit_classifiers(aug);
-  }
+  // Recalibrate a clone, so the served model is never mutated in place.
+  auto clone = std::make_shared<core::HierarchicalDisassembler>(core::recalibrated_copy(
+      *model_, fresh, outcome.mode, policy_.rescale, refit_base_));
 
   std::uint64_t stamp = 0;
   if (registry_ != nullptr) {

@@ -3,11 +3,11 @@
 // DriftMonitor says *when* templates have rotted; this module decides *what
 // to do about it*: spend K labeled traces per class from a pluggable
 // CalibrationSource, run the existing CSA recalibration arms (renorm /
-// refit, the same paths core::TransferEvaluator evaluates offline), and
-// atomically publish the adapted model into the serving stream via
-// FleetFrontend::swap_stage -- optionally through the ModelRegistry first,
-// so the artifact checksum becomes the published stage's stamp and every
-// FleetResult is attributable to an on-disk version.
+// refit, core::recalibrated_copy, which core::TransferEvaluator evaluates
+// offline), and atomically publish the adapted model into the serving
+// stream via FleetFrontend::swap_stage -- optionally through the
+// ModelRegistry first, so the artifact checksum becomes the published
+// stage's stamp and every FleetResult is attributable to an on-disk version.
 //
 // The loop a deployment runs (tests/benches drive exactly this):
 //

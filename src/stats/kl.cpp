@@ -63,8 +63,7 @@ MomentMaps moment_maps(const std::vector<linalg::Matrix>& stack, double min_var)
   return out;
 }
 
-linalg::Matrix kl_map_from_moments(const MomentMaps& a, const MomentMaps& b,
-                                   bool symmetric) {
+linalg::Matrix kl_map_from_moments(const MomentMaps& a, const MomentMaps& b) {
   if (a.mean.rows() != b.mean.rows() || a.mean.cols() != b.mean.cols()) {
     throw std::invalid_argument("kl_map_from_moments: shape mismatch");
   }
@@ -73,16 +72,14 @@ linalg::Matrix kl_map_from_moments(const MomentMaps& a, const MomentMaps& b,
   for (std::size_t i = 0; i < total; ++i) {
     const Gaussian1D p{a.mean.data()[i], a.var.data()[i]};
     const Gaussian1D q{b.mean.data()[i], b.var.data()[i]};
-    out.data()[i] = symmetric ? symmetric_kl_gaussian(p, q) : kl_gaussian(p, q);
+    out.data()[i] = kl_gaussian(p, q);
   }
   return out;
 }
 
 linalg::Matrix kl_map(const std::vector<linalg::Matrix>& a,
-                      const std::vector<linalg::Matrix>& b, bool symmetric,
-                      double min_var) {
-  return kl_map_from_moments(moment_maps(a, min_var), moment_maps(b, min_var),
-                             symmetric);
+                      const std::vector<linalg::Matrix>& b, double min_var) {
+  return kl_map_from_moments(moment_maps(a, min_var), moment_maps(b, min_var));
 }
 
 }  // namespace sidis::stats

@@ -26,12 +26,9 @@ double kl_gaussian(const MultivariateGaussian& p, const MultivariateGaussian& q)
 /// `a` and `b` hold one scalogram per trace, all with identical shape
 /// (scales x time).  The result has that same shape; entry (j,k) is the
 /// Gaussian KL divergence between the two classes' coefficient distributions
-/// at grid point (j,k).  When `symmetric` is set, the symmetrized divergence
-/// is used (the paper's D_KL is directional; the symmetric variant is exposed
-/// for ablation).
+/// at grid point (j,k), directional like the paper's D_KL.
 linalg::Matrix kl_map(const std::vector<linalg::Matrix>& a,
-                      const std::vector<linalg::Matrix>& b,
-                      bool symmetric = false, double min_var = 1e-12);
+                      const std::vector<linalg::Matrix>& b, double min_var = 1e-12);
 
 /// Per-grid-point Gaussian moments of a stack of scalograms: returns a pair
 /// of matrices (means, variances) with the common scalogram shape.
@@ -44,7 +41,6 @@ MomentMaps moment_maps(const std::vector<linalg::Matrix>& stack,
 
 /// KL map computed from precomputed moment maps (avoids re-scanning trace
 /// stacks inside the O(pairs) loops of the feature selector).
-linalg::Matrix kl_map_from_moments(const MomentMaps& a, const MomentMaps& b,
-                                   bool symmetric = false);
+linalg::Matrix kl_map_from_moments(const MomentMaps& a, const MomentMaps& b);
 
 }  // namespace sidis::stats

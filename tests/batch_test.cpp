@@ -388,7 +388,7 @@ TEST(FeaturesBatch, TransformPreparedBatchMatchesScalarColumns) {
 // -- shared gather -------------------------------------------------------------
 
 /// A pipeline with hand-placed feature points, so a test can make levels
-/// share points across tiers.  The scaler and PCA are fitted on random rows
+/// share chosen points.  The scaler and PCA are fitted on random rows
 /// of the right width, so the projection is a real one.
 features::FeaturePipeline placed_pipeline(const features::PipelineConfig& cfg,
                                           std::vector<stats::GridPoint> points,
@@ -410,9 +410,9 @@ void place(std::vector<stats::GridPoint>& out, std::size_t j, std::size_t count,
 }
 
 /// The levels of a small model (fitted group, instruction and register
-/// pipelines) plus hand-placed ones: the tier-0 placed level holds 70
-/// points on scale 49, the tier-1 one five of the same points, and the
-/// tier-2 one points both of them hold.
+/// pipelines) plus hand-placed ones: `wide` holds 70 points on scale 49,
+/// `dual` five of the same points, and `operand` points of `wide` plus two
+/// points of `dual` that `wide` lacks.
 class GatherPlanTest : public ::testing::TestWithParam<dsp::CwtBackend> {
  protected:
   static const std::vector<features::FeaturePipeline>& base() {
@@ -451,6 +451,7 @@ class GatherPlanTest : public ::testing::TestWithParam<dsp::CwtBackend> {
       place(operand, 49, 40, 2, 4);
       place(operand, 49, 30, 0, 4);
       place(operand, 12, 5, 50, 3);
+      place(operand, 48, 2, 7, 30);
       out.push_back(placed_pipeline(cfg, wide, rng));
       out.push_back(placed_pipeline(cfg, dual, rng));
       out.push_back(placed_pipeline(cfg, operand, rng));
@@ -480,8 +481,6 @@ class GatherPlanTest : public ::testing::TestWithParam<dsp::CwtBackend> {
 };
 
 TEST_P(GatherPlanTest, EveryLevelReadsItsOwnFeaturesFromTheUnion) {
-  // Slots in model order: group, instruction levels (one trivial), register
-  // levels; the placed levels ride in each tier.
   std::vector<features::FeaturePipeline> levels;
   for (const features::FeaturePipeline& p : base()) {
     features::PipelineConfig cfg = p.config();
@@ -489,53 +488,80 @@ TEST_P(GatherPlanTest, EveryLevelReadsItsOwnFeaturesFromTheUnion) {
     levels.push_back(features::FeaturePipeline::from_parts(
         cfg, p.unified_points(), p.scaler(), p.pca(), p.grid_size()));
   }
-  const std::vector<const features::FeaturePipeline*> slots{
-      &levels[0], &levels[4], &levels[1], &levels[5], nullptr,
-      &levels[2], &levels[3], &levels[6]};
-  const std::vector<std::size_t> tiers{0, 0, 1, 1, 1, 1, 2, 2};
-  const features::GatherPlan plan(slots, tiers);
-
-  // Each union point appears once, and points shared across tiers exist.
-  const std::vector<dsp::CwtPoint>& e = plan.layout().entries;
-  std::set<std::pair<std::size_t, std::size_t>> seen;
-  for (const dsp::CwtPoint& p : e) {
-    EXPECT_TRUE(seen.emplace(p.j, p.k).second) << "(" << p.j << ", " << p.k << ") twice";
-  }
-  std::size_t asked = 0;
-  for (const features::FeaturePipeline* p : slots) {
-    if (p != nullptr) asked += p->unified_points().size();
-  }
-  EXPECT_LT(e.size(), asked) << "no point is shared";
-
   const std::vector<std::vector<double>> pool = windows(64);
-  features::GatherBatch batch;
-  for (const std::size_t n : {std::size_t{315}, std::size_t{250}, std::size_t{40},
-                              std::size_t{0}}) {
-    std::vector<std::vector<double>> cut = pool;
-    for (std::vector<double>& w : cut) w.resize(n);
-    // The reference: each level alone.
-    std::vector<std::vector<linalg::Vector>> alone(slots.size());
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (slots[s] == nullptr) continue;
-      for (const std::vector<double>& w : cut) {
-        alone[s].push_back(reference::features_of_prepared(*slots[s], w));
-      }
+  // Slots in model order after the shared slot: instruction levels (one
+  // trivial), register levels, with the placed levels riding among them.
+  // The shared slot is the placed `wide` level, then a trivial group level
+  // (nothing shared: every slot gathers all of its points itself).
+  const features::FeaturePipeline* const shared_slots[] = {&levels[4], nullptr};
+  for (const features::FeaturePipeline* shared : shared_slots) {
+    const std::vector<const features::FeaturePipeline*> slots{
+        shared,     &levels[0], &levels[1], &levels[5], nullptr,
+        &levels[2], &levels[3], &levels[6]};
+    const features::GatherPlan plan(slots);
+    const features::GatherPlan::Layout& layout = plan.layout();
+
+    // Each union point appears once; the shared prefix is the shared slot's
+    // points, and the other slots' own lists hold exactly their rows past it.
+    const std::vector<dsp::CwtPoint>& e = layout.entries;
+    std::set<std::pair<std::size_t, std::size_t>> seen;
+    for (const dsp::CwtPoint& p : e) {
+      EXPECT_TRUE(seen.emplace(p.j, p.k).second) << "(" << p.j << ", " << p.k << ") twice";
     }
-    for (const std::size_t tier : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_EQ(layout.shared, shared == nullptr ? 0 : shared->unified_points().size());
+    // Both kinds of sharing occur: rows of other slots inside the shared
+    // prefix, and rows past it that two other slots read.
+    std::vector<std::size_t> readers(e.size(), 0);
+    std::size_t in_prefix = 0;
+    for (std::size_t s = 1; s < slots.size(); ++s) {
+      std::vector<std::size_t> past;
+      for (const std::size_t r : layout.rows[s]) {
+        if (r < layout.shared) {
+          ++in_prefix;
+        } else {
+          past.push_back(r);
+        }
+      }
+      std::sort(past.begin(), past.end());
+      past.erase(std::unique(past.begin(), past.end()), past.end());
+      EXPECT_EQ(layout.own[s], past) << "slot " << s;
+      for (const std::size_t r : past) ++readers[r];
+    }
+    EXPECT_TRUE(layout.own[0].empty());
+    if (shared != nullptr) {
+      EXPECT_GT(in_prefix, 0u) << "no point shared with slot 0";
+    }
+    EXPECT_GT(*std::max_element(readers.begin(), readers.end()), 1u)
+        << "no point shared by two other slots";
+
+    features::GatherBatch batch;
+    for (const std::size_t n : {std::size_t{315}, std::size_t{250}, std::size_t{40},
+                                std::size_t{0}}) {
+      std::vector<std::vector<double>> cut = pool;
+      for (std::vector<double>& w : cut) w.resize(n);
+      // The reference: each level alone.
+      std::vector<std::vector<linalg::Vector>> alone(slots.size());
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        if (slots[s] == nullptr) continue;
+        for (const std::vector<double>& w : cut) {
+          alone[s].push_back(reference::features_of_prepared(*slots[s], w));
+        }
+      }
       for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{7},
                                       std::size_t{16}, std::size_t{64}}) {
         std::vector<const std::vector<double>*> ptrs;
         for (std::size_t i = 0; i < width; ++i) ptrs.push_back(&cut[i]);
-        batch.begin(plan, ptrs, tier);
+        batch.begin(plan, ptrs);
         std::vector<std::size_t> all(width), odd, last{width - 1};
         std::iota(all.begin(), all.end(), std::size_t{0});
         for (std::size_t i = 1; i < width; i += 2) odd.push_back(i);
         for (std::size_t s = 0; s < slots.size(); ++s) {
           if (slots[s] == nullptr) continue;
           for (const std::vector<std::size_t>& lanes : {all, odd, last}) {
-            SCOPED_TRACE("n " + std::to_string(n) + " tier " + std::to_string(tier) +
-                         " width " + std::to_string(width) + " slot " +
-                         std::to_string(s) + " lanes " + std::to_string(lanes.size()));
+            SCOPED_TRACE("n " + std::to_string(n) + " shared " +
+                         std::to_string(shared != nullptr) + " width " +
+                         std::to_string(width) + " slot " + std::to_string(s) +
+                         " lanes " + std::to_string(lanes.size()));
             if (lanes.empty()) continue;
             const linalg::Matrix x = batch.features(s, *slots[s], lanes, SIZE_MAX);
             ASSERT_EQ(x.cols(), lanes.size());
@@ -571,10 +597,11 @@ TEST(GatherPlan, RejectsLevelsThatReadTheWindowDifferently) {
   cfg.per_trace_normalization = !cfg.per_trace_normalization;
   cfg.cwt.kernel_radius = 3.0;
   const features::FeaturePipeline c = placed_pipeline(cfg, points, rng);
-  const std::vector<std::size_t> tiers{0, 1};
   for (const features::FeaturePipeline* other : {&b, &c}) {
-    const std::vector<const features::FeaturePipeline*> slots{&a, other};
-    EXPECT_THROW(features::GatherPlan(slots, tiers), std::invalid_argument);
+    for (const std::vector<const features::FeaturePipeline*>& slots :
+         {std::vector{&a, other}, std::vector{other, &a}}) {
+      EXPECT_THROW(features::GatherPlan{slots}, std::invalid_argument);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <random>
+#include <sstream>
 
 #include <stdexcept>
 
@@ -233,38 +234,99 @@ TEST_F(CoreFixture, CalibrationScoresCleanWindowsOfEveryLength) {
     for (std::size_t i = 0; i < held.size(); i += 3) held[i].samples.resize(250);
     clean.classes[*avr::class_index(m)] = std::move(held);
   }
+  // Calibration fans the corpus out over the pipeline's workers; the gates,
+  // and so the archives, must not depend on how many.
+  std::vector<std::string> archives;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    HierarchicalConfig cfg;
+    cfg.pipeline = csa_config();
+    cfg.pipeline.pca_components = 10;
+    cfg.pipeline.workers = workers;
+    cfg.instruction_components = 8;
+    auto model = HierarchicalDisassembler::train(data, cfg);
+    // Quantile 0 and no slack put each floor on the corpus minimum.
+    model.calibrate_reject(clean, RejectConfig{0.0, 0.0, 0.0});
+    std::ostringstream os;
+    model.save(os);
+    archives.push_back(os.str());
+
+    // Calibration scores each window as the walk does, bit for bit, so
+    // every calibration window clears both floors and some window sits on
+    // each exactly.  A length bucket left out, or scored any other way,
+    // shows as negative headroom or as a floor no window attains.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double margin = kInf, score = kInf, cut_margin = kInf, cut_score = kInf;
+    for (const auto& [cls, traces] : clean.classes) {
+      for (const sim::Trace& t : traces) {
+        const Disassembly d = model.classify(t);
+        EXPECT_GE(d.margin_headroom, 0.0) << "class " << cls;
+        EXPECT_GE(d.score_headroom, 0.0) << "class " << cls;
+        margin = std::min(margin, d.margin_headroom);
+        score = std::min(score, d.score_headroom);
+        if (t.samples.size() == 250) {
+          cut_margin = std::min(cut_margin, d.margin_headroom);
+          cut_score = std::min(cut_score, d.score_headroom);
+        }
+      }
+    }
+    EXPECT_EQ(margin, 0.0);
+    EXPECT_EQ(score, 0.0);
+    // The cut windows fall off the training distribution, so they set a
+    // floor.
+    EXPECT_TRUE(cut_margin == 0.0 || cut_score == 0.0)
+        << "cut windows' headrooms " << cut_margin << " / " << cut_score;
+  }
+  EXPECT_TRUE(archives[0] == archives[1]) << "archives differ across worker counts";
+}
+
+TEST_F(CoreFixture, RecalibratedCopyRunsOneArmOnAClone) {
+  const avr::Mnemonic classes[] = {avr::Mnemonic::kAdd, avr::Mnemonic::kLdi,
+                                   avr::Mnemonic::kRjmp};
+  ProfilingData data;
+  sim::TraceSet fresh;
+  for (const avr::Mnemonic m : classes) {
+    data.classes[*avr::class_index(m)] = capture(m, 40);
+    for (sim::Trace& t : capture(m, 4)) fresh.push_back(std::move(t));
+  }
   HierarchicalConfig cfg;
   cfg.pipeline = csa_config();
   cfg.pipeline.pca_components = 10;
+  cfg.group_components = 8;
   cfg.instruction_components = 8;
-  auto model = HierarchicalDisassembler::train(data, cfg);
-  // Quantile 0 and no slack put each floor on the corpus minimum.
-  model.calibrate_reject(clean, RejectConfig{0.0, 0.0, 0.0});
-
-  // Calibration scores each window as the walk does, bit for bit, so every
-  // calibration window clears both floors and some window sits on each
-  // exactly.  A length bucket left out, or scored any other way, shows as
-  // negative headroom or as a floor no window attains.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double margin = kInf, score = kInf, cut_margin = kInf, cut_score = kInf;
-  for (const auto& [cls, traces] : clean.classes) {
-    for (const sim::Trace& t : traces) {
-      const Disassembly d = model.classify(t);
-      EXPECT_GE(d.margin_headroom, 0.0) << "class " << cls;
-      EXPECT_GE(d.score_headroom, 0.0) << "class " << cls;
-      margin = std::min(margin, d.margin_headroom);
-      score = std::min(score, d.score_headroom);
-      if (t.samples.size() == 250) {
-        cut_margin = std::min(cut_margin, d.margin_headroom);
-        cut_score = std::min(cut_score, d.score_headroom);
-      }
+  const auto model = HierarchicalDisassembler::train(data, cfg);
+  const auto bytes = [](const HierarchicalDisassembler& m) {
+    std::stringstream ss;
+    m.save(ss);
+    return ss.str();
+  };
+  const std::string before = bytes(model);
+  const auto by_hand = [&](RecalMode mode) {
+    std::stringstream ss(before);
+    HierarchicalDisassembler m = HierarchicalDisassembler::load(ss);
+    m.recalibrate(fresh);
+    if (mode == RecalMode::kRefit) {
+      ProfilingData aug = data;
+      for (const sim::Trace& t : fresh) aug.classes[t.meta.class_idx].push_back(t);
+      m.refit_classifiers(aug);
     }
-  }
-  EXPECT_EQ(margin, 0.0);
-  EXPECT_EQ(score, 0.0);
-  // The cut windows fall off the training distribution, so they set a floor.
-  EXPECT_TRUE(cut_margin == 0.0 || cut_score == 0.0)
-      << "cut windows' headrooms " << cut_margin << " / " << cut_score;
+    return bytes(m);
+  };
+
+  // Each arm equals its steps run by hand on a loaded copy, and the source
+  // model is never touched; an empty corpus returns the plain clone.
+  const std::string renorm = bytes(recalibrated_copy(model, fresh, RecalMode::kRenorm,
+                                                     false, nullptr));
+  EXPECT_NE(renorm, before);
+  EXPECT_TRUE(renorm == by_hand(RecalMode::kRenorm));
+  const std::string refit = bytes(recalibrated_copy(model, fresh, RecalMode::kRefit,
+                                                    false, &data));
+  EXPECT_NE(refit, renorm);
+  EXPECT_TRUE(refit == by_hand(RecalMode::kRefit));
+  EXPECT_TRUE(bytes(recalibrated_copy(model, {}, RecalMode::kRefit, false, &data)) == before);
+  EXPECT_TRUE(bytes(model) == before);
+  EXPECT_THROW(recalibrated_copy(model, fresh, RecalMode::kRefit, false, nullptr),
+               std::invalid_argument);
 }
 
 TEST_F(CoreFixture, TrainRejectsEmptyCorpus) {
