@@ -13,7 +13,6 @@
 
 #include "core/hierarchical.hpp"
 #include "core/profiler.hpp"
-#include "ml/metrics.hpp"
 
 using namespace sidis;
 

@@ -8,7 +8,6 @@
 #include "core/csa.hpp"
 #include "features/pipeline.hpp"
 #include "ml/factory.hpp"
-#include "ml/metrics.hpp"
 #include "sim/acquisition.hpp"
 
 using namespace sidis;

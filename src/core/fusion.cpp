@@ -431,10 +431,10 @@ double FusedDisassembler::calibrate_fusion(const sim::TraceSet& heldout,
     group_candidates.push_back({FusionMode::kScore, w, 1.0 - w});
     instr_candidates.push_back({FusionMode::kScore, w, 1.0 - w});
   }
-  if (cal.try_feature && group_head_ != nullptr) {
+  if (group_head_ != nullptr) {
     group_candidates.push_back({FusionMode::kFeature, 0.5, 0.5});
   }
-  if (cal.try_feature && !instruction_heads_.empty()) {
+  if (!instruction_heads_.empty()) {
     instr_candidates.push_back({FusionMode::kFeature, 0.5, 0.5});
   }
 

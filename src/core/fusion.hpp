@@ -57,13 +57,12 @@ struct LevelFusion {
   double em_weight = 0.0;
 };
 
-/// calibrate_fusion() search space.
+/// calibrate_fusion() search space: score fusion at each weight below, plus
+/// feature fusion at every level whose joint head is trained.
 struct FusionCalibration {
   /// Power-weight candidates for score fusion (em weight = 1 - w); ordered,
   /// because ties resolve to the earliest candidate.
   std::vector<double> weight_grid = {1.0, 0.75, 0.5, 0.25, 0.0};
-  /// Also consider the joint feature heads (when trained).
-  bool try_feature = true;
 };
 
 class FusedDisassembler {

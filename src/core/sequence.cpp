@@ -150,29 +150,33 @@ bool redirects_control(Mnemonic m) {
   return is_skip(m);
 }
 
+/// Weight of a known compiler idiom (CP->CPC and ADD->ADC cascades,
+/// compare->branch, LDI pairs, skip->RJMP) within the plausible set.
+constexpr double kIdiomBoost = 4.0;
+
 /// Compiler-idiom multiplier within the plausible set.
-double idiom_multiplier(Mnemonic from, Mnemonic to, double boost) {
+double idiom_multiplier(Mnemonic from, Mnemonic to) {
   // Multi-byte arithmetic / wide-compare cascades.
   if ((from == Mnemonic::kCp || from == Mnemonic::kCpc) && to == Mnemonic::kCpc)
-    return boost;
+    return kIdiomBoost;
   if ((from == Mnemonic::kAdd || from == Mnemonic::kAdc) && to == Mnemonic::kAdc)
-    return boost;
+    return kIdiomBoost;
   if ((from == Mnemonic::kSub || from == Mnemonic::kSbc) && to == Mnemonic::kSbc)
-    return boost;
+    return kIdiomBoost;
   if ((from == Mnemonic::kSubi || from == Mnemonic::kSbci) && to == Mnemonic::kSbci)
-    return boost;
+    return kIdiomBoost;
   // Compare, then branch on the result.
   if ((from == Mnemonic::kCp || from == Mnemonic::kCpc ||
        from == Mnemonic::kCpi || from == Mnemonic::kTst) &&
       flags_branched_on(to) != 0)
-    return boost;
+    return kIdiomBoost;
   // LDI pairs and immediate-then-store.
   if (from == Mnemonic::kLdi &&
       (to == Mnemonic::kLdi || to == Mnemonic::kSts || to == Mnemonic::kSt ||
        to == Mnemonic::kStd))
-    return boost;
+    return kIdiomBoost;
   // Skip shadow: SBRS/SBRC guarding a one-word jump.
-  if (is_skip(from) && to == Mnemonic::kRjmp) return boost;
+  if (is_skip(from) && to == Mnemonic::kRjmp) return kIdiomBoost;
   return 1.0;
 }
 
@@ -246,16 +250,14 @@ void IsaPrior::build(const BigramPrior* observed) {
     double weight_sum = 0.0;
     for (std::size_t t = 0; t < n; ++t) {
       if (plausible_[f * n + t]) {
-        weight_sum += idiom_multiplier(mn[f], mn[t], config_.idiom_boost);
+        weight_sum += idiom_multiplier(mn[f], mn[t]);
       }
     }
     const double legal_mass = 1.0 - eps * static_cast<double>(implausible);
     double isa_sum = 0.0;
     for (std::size_t t = 0; t < n; ++t) {
       p_isa[t] = plausible_[f * n + t]
-                     ? legal_mass *
-                           idiom_multiplier(mn[f], mn[t], config_.idiom_boost) /
-                           weight_sum
+                     ? legal_mass * idiom_multiplier(mn[f], mn[t]) / weight_sum
                      : eps;
       isa_sum += p_isa[t];
     }

@@ -94,9 +94,6 @@ struct IsaPriorConfig {
   /// successors.  Must stay well below 1 so plausible transitions always
   /// dominate (strictly, within the ISA tier).
   double illegal_mass = 0.02;
-  /// Multiplier on known compiler idioms within the plausible set (CP->CPC
-  /// and ADD->ADC cascades, compare->branch, LDI pairs, skip->RJMP).
-  double idiom_boost = 4.0;
 };
 
 /// ISA-structured transition prior over the full 112-class table.

@@ -1,8 +1,6 @@
 #include "dsp/fft.hpp"
 
 #include <cmath>
-#include <map>
-#include <memory>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -157,62 +155,5 @@ void FftPlan::run(ComplexVector& x, bool inverse) const {
 
 void FftPlan::forward(ComplexVector& x) const { run(x, /*inverse=*/false); }
 void FftPlan::inverse(ComplexVector& x) const { run(x, /*inverse=*/true); }
-
-const FftPlan& FftPlan::shared(std::size_t n) {
-  // Thread-local keeps the cache lock-free; a handful of sizes per thread at
-  // ~24 bytes/sample is cheap next to one scalogram.
-  thread_local std::map<std::size_t, std::unique_ptr<FftPlan>> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    it = cache.emplace(n, std::make_unique<FftPlan>(n)).first;
-  }
-  return *it->second;
-}
-
-void fft(ComplexVector& x) { FftPlan::shared(x.size()).forward(x); }
-void ifft(ComplexVector& x) { FftPlan::shared(x.size()).inverse(x); }
-
-ComplexVector rfft(const std::vector<double>& x) {
-  ComplexVector c(next_pow2(x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) c[i] = Complex(x[i], 0.0);
-  fft(c);
-  return c;
-}
-
-std::vector<double> magnitude_spectrum(const std::vector<double>& x) {
-  const ComplexVector c = rfft(x);
-  std::vector<double> mag(c.size() / 2 + 1);
-  for (std::size_t i = 0; i < mag.size(); ++i) mag[i] = std::abs(c[i]);
-  return mag;
-}
-
-std::vector<double> convolve(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out_len = a.size() + b.size() - 1;
-
-  // Direct convolution wins while the multiply count a.size()*b.size() stays
-  // below ~4096 (two ~64-tap signals); beyond that the three transforms
-  // amortize.
-  if (a.size() * b.size() <= 4096) {
-    std::vector<double> out(out_len, 0.0);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      for (std::size_t j = 0; j < b.size(); ++j) out[i + j] += a[i] * b[j];
-    }
-    return out;
-  }
-
-  const std::size_t n = next_pow2(out_len);
-  const FftPlan& plan = FftPlan::shared(n);
-  ComplexVector fa(n), fb(n);
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = Complex(a[i], 0.0);
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = Complex(b[i], 0.0);
-  plan.forward(fa);
-  plan.forward(fb);
-  for (std::size_t i = 0; i < n; ++i) fa[i] *= fb[i];
-  plan.inverse(fa);
-  std::vector<double> out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
-  return out;
-}
 
 }  // namespace sidis::dsp

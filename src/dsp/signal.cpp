@@ -24,62 +24,6 @@ double variance(const std::vector<double>& x) {
 
 double stddev(const std::vector<double>& x) { return std::sqrt(variance(x)); }
 
-std::vector<double> zscore(const std::vector<double>& x, double eps) {
-  const double m = mean(x);
-  const double s = std::max(stddev(x), eps);
-  std::vector<double> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = (x[i] - m) / s;
-  return out;
-}
-
-std::vector<double> min_max_normalize(const std::vector<double>& x) {
-  if (x.empty()) return {};
-  const auto [lo_it, hi_it] = std::minmax_element(x.begin(), x.end());
-  const double lo = *lo_it, hi = *hi_it;
-  std::vector<double> out(x.size(), 0.0);
-  if (hi - lo <= 0.0) return out;
-  const double inv = 1.0 / (hi - lo);
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = (x[i] - lo) * inv;
-  return out;
-}
-
-std::vector<double> detrend_linear(const std::vector<double>& x) {
-  const std::size_t n = x.size();
-  if (n < 2) return std::vector<double>(n, 0.0);
-  // Least-squares fit y = a + b t, t = 0..n-1.
-  const double nn = static_cast<double>(n);
-  const double t_mean = (nn - 1.0) / 2.0;
-  const double y_mean = mean(x);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dt = static_cast<double>(i) - t_mean;
-    num += dt * (x[i] - y_mean);
-    den += dt * dt;
-  }
-  const double b = den > 0.0 ? num / den : 0.0;
-  const double a = y_mean - b * t_mean;
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] - (a + b * static_cast<double>(i));
-  return out;
-}
-
-std::vector<double> moving_average(const std::vector<double>& x, std::size_t w) {
-  if (w == 0) throw std::invalid_argument("moving_average: window must be >= 1");
-  const std::size_t n = x.size();
-  std::vector<double> out(n, 0.0);
-  const auto half = static_cast<std::ptrdiff_t>(w / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto ii = static_cast<std::ptrdiff_t>(i);
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, ii - half);
-    const std::ptrdiff_t hi =
-        std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(n) - 1, ii + half);
-    double acc = 0.0;
-    for (std::ptrdiff_t k = lo; k <= hi; ++k) acc += x[static_cast<std::size_t>(k)];
-    out[i] = acc / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
 std::vector<double> lowpass_single_pole(const std::vector<double>& x,
                                         double cutoff_fraction) {
   if (!(cutoff_fraction > 0.0)) {
@@ -111,50 +55,12 @@ std::vector<double> quantize(const std::vector<double>& x, int bits, double lo,
   return out;
 }
 
-int best_alignment_lag(const std::vector<double>& ref, const std::vector<double>& x,
-                       int max_lag) {
-  if (ref.size() != x.size() || ref.empty()) {
-    throw std::invalid_argument("best_alignment_lag: equal non-zero sizes required");
-  }
-  const auto n = static_cast<std::ptrdiff_t>(ref.size());
-  double best = -1e300;
-  int best_lag = 0;
-  for (int lag = -max_lag; lag <= max_lag; ++lag) {
-    double acc = 0.0;
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      const std::ptrdiff_t j = i + lag;
-      if (j < 0 || j >= n) continue;
-      acc += ref[static_cast<std::size_t>(i)] * x[static_cast<std::size_t>(j)];
-    }
-    if (acc > best) {
-      best = acc;
-      best_lag = lag;
-    }
-  }
-  return best_lag;
-}
-
 std::vector<double> shift(const std::vector<double>& x, int lag) {
   const auto n = static_cast<std::ptrdiff_t>(x.size());
   std::vector<double> out(x.size(), 0.0);
   for (std::ptrdiff_t i = 0; i < n; ++i) {
     const std::ptrdiff_t j = i - lag;
     if (j >= 0 && j < n) out[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(j)];
-  }
-  return out;
-}
-
-std::vector<double> subtract(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("subtract: size mismatch");
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-std::vector<std::size_t> local_maxima(const std::vector<double>& x, double min_value) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 1; i + 1 < x.size(); ++i) {
-    if (x[i] > x[i - 1] && x[i] > x[i + 1] && x[i] >= min_value) out.push_back(i);
   }
   return out;
 }

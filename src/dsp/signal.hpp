@@ -1,5 +1,6 @@
 // Scalar signal-processing helpers shared by the acquisition simulator and
-// the feature pipeline: normalization, detrending, filtering, alignment.
+// the feature pipeline: sample moments, the scope's bandwidth filter and ADC
+// quantizer, and the trigger-jitter shift.
 #pragma once
 
 #include <cstddef>
@@ -16,18 +17,6 @@ double variance(const std::vector<double>& x);
 /// sqrt(variance).
 double stddev(const std::vector<double>& x);
 
-/// (x - mean) / std, with std clamped away from zero by `eps`.
-std::vector<double> zscore(const std::vector<double>& x, double eps = 1e-12);
-
-/// Affine map of x onto [0, 1]; constant signals map to all-zeros.
-std::vector<double> min_max_normalize(const std::vector<double>& x);
-
-/// Removes the least-squares straight line from x.
-std::vector<double> detrend_linear(const std::vector<double>& x);
-
-/// Centered moving average with window `w` (clamped at the edges; w >= 1).
-std::vector<double> moving_average(const std::vector<double>& x, std::size_t w);
-
 /// Single-pole IIR low-pass, y[n] = a*x[n] + (1-a)*y[n-1], with the smoothing
 /// factor derived from a -3 dB cutoff expressed as a fraction of the sample
 /// rate.  Models the scope's analog bandwidth limit.
@@ -39,20 +28,7 @@ std::vector<double> lowpass_single_pole(const std::vector<double>& x,
 std::vector<double> quantize(const std::vector<double>& x, int bits, double lo,
                              double hi);
 
-/// Integer lag in [-max_lag, max_lag] maximizing the cross-correlation of
-/// `x` against `ref`.  Used to re-align traces on the trigger edge.
-int best_alignment_lag(const std::vector<double>& ref,
-                       const std::vector<double>& x, int max_lag);
-
 /// Shifts x by `lag` samples (positive = delay), zero-filling the gap.
 std::vector<double> shift(const std::vector<double>& x, int lag);
-
-/// Element-wise difference a - b; sizes must match.
-std::vector<double> subtract(const std::vector<double>& a,
-                             const std::vector<double>& b);
-
-/// Indices of strict local maxima of x with value >= `min_value`.
-std::vector<std::size_t> local_maxima(const std::vector<double>& x,
-                                      double min_value);
 
 }  // namespace sidis::dsp

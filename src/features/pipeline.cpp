@@ -182,8 +182,8 @@ FeaturePipeline FeaturePipeline::fit(const std::vector<const ClassData*>& classe
   if (p.points_.empty()) {
     throw std::runtime_error("FeaturePipeline::fit: no feature points survived selection");
   }
-  if (p.points_.size() > config.max_unified_points) {
-    p.points_.resize(config.max_unified_points);  // already KL-ranked
+  if (p.points_.size() > kMaxUnifiedPoints) {
+    p.points_.resize(kMaxUnifiedPoints);  // already KL-ranked
   }
 
   // Pass 2: the selected coefficients of every training trace, each row

@@ -37,12 +37,6 @@ struct PipelineConfig {
   bool per_trace_normalization = true;
   /// Column standardization before PCA (the Fig.-1 "normalization" step).
   bool column_standardization = true;
-  /// Cap on the unified feature-point set.  With K classes the per-pair
-  /// DNVP union grows like 5*K*(K-1)/2; at the 112-class level that would
-  /// push PCA into thousands of dimensions.  Points are KL-ranked, so
-  /// truncation keeps the strongest of Definition 3.1's candidates; the cap
-  /// also bounds classification cost (one kernel correlation per point).
-  std::size_t max_unified_points = 512;
   /// Principal components kept (experiments sweep the effective count at
   /// classification time via Dataset::truncated).
   std::size_t pca_components = 64;
@@ -68,6 +62,13 @@ struct PipelineConfig {
 /// nominal 156.25 samples/cycle.  Each configuration gets its own fitted
 /// pipeline -- grids of different lengths are never mixed in one fit.
 PipelineConfig configured_for(PipelineConfig base, double samples_per_cycle);
+
+/// Cap on the unified feature-point set.  With K classes the per-pair DNVP
+/// union grows like 5*K*(K-1)/2; at the 112-class level that would push PCA
+/// into thousands of dimensions.  Points are KL-ranked, so truncation keeps
+/// the strongest of Definition 3.1's candidates; the cap also bounds
+/// classification cost (one kernel correlation per point).
+inline constexpr std::size_t kMaxUnifiedPoints = 512;
 
 /// Windows one struct-of-arrays pass of a feature pipeline carries: one
 /// full 16-lane tile.  Every batched transform, training included, cuts its

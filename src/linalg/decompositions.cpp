@@ -28,25 +28,6 @@ Cholesky Cholesky::compute(const Matrix& a) {
   return out;
 }
 
-Vector Cholesky::solve(const Vector& b) const {
-  if (!valid) throw std::runtime_error("Cholesky::solve on invalid factorization");
-  const std::size_t n = l.rows();
-  if (b.size() != n) throw std::invalid_argument("Cholesky::solve: size mismatch");
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {  // forward: L y = b
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
-    y[i] = acc / l(i, i);
-  }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {  // backward: L^T x = y
-    double acc = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) acc -= l(k, ii) * x[k];
-    x[ii] = acc / l(ii, ii);
-  }
-  return x;
-}
-
 double Cholesky::log_det() const {
   if (!valid) throw std::runtime_error("Cholesky::log_det on invalid factorization");
   double acc = 0.0;

@@ -22,9 +22,6 @@ struct Cholesky {
   /// positive definite.
   static Cholesky compute(const Matrix& a);
 
-  /// Solves A x = b via forward/back substitution.
-  Vector solve(const Vector& b) const;
-
   /// log(det A) = 2 * sum(log L(i,i)).  Requires `valid`.
   double log_det() const;
 

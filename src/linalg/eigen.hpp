@@ -4,7 +4,7 @@
 // PCA (Sec. 3.2 of the paper) needs the full spectrum of a covariance matrix
 // whose dimension is the number of selected KL feature points -- about 200
 // after the 98.7% reduction the paper reports, and up to the pipeline's
-// max_unified_points (512) at the 112-class group level.  Tridiagonal QL
+// features::kMaxUnifiedPoints (512) at the 112-class group level.  Tridiagonal QL
 // costs O(n^3) with a small constant and needs about two iterations per
 // eigenvalue even on the rank-deficient covariances PCA sees there.  The
 // eigenvector matrix is kept transposed while it is built, so every

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -148,12 +147,6 @@ Vector Matrix::operator*(const Vector& v) const {
   return out;
 }
 
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 double Matrix::max_abs() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::abs(v));
@@ -223,8 +216,6 @@ double dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-double norm(const Vector& a) { return std::sqrt(dot(a, a)); }
-
 double squared_distance(const Vector& a, const Vector& b) {
   check_same_size(a, b, "squared_distance");
   double acc = 0.0;
@@ -268,14 +259,6 @@ Matrix row_covariance(const Matrix& m) {
     }
   }
   return cov;
-}
-
-Matrix outer(const Vector& a, const Vector& b) {
-  Matrix m(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) m(i, j) = a[i] * b[j];
-  }
-  return m;
 }
 
 }  // namespace sidis::linalg

@@ -82,9 +82,6 @@ class Matrix {
 
   bool operator==(const Matrix& rhs) const = default;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
   /// Largest absolute entry; 0 for the empty matrix.
   double max_abs() const;
 
@@ -113,8 +110,6 @@ Vector sub(const Vector& a, const Vector& b);
 Vector scale(const Vector& a, double s);
 /// Dot product; sizes must match.
 double dot(const Vector& a, const Vector& b);
-/// Euclidean norm.
-double norm(const Vector& a);
 /// Squared Euclidean distance between two vectors.
 double squared_distance(const Vector& a, const Vector& b);
 
@@ -123,8 +118,5 @@ Vector row_mean(const Matrix& m);
 
 /// Sample covariance of the rows of `m` (denominator n-1; n must be >= 2).
 Matrix row_covariance(const Matrix& m);
-
-/// Outer product a * b^T.
-Matrix outer(const Vector& a, const Vector& b);
 
 }  // namespace sidis::linalg

@@ -4,11 +4,6 @@
 
 namespace sidis::ml {
 
-ScoredPrediction Classifier::predict_scored(const linalg::Vector& x) const {
-  return {predict(x), std::numeric_limits<double>::infinity(),
-          std::numeric_limits<double>::infinity()};
-}
-
 linalg::Vector Classifier::class_scores(const linalg::Vector&) const {
   return {};
 }
@@ -62,12 +57,6 @@ ScoredPrediction scored_from_scores(const linalg::Vector& s,
   out.top_score = top;
   out.margin = s.size() > 1 ? top - second
                             : std::numeric_limits<double>::infinity();
-  return out;
-}
-
-std::vector<int> Classifier::predict_all(const linalg::Matrix& x) const {
-  std::vector<int> out(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r) out[r] = predict(x.row_vector(r));
   return out;
 }
 

@@ -3,7 +3,6 @@
 // plug in behind this interface so every experiment harness can sweep them.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,13 +35,12 @@ class Classifier {
   /// std::invalid_argument on inconsistent shapes or fewer than 2 classes.
   virtual void fit(const Dataset& train) = 0;
 
-  /// Predicted label of one sample (must match training dim).
-  virtual int predict(const linalg::Vector& x) const = 0;
+  /// Predicted label of one sample (must match training dim):
+  /// predict_scored(x).label.
+  int predict(const linalg::Vector& x) const { return predict_scored(x).label; }
 
-  /// Prediction plus decision scores.  The base implementation reports
-  /// infinite confidence (gates never fire); every shipped classifier
-  /// overrides it with real scores.
-  virtual ScoredPrediction predict_scored(const linalg::Vector& x) const;
+  /// Prediction plus decision scores.
+  virtual ScoredPrediction predict_scored(const linalg::Vector& x) const = 0;
 
   /// Scored predictions for a struct-of-arrays batch: `x_cols` is
   /// (dim x lanes) with *columns* as samples; out[l] must be bit-identical
@@ -75,15 +73,9 @@ class Classifier {
   /// Display name ("QDA", "SVM-RBF", ...).
   virtual std::string name() const = 0;
 
-  /// Predicts every row.
-  std::vector<int> predict_all(const linalg::Matrix& x) const;
-
   /// Fraction of correctly predicted rows.
   double accuracy(const Dataset& test) const;
 };
-
-/// Factory signature used by one-vs-one wrappers and sweep harnesses.
-using ClassifierFactory = std::unique_ptr<Classifier> (*)();
 
 /// Argmax + runner-up over a per-class score vector (aligned with `labels`)
 /// -- the shared back-half of every predict_scored override.

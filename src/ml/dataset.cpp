@@ -1,7 +1,6 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace sidis::ml {
@@ -10,23 +9,6 @@ void Dataset::validate() const {
   if (x.rows() != y.size()) {
     throw std::invalid_argument("Dataset: row/label count mismatch");
   }
-}
-
-Dataset Dataset::concat(const Dataset& a, const Dataset& b) {
-  if (a.size() == 0) return b;
-  if (b.size() == 0) return a;
-  if (a.dim() != b.dim()) throw std::invalid_argument("Dataset::concat: dim mismatch");
-  Dataset out;
-  out.x = linalg::Matrix(a.size() + b.size(), a.dim());
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    std::copy(a.x.row(r).begin(), a.x.row(r).end(), out.x.row(r).begin());
-  }
-  for (std::size_t r = 0; r < b.size(); ++r) {
-    std::copy(b.x.row(r).begin(), b.x.row(r).end(), out.x.row(a.size() + r).begin());
-  }
-  out.y = a.y;
-  out.y.insert(out.y.end(), b.y.begin(), b.y.end());
-  return out;
 }
 
 linalg::Matrix Dataset::rows_with_label(int label) const {
@@ -55,70 +37,6 @@ Dataset Dataset::truncated(std::size_t k) const {
               out.x.row(r).begin());
   }
   return out;
-}
-
-void shuffle(Dataset& d, std::mt19937_64& rng) {
-  d.validate();
-  for (std::size_t i = d.size(); i > 1; --i) {
-    std::uniform_int_distribution<std::size_t> pick(0, i - 1);
-    const std::size_t j = pick(rng);
-    if (j == i - 1) continue;
-    for (std::size_t c = 0; c < d.dim(); ++c) std::swap(d.x(i - 1, c), d.x(j, c));
-    std::swap(d.y[i - 1], d.y[j]);
-  }
-}
-
-Split stratified_split(const Dataset& d, double train_fraction, std::mt19937_64& rng) {
-  d.validate();
-  if (!(train_fraction > 0.0) || !(train_fraction < 1.0)) {
-    throw std::invalid_argument("stratified_split: fraction must be in (0,1)");
-  }
-  std::map<int, std::vector<std::size_t>> by_label;
-  for (std::size_t i = 0; i < d.size(); ++i) by_label[d.y[i]].push_back(i);
-
-  std::vector<std::size_t> train_idx, test_idx;
-  for (auto& [label, idx] : by_label) {
-    std::shuffle(idx.begin(), idx.end(), rng);
-    const auto n_train = static_cast<std::size_t>(
-        train_fraction * static_cast<double>(idx.size()) + 0.5);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      (i < n_train ? train_idx : test_idx).push_back(idx[i]);
-    }
-  }
-
-  const auto build = [&](const std::vector<std::size_t>& idx) {
-    Dataset out;
-    out.x = linalg::Matrix(idx.size(), d.dim());
-    out.y.resize(idx.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      std::copy(d.x.row(idx[i]).begin(), d.x.row(idx[i]).end(), out.x.row(i).begin());
-      out.y[i] = d.y[idx[i]];
-    }
-    return out;
-  };
-  return {build(train_idx), build(test_idx)};
-}
-
-std::vector<Dataset> k_folds(const Dataset& d, std::size_t k, std::mt19937_64& rng) {
-  d.validate();
-  if (k < 2 || k > d.size()) throw std::invalid_argument("k_folds: bad k");
-  Dataset shuffled = d;
-  shuffle(shuffled, rng);
-  std::vector<Dataset> folds(k);
-  const std::size_t base = shuffled.size() / k;
-  const std::size_t extra = shuffled.size() % k;
-  std::size_t row = 0;
-  for (std::size_t f = 0; f < k; ++f) {
-    const std::size_t n = base + (f < extra ? 1 : 0);
-    folds[f].x = linalg::Matrix(n, shuffled.dim());
-    folds[f].y.resize(n);
-    for (std::size_t i = 0; i < n; ++i, ++row) {
-      std::copy(shuffled.x.row(row).begin(), shuffled.x.row(row).end(),
-                folds[f].x.row(i).begin());
-      folds[f].y[i] = shuffled.y[row];
-    }
-  }
-  return folds;
 }
 
 }  // namespace sidis::ml

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -21,9 +20,6 @@ struct Dataset {
   /// Throws std::invalid_argument when rows and labels disagree.
   void validate() const;
 
-  /// Concatenates two datasets (dims must match).
-  static Dataset concat(const Dataset& a, const Dataset& b);
-
   /// Rows whose label equals `label`.
   linalg::Matrix rows_with_label(int label) const;
 
@@ -34,19 +30,5 @@ struct Dataset {
   /// re-evaluate with fewer components without re-projecting).
   Dataset truncated(std::size_t k) const;
 };
-
-/// In-place Fisher-Yates shuffle of sample order.
-void shuffle(Dataset& d, std::mt19937_64& rng);
-
-/// Splits into train/test with `train_fraction` of each class in train
-/// (stratified, preserving class balance).
-struct Split {
-  Dataset train;
-  Dataset test;
-};
-Split stratified_split(const Dataset& d, double train_fraction, std::mt19937_64& rng);
-
-/// K contiguous folds after an internal shuffle (for cross-validation).
-std::vector<Dataset> k_folds(const Dataset& d, std::size_t k, std::mt19937_64& rng);
 
 }  // namespace sidis::ml

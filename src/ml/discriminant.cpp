@@ -1,6 +1,5 @@
 #include "ml/discriminant.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -112,12 +111,6 @@ std::vector<ScoredPrediction> Qda::predict_scored_batch(
   return out;
 }
 
-int Qda::predict(const linalg::Vector& x) const {
-  const linalg::Vector s = scores(x);
-  const auto best = std::max_element(s.begin(), s.end());
-  return labels_[static_cast<std::size_t>(best - s.begin())];
-}
-
 ScoredPrediction Qda::predict_scored(const linalg::Vector& x) const {
   return scored_from_scores(scores(x), labels_);
 }
@@ -143,12 +136,6 @@ linalg::Vector Lda::scores(const linalg::Vector& x) const {
            log_priors_[c];
   }
   return s;
-}
-
-int Lda::predict(const linalg::Vector& x) const {
-  const linalg::Vector s = scores(x);
-  const auto best = std::max_element(s.begin(), s.end());
-  return labels_[static_cast<std::size_t>(best - s.begin())];
 }
 
 ScoredPrediction Lda::predict_scored(const linalg::Vector& x) const {

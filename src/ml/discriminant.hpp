@@ -25,7 +25,6 @@ class Qda : public Classifier {
   explicit Qda(DiscriminantConfig config = {});
 
   void fit(const Dataset& train) override;
-  int predict(const linalg::Vector& x) const override;
   ScoredPrediction predict_scored(const linalg::Vector& x) const override;
 
   /// Lane-vectorized override: per class, one blocked triangular solve sweeps
@@ -76,7 +75,6 @@ class Lda : public Classifier {
   explicit Lda(DiscriminantConfig config = {});
 
   void fit(const Dataset& train) override;
-  int predict(const linalg::Vector& x) const override;
   ScoredPrediction predict_scored(const linalg::Vector& x) const override;
   std::string name() const override { return "LDA"; }
 

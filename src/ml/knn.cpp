@@ -17,8 +17,6 @@ void Knn::fit(const Dataset& train) {
   train_ = train;
 }
 
-int Knn::predict(const linalg::Vector& x) const { return predict_scored(x).label; }
-
 ScoredPrediction Knn::predict_scored(const linalg::Vector& x) const {
   if (train_.size() == 0) throw std::runtime_error("Knn: not fitted");
   if (x.size() != train_.dim()) throw std::invalid_argument("Knn: dim mismatch");

@@ -13,7 +13,6 @@ class Knn : public Classifier {
   explicit Knn(std::size_t k = 1);
 
   void fit(const Dataset& train) override;
-  int predict(const linalg::Vector& x) const override;
   /// Margin is the neighbour-vote gap; top_score is the negated distance to
   /// the winning label's nearest neighbour (an off-distribution gate).
   ScoredPrediction predict_scored(const linalg::Vector& x) const override;

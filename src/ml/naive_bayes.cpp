@@ -1,6 +1,5 @@
 #include "ml/naive_bayes.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -46,12 +45,6 @@ linalg::Vector GaussianNaiveBayes::scores(const linalg::Vector& x) const {
     s[c] = acc;
   }
   return s;
-}
-
-int GaussianNaiveBayes::predict(const linalg::Vector& x) const {
-  const linalg::Vector s = scores(x);
-  const auto best = std::max_element(s.begin(), s.end());
-  return labels_[static_cast<std::size_t>(best - s.begin())];
 }
 
 ScoredPrediction GaussianNaiveBayes::predict_scored(const linalg::Vector& x) const {

@@ -15,7 +15,6 @@ class GaussianNaiveBayes : public Classifier {
   explicit GaussianNaiveBayes(double min_var = 1e-9);
 
   void fit(const Dataset& train) override;
-  int predict(const linalg::Vector& x) const override;
   ScoredPrediction predict_scored(const linalg::Vector& x) const override;
   std::string name() const override { return "NaiveBayes"; }
 

@@ -166,16 +166,6 @@ void Svm::fit(const Dataset& train) {
   }
 }
 
-int Svm::predict(const linalg::Vector& x) const {
-  if (machines_.empty()) throw std::runtime_error("Svm: not fitted");
-  std::vector<int> votes(labels_.size(), 0);
-  for (const Pair& p : machines_) {
-    ++votes[p.machine.decision(x) >= 0.0 ? p.a : p.b];
-  }
-  const auto best = std::max_element(votes.begin(), votes.end());
-  return labels_[static_cast<std::size_t>(best - votes.begin())];
-}
-
 ScoredPrediction Svm::predict_scored(const linalg::Vector& x) const {
   if (machines_.empty()) throw std::runtime_error("Svm: not fitted");
   linalg::Vector votes(labels_.size(), 0.0);

@@ -2,9 +2,10 @@
 //
 // Stands in for the paper's LIBSVM usage (Sec. 5.2: "SVM classifier with RBF
 // kernel ... best C and gamma selected by grid search with 3-fold
-// cross-validation").  Multiclass classification uses one-vs-one voting,
-// matching both LIBSVM's internal strategy and the paper's Sec. 2.1
-// complexity analysis.
+// cross-validation").  No bench reproduces that grid search: every bench runs
+// one fixed C and gamma (SvmConfig's defaults or a value the bench sets).
+// Multiclass classification uses one-vs-one voting, matching both LIBSVM's
+// internal strategy and the paper's Sec. 2.1 complexity analysis.
 #pragma once
 
 #include <memory>
@@ -61,7 +62,6 @@ class Svm : public Classifier {
   explicit Svm(SvmConfig config = {});
 
   void fit(const Dataset& train) override;
-  int predict(const linalg::Vector& x) const override;
   /// Scores are one-vs-one votes: the margin is the paper's majority-vote
   /// margin (Eq. (3) winner vs runner-up vote gap).
   ScoredPrediction predict_scored(const linalg::Vector& x) const override;

@@ -1,26 +1,6 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
-
 namespace sidis::sim {
-
-std::vector<TraceSet> split_by_program(const TraceSet& traces) {
-  std::vector<int> ids;
-  std::vector<TraceSet> out;
-  for (const Trace& t : traces) {
-    const auto it = std::find(ids.begin(), ids.end(), t.meta.program_id);
-    std::size_t idx;
-    if (it == ids.end()) {
-      ids.push_back(t.meta.program_id);
-      out.emplace_back();
-      idx = out.size() - 1;
-    } else {
-      idx = static_cast<std::size_t>(it - ids.begin());
-    }
-    out[idx].push_back(t);
-  }
-  return out;
-}
 
 Trace channel_view(const Trace& trace, Channel channel) {
   Trace out;
@@ -41,14 +21,6 @@ TraceSet channel_views(const TraceSet& traces, Channel channel) {
   TraceSet out;
   out.reserve(traces.size());
   for (const Trace& t : traces) out.push_back(channel_view(t, channel));
-  return out;
-}
-
-TraceSet filter_by_program(const TraceSet& traces, int id) {
-  TraceSet out;
-  for (const Trace& t : traces) {
-    if (t.meta.program_id == id) out.push_back(t);
-  }
   return out;
 }
 

@@ -82,11 +82,4 @@ Trace channel_view(const Trace& trace, Channel channel);
 /// channel_view over a whole set.
 TraceSet channel_views(const TraceSet& traces, Channel channel);
 
-/// Splits a trace set by `program_id`; returned vector is indexed by the
-/// order program ids first appear.
-std::vector<TraceSet> split_by_program(const TraceSet& traces);
-
-/// Returns the subset with meta.program_id == id.
-TraceSet filter_by_program(const TraceSet& traces, int id);
-
 }  // namespace sidis::sim

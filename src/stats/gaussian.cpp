@@ -19,19 +19,9 @@ Gaussian1D Gaussian1D::fit(std::span<const double> samples, double min_var) {
   return {m, std::max(var, min_var)};
 }
 
-double Gaussian1D::pdf(double x) const { return std::exp(log_pdf(x)); }
-
 double Gaussian1D::log_pdf(double x) const {
   const double d = x - mean;
   return -0.5 * (std::log(2.0 * std::numbers::pi * var) + d * d / var);
-}
-
-MultivariateGaussian MultivariateGaussian::fit(const linalg::Matrix& samples,
-                                               double ridge) {
-  if (samples.rows() < 2) {
-    throw std::invalid_argument("MultivariateGaussian::fit: need >= 2 samples");
-  }
-  return from_moments(linalg::row_mean(samples), linalg::row_covariance(samples), ridge);
 }
 
 MultivariateGaussian MultivariateGaussian::from_moments(linalg::Vector mean,

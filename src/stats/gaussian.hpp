@@ -21,7 +21,6 @@ struct Gaussian1D {
   /// `min_var` so degenerate point masses stay usable in KL formulas.
   static Gaussian1D fit(std::span<const double> samples, double min_var = 1e-12);
 
-  double pdf(double x) const;
   double log_pdf(double x) const;
 };
 
@@ -31,12 +30,9 @@ class MultivariateGaussian {
  public:
   MultivariateGaussian() = default;
 
-  /// Fits mean and covariance from sample rows; the covariance receives
-  /// `ridge` on its diagonal, escalated automatically (x10 up to 1e3 steps)
-  /// until the Cholesky succeeds.  Requires at least 2 rows.
-  static MultivariateGaussian fit(const linalg::Matrix& samples, double ridge = 1e-9);
-
-  /// Builds directly from moments (covariance regularized the same way).
+  /// Builds from moments; the covariance receives `ridge` on its diagonal,
+  /// escalated automatically (x10, up to 1000 steps) until the Cholesky
+  /// succeeds.
   static MultivariateGaussian from_moments(linalg::Vector mean, linalg::Matrix cov,
                                            double ridge = 1e-9);
 

@@ -13,34 +13,16 @@ namespace sidis::stats {
 ///   log(sq/sp) + (sp^2 + (mp-mq)^2) / (2 sq^2) - 1/2.
 double kl_gaussian(const Gaussian1D& p, const Gaussian1D& q);
 
-/// Symmetrized divergence KL(p||q) + KL(q||p); used where the paper needs a
-/// direction-free distance between two classes.
-double symmetric_kl_gaussian(const Gaussian1D& p, const Gaussian1D& q);
-
-/// Closed-form KL between multivariate Gaussians:
-///   1/2 [ tr(Sq^-1 Sp) + (mq-mp)^T Sq^-1 (mq-mp) - k + ln det Sq / det Sp ].
-double kl_gaussian(const MultivariateGaussian& p, const MultivariateGaussian& q);
-
-/// Point-wise KL map between two stacks of scalograms.
-///
-/// `a` and `b` hold one scalogram per trace, all with identical shape
-/// (scales x time).  The result has that same shape; entry (j,k) is the
-/// Gaussian KL divergence between the two classes' coefficient distributions
-/// at grid point (j,k), directional like the paper's D_KL.
-linalg::Matrix kl_map(const std::vector<linalg::Matrix>& a,
-                      const std::vector<linalg::Matrix>& b, double min_var = 1e-12);
-
-/// Per-grid-point Gaussian moments of a stack of scalograms: returns a pair
-/// of matrices (means, variances) with the common scalogram shape.
+/// Per-grid-point Gaussian moments of one class's scalograms: (means,
+/// variances) matrices with the common (scales x time) shape.
 struct MomentMaps {
   linalg::Matrix mean;
   linalg::Matrix var;
 };
-MomentMaps moment_maps(const std::vector<linalg::Matrix>& stack,
-                       double min_var = 1e-12);
 
-/// KL map computed from precomputed moment maps (avoids re-scanning trace
-/// stacks inside the O(pairs) loops of the feature selector).
+/// Point-wise KL map between two classes' moment maps: entry (j,k) is the
+/// Gaussian KL divergence between the two coefficient distributions at grid
+/// point (j,k), directional like the paper's D_KL.
 linalg::Matrix kl_map_from_moments(const MomentMaps& a, const MomentMaps& b);
 
 }  // namespace sidis::stats

@@ -55,33 +55,6 @@ linalg::Matrix Pca::transform(const linalg::Matrix& samples, std::size_t k) cons
   return out;
 }
 
-linalg::Vector Pca::inverse_transform(const linalg::Vector& z) const {
-  if (z.size() > num_components()) {
-    throw std::invalid_argument("Pca::inverse_transform: too many coordinates");
-  }
-  linalg::Vector x = mean_;
-  for (std::size_t c = 0; c < z.size(); ++c) {
-    for (std::size_t r = 0; r < x.size(); ++r) x[r] += z[c] * components_(r, c);
-  }
-  return x;
-}
-
-double Pca::explained_variance_ratio(std::size_t k) const {
-  if (total_variance_ <= 0.0) return 0.0;
-  k = std::min(k, num_components());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < k; ++i) acc += eigenvalues_[i];
-  return acc / total_variance_;
-}
-
-std::size_t Pca::components_for_variance(double fraction) const {
-  fraction = std::clamp(fraction, 0.0, 1.0);
-  for (std::size_t k = 1; k <= num_components(); ++k) {
-    if (explained_variance_ratio(k) >= fraction) return k;
-  }
-  return num_components();
-}
-
 Pca Pca::from_parts(linalg::Vector mean, linalg::Vector eigenvalues,
                     linalg::Matrix components, double total_variance) {
   if (components.cols() != eigenvalues.size() || components.rows() != mean.size()) {

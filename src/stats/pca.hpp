@@ -25,9 +25,6 @@ class Pca {
   /// Projects every row of `samples`.
   linalg::Matrix transform(const linalg::Matrix& samples, std::size_t k = SIZE_MAX) const;
 
-  /// Reconstructs an approximation of the original vector from a projection.
-  linalg::Vector inverse_transform(const linalg::Vector& z) const;
-
   std::size_t num_components() const { return eigenvalues_.size(); }
   std::size_t input_dim() const { return mean_.size(); }
   const linalg::Vector& mean() const { return mean_; }
@@ -35,13 +32,7 @@ class Pca {
   /// Columns are principal axes, descending eigenvalue order.
   const linalg::Matrix& components() const { return components_; }
 
-  /// Fraction of total variance captured by the first k components.
-  double explained_variance_ratio(std::size_t k) const;
-
-  /// Smallest k whose cumulative explained variance reaches `fraction`.
-  std::size_t components_for_variance(double fraction) const;
-
-  /// Trace of the training covariance (denominator of the variance ratios).
+  /// Trace of the training covariance before truncation.
   double total_variance() const { return total_variance_; }
 
   /// Rebuilds a fitted model from stored parts (template deserialization).

@@ -2,7 +2,7 @@
 //
 // Definition 3.1(3) of the paper selects grid points where the between-class
 // KL divergence has a local maximum; this header implements that detection on
-// the (scale x time) matrices produced by stats::kl_map.
+// the (scale x time) matrices produced by stats::kl_map_from_moments.
 #pragma once
 
 #include <cstddef>

@@ -52,34 +52,4 @@ linalg::Matrix ColumnScaler::transform(const linalg::Matrix& samples) const {
   return out;
 }
 
-linalg::Vector ColumnScaler::inverse_transform(const linalg::Vector& z) const {
-  if (z.size() != mean_.size()) throw std::invalid_argument("ColumnScaler: dim mismatch");
-  linalg::Vector x(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) x[i] = z[i] * std_[i] + mean_[i];
-  return x;
-}
-
-linalg::Vector normalize_vector(const linalg::Vector& x, double eps) {
-  if (x.empty()) return {};
-  double m = 0.0;
-  for (double v : x) m += v;
-  m /= static_cast<double>(x.size());
-  double var = 0.0;
-  for (double v : x) var += (v - m) * (v - m);
-  var /= static_cast<double>(x.size());
-  const double s = std::max(std::sqrt(var), eps);
-  linalg::Vector out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = (x[i] - m) / s;
-  return out;
-}
-
-linalg::Matrix normalize_rows(const linalg::Matrix& samples, double eps) {
-  linalg::Matrix out(samples.rows(), samples.cols());
-  for (std::size_t r = 0; r < samples.rows(); ++r) {
-    const linalg::Vector z = normalize_vector(samples.row_vector(r), eps);
-    for (std::size_t c = 0; c < samples.cols(); ++c) out(r, c) = z[c];
-  }
-  return out;
-}
-
 }  // namespace sidis::stats

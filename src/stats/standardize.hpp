@@ -1,11 +1,7 @@
-// Feature normalization, two flavours the paper distinguishes:
-//
-//  * per-column standardization fitted on training data ("Fifth, selected
-//    feature values are normalized" in the Fig. 1 flow) -- `ColumnScaler`;
-//  * per-trace normalization of a selected feature vector, the key
-//    ingredient of covariate-shift adaptation (Table 3 "With Norm."), which
-//    removes the additive offset / multiplicative gain that a different
-//    program file or device imposes on the whole trace -- `normalize_vector`.
+// Per-column standardization fitted on training data ("Fifth, selected
+// feature values are normalized" in the Fig. 1 flow).  The paper's other
+// flavour, per-trace normalization for covariate-shift adaptation (Table 3
+// "With Norm."), runs on the raw window inside features::FeaturePipeline.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -23,7 +19,6 @@ class ColumnScaler {
 
   linalg::Vector transform(const linalg::Vector& x) const;
   linalg::Matrix transform(const linalg::Matrix& samples) const;
-  linalg::Vector inverse_transform(const linalg::Vector& z) const;
 
   std::size_t dim() const { return mean_.size(); }
   const linalg::Vector& mean() const { return mean_; }
@@ -36,14 +31,5 @@ class ColumnScaler {
   linalg::Vector mean_;
   linalg::Vector std_;
 };
-
-/// Per-trace z-score: subtracts the vector's own mean and divides by its own
-/// standard deviation.  Unlike ColumnScaler this needs no training statistics,
-/// which is exactly why it survives covariate shift: an additive DC offset or
-/// gain common to all features of one trace cancels out.
-linalg::Vector normalize_vector(const linalg::Vector& x, double eps = 1e-12);
-
-/// Applies `normalize_vector` to every row.
-linalg::Matrix normalize_rows(const linalg::Matrix& samples, double eps = 1e-12);
 
 }  // namespace sidis::stats

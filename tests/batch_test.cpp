@@ -250,7 +250,8 @@ TEST(StatsBatch, GaussianLogPdfBatchMatchesScalar) {
   for (std::size_t r = 0; r < samples; ++r) {
     for (std::size_t c = 0; c < dim; ++c) data(r, c) = random_signal(1, rng)[0];
   }
-  const auto g = stats::MultivariateGaussian::fit(data);
+  const auto g = stats::MultivariateGaussian::from_moments(
+      linalg::row_mean(data), linalg::row_covariance(data), 1e-9);
 
   const std::size_t lanes = 6;
   linalg::Matrix x_cols(dim, lanes);

@@ -1,15 +1,13 @@
-// Unit tests for datasets, classifiers, metrics and cross-validation.
+// Unit tests for datasets and classifiers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
-#include "ml/crossval.hpp"
 #include "ml/dataset.hpp"
 #include "ml/discriminant.hpp"
 #include "ml/factory.hpp"
 #include "ml/knn.hpp"
-#include "ml/metrics.hpp"
 #include "ml/naive_bayes.hpp"
 #include "ml/svm.hpp"
 
@@ -73,49 +71,13 @@ TEST(Dataset, RowsWithLabel) {
 }
 
 TEST(Dataset, ConcatAndTruncate) {
-  Dataset a, b;
-  a.x = linalg::Matrix{{1, 2, 3}};
-  a.y = {0};
-  b.x = linalg::Matrix{{4, 5, 6}};
-  b.y = {1};
-  const Dataset c = Dataset::concat(a, b);
-  EXPECT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.y, (std::vector<int>{0, 1}));
+  Dataset c;
+  c.x = linalg::Matrix{{1, 2, 3}, {4, 5, 6}};
+  c.y = {0, 1};
   const Dataset t = c.truncated(2);
   EXPECT_EQ(t.dim(), 2u);
+  EXPECT_EQ(t.y, c.y);
   EXPECT_DOUBLE_EQ(t.x(1, 1), 5);
-}
-
-TEST(Dataset, StratifiedSplitPreservesClassBalance) {
-  std::mt19937_64 rng(1);
-  Dataset d = two_blobs(100, 2.0, rng);
-  const Split s = stratified_split(d, 0.8, rng);
-  EXPECT_EQ(s.train.size(), 160u);
-  EXPECT_EQ(s.test.size(), 40u);
-  int train0 = 0;
-  for (int y : s.train.y) train0 += y == 0 ? 1 : 0;
-  EXPECT_EQ(train0, 80);
-}
-
-TEST(Dataset, KFoldsPartitionAll) {
-  std::mt19937_64 rng(2);
-  Dataset d = two_blobs(30, 2.0, rng);
-  const auto folds = k_folds(d, 4, rng);
-  std::size_t total = 0;
-  for (const Dataset& f : folds) total += f.size();
-  EXPECT_EQ(total, d.size());
-  EXPECT_THROW(k_folds(d, 1, rng), std::invalid_argument);
-}
-
-TEST(Dataset, ShuffleKeepsRowLabelPairs) {
-  std::mt19937_64 rng(3);
-  Dataset d;
-  d.x = linalg::Matrix{{0, 0}, {1, 1}, {2, 2}, {3, 3}};
-  d.y = {0, 1, 2, 3};
-  shuffle(d, rng);
-  for (std::size_t r = 0; r < d.size(); ++r) {
-    EXPECT_DOUBLE_EQ(d.x(r, 0), static_cast<double>(d.y[r]));
-  }
 }
 
 class ClassifierContract
@@ -293,39 +255,6 @@ TEST(BinarySvm, RejectsBadLabels) {
   const linalg::Matrix x{{0, 0}, {1, 1}};
   EXPECT_THROW(svm.fit(x, {1, 0}), std::invalid_argument);
   EXPECT_THROW(svm.fit(x, {1}), std::invalid_argument);
-}
-
-TEST(Metrics, AccuracyAndConfusion) {
-  const std::vector<int> truth{0, 0, 1, 1, 2};
-  const std::vector<int> pred{0, 1, 1, 1, 2};
-  EXPECT_DOUBLE_EQ(accuracy(truth, pred), 0.8);
-
-  ConfusionMatrix cm({0, 1, 2});
-  cm.add_all(truth, pred);
-  EXPECT_EQ(cm.count(0, 1), 1u);
-  EXPECT_EQ(cm.count(1, 1), 2u);
-  EXPECT_DOUBLE_EQ(cm.accuracy(), 0.8);
-  EXPECT_DOUBLE_EQ(cm.recall(0), 0.5);
-  EXPECT_DOUBLE_EQ(cm.recall(1), 1.0);
-  EXPECT_THROW(cm.add(9, 0), std::invalid_argument);
-  EXPECT_FALSE(cm.to_string().empty());
-}
-
-TEST(CrossVal, ScoresNearTestAccuracy) {
-  std::mt19937_64 rng(15);
-  const Dataset data = two_blobs(120, 4.0, rng);
-  const double cv = cross_val_accuracy([] { return std::make_unique<Lda>(); }, data, 4,
-                                       rng);
-  EXPECT_GE(cv, 0.95);
-}
-
-TEST(CrossVal, SvmGridSearchPicksReasonablePoint) {
-  std::mt19937_64 rng(16);
-  const Dataset data = two_blobs(60, 3.0, rng);
-  const GridSearchResult r =
-      svm_grid_search(data, rng, {1.0, 10.0}, {0.1, 1.0}, 3);
-  EXPECT_EQ(r.all.size(), 4u);
-  EXPECT_GE(r.best_accuracy, 0.9);
 }
 
 TEST(Factory, NamesMatchKinds) {

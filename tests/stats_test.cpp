@@ -27,7 +27,7 @@ TEST(Gaussian1D, FitRecoversMoments) {
 TEST(Gaussian1D, PdfIntegratesToOne) {
   const Gaussian1D g{1.0, 0.25};
   double integral = 0.0;
-  for (double x = -5; x <= 7; x += 0.001) integral += g.pdf(x) * 0.001;
+  for (double x = -5; x <= 7; x += 0.001) integral += std::exp(g.log_pdf(x)) * 0.001;
   EXPECT_NEAR(integral, 1.0, 1e-3);
 }
 
@@ -55,7 +55,9 @@ TEST(MultivariateGaussian, FitRecoversDiagonalCovariance) {
   std::normal_distribution<double> d1(0.0, 1.0), d2(5.0, 3.0);
   std::vector<linalg::Vector> rows;
   for (int i = 0; i < 20000; ++i) rows.push_back({d1(rng), d2(rng)});
-  const auto g = MultivariateGaussian::fit(linalg::Matrix::from_rows(rows));
+  const linalg::Matrix x = linalg::Matrix::from_rows(rows);
+  const auto g = MultivariateGaussian::from_moments(linalg::row_mean(x),
+                                                    linalg::row_covariance(x));
   EXPECT_NEAR(g.mean()[0], 0.0, 0.05);
   EXPECT_NEAR(g.mean()[1], 5.0, 0.1);
   EXPECT_NEAR(g.covariance()(0, 0), 1.0, 0.1);
@@ -72,7 +74,9 @@ TEST(MultivariateGaussian, RegularizesSingularCovariance) {
     const double v = d(rng);
     rows.push_back({v, v});
   }
-  EXPECT_NO_THROW(MultivariateGaussian::fit(linalg::Matrix::from_rows(rows)));
+  const linalg::Matrix x = linalg::Matrix::from_rows(rows);
+  EXPECT_NO_THROW(MultivariateGaussian::from_moments(linalg::row_mean(x),
+                                                     linalg::row_covariance(x)));
 }
 
 TEST(MultivariateGaussian, MahalanobisOfMeanIsZero) {
@@ -93,8 +97,6 @@ TEST(Kl, PositiveAndAsymmetric) {
   EXPECT_GT(kl_gaussian(p, q), 0.0);
   EXPECT_GT(kl_gaussian(q, p), 0.0);
   EXPECT_NE(kl_gaussian(p, q), kl_gaussian(q, p));
-  EXPECT_NEAR(symmetric_kl_gaussian(p, q),
-              kl_gaussian(p, q) + kl_gaussian(q, p), 1e-12);
 }
 
 TEST(Kl, MatchesClosedFormHandValue) {
@@ -105,56 +107,27 @@ TEST(Kl, MatchesClosedFormHandValue) {
               0.5 * (std::log(4.0) + 0.25 - 1.0), 1e-12);
 }
 
-TEST(Kl, MultivariateMatchesUnivariateInOneDim) {
-  const auto p = MultivariateGaussian::from_moments({0.0}, linalg::Matrix{{1.0}}, 0.0);
-  const auto q = MultivariateGaussian::from_moments({1.0}, linalg::Matrix{{4.0}}, 0.0);
-  EXPECT_NEAR(kl_gaussian(p, q), kl_gaussian(Gaussian1D{0, 1}, Gaussian1D{1, 4}), 1e-9);
-}
-
-TEST(Kl, MultivariateZeroForIdentical) {
-  const auto p = MultivariateGaussian::from_moments(
-      {1.0, -1.0}, linalg::Matrix{{2.0, 0.5}, {0.5, 1.0}}, 0.0);
-  EXPECT_NEAR(kl_gaussian(p, p), 0.0, 1e-9);
-}
-
-TEST(KlMap, MomentMapsShapeAndValues) {
-  std::vector<linalg::Matrix> stack = {linalg::Matrix{{1, 2}, {3, 4}},
-                                       linalg::Matrix{{3, 2}, {3, 8}}};
-  const MomentMaps m = moment_maps(stack);
-  EXPECT_DOUBLE_EQ(m.mean(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(m.mean(1, 1), 6.0);
-  EXPECT_NEAR(m.var(0, 0), 2.0, 1e-12);   // var of {1,3}
-  EXPECT_NEAR(m.var(0, 1), 1e-12, 1e-13);  // clamped
-}
-
 TEST(KlMap, InconsistentShapesThrow) {
-  std::vector<linalg::Matrix> stack = {linalg::Matrix(2, 2), linalg::Matrix(2, 3)};
-  EXPECT_THROW(moment_maps(stack), std::invalid_argument);
+  const MomentMaps a{linalg::Matrix(2, 2, 0.0), linalg::Matrix(2, 2, 1.0)};
+  const MomentMaps b{linalg::Matrix(2, 3, 0.0), linalg::Matrix(2, 3, 1.0)};
+  EXPECT_THROW(kl_map_from_moments(a, b), std::invalid_argument);
 }
 
 TEST(KlMap, DetectsTheDifferingCell) {
-  std::mt19937_64 rng(4);
-  std::normal_distribution<double> noise(0.0, 0.1);
-  std::vector<linalg::Matrix> a, b;
-  for (int i = 0; i < 200; ++i) {
-    linalg::Matrix ma(3, 3, 0.0), mb(3, 3, 0.0);
-    for (std::size_t r = 0; r < 3; ++r) {
-      for (std::size_t c = 0; c < 3; ++c) {
-        ma(r, c) = noise(rng);
-        mb(r, c) = noise(rng);
-      }
-    }
-    mb(1, 2) += 1.0;  // the only real difference
-    a.push_back(std::move(ma));
-    b.push_back(std::move(mb));
-  }
-  const linalg::Matrix map = kl_map(a, b);
+  // Two classes that agree everywhere but at (1, 2), where the second
+  // class's mean sits ten standard deviations away.
+  const MomentMaps a{linalg::Matrix(3, 3, 0.0), linalg::Matrix(3, 3, 0.01)};
+  MomentMaps b = a;
+  b.mean(1, 2) += 1.0;
+  const linalg::Matrix map = kl_map_from_moments(a, b);
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 3; ++c) {
       if (r == 1 && c == 2) continue;
-      EXPECT_LT(map(r, c), map(1, 2) / 10.0);
+      EXPECT_EQ(map(r, c), 0.0);
     }
   }
+  EXPECT_NEAR(map(1, 2), kl_gaussian(Gaussian1D{0.0, 0.01}, Gaussian1D{1.0, 0.01}),
+              1e-12);
   EXPECT_GT(map(1, 2), 10.0);
 }
 
@@ -173,18 +146,8 @@ TEST(Pca, RecoversDominantDirection) {
   const double d = std::abs(pca.components()(0, 0) * dir[0] +
                             pca.components()(1, 0) * dir[1]);
   EXPECT_NEAR(d, 1.0, 1e-3);
-  EXPECT_GT(pca.explained_variance_ratio(1), 0.99);
-}
-
-TEST(Pca, TransformInverseRoundTripFullRank) {
-  std::mt19937_64 rng(6);
-  std::normal_distribution<double> d(0, 1);
-  std::vector<linalg::Vector> rows;
-  for (int i = 0; i < 100; ++i) rows.push_back({d(rng), d(rng), d(rng)});
-  const Pca pca = Pca::fit(linalg::Matrix::from_rows(rows));
-  const linalg::Vector x{0.4, -1.0, 2.0};
-  const linalg::Vector back = pca.inverse_transform(pca.transform(x));
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(back[i], x[i], 1e-9);
+  // The first axis carries all but ~0.1^2 / 5^2 of the variance.
+  EXPECT_GT(pca.eigenvalues()[0] / pca.total_variance(), 0.99);
 }
 
 TEST(Pca, ComponentsAreDecorrelated) {
@@ -206,23 +169,6 @@ TEST(Pca, ComponentsAreDecorrelated) {
       }
     }
   }
-}
-
-TEST(Pca, VarianceRatioMonotonicAndCapped) {
-  std::mt19937_64 rng(8);
-  std::normal_distribution<double> d(0, 1);
-  std::vector<linalg::Vector> rows;
-  for (int i = 0; i < 200; ++i) rows.push_back({d(rng), 2 * d(rng), 3 * d(rng)});
-  const Pca pca = Pca::fit(linalg::Matrix::from_rows(rows));
-  double prev = 0.0;
-  for (std::size_t k = 1; k <= 3; ++k) {
-    const double r = pca.explained_variance_ratio(k);
-    EXPECT_GE(r, prev);
-    prev = r;
-  }
-  EXPECT_NEAR(prev, 1.0, 1e-9);
-  EXPECT_EQ(pca.components_for_variance(1.0), 3u);
-  EXPECT_GE(pca.components_for_variance(0.5), 1u);
 }
 
 TEST(Pca, MaxComponentsTruncates) {
@@ -280,30 +226,6 @@ TEST(ColumnScaler, TransformsToZeroMeanUnitStd) {
   const linalg::Matrix cov = linalg::row_covariance(z);
   EXPECT_NEAR(cov(0, 0), 1.0, 1e-9);
   EXPECT_NEAR(cov(1, 1), 1.0, 1e-9);
-}
-
-TEST(ColumnScaler, InverseTransformRoundTrips) {
-  const linalg::Matrix x{{1, 10}, {2, 20}, {3, 30}};
-  const ColumnScaler s = ColumnScaler::fit(x);
-  const linalg::Vector v{2.5, 15.0};
-  const linalg::Vector back = s.inverse_transform(s.transform(v));
-  EXPECT_NEAR(back[0], 2.5, 1e-10);
-  EXPECT_NEAR(back[1], 15.0, 1e-10);
-}
-
-TEST(NormalizeVector, CancelsGainAndOffset) {
-  const linalg::Vector x{1, 5, 2, 8, 3};
-  linalg::Vector y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = 4.0 * x[i] - 2.0;
-  const linalg::Vector zx = normalize_vector(x);
-  const linalg::Vector zy = normalize_vector(y);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(zx[i], zy[i], 1e-10);
-}
-
-TEST(NormalizeRows, AppliesPerRow) {
-  const linalg::Matrix x{{1, 2, 3}, {10, 20, 30}};
-  const linalg::Matrix z = normalize_rows(x);
-  for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(z(0, c), z(1, c), 1e-10);
 }
 
 }  // namespace
